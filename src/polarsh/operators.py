@@ -56,6 +56,8 @@ def _psh_positions(l_max):
             pos3[sh_index(l, m)] = P.psh_index(l, m, 3, l_max)
             if l >= 2:
                 pos1[P.spin2_index(l, m)] = P.psh_index(l, m, 1, l_max)
+    for a in (pos0, pos1, pos3):
+        a.setflags(write=False)
     return pos0, pos1, pos3
 
 
@@ -267,21 +269,24 @@ def visibility_from_spheres(occluders, dirs):
     return vis
 
 
-_VIS_BASIS_CACHE = {}
+@lru_cache(maxsize=4)
+def _weighted_real_basis(l_max, band, theta_nodes, theta_weights, n_phi):
+    """Real-SH basis times quadrature weights on a grid given by its bytes."""
+    grid = SphereGrid(band, np.frombuffer(theta_nodes), np.frombuffer(theta_weights), n_phi)
+    th, ph = grid.angles()
+    basis_w = sh.sh_basis_real(l_max, th.ravel(), ph.ravel()) * grid.weights().reshape(-1, 1)
+    basis_w.setflags(write=False)
+    return basis_w
 
 
 def visibility_project(vis_fn, l_max: int, grid: SphereGrid) -> ShCoeffs:
     """Real-SH coefficients of a direction -> {0,1} visibility mask."""
     if grid.band < l_max:
         raise ValueError(f"grid band {grid.band} insufficient for l_max {l_max}")
-    dirs = grid.dirs()
-    vals = np.asarray(vis_fn(dirs), dtype=float)
-    key = (l_max, grid.band)
-    basis_w = _VIS_BASIS_CACHE.get(key)
-    if basis_w is None:
-        th, ph = grid.angles()
-        basis_w = sh.sh_basis_real(l_max, th.ravel(), ph.ravel()) * grid.weights().reshape(-1, 1)
-        _VIS_BASIS_CACHE[key] = basis_w
+    vals = np.asarray(vis_fn(grid.dirs()), dtype=float)
+    basis_w = _weighted_real_basis(
+        l_max, grid.band, np.asarray(grid.theta_nodes, dtype=float).tobytes(),
+        np.asarray(grid.theta_weights, dtype=float).tobytes(), grid.n_phi)
     return ShCoeffs(l_max, "real", basis_w.T @ vals.ravel())
 
 
@@ -312,6 +317,8 @@ def _triple_tensors(l_max: int, lv_max: int):
                             if g2 != 0.0:
                                 T022[P.spin2_index(lo, mo), P.spin2_index(li, mi),
                                      sh_index(lv, mv)] = g2
+    T000.setflags(write=False)
+    T022.setflags(write=False)
     return T000, T022
 
 
@@ -326,17 +333,17 @@ def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
         raise ValueError("expected real-SH visibility coefficients")
     vc = sh.sh_coeffs_r2c(v).values
     T000, T022 = _triple_tensors(l_max, v.l_max)
-    Sc = T000 @ vc          # complex scalar operator (S, S)
-    # convert the scalar operator complex -> real basis, per (l_o, l_i) block
-    Sr = np.zeros((sh_size(l_max), sh_size(l_max)))
-    for lo in range(l_max + 1):
-        Uo = sh.complex_to_real_block(lo)
-        so = slice(sh_index(lo, -lo), sh_index(lo, lo) + 1)
-        for li in range(l_max + 1):
-            Ui = sh.complex_to_real_block(li)
-            si = slice(sh_index(li, -li), sh_index(li, li) + 1)
-            Sr[so, si] = (Uo.conj() @ Sc[so, si] @ Ui.T).real
-    C2 = T022 @ vc          # complex spin-2 block (S2, S2)
+
+    re, im = np.ascontiguousarray(vc.real), np.ascontiguousarray(vc.imag)
+
+    def contract(T):
+        # real tensor times complex vector without promoting T to complex
+        flat = T.reshape(-1, T.shape[-1])
+        return (flat @ re + 1j * (flat @ im)).reshape(T.shape[:2])
+
+    U = sh.complex_to_real_matrix(l_max)
+    Sr = (U.conj() @ contract(T000) @ U.T).real    # scalar operator, real basis
+    C2 = contract(T022)                            # complex spin-2 block (S2, S2)
     blocks = {"scalar": {(0, 0): Sr, (3, 3): Sr.copy(),
                          (0, 3): np.zeros_like(Sr), (3, 0): np.zeros_like(Sr)},
               "iso": C2}

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -417,163 +419,134 @@ def pconv_angular_fixed_grid(kernel_fn, field, out_dirs):
 # least-squares projection onto the convolution structure
 # ---------------------------------------------------------------------------
 
+class _ConvTables(NamedTuple):
+    """Read-only per-l_max tables of the convolution structure.
+
+    l and m run over the scalar index set; the spin-2 set is their tail
+    [4:].  matched marks the entries the structure may fill (same l and
+    |m_o| = |m_i|); u_to and u_from hold U^{p0} over (spin-2 out, scalar in)
+    and U^{0p} over (l >= 2 scalar out, spin-2 in), zero off matched.
+    """
+    l: np.ndarray
+    m: np.ndarray
+    matched: np.ndarray
+    u_to: np.ndarray
+    u_from: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _conv_tables(l_max: int) -> _ConvTables:
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.arange(l.size) - l * l - l
+    matched = (l[:, None] == l[None, :]) & (np.abs(m[:, None]) == np.abs(m[None, :]))
+    # _u_to_spin2 / _u_from_spin2 as arrays over (m_o in spin-2 rows, m_i)
+    mo, mi = m[4:, None], m[None, :]
+    sign = np.where(mo % 2, -1.0, 1.0)
+    neg_o, neg_i = mo < 0, mi < 0
+    u_to = (np.where(neg_o, sign, 1.0) * np.where(neg_i, np.where(neg_o, 1j, -1j), 1.0)
+            / math.sqrt(2.0))
+    u_from = (np.where(neg_i, sign, 1.0) * np.where(neg_o, np.where(neg_i, -1j, 1j), 1.0)
+              / math.sqrt(2.0))
+    zero = (mo == 0) & (mi == 0)
+    keep = matched[4:]
+    u_to = np.where(zero, 1.0, u_to) * keep
+    u_from = (np.where(zero, 1.0, u_from) * keep)[:, 4:]
+    for a in (l, m, matched, u_to, u_from):
+        a.setflags(write=False)
+    return _ConvTables(l, m, matched, u_to, u_from)
+
+
+def _per_l(rows, x, n_l):
+    """Sums of x over the rows of each band (segment sum by row l)."""
+    if np.iscomplexobj(x):
+        return _per_l(rows, x.real, n_l) + 1j * _per_l(rows, x.imag, n_l)
+    return np.bincount(rows, weights=x, minlength=n_l)
+
+
+def _fit_weighted(rows, C, u, fac):
+    """Per-l weighted least squares of C = fac * u * k on u's support."""
+    n_l = fac.size
+    num = _per_l(rows, np.sum(np.conj(u) * C, axis=1), n_l)
+    den = _per_l(rows, np.sum(np.abs(u) ** 2, axis=1), n_l)
+    return np.divide(num, den * fac, out=np.zeros(n_l, dtype=complex), where=den > 0)
+
+
 def conv_project_operator(M: PshCoeffMatrix):
     """Fit an operator matrix to the convolution structure per l.
 
-    Returns (PolarConvKernelCoeffs, rms_residual, report) where report maps
-    block names to per-l dicts with 'matched' (residual on |m_i| = |m_o|
-    entries after the fit) and 'unmatched' (energy on |m_i| != |m_o|
-    entries, which the structure forces to zero) RMS values.
+    Returns (PolarConvKernelCoeffs, rms_residual, report).  The scalar
+    families are diagonal means, the mixed 0<->2 families weighted least
+    squares against U^{p0} / U^{0p}, iso and conj the means along the m_i = m_o
+    and m_i = -m_o diagonals.  Per block and output band l, report[block][l]
+    holds two RMS values over the row-l entries: 'matched' is the misfit on
+    the entries the structure may fill (l_i = l and |m_i| = |m_o|), and
+    'unmatched' the energy on all other entries (which the structure forces
+    to zero).  Each real scalar entry counts once, each complex mixed entry
+    twice and each spin 2-to-2 entry (iso and conj together) four times,
+    both in the report and in rms_residual, the RMS over every counted entry
+    of the scalar, to_spin2, from_spin2 (l >= 2 rows) and spin22 blocks.
     """
     l_max = M.l_max
+    n_l = l_max + 1
+    t = _conv_tables(l_max)
+    rows, rows2 = t.l, t.l[4:]
+    fac = np.sqrt(FOUR_PI / (2 * np.arange(n_l) + 1))
+    width = 2 * np.arange(n_l) + 1
     kc = PolarConvKernelCoeffs.zeros(l_max)
     blocks = split_psh_matrix(M)
     report = {}
-    sq_sum = 0.0
-    n_sum = 0
+    totals = [0.0, 0]
 
-    def _fit_family(get_entry, pairs, weights):
-        # LSQ of entry = w * k over complex entries: k = sum w* e / sum |w|^2
-        num = 0.0j
-        den = 0.0
-        for (mo, mi), u in zip(pairs, weights):
-            num += np.conj(u) * get_entry(mo, mi)
-            den += abs(u) ** 2
-        return num / den if den > 0 else 0.0j
+    def tally(key, rows, pairs, matched, weight, l_from):
+        res_m = sum(np.sum(np.where(matched, np.abs(v - f) ** 2, 0.0), axis=1)
+                    for v, f in pairs)
+        res_u = sum(np.sum(np.where(matched, 0.0, np.abs(v) ** 2), axis=1)
+                    for v, f in pairs)
+        count = weight * len(pairs)
+        sm, su = _per_l(rows, res_m, n_l), _per_l(rows, res_u, n_l)
+        nm = count * _per_l(rows, np.sum(matched, axis=1), n_l)
+        nu = count * _per_l(rows, np.sum(~matched, axis=1), n_l)
+        report[key] = {l: {"matched": math.sqrt(sm[l] / max(nm[l], 1)),
+                           "unmatched": math.sqrt(su[l] / max(nu[l], 1))}
+                       for l in range(l_from, n_l)}
+        totals[0] += float(np.sum(sm[l_from:] + su[l_from:]))
+        totals[1] += int(np.sum(nm[l_from:] + nu[l_from:]))
 
-    # scalar families
-    rep_sc = {}
-    for l in range(l_max + 1):
-        fac = math.sqrt(FOUR_PI / (2 * l + 1))
-        for (a, b, name) in ((0, 0, "k00"), (0, 3, "k03"), (3, 0, "k30"), (3, 3, "k33")):
-            blk = blocks["scalar"][(a, b)]
-            diag = np.array([blk[sh_index(l, m), sh_index(l, m)] for m in range(-l, l + 1)])
-            getattr(kc, name)[l] = np.mean(diag) / fac
-        res_m, res_u, nm, nu = 0.0, 0.0, 0, 0
-        for li in range(l_max + 1):
-            for mo in range(-l, l + 1):
-                for mi in range(-li, li + 1):
-                    for (a, b, name) in ((0, 0, "k00"), (0, 3, "k03"), (3, 0, "k30"), (3, 3, "k33")):
-                        v = blocks["scalar"][(a, b)][sh_index(l, mo), sh_index(li, mi)]
-                        fit = fac * getattr(kc, name)[l] if (li == l and mi == mo) else 0.0
-                        if li == l and abs(mi) == abs(mo):
-                            res_m += (v - fit) ** 2
-                            nm += 1
-                        else:
-                            res_u += v ** 2
-                            nu += 1
-        rep_sc[l] = {"matched": math.sqrt(res_m / max(nm, 1)),
-                     "unmatched": math.sqrt(res_u / max(nu, 1))}
-        sq_sum += res_m + res_u
-        n_sum += nm + nu
-    report["scalar"] = rep_sc
+    # scalar families: diagonal means
+    pairs = []
+    for ab, name in (((0, 0), "k00"), ((0, 3), "k03"), ((3, 0), "k30"), ((3, 3), "k33")):
+        blk = blocks["scalar"][ab]
+        k = getattr(kc, name)
+        k[:] = _per_l(rows, np.diagonal(blk), n_l) / width / fac
+        pairs.append((blk, np.diag(fac[rows] * k[rows])))
+    tally("scalar", rows, pairs, t.matched, 1, 0)
 
-    def _pairs(l):
-        out = []
-        for m in range(-l, l + 1):
-            for mp in {m, -m}:
-                if (m, mp) not in out:
-                    out.append((m, mp))
-        return out
+    # mixed families: weighted least squares over the matched entries (the
+    # spin-2 index set and so these blocks are empty for l_max < 2)
+    for key, u, cut, fams in (("to_spin2", t.u_to, 0, ((0, "kp0"), (3, "kp3"))),
+                              ("from_spin2", t.u_from, 4, ((0, "k0p"), (3, "k3p")))):
+        pairs = []
+        for a, name in fams:
+            C = blocks[key][a][cut:]
+            k = getattr(kc, name)
+            k[:] = _fit_weighted(rows2, C, u, fac)
+            pairs.append((C, (fac * k)[rows2][:, None] * u))
+        tally(key, rows2, pairs, t.matched[4:, cut:], 2, 2)
 
-    # spin 0 -> 2 (kernel columns kp0, kp3)
-    rep = {}
-    for l in range(2, l_max + 1):
-        fac = math.sqrt(FOUR_PI / (2 * l + 1))
-        for (b, name) in ((0, "kp0"), (3, "kp3")):
-            C = blocks["to_spin2"][b]
-            pairs = _pairs(l)
-            ws = [_u_to_spin2(mo, mi) for (mo, mi) in pairs]
-            getattr(kc, name)[l] = _fit_family(
-                lambda mo, mi: C[P.spin2_index(l, mo), sh_index(l, mi)] / fac, pairs, ws)
-    for l in range(2, l_max + 1):
-        fac = math.sqrt(FOUR_PI / (2 * l + 1))
-        res_m, res_u, nm, nu = 0.0, 0.0, 0, 0
-        for (b, name) in ((0, "kp0"), (3, "kp3")):
-            C = blocks["to_spin2"][b]
-            for li in range(l_max + 1):
-                for mo in range(-l, l + 1):
-                    for mi in range(-li, li + 1):
-                        v = C[P.spin2_index(l, mo), sh_index(li, mi)]
-                        fit = (fac * _u_to_spin2(mo, mi) * getattr(kc, name)[l]
-                               if li == l and abs(mi) == abs(mo) else 0.0)
-                        if li == l and abs(mi) == abs(mo):
-                            res_m += abs(v - fit) ** 2
-                            nm += 2
-                        else:
-                            res_u += abs(v) ** 2
-                            nu += 2
-        rep[l] = {"matched": math.sqrt(res_m / max(nm, 1)),
-                  "unmatched": math.sqrt(res_u / max(nu, 1))}
-        sq_sum += res_m + res_u
-        n_sum += nm + nu
-    report["to_spin2"] = rep
+    # spin 2-to-2: iso along m_i = m_o, conj along m_i = -m_o
+    diag = np.arange(rows2.size)
+    mirror = diag - 2 * t.m[4:]
+    sign = np.where(t.m[4:] % 2, -1.0, 1.0)
+    iso, conj = blocks["iso"], blocks["conj"]
+    kc.kiso[:] = _per_l(rows2, iso[diag, diag], n_l) / width / fac
+    kc.kconj[:] = _per_l(rows2, sign * conj[diag, mirror], n_l) / width / fac
+    fit_i = np.zeros_like(iso)
+    fit_c = np.zeros_like(conj)
+    fit_i[diag, diag] = (fac * kc.kiso)[rows2]
+    fit_c[diag, mirror] = sign * (fac * kc.kconj)[rows2]
+    tally("spin22", rows2, [(iso, fit_i), (conj, fit_c)], t.matched[4:, 4:], 2, 2)
 
-    # spin 2 -> 0 (kernel rows k0p, k3p)
-    rep = {}
-    for l in range(2, l_max + 1):
-        fac = math.sqrt(FOUR_PI / (2 * l + 1))
-        for (a, name) in ((0, "k0p"), (3, "k3p")):
-            C = blocks["from_spin2"][a]
-            pairs = _pairs(l)
-            ws = [_u_from_spin2(mo, mi) for (mo, mi) in pairs]
-            getattr(kc, name)[l] = _fit_family(
-                lambda mo, mi: C[sh_index(l, mo), P.spin2_index(l, mi)] / fac, pairs, ws)
-        res_m, res_u, nm, nu = 0.0, 0.0, 0, 0
-        for (a, name) in ((0, "k0p"), (3, "k3p")):
-            C = blocks["from_spin2"][a]
-            for li in range(2, l_max + 1):
-                for mo in range(-l, l + 1):
-                    for mi in range(-li, li + 1):
-                        v = C[sh_index(l, mo), P.spin2_index(li, mi)]
-                        fit = (fac * _u_from_spin2(mo, mi) * getattr(kc, name)[l]
-                               if li == l and abs(mi) == abs(mo) else 0.0)
-                        if li == l and abs(mi) == abs(mo):
-                            res_m += abs(v - fit) ** 2
-                            nm += 2
-                        else:
-                            res_u += abs(v) ** 2
-                            nu += 2
-        rep[l] = {"matched": math.sqrt(res_m / max(nm, 1)),
-                  "unmatched": math.sqrt(res_u / max(nu, 1))}
-        sq_sum += res_m + res_u
-        n_sum += nm + nu
-    report["from_spin2"] = rep
-
-    # spin 2 -> 2
-    rep = {}
-    iso_blk = blocks["iso"]
-    conj_blk = blocks["conj"]
-    for l in range(2, l_max + 1):
-        fac = math.sqrt(FOUR_PI / (2 * l + 1))
-        iso_vals = [iso_blk[P.spin2_index(l, m), P.spin2_index(l, m)] / fac
-                    for m in range(-l, l + 1)]
-        kc.kiso[l] = np.mean(iso_vals)
-        conj_vals = [(-1.0) ** m * conj_blk[P.spin2_index(l, m), P.spin2_index(l, -m)] / fac
-                     for m in range(-l, l + 1)]
-        kc.kconj[l] = np.mean(conj_vals)
-        res_m, res_u, nm, nu = 0.0, 0.0, 0, 0
-        for li in range(2, l_max + 1):
-            for mo in range(-l, l + 1):
-                for mi in range(-li, li + 1):
-                    vi = iso_blk[P.spin2_index(l, mo), P.spin2_index(li, mi)]
-                    vc = conj_blk[P.spin2_index(l, mo), P.spin2_index(li, mi)]
-                    fit_i = fac * kc.kiso[l] if (li == l and mi == mo) else 0.0
-                    fit_c = (fac * (-1.0) ** mo * kc.kconj[l]
-                             if (li == l and mi == -mo) else 0.0)
-                    if li == l and abs(mi) == abs(mo):
-                        res_m += abs(vi - fit_i) ** 2 + abs(vc - fit_c) ** 2
-                        nm += 4
-                    else:
-                        res_u += abs(vi) ** 2 + abs(vc) ** 2
-                        nu += 4
-        rep[l] = {"matched": math.sqrt(res_m / max(nm, 1)),
-                  "unmatched": math.sqrt(res_u / max(nu, 1))}
-        sq_sum += res_m + res_u
-        n_sum += nm + nu
-    report["spin22"] = rep
-
-    rms = math.sqrt(sq_sum / max(n_sum, 1))
+    rms = math.sqrt(totals[0] / max(totals[1], 1))
     return kc, rms, report
 
 

@@ -279,9 +279,10 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
     if l_low > l_high:
         raise ValueError("l_low must not exceed l_high")
     if isinstance(material, PshCoeffMatrix):
-        brdf_mat = material
-        if brdf_mat.l_max < l_high:
+        if material.l_max < l_high:
             raise ValueError("material matrix band below l_high")
+        # canonical order is band-major: the leading block holds l <= l_high
+        brdf_mat = _truncate_matrix(material, l_high)
     else:
         grid = gauss_legendre_grid(grid_band if grid_band is not None else max(12, 2 * l_high))
         brdf_mat = operator_project(material, l_high, grid)

@@ -299,7 +299,9 @@ def wigner_d_complex(l: int, R) -> np.ndarray:
 def _c2r_block(m: int) -> np.ndarray:
     """M^{C->R} 2x2 block for |m| > 0, rows/cols ordered (+|m|, -|m|)."""
     sign = (-1.0) ** m
-    return np.array([[1.0, sign], [-1.0j, sign * 1.0j]]) / math.sqrt(2.0)
+    blk = np.array([[1.0, sign], [-1.0j, sign * 1.0j]]) / math.sqrt(2.0)
+    blk.setflags(write=False)
+    return blk
 
 
 def complex_to_real_block(l: int) -> np.ndarray:
@@ -313,6 +315,17 @@ def complex_to_real_block(l: int) -> np.ndarray:
         U[l + m, l - m] = blk[0, 1]
         U[l - m, l + m] = blk[1, 0]
         U[l - m, l - m] = blk[1, 1]
+    return U
+
+
+@lru_cache(maxsize=8)
+def complex_to_real_matrix(l_max: int) -> np.ndarray:
+    """Block-diagonal (read-only) complex_to_real_block over l = 0..l_max."""
+    U = np.zeros((sh_size(l_max), sh_size(l_max)), dtype=complex)
+    for l in range(l_max + 1):
+        sl = slice(l * l, (l + 1) ** 2)
+        U[sl, sl] = complex_to_real_block(l)
+    U.setflags(write=False)
     return U
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polarsh import geom, operators as op, pipeline, psh
+from polarsh import geom, operators as op, pconv, pipeline, psh
 from polarsh import shscalar as sh
 from polarsh.polar import synthetic_pbrdf
 
@@ -139,6 +139,39 @@ def test_cap_solid_angle_deficit():
     cap_area = 2 * np.pi * (1 - np.cos(radius))
     expect = (4 * np.pi - cap_area) / math.sqrt(4 * np.pi)
     assert abs(v.values[0] - expect) < 1e-3
+
+
+def test_visibility_basis_cache_keyed_on_grid_nodes():
+    # same band and shape, different nodes or weights: each grid gets its own
+    # basis, so every projection equals the direct quadrature on its grid
+    g1 = geom.gauss_legendre_grid(8)
+    n = g1.theta_nodes.size
+    mid = np.pi * (np.arange(n) + 0.5) / n
+    g2 = geom.SphereGrid(8, mid, np.pi / n * np.sin(mid) * 2 * np.pi / g1.n_phi, g1.n_phi)
+    g3 = geom.SphereGrid(8, g1.theta_nodes, 2.0 * g1.theta_weights, g1.n_phi)
+    vis = lambda d: (np.asarray(d)[..., 2] > 0.2).astype(float)
+    outs = []
+    for g in (g1, g2, g3):
+        v = op.visibility_project(vis, 6, g)
+        th, ph = g.angles()
+        direct = (sh.sh_basis_real(6, th.ravel(), ph.ravel()).T
+                  @ (g.weights().ravel() * vis(g.dirs()).ravel()))
+        assert np.abs(v.values - direct).max() < 1e-12
+        outs.append(v.values)
+    assert np.abs(outs[0] - outs[1]).max() > 1e-3
+    assert np.abs(outs[2] - 2.0 * outs[0]).max() < 1e-12
+
+
+def test_cached_tables_are_read_only():
+    g = geom.gauss_legendre_grid(4)
+    op.visibility_project(lambda d: np.ones(np.asarray(d).shape[:-1]), 4, g)
+    basis = op._weighted_real_basis(4, g.band, g.theta_nodes.tobytes(),
+                                    g.theta_weights.tobytes(), g.n_phi)
+    tables = [*op._triple_tensors(2, 4), *op._psh_positions(3), basis,
+              sh._c2r_block(1), sh.complex_to_real_matrix(3), *pconv._conv_tables(3)]
+    for a in tables:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
 def test_shadow_expand_identity_and_zero_blocks():

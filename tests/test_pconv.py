@@ -1,6 +1,9 @@
+import json
 import math
+import os
 
 import numpy as np
+import pytest
 
 from polarsh import geom, operators as op, pconv, pipeline, psh
 from polarsh import shscalar as sh
@@ -268,3 +271,80 @@ def test_rotation_average_reduces_residual():
     Mavg2 = pconv.rotation_average_matrix(M, 16)
     _, rms2, _ = pconv.conv_project_operator(Mavg2)
     assert rms2 < rms1
+
+
+# -- conv_project_operator pinned to its recorded outputs ---------------------
+
+KC_NAMES = ("k00", "k03", "k30", "k33", "k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
+
+
+def _reference_cases():
+    from polarsh.polar import synthetic_pbrdf
+    rng = np.random.default_rng(2501)
+    n = psh.psh_size(4)
+    yield "random_l4", op.PshCoeffMatrix(4, rng.normal(size=(n, n)))
+    pb = synthetic_pbrdf(roughness=0.5, ior=1.5, horizon_sharpness=0.12)
+    yield "criterion5_pbrdf", op.operator_project(pb, 4, geom.gauss_legendre_grid(12))
+
+
+def test_conv_project_matches_recorded_outputs():
+    # kc, rms and report recorded from the loop implementation
+    path = os.path.join(os.path.dirname(__file__), "data", "conv_project_reference.json")
+    with open(path) as f:
+        expected = json.load(f)
+    for name, M in _reference_cases():
+        ref = expected[name]
+        kc, rms, report = pconv.conv_project_operator(M)
+        for fam in KC_NAMES:
+            want = np.array([complex(*v) if isinstance(v, list) else v
+                             for v in ref["kc"][fam]])
+            assert np.abs(getattr(kc, fam) - want).max() < 1e-12, (name, fam)
+        assert abs(rms - ref["rms"]) < 1e-12
+        assert set(report) == set(ref["report"])
+        for blk, per_l in ref["report"].items():
+            assert sorted(report[blk]) == sorted(int(l) for l in per_l)
+            for l, vals in per_l.items():
+                for key in ("matched", "unmatched"):
+                    assert abs(report[blk][int(l)][key] - vals[key]) < 1e-12, (name, blk, l)
+
+
+def test_conv_project_unmatched_perturbation():
+    # entries outside the structure leave the fit alone and are reported as
+    # unmatched energy with weights 1 (scalar), 2 (complex), 4 (spin 2-to-2)
+    L = 4
+    kc = pconv.kernel_coeffs(generic_kernel, L)
+    M = pconv.conv_expand_to_matrix(kc, L)
+    kc0, rms0, rep0 = pconv.conv_project_operator(M)
+    d = 0.3
+    P = M.matrix.copy()
+    P[psh.psh_index(3, 1, 0, L), psh.psh_index(3, 2, 0, L)] += d    # |m_o| != |m_i|
+    P[psh.psh_index(2, 1, 2, L), psh.psh_index(1, 1, 0, L)] += d    # l_o != l_i
+    P[psh.psh_index(4, 2, 1, L), psh.psh_index(2, 1, 2, L)] += d    # l_o != l_i
+    kc1, rms1, rep1 = pconv.conv_project_operator(op.PshCoeffMatrix(L, P))
+    for name in KC_NAMES:
+        assert np.array_equal(getattr(kc1, name), getattr(kc0, name)), name
+    # per-row-l entry counts off the structure: 4 scalar families over
+    # 7 x 25 entries less 13 matched; 2 mixed families x 2 over 5 x 25 less 9;
+    # 4 over 9 x 21 spin-2 entries less 17 (one real entry is half iso, half conj)
+    expected = {("scalar", 3): d / math.sqrt(4 * (7 * 25 - 13)),
+                ("to_spin2", 2): d / math.sqrt(4 * (5 * 25 - 9)),
+                ("spin22", 4): math.sqrt(0.5 * d * d / (4 * (9 * 21 - 17)))}
+    for blk in rep0:
+        for l in rep0[blk]:
+            assert rep1[blk][l]["matched"] == pytest.approx(rep0[blk][l]["matched"], abs=1e-14)
+            want = expected.get((blk, l), 0.0)
+            assert rep1[blk][l]["unmatched"] == pytest.approx(want, rel=1e-12, abs=1e-14), (blk, l)
+    assert rms1 > rms0
+
+
+def test_phase_weight_tables_match_scalar_weights():
+    L = 5
+    t = pconv._conv_tables(L)
+    lm = sh.sh_lm_list(L)
+    for j, (lo, mo) in enumerate(lm[4:]):
+        for i, (li, mi) in enumerate(lm):
+            same = li == lo
+            assert t.matched[j + 4, i] == (same and abs(mi) == abs(mo))
+            assert t.u_to[j, i] == (pconv._u_to_spin2(mo, mi) if same else 0.0)
+            if li >= 2:
+                assert t.u_from[j, i - 4] == (pconv._u_from_spin2(mo, mi) if same else 0.0)

@@ -175,6 +175,22 @@ def test_pprt_ray_visibility_path():
     assert np.all(np.isfinite(recs[0].matrix_low.matrix))
 
 
+def test_pprt_material_above_l_high_is_truncated(small_setup):
+    # an L = 6 material baked at l_high = 4 equals the material projected at 4
+    mesh, mat, bm, _ = small_setup
+    bm4 = op.operator_project(mat, 4, geom.gauss_legendre_grid(12))
+    occ = [(np.array([0.7, 0.1, 0.7]), 0.6)]
+    recs6 = pl.pprt_precompute(mesh, bm, occ, l_low=2, l_high=4)
+    recs4 = pl.pprt_precompute(mesh, bm4, occ, l_low=2, l_high=4)
+    names = ("k00", "k03", "k30", "k33", "k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
+    for r6, r4 in zip(recs6, recs4):
+        assert r6.matrix_low.l_max == 2
+        assert np.abs(r6.matrix_low.matrix - r4.matrix_low.matrix).max() < 1e-12
+        for name in names:
+            assert np.abs(getattr(r6.conv_high, name) - getattr(r4.conv_high, name)).max() < 1e-12
+        assert abs(r6.conv_residual - r4.conv_residual) < 1e-12
+
+
 def test_pprt_band_validation(small_setup):
     mesh, _, bm, lighting = small_setup
     with pytest.raises(ValueError):
