@@ -142,19 +142,16 @@ def rotation_align(a, b):
 
 
 def zyz_from_rotation(R):
-    """ZYZ Euler angles (alpha, beta, gamma) with R = Rz(a) Ry(b) Rz(g)."""
+    """ZYZ Euler angles (alpha, beta, gamma) with R = Rz(a) Ry(b) Rz(g), R (..., 3, 3)."""
     R = np.asarray(R, dtype=float)
-    beta = np.arccos(np.clip(R[2, 2], -1.0, 1.0))
-    if abs(R[2, 2]) > 1.0 - 1e-13:
-        # gimbal: only alpha -+ gamma is determined; put it all in alpha
-        if R[2, 2] > 0.0:
-            alpha = np.arctan2(R[1, 0], R[0, 0])
-        else:
-            alpha = np.arctan2(-R[1, 0], -R[0, 0])
-        return alpha, beta, 0.0
-    alpha = np.arctan2(R[1, 2], R[0, 2])
-    gamma = np.arctan2(R[2, 1], -R[2, 0])
-    return alpha, beta, gamma
+    beta = np.arccos(np.clip(R[..., 2, 2], -1.0, 1.0))
+    # gimbal: only alpha -+ gamma is determined; put it all in alpha
+    gimbal = np.abs(R[..., 2, 2]) > 1.0 - 1e-13
+    flip = np.where(R[..., 2, 2] > 0.0, 1.0, -1.0)
+    alpha = np.where(gimbal, np.arctan2(flip * R[..., 1, 0], flip * R[..., 0, 0]),
+                     np.arctan2(R[..., 1, 2], R[..., 0, 2]))
+    gamma = np.where(gimbal, 0.0, np.arctan2(R[..., 2, 1], -R[..., 2, 0]))
+    return alpha[()], beta[()], gamma[()]
 
 
 def random_rotation(rng):

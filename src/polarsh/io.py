@@ -6,6 +6,7 @@ and the S4EM Stokes-map format with an ASCII header.  See docs/formats.md.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -23,11 +24,12 @@ class FormatError(ValueError):
     pass
 
 
-def _read_exact(f, n):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError("unexpected end of file")
-    return buf
+def _read_exact(f, n, what="header"):
+    """Read n bytes, checking first that the file still holds them."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise FormatError(f"unexpected end of file: {what} needs {n} bytes, {left} left")
+    return f.read(n)
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +59,9 @@ def load_sh_coeffs(path) -> ShCoeffs:
             raise FormatError("unsupported PSHC header")
         n = sh_size(l_max)
         if kind == 0:
-            raw = np.frombuffer(_read_exact(f, 16 * n), dtype="<f8")
+            raw = np.frombuffer(_read_exact(f, 16 * n, f"PSHC l_max={l_max}"), dtype="<f8")
             return ShCoeffs(l_max, "complex", raw[0::2] + 1j * raw[1::2])
-        raw = np.frombuffer(_read_exact(f, 8 * n), dtype="<f8")
+        raw = np.frombuffer(_read_exact(f, 8 * n, f"PSHC l_max={l_max}"), dtype="<f8")
         return ShCoeffs(l_max, "real", raw.copy())
 
 
@@ -80,7 +82,7 @@ def load_psh_coeffs(path) -> P.PshCoeffs:
             raise FormatError("not a PSH4 file")
         (l_max,) = struct.unpack("<I", _read_exact(f, 4))
         n = P.psh_size(l_max)
-        raw = np.frombuffer(_read_exact(f, 8 * n), dtype="<f8")
+        raw = np.frombuffer(_read_exact(f, 8 * n, f"PSH4 l_max={l_max}"), dtype="<f8")
         return P.PshCoeffs.from_flat(l_max, raw.copy())
 
 
@@ -104,7 +106,7 @@ def load_psh_matrix(path) -> PshCoeffMatrix:
             raise FormatError("not a PSHM file")
         l_max, tag = struct.unpack("<IB", _read_exact(f, 5))
         n = P.psh_size(l_max)
-        raw = np.frombuffer(_read_exact(f, 8 * n * n), dtype="<f8")
+        raw = np.frombuffer(_read_exact(f, 8 * n * n, f"PSHM l_max={l_max}"), dtype="<f8")
         name = {v: k for k, v in _SPARSITY_TAGS.items()}.get(tag)
         if name is None:
             raise FormatError("unknown sparsity tag")
@@ -135,12 +137,12 @@ def load_kernel_coeffs(path) -> PolarConvKernelCoeffs:
         if _read_exact(f, 4) != b"PSHK":
             raise FormatError("not a PSHK file")
         (l_max,) = struct.unpack("<I", _read_exact(f, 4))
-        kc = PolarConvKernelCoeffs.zeros(l_max)
-        for l in range(l_max + 1):
-            rec = np.frombuffer(_read_exact(f, 8 * 16), dtype="<f8")
-            kc.k00[l], kc.k03[l], kc.k30[l], kc.k33[l] = rec[:4]
-            for i, name in enumerate(_COMPLEX_FIELDS):
-                getattr(kc, name)[l] = rec[4 + 2 * i] + 1j * rec[5 + 2 * i]
+        rec = np.frombuffer(_read_exact(f, 8 * 16 * (l_max + 1), f"PSHK l_max={l_max}"),
+                            dtype="<f8").reshape(l_max + 1, 16)
+    kc = PolarConvKernelCoeffs.zeros(l_max)
+    kc.k00[:], kc.k03[:], kc.k30[:], kc.k33[:] = rec[:, :4].T
+    for i, name in enumerate(_COMPLEX_FIELDS):
+        getattr(kc, name)[:] = rec[:, 4 + 2 * i] + 1j * rec[:, 5 + 2 * i]
     return kc
 
 

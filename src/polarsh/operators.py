@@ -370,22 +370,24 @@ def shadow_matrix_direct(vis_fn, l_max: int, grid: SphereGrid) -> PshCoeffMatrix
 # reflection operator
 # ---------------------------------------------------------------------------
 
-def reflection_matrix_psh(l_max: int) -> PshCoeffMatrix:
-    """Coefficient matrix of the z-flip on Stokes fields.
+@lru_cache(maxsize=8)
+def reflection_permutation_psh(l_max: int):
+    """z-flip R as read-only (rows, signs) with R @ X = signs[:, None] * X[rows].
 
-    Scalar parts: diagonal (-1)^(l+m).  Spin-2 part: maps (l, m) -> (l, -m)
-    with sign (-1)^l on p = 1 and -(-1)^l on p = 2 (the flip conjugates the
-    complex pair).
-    """
-    n = P.psh_size(l_max)
-    out = np.zeros((n, n))
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            s = (-1.0) ** (l + m)
-            out[P.psh_index(l, m, 0, l_max), P.psh_index(l, m, 0, l_max)] = s
-            out[P.psh_index(l, m, 3, l_max), P.psh_index(l, m, 3, l_max)] = s
-            if l >= 2:
-                sgn = (-1.0) ** l
-                out[P.psh_index(l, -m, 1, l_max), P.psh_index(l, m, 1, l_max)] = sgn
-                out[P.psh_index(l, -m, 2, l_max), P.psh_index(l, m, 2, l_max)] = -sgn
+    Scalar parts: diagonal (-1)^(l+m).  Spin-2: (l, m) -> (l, -m), sign (-1)^l on
+    p = 1 and -(-1)^l on p = 2 (the flip conjugates the complex pair)."""
+    index = {lmp: i for i, lmp in enumerate(P.psh_index_list(l_max))}
+    rows = np.array([index[(l, m if p in (0, 3) else -m, p)] for l, m, p in index])
+    signs = np.array([(-1.0) ** (l + m) if p in (0, 3) else (-1.0) ** l * (3 - 2 * p)
+                      for l, m, p in index])
+    rows.setflags(write=False)
+    signs.setflags(write=False)
+    return rows, signs
+
+
+def reflection_matrix_psh(l_max: int) -> PshCoeffMatrix:
+    """Dense coefficient matrix of the z-flip (see reflection_permutation_psh)."""
+    rows, signs = reflection_permutation_psh(l_max)
+    out = np.zeros((rows.size, rows.size))
+    out[np.arange(rows.size), rows] = signs
     return PshCoeffMatrix(l_max, out)

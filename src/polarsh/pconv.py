@@ -10,6 +10,7 @@ averaging.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -106,22 +107,14 @@ def kernel_coeffs(kernel_fn, l_max: int, n_nodes=None) -> PolarConvKernelCoeffs:
     # 1-D basis rows at phi = 0
     y_l0 = np.zeros((l_max + 1, n_nodes))
     y_lm2 = np.zeros((l_max + 1, n_nodes))      # Y^C_{l,-2}(theta, 0), real
-    s2_l0 = np.zeros((l_max + 1, n_nodes))      # 2Y_{l0}(theta, 0), real
-    s2_lm2 = np.zeros((l_max + 1, n_nodes))     # 2Y_{l,-2}(theta, 0), real
-    s2_lp2 = np.zeros((l_max + 1, n_nodes))     # 2Y_{l,+2}(theta, 0), real
     for l in range(l_max + 1):
         y_l0[l] = np.real(sh.sh_basis_complex(l, theta, np.zeros(n_nodes))[:, sh_index(l, 0)])
         if l >= 2:
             y_lm2[l] = np.real(sh.sh_basis_complex(l, theta, np.zeros(n_nodes))[:, sh_index(l, -2)])
-    d0 = {}
-    for m in (0, -2, 2):
-        cols = sh.wigner_small_d_column(l_max, m, -2, theta) if l_max >= 2 else None
-        d0[m] = cols
-    for l in range(2, l_max + 1):
-        nrm = math.sqrt((2 * l + 1) / FOUR_PI)
-        s2_l0[l] = nrm * d0[0][l]
-        s2_lm2[l] = nrm * d0[-2][l]
-        s2_lp2[l] = nrm * d0[2][l]
+    # 2Y_{lm}(theta, 0) for m = 0, -2, +2, real; zero for l < 2
+    nrm = np.sqrt((2 * np.arange(l_max + 1) + 1) / FOUR_PI)[:, None]
+    s2_l0, s2_lm2, s2_lp2 = (nrm * sh.wigner_small_d_column(l_max, m, -2, theta)
+                             for m in (0, -2, 2))
 
     kc = PolarConvKernelCoeffs.zeros(l_max)
     ws = w * st
@@ -627,14 +620,17 @@ def rotation_average_matrix(M: PshCoeffMatrix, n: int) -> PshCoeffMatrix:
     """Coefficient-space rotation average: mean of D(R)^T M D(R).
 
     Exactly the PSH projection of the angular rotation average, since
-    rotations do not mix l.
+    rotations do not mix l; each (l_o, l_i) block averages over all n^2
+    rotations at once.
     """
-    from .psh import psh_rotation_matrix
     if n < 2:
         raise ValueError("need n >= 2")
-    acc = np.zeros_like(M.matrix)
-    rots = _so3_fibonacci(n * n)
-    for R in rots:
-        D = psh_rotation_matrix(M.l_max, R)
-        acc += D.T @ M.matrix @ D
+    rots = np.array(_so3_fibonacci(n * n))
+    blocks = [P.psh_rotation_block(l, None, dc=dc)
+              for l, dc in enumerate(sh.wigner_d_stack(M.l_max, rots))]
+    e = np.cumsum([0] + [b.shape[-1] for b in blocks])
+    acc = np.empty_like(M.matrix)
+    for (i, Bo), (j, Bi) in itertools.product(enumerate(blocks), repeat=2):
+        acc[e[i]:e[i + 1], e[j]:e[j + 1]] = np.tensordot(
+            Bo, M.matrix[e[i]:e[i + 1], e[j]:e[j + 1]] @ Bi, axes=([0, 1], [0, 1]))
     return PshCoeffMatrix(M.l_max, acc / len(rots))

@@ -20,7 +20,7 @@ from . import shscalar as sh
 from .geom import (gauss_legendre_grid, normalize, rotation_align, sph_to_dir,
                    dir_to_sph, frame_theta_phi)
 from .operators import (PshCoeffMatrix, operator_apply, operator_project,
-                        reflection_matrix_psh, shadow_expand,
+                        reflection_permutation_psh, shadow_expand,
                         visibility_from_spheres, visibility_project)
 from .pconv import PolarConvKernelCoeffs, conv_project_operator, pconv_apply
 from .polar import (StokesField, SyntheticPbrdf, frame_angle,
@@ -289,7 +289,7 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
     if l_vis is None:
         l_vis = 2 * l_high
     vis_grid = gauss_legendre_grid(max(l_vis, 2 * l_high))
-    refl = reflection_matrix_psh(l_high)
+    refl_rows, refl_signs = reflection_permutation_psh(l_high)
     z = np.array([0.0, 0.0, 1.0])
 
     def build(i):
@@ -318,7 +318,7 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
         conv = None
         resid = 0.0
         if l_high > l_low:
-            reflected = PshCoeffMatrix(l_high, refl.matrix @ T.matrix)
+            reflected = PshCoeffMatrix(l_high, refl_signs[:, None] * T.matrix[refl_rows])
             kc, resid, _ = conv_project_operator(reflected)
             for arr in (kc.k00, kc.k03, kc.k30, kc.k33,
                         kc.k0p, kc.k3p, kc.kp0, kc.kp3, kc.kiso, kc.kconj):

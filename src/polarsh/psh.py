@@ -145,8 +145,6 @@ def s2sh_basis(l_max: int, theta, phi) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
     phi = np.atleast_1d(np.asarray(phi, dtype=float)).ravel()
     out = np.zeros((theta.size, spin2_size(l_max)), dtype=complex)
-    if l_max < 2:
-        return out
     for m in range(-l_max, l_max + 1):
         cols = sh.wigner_small_d_column(l_max, m, -2, theta)
         e = np.exp(1j * m * phi)
@@ -218,7 +216,8 @@ def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
     b2 = s2sh_basis(l_max, th.ravel(), ph.ravel())
     s0 = br.T @ (w * field.data[..., 0].ravel())
     s3 = br.T @ (w * field.data[..., 3].ravel())
-    spin2 = b2.conj().T @ (w * field.spin2_complex().ravel())
+    # conj(B^T conj(v)) = B^H v without a conjugated copy of the basis
+    spin2 = np.conj(b2.T @ np.conj(w * field.spin2_complex().ravel()))
     return PshCoeffs(l_max, s0, spin2, s3)
 
 
@@ -249,39 +248,28 @@ def psh_reconstruct_field(coeffs: PshCoeffs, grid: SphereGrid) -> StokesField:
 def psh_rotation_block(l: int, R, dc=None) -> np.ndarray:
     """Dense rotation block over (m, p) for one l, canonical ordering.
 
-    Realizes diag(D^R, R2x2(D^C), D^R) per (m_o, m_i) pair.
+    Realizes diag(D^R, R2x2(D^C), D^R) per (m_o, m_i) pair; a batch of
+    complex Wigner blocks dc (N, 2l+1, 2l+1) gives a leading N axis.
     """
-    n_p = 2 if l < 2 else 4
-    n = (2 * l + 1) * n_p
     if dc is None:
         dc = sh.wigner_d_complex(l, R)
     dr = sh.wigner_d_real_from_complex(dc)
-    out = np.zeros((n, n))
-    for i in range(2 * l + 1):
-        for j in range(2 * l + 1):
-            bi, bj = i * n_p, j * n_p
-            if l < 2:
-                out[bi, bj] = dr[i, j]
-                out[bi + 1, bj + 1] = dr[i, j]
-            else:
-                out[bi, bj] = dr[i, j]
-                out[bi + 3, bj + 3] = dr[i, j]
-                z = dc[i, j]
-                out[bi + 1, bj + 1] = z.real
-                out[bi + 1, bj + 2] = -z.imag
-                out[bi + 2, bj + 1] = z.imag
-                out[bi + 2, bj + 2] = z.real
+    n_p = 2 if l < 2 else 4
+    out = np.zeros(dc.shape[:-2] + ((2 * l + 1) * n_p,) * 2)
+    out[..., 0::n_p, 0::n_p] = out[..., n_p - 1::n_p, n_p - 1::n_p] = dr
+    if l >= 2:
+        out[..., 1::4, 1::4] = out[..., 2::4, 2::4] = dc.real
+        out[..., 1::4, 2::4] = -dc.imag
+        out[..., 2::4, 1::4] = dc.imag
     return out
 
 
 def psh_rotation_matrix(l_max: int, R) -> np.ndarray:
     """Block-diagonal rotation matrix over the full canonical PSH index."""
-    n = psh_size(l_max)
-    out = np.zeros((n, n))
+    out = np.zeros((psh_size(l_max),) * 2)
     base = 0
-    stack = sh.wigner_d_stack(l_max, R)
-    for l in range(l_max + 1):
-        blk = psh_rotation_block(l, R, dc=stack[l])
+    for l, dc in enumerate(sh.wigner_d_stack(l_max, R)):
+        blk = psh_rotation_block(l, R, dc=dc)
         out[base:base + blk.shape[0], base:base + blk.shape[0]] = blk
         base += blk.shape[0]
     return out

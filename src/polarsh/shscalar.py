@@ -10,7 +10,10 @@ Conventions (pinned, since libraries differ):
 with the Condon-Shortley phase (-1)^m inside P_l^m, and
   P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m  for m >= 0.
 Wigner D is D^l_{mm'}(R) = <Y_lm, R_F[Y_lm']> = e^{-i m a} d^l_{mm'}(b) e^{-i m' g}
-for R = Rz(a) Ry(b) Rz(g).
+for R = Rz(a) Ry(b) Rz(g).  d^l_{mm'} comes from the upward three-term
+recurrence in l, each (m, m') seeded at l = max(|m|, |m'|) by the single-term
+closed form with its binomial taken from a log-factorial table: no factorial
+is formed, so there is no band ceiling, and the poles b = 0, pi are exact.
 """
 
 from __future__ import annotations
@@ -226,12 +229,37 @@ def wigner_small_d_racah(l, m, mp, beta):
     return d
 
 
+@lru_cache(maxsize=4)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only log(k!) for k = 0..n, as cumulative sums of log k."""
+    table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    table.setflags(write=False)
+    return table
+
+
+def _wigner_d_seed(m, mp, beta):
+    """d^{l0}_{mm'}(beta) at l0 = max(|m|, |m'|), shape beta.shape + m.shape:
+    +-sqrt(C(2 l0, l0 + n)) cos(b/2)^(2 l0 - q) sin(b/2)^q with n = min(|m|,
+    |m'|), q = |m - m'| and sign (-1)^q for m > m'."""
+    l0, n, q = np.maximum(abs(m), abs(mp)), np.minimum(abs(m), abs(mp)), abs(m - mp)
+    log_fact = _log_factorials(2 * int(l0.max()))
+    coef = (-1.0) ** (q * (m > mp)) * np.exp(
+        0.5 * (log_fact[2 * l0] - log_fact[l0 + n] - log_fact[l0 - n]))
+    half = beta.reshape(beta.shape + (1,) * np.ndim(m)) / 2.0
+    return coef * np.cos(half) ** (2 * l0 - q) * np.sin(half) ** q
+
+
+def _wigner_d_step(l, m, mp, x, d, d_prev):
+    """d^{l+1}_{mm'} from d^l and d^{l-1} (1 <= l, |m|, |m'| <= l)."""
+    return (((2 * l + 1) * (l * (l + 1) * x - m * mp) * d
+             - (l + 1) * ((l * l - m * m) * (l * l - mp * mp)) ** 0.5 * d_prev)
+            / (l * (((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - mp * mp)) ** 0.5))
+
+
 def wigner_small_d_column(l_max, m, mp, beta):
     """d^l_{m m'}(beta) for l = 0..l_max at fixed (m, m'), vectorized in beta.
 
     Returns array (l_max+1, n_beta); entries with l < max(|m|,|m'|) are zero.
-    Uses the stable upward three-term recurrence in l seeded by the
-    single-term closed form at l = max(|m|,|m'|).
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     out = np.zeros((l_max + 1, beta.size))
@@ -239,60 +267,48 @@ def wigner_small_d_column(l_max, m, mp, beta):
     if l0 > l_max:
         return out
     x = np.cos(beta)
-    out[l0] = wigner_small_d_racah(l0, m, mp, beta)
-    start = l0
-    if l0 == 0 and l_max >= 1:
-        out[1] = x * out[0]
-        start = 1
-    for l in range(start, l_max):
-        a = l * math.sqrt(((l + 1.0) ** 2 - m * m) * ((l + 1.0) ** 2 - mp * mp))
-        b = (2 * l + 1.0) * (l * (l + 1.0) * x - m * mp)
-        cl = (l + 1.0) * math.sqrt(float((l * l - m * m) * (l * l - mp * mp)))
-        out[l + 1] = (b * out[l] - cl * out[l - 1]) / a if l > l0 else b * out[l] / a
+    out[l0] = _wigner_d_seed(m, mp, beta)
+    for l in range(l0, l_max):
+        out[l + 1] = x * out[0] if l == 0 else _wigner_d_step(l, m, mp, x, out[l], out[l - 1])
     # exact pole values: d(0) = delta_{mm'}, d(pi) = (-1)^{l-m'} delta_{m,-m'}
-    at0 = beta == 0.0
-    if np.any(at0):
-        out[:, at0] = 1.0 if m == mp else 0.0
-    atpi = beta == np.pi
-    if np.any(atpi):
-        for l in range(l0, l_max + 1):
-            out[l, atpi] = (-1.0) ** (l - mp) if m == -mp else 0.0
+    out[l0:, beta == 0.0] = float(m == mp)
+    if (beta == np.pi).any():
+        out[l0:, beta == np.pi] = (-1.0) ** (np.arange(l0, l_max + 1)[:, None] - mp) * (m == -mp)
     return out
 
 
-def wigner_small_d(l, m, mp, beta):
-    """d^l_{m m'}(beta) via the recurrence path."""
-    col = wigner_small_d_column(l, m, mp, beta)
-    v = col[l]
-    return float(v[0]) if v.size == 1 else v
-
-
 def wigner_d_stack(l_max: int, R):
-    """Complex Wigner blocks D^l(R) for all l <= l_max (one recurrence pass
-    per (m, m') pair instead of one per block)."""
-    alpha, beta, gamma = zyz_from_rotation(R)
-    blocks = [np.empty((2 * l + 1, 2 * l + 1), dtype=complex)
-              for l in range(l_max + 1)]
-    beta_arr = np.array([beta])
-    for m in range(-l_max, l_max + 1):
-        ea = np.exp(-1j * m * alpha)
-        for mp in range(-l_max, l_max + 1):
-            col = wigner_small_d_column(l_max, m, mp, beta_arr)[:, 0]
-            eg = np.exp(-1j * mp * gamma)
-            for l in range(max(abs(m), abs(mp)), l_max + 1):
-                blocks[l][l + m, l + mp] = ea * col[l] * eg
-    return blocks
+    """Complex Wigner blocks D^l(R), shape (2l+1, 2l+1), for all l <= l_max.
+
+    R is one rotation (3, 3) or a batch (N, 3, 3), which gives every block a
+    leading N axis.  One recurrence step per l covers every (m, m', R).
+    """
+    R = np.asarray(R, dtype=float)
+    alpha, beta, gamma = (np.atleast_1d(a) for a in zyz_from_rotation(R))
+    ms = np.arange(-l_max, l_max + 1)
+    seed = _wigner_d_seed(ms[:, None], ms[None, :], beta)
+    x = np.cos(beta)[:, None, None]
+    d = [np.ones((beta.size, 1, 1))]
+    for l in range(l_max):   # the outer ring max(|m|, |m'|) = l + 1 is seeded
+        nxt = seed[:, l_max - l - 1:l_max + l + 2, l_max - l - 1:l_max + l + 2].copy()
+        m = ms[l_max - l:l_max + l + 1]
+        nxt[:, 1:-1, 1:-1] = x * d[0] if l == 0 else _wigner_d_step(
+            l, m[:, None], m[None, :], x, d[l], np.pad(d[l - 1], ((0, 0), (1, 1), (1, 1))))
+        d.append(nxt)
+    out = []
+    for l, dl in enumerate(d):
+        w = slice(l_max - l, l_max + l + 1)
+        dl[beta == 0.0] = np.eye(2 * l + 1)
+        dl[beta == np.pi] = np.eye(2 * l + 1)[::-1] * (-1.0) ** (l - ms[w])
+        ea, eg = (np.exp(-1j * ms[w] * angle[:, None]) for angle in (alpha, gamma))
+        D = ea[:, :, None] * dl * eg[:, None, :]
+        out.append(D if R.ndim == 3 else D[0])
+    return out
 
 
 def wigner_d_complex(l: int, R) -> np.ndarray:
     """Complex Wigner block D^l_{mm'}(R), shape (2l+1, 2l+1), m ascending."""
-    alpha, beta, gamma = zyz_from_rotation(R)
-    ms = np.arange(-l, l + 1)
-    d = np.empty((2 * l + 1, 2 * l + 1))
-    for i, m in enumerate(ms):
-        for j, mp in enumerate(ms):
-            d[i, j] = wigner_small_d(l, m, mp, beta)
-    return (np.exp(-1j * ms[:, None] * alpha) * d * np.exp(-1j * ms[None, :] * gamma))
+    return wigner_d_stack(l, R)[l]
 
 
 @lru_cache(maxsize=None)
@@ -330,9 +346,8 @@ def complex_to_real_matrix(l_max: int) -> np.ndarray:
 
 
 def wigner_d_real_from_complex(D: np.ndarray) -> np.ndarray:
-    """Convert one complex Wigner block to the real-SH basis."""
-    l = (D.shape[0] - 1) // 2
-    U = complex_to_real_block(l)
+    """Convert complex Wigner blocks (..., 2l+1, 2l+1) to the real-SH basis."""
+    U = complex_to_real_block((D.shape[-1] - 1) // 2)
     return (U.conj() @ D @ U.T).real
 
 

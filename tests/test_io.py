@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,26 @@ def test_malformed_files(tmp_path):
     pio.save_stokes_field(p, f)
     with pytest.raises(pio.FormatError):
         pio.load_stokes_image(p)
+
+
+@pytest.mark.parametrize("fmt", ["PSHC", "PSH4", "PSHM", "PSHK"])
+def test_header_checked_against_file_size(tmp_path, fmt):
+    save, load, obj, l_max_offset = {
+        "PSHC": (pio.save_sh_coeffs, pio.load_sh_coeffs, sh.ShCoeffs(3, "real", np.ones(16)), 9),
+        "PSH4": (pio.save_psh_coeffs, pio.load_psh_coeffs, pipeline.random_psh_coeffs(3, seed=1), 4),
+        "PSHM": (pio.save_psh_matrix, pio.load_psh_matrix,
+                 PshCoeffMatrix(3, np.eye(psh.psh_size(3))), 4),
+        "PSHK": (pio.save_kernel_coeffs, pio.load_kernel_coeffs,
+                 pconv.PolarConvKernelCoeffs.zeros(3), 4),
+    }[fmt]
+    p = tmp_path / "f.bin"
+    save(p, obj)
+    good = p.read_bytes()
+    assert load(p).l_max == 3
+    p.write_bytes(good[:-8])
+    with pytest.raises(pio.FormatError, match="l_max=3"):
+        load(p)
+    # a huge header band is refused before anything is allocated or read
+    p.write_bytes(good[:l_max_offset] + struct.pack("<I", 2 ** 31) + good[l_max_offset + 4:])
+    with pytest.raises(pio.FormatError, match="l_max=2147483648"):
+        load(p)

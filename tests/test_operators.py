@@ -210,6 +210,16 @@ def test_shadow_expand_matches_direct_smooth_independent_grids():
     assert np.abs(Vexp.matrix - Vdir.matrix).max() < 1e-8
 
 
+def test_reflection_permutation_equals_dense_product(rng):
+    for l_max in (0, 1, 2, 5):
+        rows, signs = op.reflection_permutation_psh(l_max)
+        assert not rows.flags.writeable and not signs.flags.writeable
+        n = psh.psh_size(l_max)
+        T = rng.normal(size=(n, n))
+        dense = op.reflection_matrix_psh(l_max).matrix @ T
+        assert np.array_equal(signs[:, None] * T[rows], dense)
+
+
 def test_reflection_matrix():
     R = op.reflection_matrix_psh(LMAX)
     n = R.matrix.shape[0]

@@ -260,6 +260,17 @@ def test_rotation_average_operator_angular(rng):
     assert np.abs(avg(wi, wo) - equivariant(wi, wo)).max() < 5e-3
 
 
+def test_rotation_average_matrix_matches_per_rotation_loop(rng):
+    n_psh = psh.psh_size(3)
+    M = op.PshCoeffMatrix(3, rng.normal(size=(n_psh, n_psh)))
+    expect = np.zeros_like(M.matrix)
+    for R in pconv._so3_fibonacci(9):
+        D = psh.psh_rotation_matrix(3, R)
+        expect += D.T @ M.matrix @ D
+    got = pconv.rotation_average_matrix(M, 3).matrix
+    assert np.abs(got - expect / 9).max() < 1e-14
+
+
 def test_rotation_average_reduces_residual():
     from polarsh.polar import synthetic_pbrdf
     pb = synthetic_pbrdf(roughness=0.5, ior=1.5, horizon_sharpness=0.12)

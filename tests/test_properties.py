@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from polarsh import pconv
+from polarsh import geom, pconv
+from polarsh import shscalar as sh
 
 REAL_FAMILIES = ("k00", "k03", "k30", "k33")
 COMPLEX_FAMILIES = ("k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
@@ -22,3 +23,14 @@ def test_conv_project_inverts_conv_expand(L, seed):
     assert rms < 1e-12
     for name in REAL_FAMILIES + COMPLEX_FAMILIES:
         assert np.abs(getattr(kc2, name) - getattr(kc, name)).max() < 1e-12, name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(l_max=st.integers(0, 32), seed=st.integers(0, 2 ** 32 - 1))
+def test_wigner_d_composition(l_max, seed):
+    rng = np.random.default_rng(seed)
+    R1, R2 = geom.random_rotation(rng), geom.random_rotation(rng)
+    pairs = zip(sh.wigner_d_stack(l_max, R1), sh.wigner_d_stack(l_max, R2),
+                sh.wigner_d_stack(l_max, R1 @ R2))
+    for l, (D1, D2, D12) in enumerate(pairs):
+        assert np.abs(D1 @ D2 - D12).max() < 1e-12, l

@@ -166,6 +166,41 @@ def test_psh_rotation_block_properties(rng):
                            b[3, 1], b[3, 2], b[1, 3], b[2, 3]]).max() < 1e-12
 
 
+def _rotation_block_loop(l, R):
+    """Per-entry reference assembly of diag(D^R, R2x2(D^C), D^R)."""
+    dc = sh.wigner_d_complex(l, R)
+    dr = sh.wigner_d_real_from_complex(dc)
+    n_p = 2 if l < 2 else 4
+    out = np.zeros(((2 * l + 1) * n_p,) * 2)
+    for i in range(2 * l + 1):
+        for j in range(2 * l + 1):
+            bi, bj = i * n_p, j * n_p
+            out[bi, bj] = out[bi + n_p - 1, bj + n_p - 1] = dr[i, j]
+            if l >= 2:
+                z = dc[i, j]
+                out[bi + 1, bj + 1] = out[bi + 2, bj + 2] = z.real
+                out[bi + 1, bj + 2], out[bi + 2, bj + 1] = -z.imag, z.imag
+    return out
+
+
+def test_psh_rotation_block_matches_loop_and_batches(rng):
+    Rs = np.array([geom.random_rotation(rng) for _ in range(3)])
+    for l in range(6):
+        batch = psh.psh_rotation_block(l, None, dc=sh.wigner_d_stack(l, Rs)[l])
+        for i, R in enumerate(Rs):
+            assert np.array_equal(psh.psh_rotation_block(l, R), _rotation_block_loop(l, R))
+            assert np.abs(batch[i] - _rotation_block_loop(l, R)).max() <= 1e-15
+
+
+def test_psh_project_spin2_matches_conjugate_transpose():
+    field = pipeline.synth_envmap("two-lobe-polarized", band=12)
+    th, ph = field.grid.angles()
+    b2 = psh.s2sh_basis(10, th.ravel(), ph.ravel())
+    w = field.grid.weights().ravel()
+    expect = b2.conj().T @ (w * field.spin2_complex().ravel())
+    assert np.abs(psh.psh_project(field, 10).spin2 - expect).max() < 1e-14
+
+
 def test_psh_rotation_block_quadrature(rng):
     # coefficient matrix by quadrature matches the analytic blocks
     lmax = 4

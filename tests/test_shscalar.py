@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_wigner_small_d_against_racah(rng):
         m = int(rng.integers(-l, l + 1)) if l else 0
         mp = int(rng.integers(-l, l + 1)) if l else 0
         beta = rng.uniform(0, np.pi)
-        a = sh.wigner_small_d(l, m, mp, beta)
+        a = sh.wigner_small_d_column(l, m, mp, beta)[l, 0]
         b = sh.wigner_small_d_racah(l, m, mp, beta)
         assert abs(a - b) < 1e-11
 
@@ -164,6 +165,87 @@ def test_zonal_relation():
         for m in range(-l, l + 1):
             expect = math.sqrt(4 * np.pi / (2 * l + 1)) * np.conj(sh.sh_complex(l, m, th, ph))
             assert abs(D[l + m, l] - expect) < 1e-13
+
+
+def _exact_small_d(l, m, mp):
+    """d^l_{mm'}(beta) in exact rational arithmetic at cos(beta/2) = 4/5, sin(beta/2) = 3/5.
+
+    Racah's sum without its float cancellation, which costs the float oracle
+    about 2e-6 at l = 40; only the final square root is rounded.
+    """
+    c, s, f = Fraction(4, 5), Fraction(3, 5), math.factorial
+    total = sum(Fraction((-1) ** k, f(l + mp - k) * f(k) * f(l - m - k) * f(m - mp + k))
+                * c ** (2 * l - 2 * k + mp - m) * s ** (2 * k + m - mp)
+                for k in range(max(0, mp - m), min(l + mp, l - m) + 1))
+    sign = (-1) ** (m - mp) * (1 if total >= 0 else -1)
+    return sign * math.sqrt(total * total * f(l + m) * f(l - m) * f(l + mp) * f(l - mp))
+
+
+def test_wigner_d_stack_no_band_ceiling(rng):
+    # unitary to l = 128 with no OverflowError from factorial seeds
+    stack = sh.wigner_d_stack(128, geom.random_rotation(rng))
+    for l, D in enumerate(stack):
+        err = np.abs(D @ D.conj().T - np.eye(2 * l + 1)).max()
+        assert err < (1e-12 if l <= 64 else 1e-11), (l, err)
+    # entries against exact rational values, far past the float Racah range
+    beta = 2.0 * math.atan2(3.0, 4.0)
+    stack = sh.wigner_d_stack(128, geom.rotation_zyz(0.0, beta, 0.0))
+    for l in (1, 7, 20, 40, 64, 100, 128):
+        for _ in range(12):
+            m, mp = (int(v) for v in rng.integers(-l, l + 1, 2))
+            assert abs(stack[l][l + m, l + mp] - _exact_small_d(l, m, mp)) < 1e-12, (l, m, mp)
+
+
+def test_wigner_d_stack_matches_racah(rng):
+    # the float Racah sum cancels: at beta = pi/2 its own error is 6e-13 at
+    # l = 16 and 1.3e-11 at l = 20; higher l is checked against
+    # _exact_small_d above
+    for beta in (0.3, np.pi / 2, 2.5):
+        stack = sh.wigner_d_stack(16, geom.rotation_zyz(0.0, beta, 0.0))
+        for l in (0, 1, 2, 5, 12, 16):
+            racah = np.array([[sh.wigner_small_d_racah(l, m, mp, beta)
+                               for mp in range(-l, l + 1)] for m in range(-l, l + 1)])
+            assert np.abs(stack[l] - racah).max() < 1e-11, (beta, l)
+
+
+def test_wigner_d_poles_exact_and_finite():
+    l_max = 64
+    ms = range(-l_max, l_max + 1)
+    betas = np.array([0.0, 1e-9, np.pi - 1e-9, np.pi])
+    ls = np.arange(l_max + 1)
+    for m in ms:
+        for mp in ms:
+            col = sh.wigner_small_d_column(l_max, m, mp, betas)
+            live = ls >= max(abs(m), abs(mp))
+            at0 = np.where(live, float(m == mp), 0.0)
+            atpi = np.where(live & (m == -mp), (-1.0) ** (ls - mp), 0.0)
+            assert np.array_equal(col[:, 0], at0) and np.array_equal(col[:, 3], atpi)
+            assert np.isfinite(col).all()
+            assert np.abs(col[:, 1] - at0).max() < 1e-6
+            assert np.abs(col[:, 2] - atpi).max() < 1e-6
+    # through rotations: exact identity and flip blocks, finite near the poles
+    a, g = 0.4, -1.1
+    for beta in (0.0, 1e-9, 1e-6, np.pi - 1e-6, np.pi):
+        for l, D in enumerate(sh.wigner_d_stack(16, geom.rotation_zyz(a, beta, g))):
+            assert np.isfinite(D).all()
+            assert np.abs(D @ D.conj().T - np.eye(2 * l + 1)).max() < 1e-13
+    D0 = sh.wigner_d_stack(16, np.eye(3))
+    assert all(np.array_equal(D, np.eye(2 * l + 1)) for l, D in enumerate(D0))
+    flip = geom.rotation_zyz(0.0, np.pi, 0.0)
+    for l, D in enumerate(sh.wigner_d_stack(16, flip)):
+        ms_l = np.arange(-l, l + 1)
+        assert np.array_equal(D.real, np.eye(2 * l + 1)[::-1] * (-1.0) ** (l - ms_l))
+
+
+def test_wigner_d_stack_batch_equals_single_calls(rng):
+    Rs = np.array([geom.random_rotation(rng) for _ in range(6)]
+                  + [np.eye(3), geom.rotation_zyz(0.3, np.pi, 0.0)])
+    batch = sh.wigner_d_stack(9, Rs)
+    assert [b.shape for b in batch] == [(8, 2 * l + 1, 2 * l + 1) for l in range(10)]
+    for i, R in enumerate(Rs):
+        for l, D in enumerate(sh.wigner_d_stack(9, R)):
+            assert np.abs(batch[l][i] - D).max() <= 1e-15
+    assert np.array_equal(sh.wigner_d_complex(4, Rs[0]), sh.wigner_d_stack(4, Rs[0])[4])
 
 
 def test_wigner_d_real(rng):
