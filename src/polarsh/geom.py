@@ -118,10 +118,16 @@ def rotation_zyz(alpha, beta, gamma):
 
 
 def rotation_about_axis(axis, angle):
-    """Rodrigues rotation about a (not necessarily unit) axis."""
+    """Rodrigues rotation about a (not necessarily unit) axis.
+
+    axis (3,) gives (3, 3); a stack of axes (n, 3) gives (n, 3, 3).
+    """
     u = normalize(np.asarray(axis, dtype=float))
-    ux, uy, uz = u
-    K = np.array([[0.0, -uz, uy], [uz, 0.0, -ux], [-uy, ux, 0.0]])
+    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
+    zero = np.zeros_like(ux)
+    K = np.stack([np.stack([zero, -uz, uy], axis=-1),
+                  np.stack([uz, zero, -ux], axis=-1),
+                  np.stack([-uy, ux, zero], axis=-1)], axis=-2)
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 

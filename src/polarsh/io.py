@@ -181,12 +181,19 @@ def _load_s4em_raw(path):
         fov = None
         pose = None
         if sampling == "perspective":
-            fov_line = f.readline().decode().split()
-            pose_line = f.readline().decode().split()
+            fov_line = f.readline().decode("ascii", errors="replace").split()
+            pose_line = f.readline().decode("ascii", errors="replace").split()
             if fov_line[:1] != ["FOV"] or pose_line[:1] != ["POSE"] or len(pose_line) != 10:
                 raise FormatError("bad perspective header")
-            fov = float(fov_line[1])
-            pose = np.array([float(x) for x in pose_line[1:]]).reshape(3, 3)
+            try:
+                fov = float(fov_line[1])
+            except (IndexError, ValueError) as e:
+                raise FormatError(f"bad perspective header: FOV line {' '.join(fov_line)!r} "
+                                  "needs one number") from e
+            try:
+                pose = np.array([float(x) for x in pose_line[1:]]).reshape(3, 3)
+            except ValueError as e:
+                raise FormatError("bad perspective header: POSE line needs 9 numbers") from e
         raw = np.frombuffer(f.read(), dtype="<f4")
         if raw.size != n_theta * n_phi * 4:
             raise FormatError("S4EM payload size mismatch")

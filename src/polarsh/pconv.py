@@ -104,13 +104,11 @@ def kernel_coeffs(kernel_fn, l_max: int, n_nodes=None) -> PolarConvKernelCoeffs:
     k = _kernel_samples(kernel_fn, theta)
     st = np.sin(theta)
 
-    # 1-D basis rows at phi = 0
-    y_l0 = np.zeros((l_max + 1, n_nodes))
+    # 1-D basis rows at phi = 0, read from one basis evaluation at l_max
+    yc = sh.sh_basis_complex(l_max, theta, np.zeros(n_nodes)).real
+    y_l0 = yc[:, [sh_index(l, 0) for l in range(l_max + 1)]].T
     y_lm2 = np.zeros((l_max + 1, n_nodes))      # Y^C_{l,-2}(theta, 0), real
-    for l in range(l_max + 1):
-        y_l0[l] = np.real(sh.sh_basis_complex(l, theta, np.zeros(n_nodes))[:, sh_index(l, 0)])
-        if l >= 2:
-            y_lm2[l] = np.real(sh.sh_basis_complex(l, theta, np.zeros(n_nodes))[:, sh_index(l, -2)])
+    y_lm2[2:] = yc[:, [sh_index(l, -2) for l in range(2, l_max + 1)]].T
     # 2Y_{lm}(theta, 0) for m = 0, -2, +2, real; zero for l < 2
     nrm = np.sqrt((2 * np.arange(l_max + 1) + 1) / FOUR_PI)[:, None]
     s2_l0, s2_lm2, s2_lp2 = (nrm * sh.wigner_small_d_column(l_max, m, -2, theta)

@@ -167,11 +167,27 @@ def sphere_mesh(n_rings: int = 18, n_segments: int = 30, radius: float = 1.0) ->
     return Mesh(verts, verts / radius, np.asarray(tris))
 
 
+def _obj_index(tok, count, lineno):
+    """1-based or negative (relative) OBJ index -> 0-based, checked against
+    the count of entries read so far."""
+    i = int(tok)
+    j = i - 1 if i > 0 else count + i
+    if not 0 <= j < count:
+        raise ValueError(f"OBJ line {lineno}: index {i} out of range for {count} entries")
+    return j
+
+
 def load_obj(path) -> Mesh:
-    """ASCII OBJ subset: v / vn / f (v or v//vn indices)."""
+    """ASCII OBJ subset: v / vn / f (v or v//vn indices, negative = relative).
+
+    Faces with more than three vertices are triangulated as fans from their
+    first vertex.  Raises ValueError for a face with fewer than three
+    vertices, an index out of range, or a vertex no face uses (it would have
+    no normal).
+    """
     verts, norms, faces, face_norms = [], [], [], []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
@@ -180,17 +196,24 @@ def load_obj(path) -> Mesh:
             elif parts[0] == "vn":
                 norms.append([float(x) for x in parts[1:4]])
             elif parts[0] == "f":
+                if len(parts) < 4:
+                    raise ValueError(f"OBJ line {lineno}: a face needs at least 3 vertices")
                 idx = []
                 nidx = []
-                for tok in parts[1:4]:
+                for tok in parts[1:]:
                     fields = tok.split("/")
-                    idx.append(int(fields[0]) - 1)
+                    idx.append(_obj_index(fields[0], len(verts), lineno))
                     if len(fields) == 3 and fields[2]:
-                        nidx.append(int(fields[2]) - 1)
-                faces.append(idx)
-                face_norms.append(nidx if len(nidx) == 3 else None)
+                        nidx.append(_obj_index(fields[2], len(norms), lineno))
+                for k in range(1, len(idx) - 1):
+                    faces.append([idx[0], idx[k], idx[k + 1]])
+                    face_norms.append([nidx[0], nidx[k], nidx[k + 1]]
+                                      if len(nidx) == len(idx) else None)
     verts = np.asarray(verts)
-    tris = np.asarray(faces, dtype=int)
+    tris = np.asarray(faces, dtype=int).reshape(-1, 3)
+    unused = np.setdiff1d(np.arange(len(verts)), tris)
+    if unused.size:
+        raise ValueError(f"OBJ vertex {unused[0] + 1} is used by no face, so it has no normal")
     vnorm = np.zeros_like(verts)
     if norms and all(fn is not None for fn in face_norms):
         norms = np.asarray(norms)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import psh as P
 from .geom import (normalize, sph_to_dir, dir_to_sph, fibonacci_directions,
-                   frame_theta_phi, frame_perspective)
+                   frame_theta_phi, frame_perspective, rotation_about_axis)
 from .polar import GeometricStokes
 from .shscalar import FOUR_PI
 
@@ -94,41 +94,33 @@ def s2l2_interpolate(s: GeometricStokes, t: GeometricStokes, alpha: float) -> Ge
 # validation protocol (Fibonacci perturbation / rotation-invariance harness)
 # ---------------------------------------------------------------------------
 
-_UNIT_COMPONENTS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+_UNIT_COMPONENTS = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+
+# (direction, rotation) pairs per blocked pass: bounds the working set at
+# any n (the (block, rotations, 4, 5) S2L2 vectors take about 16 MB; 49
+# directions a pass at n = 1000)
+_PAIRS = 50_000
 
 
-def _rotation_stack(axes, angle):
-    """Rodrigues rotations about each axis row, shape (n, 3, 3)."""
-    u = np.asarray(axes, dtype=float)
-    n = u.shape[0]
-    K = np.zeros((n, 3, 3))
-    K[:, 0, 1] = -u[:, 2]
-    K[:, 0, 2] = u[:, 1]
-    K[:, 1, 0] = u[:, 2]
-    K[:, 1, 2] = -u[:, 0]
-    K[:, 2, 0] = -u[:, 1]
-    K[:, 2, 1] = u[:, 0]
-    return (np.eye(3)[None] + math.sin(angle) * K
-            + (1.0 - math.cos(angle)) * np.einsum("nij,njk->nik", K, K))
-
-
-def _encode_rotated(base_dir, base_frame, comps12, rot_stack):
+def _encode_rotated(dirs, comps, rots):
     """S2L2 vectors and theta-phi components of R_S s over a rotation stack.
 
-    Returns (r, comps) with r (n, 5) complex and comps (n, 2): the rotated
-    vector's spin-2 pair measured under the theta-phi frame at its direction.
+    dirs (b, 3) carry spin-2 components comps (b, c, 2), or (c, 2) shared by
+    all directions, under their theta-phi frames; rots is (k, 3, 3).
+    Returns r (b, k, c, 5) complex and the rotated vectors' spin-2 pairs
+    under the theta-phi frame at their new directions, (b, k, c, 2).  The
+    twist and the basis depend only on the (direction, rotation) pair, so
+    all c components share them.
     """
-    w = rot_stack @ base_dir
-    G = np.einsum("nij,jk->nik", rot_stack, base_frame)
-    th, ph = dir_to_sph(w)
-    F = frame_theta_phi(th, ph)
-    c2, s2 = _frame_twist(G, F)
-    a, b = comps12
+    th, ph = dir_to_sph(dirs)
+    # R F for every (direction, rotation), as one (3k, 3) @ (b, 3, 3) product
+    G = (rots.reshape(-1, 3) @ frame_theta_phi(th, ph)).reshape(len(dirs), -1, 3, 3)
+    c2, s2, Bc = _tp_twist_basis(G, G[..., 2])
+    c2, s2 = c2[..., None], s2[..., None]
+    a, b = comps[..., None, :, 0], comps[..., None, :, 1]
     s1 = c2 * a + s2 * b
     s2c = -s2 * a + c2 * b
-    stilde = s1 + 1j * s2c
-    B = P.s2sh_basis(2, th, ph)
-    r = SCALE * np.conj(B) * stilde[:, None]
+    r = SCALE * Bc[..., None, :] * (s1 + 1j * s2c)[..., None]
     return r, np.stack([s1, s2c], axis=-1)
 
 
@@ -138,31 +130,36 @@ def perturbation_protocol(n: int = 1000, eps: float = 0.1):
     For each of n Fibonacci directions and four unit spin-2 Stokes vectors,
     perturb by rotating eps radians about every Fibonacci axis and record the
     S2L2 distance and the theta-phi-component distance.  Returns a dict with
-    per-vector maxima ('s2l2_max', 'frame_max', arrays of length 4n) and the
-    means over all 4*n*n samples ('s2l2_all_mean', 'frame_all_mean').
+    per-vector maxima ('s2l2_max', 'frame_max', arrays of length 4n,
+    direction-major and component-minor) and the means over all 4*n*n
+    samples ('s2l2_all_mean', 'frame_all_mean').
+
+    The directions are processed in blocks of about _PAIRS / n against the
+    identity and all n rotations at once: the rotated frames, their twist to
+    the theta-phi frame and the conjugated l = 2 basis are computed once per
+    (direction, rotation) pair and shared by the four components.
     """
+    if n < 1:
+        raise ValueError(f"the perturbation protocol needs n >= 1 directions, got {n}")
     dirs = fibonacci_directions(n)
-    rots = _rotation_stack(dirs, eps)
-    ident = np.eye(3)[None]
-    max_s, max_f = [], []
+    rots = np.concatenate([np.eye(3)[None], rotation_about_axis(dirs, eps)])
+    max_s = np.empty((n, 4))
+    max_f = np.empty((n, 4))
     sum_s = sum_f = 0.0
-    count = 0
-    for i in range(n):
-        th, ph = dir_to_sph(dirs[i])
-        F = frame_theta_phi(th, ph)
-        for comps in _UNIT_COMPONENTS:
-            r0, c0 = _encode_rotated(dirs[i], F, comps, ident)
-            r, c = _encode_rotated(dirs[i], F, comps, rots)
-            ds = np.linalg.norm((r - r0).view(float).reshape(n, -1), axis=1)
-            df = np.linalg.norm(c - c0, axis=1)
-            max_s.append(ds.max())
-            max_f.append(df.max())
-            sum_s += ds.sum()
-            sum_f += df.sum()
-            count += n
+    block = max(1, _PAIRS // len(rots))
+    for lo in range(0, n, block):
+        blk = dirs[lo:lo + block]
+        r, c = _encode_rotated(blk, _UNIT_COMPONENTS, rots)
+        ds = np.linalg.norm((r[:, 1:] - r[:, :1]).view(float), axis=-1)   # (b, n, 4)
+        df = np.linalg.norm(c[:, 1:] - c[:, :1], axis=-1)
+        max_s[lo:lo + len(blk)] = ds.max(axis=1)
+        max_f[lo:lo + len(blk)] = df.max(axis=1)
+        sum_s += ds.sum()
+        sum_f += df.sum()
+    count = 4 * n * n
     return {
-        "s2l2_max": np.asarray(max_s),
-        "frame_max": np.asarray(max_f),
+        "s2l2_max": max_s.ravel(),
+        "frame_max": max_f.ravel(),
         "s2l2_all_mean": sum_s / count,
         "frame_all_mean": sum_f / count,
     }
@@ -170,31 +167,28 @@ def perturbation_protocol(n: int = 1000, eps: float = 0.1):
 
 def rotation_invariance_sweep(n: int = 1000, n_pairs: int = 20,
                               n_angles: int = 10, seed: int = 0):
-    """Max |d(Rs, Rt) - d(s, t)| over Fibonacci axes x uniform angles."""
+    """Max |d(Rs, Rt) - d(s, t)| over Fibonacci axes x uniform angles.
+
+    Each of n_pairs seeded pairs of random spin-2 vectors at two of the n
+    Fibonacci directions is rotated about every max(1, n // 100)-th of those
+    directions by each nonzero angle 2 pi k / n_angles.
+    """
     rng = np.random.default_rng(seed)
     dirs = fibonacci_directions(n)
-    worst = 0.0
-    ident = np.eye(3)[None]
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    idx, comps = [], []
     for _ in range(n_pairs):
-        i, j = rng.integers(0, n, 2)
-        ci = (rng.normal(), rng.normal())
-        cj = (rng.normal(), rng.normal())
-        ti, pi_ = dir_to_sph(dirs[i])
-        tj, pj = dir_to_sph(dirs[j])
-        Fi = frame_theta_phi(ti, pi_)
-        Fj = frame_theta_phi(tj, pj)
-        r_i0, _ = _encode_rotated(dirs[i], Fi, ci, ident)
-        r_j0, _ = _encode_rotated(dirs[j], Fj, cj, ident)
-        d0 = np.linalg.norm((r_i0 - r_j0).view(float))
-        for ang in angles:
-            if ang == 0.0:
-                continue
-            rots = _rotation_stack(dirs[:: max(1, n // 100)], ang)
-            r_i, _ = _encode_rotated(dirs[i], Fi, ci, rots)
-            r_j, _ = _encode_rotated(dirs[j], Fj, cj, rots)
-            d = np.linalg.norm((r_i - r_j).view(float).reshape(len(rots), -1), axis=1)
-            worst = max(worst, float(np.abs(d - d0).max()))
+        idx.extend(rng.integers(0, n, 2))
+        comps.append([[rng.normal(), rng.normal()], [rng.normal(), rng.normal()]])
+    comps = np.reshape(comps, (2 * n_pairs, 1, 2))
+    axes = dirs[:: max(1, n // 100)]
+    angles = 2.0 * np.pi * np.arange(1, n_angles) / n_angles
+    rots = np.concatenate([np.eye(3)[None]] + [rotation_about_axis(axes, a) for a in angles])
+    worst = 0.0
+    block = 2 * max(1, _PAIRS // (2 * len(rots)))     # even: pairs stay whole
+    for lo in range(0, 2 * n_pairs, block):
+        r, _ = _encode_rotated(dirs[idx[lo:lo + block]], comps[lo:lo + block], rots)
+        d = np.linalg.norm((r[0::2] - r[1::2]).view(float), axis=-1)      # (p, k, 1)
+        worst = max(worst, float(np.abs(d[:, 1:] - d[:, :1]).max(initial=0.0)))
     return worst
 
 
@@ -354,15 +348,25 @@ def _frame_twist(frm, to):
     return np.cos(2 * ang), np.sin(2 * ang)
 
 
+def _tp_twist_basis(frames, dirs):
+    """Twist from `frames` to the theta-phi frames at `dirs`, and conj(2Y_2m).
+
+    Returns (c2, s2, conj(B)): spin-2 components (a, b) under `frames` are
+    (c2 a + s2 b, -s2 a + c2 b) under the theta-phi frame, and conj(B) has
+    shape dirs.shape[:-1] + (5,) for m = -2..2.
+    """
+    th, ph = dir_to_sph(dirs)
+    c2, s2 = _frame_twist(frames, frame_theta_phi(th, ph))
+    B = P.s2sh_basis(2, np.ravel(th), np.ravel(ph)).reshape(np.shape(th) + (5,))
+    return c2, s2, np.conj(B)
+
+
 def _encode_many(comps, frames, dirs):
     """Vectorized s2l2 of spin-2 parts: comps (N,4) under `frames` at `dirs`."""
-    th, ph = dir_to_sph(dirs)
-    F = frame_theta_phi(th, ph)
-    c2, s2 = _frame_twist(frames, F)
+    c2, s2, Bc = _tp_twist_basis(frames, dirs)
     stilde = (c2 * comps[..., 1] + s2 * comps[..., 2]) + 1j * (
         -s2 * comps[..., 1] + c2 * comps[..., 2])
-    B = P.s2sh_basis(2, np.ravel(th), np.ravel(ph)).reshape(np.shape(th) + (5,))
-    return SCALE * np.conj(B) * stilde[..., None]    # complex (N, 5)
+    return SCALE * Bc * stilde[..., None]    # complex (N, 5)
 
 
 def _decode_many(rt, dirs):

@@ -92,6 +92,23 @@ def test_rotation_align(rng):
     assert np.abs(R @ [0, 0, 1.0] - [0, 0, -1.0]).max() < 1e-12
 
 
+def test_rotation_about_axis_single_and_batched(rng):
+    # one axis: Rodrigues about the normalized axis, shape (3, 3)
+    R = geom.rotation_about_axis([0.0, 0.0, 2.5], 0.4)
+    assert R.shape == (3, 3)
+    assert np.abs(R - geom.rotation_z(0.4)).max() < 1e-15
+    axis = rng.normal(size=3)
+    R = geom.rotation_about_axis(axis, 1.1)
+    assert geom.is_rotation(R)
+    assert np.abs(R @ axis - axis).max() < 1e-14
+    # a stack of axes gives the stack of single-axis rotations
+    axes = rng.normal(size=(40, 3))
+    Rs = geom.rotation_about_axis(axes, 0.7)
+    assert Rs.shape == (40, 3, 3)
+    for u, Ru in zip(axes, Rs):
+        assert np.abs(Ru - geom.rotation_about_axis(u, 0.7)).max() < 1e-15
+
+
 def test_complex_pair_separation(rng):
     assert geom.complex_pair_separate(np.eye(2)) == (1, 0)
     assert geom.complex_pair_separate(geom.JMAT) == (0, 1)

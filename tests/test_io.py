@@ -98,6 +98,28 @@ def test_malformed_files(tmp_path):
         pio.load_stokes_image(p)
 
 
+@pytest.mark.parametrize("fov_line", [b"FOV\n", b"FOV abc\n"])
+def test_perspective_header_bad_fov(tmp_path, fov_line):
+    view = ViewSpec("perspective", 2, 3, np.eye(3), 60.0)
+    p = tmp_path / "i.s4em"
+    pio.save_stokes_image(p, render_image(pipeline.two_lobe_field_fn, view))
+    lines = p.read_bytes().split(b"\n", 2)
+    p.write_bytes(lines[0] + b"\n" + fov_line + lines[2])
+    with pytest.raises(pio.FormatError, match="FOV"):
+        pio.load_stokes_image(p)
+
+
+def test_perspective_header_bad_pose(tmp_path):
+    view = ViewSpec("perspective", 2, 3, np.eye(3), 60.0)
+    p = tmp_path / "i.s4em"
+    pio.save_stokes_image(p, render_image(pipeline.two_lobe_field_fn, view))
+    head, fov, rest = p.read_bytes().split(b"\n", 2)
+    pose, payload = rest.split(b"\n", 1)
+    p.write_bytes(b"\n".join([head, fov, pose.replace(b"0.0", b"x", 1), payload]))
+    with pytest.raises(pio.FormatError, match="POSE"):
+        pio.load_stokes_image(p)
+
+
 @pytest.mark.parametrize("fmt", ["PSHC", "PSH4", "PSHM", "PSHK"])
 def test_header_checked_against_file_size(tmp_path, fmt):
     save, load, obj, l_max_offset = {

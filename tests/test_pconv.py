@@ -319,6 +319,21 @@ def test_conv_project_matches_recorded_outputs():
                     assert abs(report[blk][int(l)][key] - vals[key]) < 1e-12, (name, blk, l)
 
 
+def test_kernel_coeffs_match_recorded_outputs():
+    # recorded from the per-l basis evaluation; the kink at theta = 1 gives
+    # every band up to L = 32 weight in every family
+    def kinked(th):
+        return generic_kernel(th) * (1.0 + abs(th - 1.0))
+
+    path = os.path.join(os.path.dirname(__file__), "data", "kernel_coeffs_reference.json")
+    with open(path) as f:
+        ref = json.load(f)["kinked_generic_l32"]
+    kc = pconv.kernel_coeffs(kinked, 32)
+    for fam in KC_NAMES:
+        want = np.array([complex(*v) if isinstance(v, list) else v for v in ref[fam]])
+        assert np.abs(getattr(kc, fam) - want).max() < 1e-13, fam
+
+
 def test_conv_project_unmatched_perturbation():
     # entries outside the structure leave the fit alone and are reported as
     # unmatched energy with weights 1 (scalar), 2 (complex), 4 (spin 2-to-2)

@@ -58,6 +58,46 @@ def test_obj_without_normals(tmp_path):
     assert np.abs(m.normals[0] - [0, 0, 1]).max() < 1e-12
 
 
+def test_obj_polygons_are_fan_triangulated(tmp_path):
+    quad = tmp_path / "q.obj"
+    quad.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
+    m = pl.load_obj(quad)
+    assert m.triangles.tolist() == [[0, 1, 2], [0, 2, 3]]
+    assert np.abs(m.normals - [0, 0, 1]).max() < 1e-12
+    # a pentagon with v//vn tokens keeps the per-corner normals
+    pent = tmp_path / "p.obj"
+    ang = 2 * np.pi * np.arange(5) / 5
+    lines = [f"v {np.cos(a)} {np.sin(a)} 0" for a in ang]
+    lines += [f"vn 0 0 {k + 1}" for k in range(5)]
+    lines.append("f " + " ".join(f"{k}//{k}" for k in range(1, 6)))
+    pent.write_text("\n".join(lines) + "\n")
+    m = pl.load_obj(pent)
+    assert m.triangles.tolist() == [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
+    assert np.abs(m.normals - [0, 0, 1]).max() < 1e-12
+    # negative indices count back from the last entry read
+    rel = tmp_path / "r.obj"
+    rel.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 1 0 0\nvn 0 0 1\nf -3//-1 -2//-1 -1//-1\n")
+    m = pl.load_obj(rel)
+    assert m.triangles.tolist() == [[0, 1, 2]]
+    assert np.abs(m.normals - [0, 0, 1]).max() == 0.0
+
+
+def test_obj_rejects_bad_faces(tmp_path):
+    path = tmp_path / "u.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 5 5 5\nf 1 2 3\n")
+    with pytest.raises(ValueError, match="vertex 4 "):
+        pl.load_obj(path)
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n")
+    with pytest.raises(ValueError, match="line 4: index 4 out of range"):
+        pl.load_obj(path)
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 1\nf 1//1 2//1 3//2\n")
+    with pytest.raises(ValueError, match="index 2 out of range"):
+        pl.load_obj(path)
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n")
+    with pytest.raises(ValueError, match="line 4"):
+        pl.load_obj(path)
+
+
 def test_ray_visibility_convex():
     m = pl.sphere_mesh(6, 8)
     vis = pl.ray_visibility(m, 0, np.array([[0, 0, 1.0], [1.0, 0, 0], [0, 0, -1.0]]))

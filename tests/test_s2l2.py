@@ -91,10 +91,62 @@ def test_perturbation_protocol_small():
     assert abs(smax.max() - 2 * np.sin(0.1)) < 1e-12
     # theta-phi baseline has near-2 outliers around the singularities
     assert res["frame_max"].max() > 1.9
+    with pytest.raises(ValueError, match="n >= 1"):
+        s2l2.perturbation_protocol(n=0)
 
 
 def test_rotation_invariance_sweep_small():
     assert s2l2.rotation_invariance_sweep(n=120, n_pairs=5) < 1e-11
+
+
+def _protocol_oracle(n, eps):
+    """The perturbation experiment one (direction, component, rotation) at a
+    time through the public API: per-vector maxima and all-sample means."""
+    dirs = geom.fibonacci_directions(n)
+    rots = [geom.rotation_about_axis(u, eps) for u in dirs]
+    max_s, max_f = [], []
+    sum_s = sum_f = 0.0
+    for d in dirs:
+        F = geom.frame_theta_phi(*geom.dir_to_sph(d))
+        for a, b in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)):
+            s = GeometricStokes([0.0, a, b, 0.0], F)
+            r0 = s2l2.s2l2(s)
+            ds, df = [], []
+            for R in rots:
+                t = stokes_rotate(s, R)
+                tp = t.in_frame(geom.frame_theta_phi(*geom.dir_to_sph(t.direction)))
+                ds.append(np.linalg.norm(s2l2.s2l2(t) - r0))
+                df.append(np.hypot(tp[1] - a, tp[2] - b))
+            max_s.append(max(ds))
+            max_f.append(max(df))
+            sum_s += sum(ds)
+            sum_f += sum(df)
+    count = 4 * n * n
+    return np.array(max_s), np.array(max_f), sum_s / count, sum_f / count
+
+
+def test_perturbation_protocol_matches_oracle(monkeypatch):
+    # n = 37 fits one block; the smaller pair budget splits it into blocks
+    # of 7 directions (38 rotations with the identity), the last one partial
+    want = _protocol_oracle(37, 0.1)
+    for pairs in (s2l2._PAIRS, 7 * 38):
+        monkeypatch.setattr(s2l2, "_PAIRS", pairs)
+        res = s2l2.perturbation_protocol(37, 0.1)
+        got = (res["s2l2_max"], res["frame_max"], res["s2l2_all_mean"], res["frame_all_mean"])
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.abs(g - w).max() < 1e-13, pairs
+
+
+def test_rotation_invariance_sweep_matches_recorded_value():
+    # recorded from the per-pair, per-angle sweep.  The value is a maximum of
+    # rounding errors in distances up to about 3.6 (ulp 4.4e-16), so any
+    # change in the order of float operations moves it by a few ulps:
+    # agreement is to 8 ulps
+    worst = s2l2.rotation_invariance_sweep(n=120, n_pairs=5)
+    assert abs(worst - 4.218847493575595e-15) < 8 * np.spacing(3.6)
+    assert s2l2.rotation_invariance_sweep(n=120, n_pairs=0) == 0.0
+    assert s2l2.rotation_invariance_sweep(n=120, n_pairs=5, n_angles=1) == 0.0
 
 
 def test_interpolate(rng):
