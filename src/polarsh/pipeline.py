@@ -8,7 +8,6 @@ coefficients), and runtime shading, plus the brute-force angular reference.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,13 +17,13 @@ import numpy as np
 from . import psh as P
 from . import shscalar as sh
 from .geom import (gauss_legendre_grid, normalize, rotation_align, sph_to_dir,
-                   dir_to_sph, frame_theta_phi)
+                   dir_to_sph, frame_for_dir, frame_theta_phi)
 from .operators import (PshCoeffMatrix, operator_apply, operator_project,
                         reflection_permutation_psh, shadow_expand,
                         visibility_from_spheres, visibility_project)
 from .pconv import PolarConvKernelCoeffs, conv_project_operator, pconv_apply
-from .polar import (StokesField, SyntheticPbrdf, frame_angle,
-                    stokes_field_from_function)
+from .polar import (StokesField, SyntheticPbrdf, stokes_field_from_function,
+                    stokes_reframe)
 
 
 def _n_workers():
@@ -374,40 +373,27 @@ def pprt_shade(records, lighting: P.PshCoeffs, view_dirs, zero_s3=False):
     if lighting.l_max < records[0].l_high:
         raise ValueError("lighting band below l_high")
     view_dirs = np.asarray(view_dirs, dtype=float)
-    out = np.zeros((len(records), 4))
-
-    def shade(i):
-        rec = records[i]
+    comps = np.zeros((len(records), 4))
+    frames = np.zeros((len(records), 3, 3))
+    for i, rec in enumerate(records):
         Rv = rec.rotation
         light_local = P.psh_rotate_coeffs(lighting.truncated(rec.l_high), Rv.T)
         wo_local = Rv.T @ view_dirs[i]
         th_l, ph_l = dir_to_sph(wo_local)
         low_out = operator_apply(rec.matrix_low, light_local.truncated(rec.l_low))
-        comps = P.psh_reconstruct(low_out, th_l, ph_l)
+        comps[i] = P.psh_reconstruct(low_out, th_l, ph_l)
         if rec.conv_high is not None and rec.l_high > rec.l_low:
             light_high = _zero_band(light_local, 0, rec.l_low)
             g = pconv_apply(rec.conv_high, light_high)
             flipped = np.array([wo_local[0], wo_local[1], -wo_local[2]])
             th_f, ph_f = dir_to_sph(flipped)
             gc = P.psh_reconstruct(g, th_f, ph_f)
-            comps = comps + np.array([gc[0], gc[1], -gc[2], gc[3]])
-        # local theta-phi frame -> world theta-phi frame at the view dir
-        # (loose tolerance: near-pole round trips cost ~1e-8 in the z axis)
-        G = Rv @ frame_theta_phi(th_l, ph_l)
-        th_w, ph_w = dir_to_sph(view_dirs[i])
-        ang = frame_angle(G, frame_theta_phi(th_w, ph_w), tol=1e-6)
-        c2, s2 = math.cos(2 * ang), math.sin(2 * ang)
-        res = np.array([comps[0],
-                        c2 * comps[1] + s2 * comps[2],
-                        -s2 * comps[1] + c2 * comps[2],
-                        comps[3]])
-        if zero_s3:
-            res[3] = 0.0
-        return res
-
-    rows = _map_maybe_parallel(shade, range(len(records)))
-    for i, r in enumerate(rows):
-        out[i] = r
+            comps[i] += [gc[0], gc[1], -gc[2], gc[3]]
+        # the local theta-phi frame at the view direction, in world axes
+        frames[i] = Rv @ frame_theta_phi(th_l, ph_l)
+    out = stokes_reframe(comps, frames, frame_for_dir(view_dirs))
+    if zero_s3:
+        out[:, 3] = 0.0
     return out
 
 

@@ -2,35 +2,36 @@
 and the synthetic analytic pBRDF.
 
 A Stokes component vector is numeric and only meaningful together with a
-measurement frame whose z axis is the propagation direction; reframing
-rotates the (s1, s2) pair by twice the frame angle.  Stokes fields are stored
-as components under the theta-phi frame field at each sample (no frames are
-stored).
+measurement frame whose z axis is the propagation direction.  Reframing
+rotates the (s1, s2) pair by twice the frame angle t = frame_angle(frm, to)
+(to = frm @ Rz(t)): the pair a + ib measured in `frm` reads e^{-2it}(a + ib)
+in `to`, while s0 and s3 are unchanged.  frame_twist computes
+(cos 2t, sin 2t) and is the only place the twist is computed;
+stokes_reframe (Stokes vectors, (..., 4)) and mueller_reframe (both sides of
+Mueller matrices, (..., 4, 4)) are the only places it is applied to real
+components, and sites holding the complex pair multiply it by c - i s.
+Stokes fields are stored as components under the theta-phi frame field at
+each sample (no frames are stored).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (SphereGrid, complex_pair_separate, frame_theta_phi,
-                   normalize, sph_to_dir)
+from .geom import SphereGrid, complex_pair_separate, frame_for_dir, normalize
 
 
 # ---------------------------------------------------------------------------
 # frame conversion of Stokes components
 # ---------------------------------------------------------------------------
 
-def frame_angle(frm, to, tol=1e-9):
-    """Angle t with to = frm @ Rz(t); both frames must share their z axis.
-
-    tol bounds the accepted z-axis mismatch (near-pole spherical-coordinate
-    round trips can amplify representation noise to ~1e-8).
-    """
+def frame_angle(frm, to):
+    """Angle t with to = frm @ Rz(t); both frames must share their z axis."""
     frm = np.asarray(frm, dtype=float)
     to = np.asarray(to, dtype=float)
-    if np.max(np.abs(frm[..., :, 2] - to[..., :, 2])) > tol:
+    if np.max(np.abs(frm[..., :, 2] - to[..., :, 2])) > 1e-9:
         raise ValueError("frames have different propagation directions")
     x_new = to[..., :, 0]
     c = np.einsum("...i,...i->...", x_new, frm[..., :, 0])
@@ -38,19 +39,25 @@ def frame_angle(frm, to, tol=1e-9):
     return np.arctan2(s, c)
 
 
-def mueller_rotator(two_theta):
-    """4x4 coordinate-conversion matrix C with the double-angle rotation."""
-    c, s = np.cos(two_theta), np.sin(two_theta)
-    return np.array([[1.0, 0.0, 0.0, 0.0],
-                     [0.0, c, s, 0.0],
-                     [0.0, -s, c, 0.0],
-                     [0.0, 0.0, 0.0, 1.0]])
+def frame_twist(frm, to):
+    """(cos 2t, sin 2t) for t = frame_angle(frm, to); frames (..., 3, 3)."""
+    t = frame_angle(frm, to)
+    return np.cos(2.0 * t), np.sin(2.0 * t)
 
 
 def stokes_reframe(s, frm, to):
-    """Stokes components measured in `frm`, re-measured in `to`."""
-    t = frame_angle(frm, to)
-    return mueller_rotator(2.0 * t) @ np.asarray(s, dtype=float)
+    """Stokes components (..., 4) measured in `frm`, re-measured in `to`.
+
+    The twist's shape broadcasts against s.shape[:-1].
+    """
+    c, sn = frame_twist(frm, to)
+    s = np.asarray(s, dtype=float)
+    a, b = s[..., 1], s[..., 2]
+    out = np.empty(np.broadcast_shapes(np.shape(c), s.shape[:-1]) + (4,))
+    out[...] = s
+    out[..., 1] = c * a + sn * b
+    out[..., 2] = -sn * a + c * b
+    return out
 
 
 @dataclass
@@ -111,10 +118,20 @@ class MuellerMatrix:
 
 
 def mueller_reframe(M: MuellerMatrix, new_in, new_out) -> MuellerMatrix:
-    """Express the same Mueller transform under new frames."""
-    c_out = mueller_rotator(2.0 * frame_angle(M.frame_out, new_out))
-    c_in = mueller_rotator(2.0 * frame_angle(M.frame_in, new_in))
-    return MuellerMatrix(c_out @ M.matrix @ c_in.T, new_in, new_out)
+    """Express the same Mueller transform under new frames.
+
+    Each column of M is a Stokes vector over the output slots and each row
+    one over the input slots, so the output twist reframes the columns and
+    the input twist the rows.  Matrices (..., 4, 4) and frames (..., 3, 3)
+    broadcast over their leading axes.
+    """
+    new_in = np.asarray(new_in, dtype=float)
+    new_out = np.asarray(new_out, dtype=float)
+    m = stokes_reframe(np.swapaxes(M.matrix, -1, -2), M.frame_out[..., None, :, :],
+                       new_out[..., None, :, :])
+    m = stokes_reframe(np.swapaxes(m, -1, -2), M.frame_in[..., None, :, :],
+                       new_in[..., None, :, :])
+    return MuellerMatrix(m, new_in, new_out)
 
 
 def mueller_spin22(M: np.ndarray):
@@ -296,54 +313,25 @@ class SyntheticPbrdf:
         ], axis=-2)
         return M * lobe[..., None, None]
 
-    def _s_axis(self, w):
-        """Unit s direction normal x w (fixed fallback along the axis)."""
+    def _sp_frame(self, w):
+        """s-p frame [s, w x s, w] of rays w, s = unit normal x w (fixed
+        fallback along the axis)."""
         n = self.normal
         s_dir = np.cross(np.broadcast_to(n, w.shape), w)
         nrm = np.linalg.norm(s_dir, axis=-1, keepdims=True)
         fallback = np.cross(np.broadcast_to(np.array([1.0, 0.0, 0.0]), w.shape), w)
         fb_n = np.linalg.norm(fallback, axis=-1, keepdims=True)
-        return np.where(nrm > 1e-9, s_dir / np.where(nrm > 0, nrm, 1.0),
-                        fallback / np.where(fb_n > 0, fb_n, 1.0))
+        s_dir = np.where(nrm > 1e-9, s_dir / np.where(nrm > 0, nrm, 1.0),
+                         fallback / np.where(fb_n > 0, fb_n, 1.0))
+        return np.stack([s_dir, np.cross(w, s_dir), w], axis=-1)
 
     def __call__(self, w_i, w_o):
         """Mueller components under theta-phi frames at w_i and w_o."""
-        w_i = np.asarray(w_i, dtype=float)
-        w_o = np.asarray(w_o, dtype=float)
-        w_i_b, w_o_b = np.broadcast_arrays(w_i, w_o)
-        M = self.mueller_block(w_i_b, w_o_b)
-        rot_in = _reframe_from_x(self._s_axis(w_i_b), w_i_b)
-        rot_out = _reframe_from_x(self._s_axis(w_o_b), w_o_b)
-        return np.einsum("...ij,...jk,...kl->...il", rot_out, M,
-                         np.swapaxes(rot_in, -1, -2))
-
-
-def _reframe_from_x(x_axis, w):
-    """C matrix taking components from frame [x, w x x, w] to theta-phi."""
-    # project the given x axis onto the tangent basis at w
-    th, ph = _dirs_to_sph_arrays(w)
-    F = frame_theta_phi(th, ph)
-    c = np.einsum("...i,...i->...", x_axis, F[..., :, 0])
-    s = np.einsum("...i,...i->...", x_axis, F[..., :, 1])
-    ang = np.arctan2(s, c)   # x_axis = Rz(ang) applied to theta_hat
-    two = -2.0 * ang
-    co, si = np.cos(two), np.sin(two)
-    z = np.zeros_like(co)
-    one = np.ones_like(co)
-    return np.stack([
-        np.stack([one, z, z, z], axis=-1),
-        np.stack([z, co, si, z], axis=-1),
-        np.stack([z, -si, co, z], axis=-1),
-        np.stack([z, z, z, one], axis=-1),
-    ], axis=-2)
-
-
-def _dirs_to_sph_arrays(d):
-    d = np.asarray(d, dtype=float)
-    z = np.clip(d[..., 2], -1.0, 1.0)
-    theta = np.arccos(z)
-    phi = np.arctan2(d[..., 1], d[..., 0])
-    return theta, phi
+        w_i, w_o = np.broadcast_arrays(np.asarray(w_i, dtype=float),
+                                       np.asarray(w_o, dtype=float))
+        M = MuellerMatrix(self.mueller_block(w_i, w_o), self._sp_frame(w_i),
+                          self._sp_frame(w_o))
+        return mueller_reframe(M, frame_for_dir(w_i), frame_for_dir(w_o)).matrix
 
 
 def synthetic_pbrdf(normal=(0.0, 0.0, 1.0), roughness=0.5, ior=1.5,

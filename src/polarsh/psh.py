@@ -19,7 +19,7 @@ import numpy as np
 
 from . import shscalar as sh
 from .geom import SphereGrid, frame_theta_phi, sph_to_dir, dir_to_sph
-from .polar import StokesField, SAMPLING_QUAD, frame_angle
+from .polar import StokesField, SAMPLING_QUAD, stokes_reframe
 from .shscalar import FOUR_PI, sh_index, sh_size
 
 # ---------------------------------------------------------------------------
@@ -308,16 +308,8 @@ def rotate_field_components(eval_fn, R, theta, phi):
     th_s, ph_s = dir_to_sph(w_src)
     comps = np.asarray(eval_fn(th_s, ph_s), dtype=float)
     # frame carried by the rotation: G = R F_src, z axis = w
-    F_src = frame_theta_phi(th_s, ph_s)
-    G = np.einsum("ij,...jk->...ik", R, F_src)
-    F_dst = frame_theta_phi(theta, phi)
-    ang = frame_angle(G, F_dst)
-    two = 2.0 * ang
-    c, s = np.cos(two), np.sin(two)
-    out = comps.copy()
-    out[..., 1] = c * comps[..., 1] + s * comps[..., 2]
-    out[..., 2] = -s * comps[..., 1] + c * comps[..., 2]
-    return out
+    G = np.einsum("ij,...jk->...ik", R, frame_theta_phi(th_s, ph_s))
+    return stokes_reframe(comps, G, frame_theta_phi(theta, phi))
 
 
 def reflect_field_components(eval_fn, theta, phi):

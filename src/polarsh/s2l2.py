@@ -17,8 +17,9 @@ import numpy as np
 
 from . import psh as P
 from .geom import (normalize, sph_to_dir, dir_to_sph, fibonacci_directions,
-                   frame_theta_phi, frame_perspective, rotation_about_axis)
-from .polar import GeometricStokes
+                   frame_for_dir, frame_theta_phi, frame_perspective,
+                   rotation_about_axis)
+from .polar import GeometricStokes, frame_twist, stokes_reframe
 from .shscalar import FOUR_PI
 
 SCALE = math.sqrt(FOUR_PI / 5.0)
@@ -94,7 +95,7 @@ def s2l2_interpolate(s: GeometricStokes, t: GeometricStokes, alpha: float) -> Ge
 # validation protocol (Fibonacci perturbation / rotation-invariance harness)
 # ---------------------------------------------------------------------------
 
-_UNIT_COMPONENTS = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+_UNIT_COMPONENTS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 # (direction, rotation) pairs per blocked pass: bounds the working set at
 # any n (the (block, rotations, 4, 5) S2L2 vectors take about 16 MB; 49
@@ -102,26 +103,19 @@ _UNIT_COMPONENTS = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
 _PAIRS = 50_000
 
 
-def _encode_rotated(dirs, comps, rots):
-    """S2L2 vectors and theta-phi components of R_S s over a rotation stack.
+def _encode_rotated(dirs, pairs, rots):
+    """S2L2 vectors and theta-phi spin-2 pairs of R_S s over a rotation stack.
 
-    dirs (b, 3) carry spin-2 components comps (b, c, 2), or (c, 2) shared by
-    all directions, under their theta-phi frames; rots is (k, 3, 3).
-    Returns r (b, k, c, 5) complex and the rotated vectors' spin-2 pairs
-    under the theta-phi frame at their new directions, (b, k, c, 2).  The
-    twist and the basis depend only on the (direction, rotation) pair, so
-    all c components share them.
+    dirs (b, 3) carry complex spin-2 pairs s1 + i s2, (b, c) or (c,) shared
+    by all directions, under their theta-phi frames; rots is (k, 3, 3).
+    Returns r (b, k, c, 5) complex and the rotated vectors' pairs under the
+    theta-phi frame at their new directions, (b, k, c).  The twist and the
+    basis depend only on the (direction, rotation) pair, so all c pairs
+    share them.
     """
-    th, ph = dir_to_sph(dirs)
     # R F for every (direction, rotation), as one (3k, 3) @ (b, 3, 3) product
-    G = (rots.reshape(-1, 3) @ frame_theta_phi(th, ph)).reshape(len(dirs), -1, 3, 3)
-    c2, s2, Bc = _tp_twist_basis(G, G[..., 2])
-    c2, s2 = c2[..., None], s2[..., None]
-    a, b = comps[..., None, :, 0], comps[..., None, :, 1]
-    s1 = c2 * a + s2 * b
-    s2c = -s2 * a + c2 * b
-    r = SCALE * Bc[..., None, :] * (s1 + 1j * s2c)[..., None]
-    return r, np.stack([s1, s2c], axis=-1)
+    G = (rots.reshape(-1, 3) @ frame_for_dir(dirs)).reshape(len(dirs), -1, 1, 3, 3)
+    return _encode_many(pairs[..., None, :], G, G[..., 2])
 
 
 def perturbation_protocol(n: int = 1000, eps: float = 0.1):
@@ -151,7 +145,7 @@ def perturbation_protocol(n: int = 1000, eps: float = 0.1):
         blk = dirs[lo:lo + block]
         r, c = _encode_rotated(blk, _UNIT_COMPONENTS, rots)
         ds = np.linalg.norm((r[:, 1:] - r[:, :1]).view(float), axis=-1)   # (b, n, 4)
-        df = np.linalg.norm(c[:, 1:] - c[:, :1], axis=-1)
+        df = np.abs(c[:, 1:] - c[:, :1])
         max_s[lo:lo + len(blk)] = ds.max(axis=1)
         max_f[lo:lo + len(blk)] = df.max(axis=1)
         sum_s += ds.sum()
@@ -175,18 +169,18 @@ def rotation_invariance_sweep(n: int = 1000, n_pairs: int = 20,
     """
     rng = np.random.default_rng(seed)
     dirs = fibonacci_directions(n)
-    idx, comps = [], []
+    idx, pairs = [], []
     for _ in range(n_pairs):
         idx.extend(rng.integers(0, n, 2))
-        comps.append([[rng.normal(), rng.normal()], [rng.normal(), rng.normal()]])
-    comps = np.reshape(comps, (2 * n_pairs, 1, 2))
+        pairs.extend(complex(rng.normal(), rng.normal()) for _ in range(2))
+    pairs = np.reshape(pairs, (2 * n_pairs, 1))
     axes = dirs[:: max(1, n // 100)]
     angles = 2.0 * np.pi * np.arange(1, n_angles) / n_angles
     rots = np.concatenate([np.eye(3)[None]] + [rotation_about_axis(axes, a) for a in angles])
     worst = 0.0
     block = 2 * max(1, _PAIRS // (2 * len(rots)))     # even: pairs stay whole
     for lo in range(0, 2 * n_pairs, block):
-        r, _ = _encode_rotated(dirs[idx[lo:lo + block]], comps[lo:lo + block], rots)
+        r, _ = _encode_rotated(dirs[idx[lo:lo + block]], pairs[lo:lo + block], rots)
         d = np.linalg.norm((r[0::2] - r[1::2]).view(float), axis=-1)      # (p, k, 1)
         worst = max(worst, float(np.abs(d[:, 1:] - d[:, :1]).max(initial=0.0)))
     return worst
@@ -242,8 +236,7 @@ class ViewSpec:
     def frames(self, dirs):
         """Native frame field at the given world directions."""
         if self.kind == "equirect":
-            th, ph = dir_to_sph(np.asarray(dirs, dtype=float))
-            return frame_theta_phi(th, ph)
+            return frame_for_dir(dirs)
         return frame_perspective(dirs, self.up_axis)
 
     # --- lookups ----------------------------------------------------------
@@ -304,15 +297,7 @@ def render_image(field_fn, view: ViewSpec) -> StokesImage:
     dirs = view.pixel_dirs()
     th, ph = dir_to_sph(dirs)
     comps = np.asarray(field_fn(th, ph), dtype=float)
-    F_tp = frame_theta_phi(th, ph)
-    F_view = view.frames(dirs)
-    from .polar import frame_angle
-    ang = frame_angle(F_tp, F_view)
-    out = comps.copy()
-    c, s = np.cos(2 * ang), np.sin(2 * ang)
-    out[..., 1] = c * comps[..., 1] + s * comps[..., 2]
-    out[..., 2] = -s * comps[..., 1] + c * comps[..., 2]
-    return StokesImage(view, out)
+    return StokesImage(view, stokes_reframe(comps, frame_theta_phi(th, ph), view.frames(dirs)))
 
 
 def cubemap_views(size: int):
@@ -340,33 +325,17 @@ def cubemap_views(size: int):
 _SNAP = 1e-9
 
 
-def _frame_twist(frm, to):
-    """2*angle factors (cos, sin) taking spin-2 comps from frm to to."""
-    c = np.einsum("...i,...i->...", to[..., :, 0], frm[..., :, 0])
-    s = np.einsum("...i,...i->...", to[..., :, 0], frm[..., :, 1])
-    ang = np.arctan2(s, c)
-    return np.cos(2 * ang), np.sin(2 * ang)
+def _encode_many(pairs, frames, dirs):
+    """Vectorized s2l2 of complex spin-2 pairs s1 + i s2 under `frames` at `dirs`.
 
-
-def _tp_twist_basis(frames, dirs):
-    """Twist from `frames` to the theta-phi frames at `dirs`, and conj(2Y_2m).
-
-    Returns (c2, s2, conj(B)): spin-2 components (a, b) under `frames` are
-    (c2 a + s2 b, -s2 a + c2 b) under the theta-phi frame, and conj(B) has
-    shape dirs.shape[:-1] + (5,) for m = -2..2.
+    Returns r, complex (..., 5) for m = -2..2, and the pairs under the
+    theta-phi frames at `dirs`; the twist's shape broadcasts against pairs.
     """
     th, ph = dir_to_sph(dirs)
-    c2, s2 = _frame_twist(frames, frame_theta_phi(th, ph))
+    c2, s2 = frame_twist(frames, frame_theta_phi(th, ph))
+    stilde = pairs * (c2 - 1j * s2)
     B = P.s2sh_basis(2, np.ravel(th), np.ravel(ph)).reshape(np.shape(th) + (5,))
-    return c2, s2, np.conj(B)
-
-
-def _encode_many(comps, frames, dirs):
-    """Vectorized s2l2 of spin-2 parts: comps (N,4) under `frames` at `dirs`."""
-    c2, s2, Bc = _tp_twist_basis(frames, dirs)
-    stilde = (c2 * comps[..., 1] + s2 * comps[..., 2]) + 1j * (
-        -s2 * comps[..., 1] + c2 * comps[..., 2])
-    return SCALE * Bc * stilde[..., None]    # complex (N, 5)
+    return SCALE * np.conj(B) * stilde[..., None], stilde
 
 
 def _decode_many(rt, dirs):
@@ -445,25 +414,18 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         d = flat_dirs[sel]
         rows, cols, w, fr, fc = _footprints(src.view, d)
         pix = src.data[rows, cols]                      # (n, 4, 4comp)
-        s0 = np.sum(w * pix[..., 0], axis=-1)
-        s3 = np.sum(w * pix[..., 3], axis=-1)
+        nb_dirs = src.view.pixel_dirs()[rows, cols]     # (n, 4, 3)
+        nb_frames = src.view.frames(nb_dirs)
         if method == "component-bilinear":
             # express each neighbor in the destination frame field at its own
             # direction, then lerp the raw components (the conventional
             # approach, which collapses near dst frame-field singularities)
-            nb_dirs = src.view.pixel_dirs()[rows, cols]
-            nb_frames = src.view.frames(nb_dirs)
-            c2, sn2 = _frame_twist(nb_frames, dst.frames(nb_dirs))
-            n1 = c2 * pix[..., 1] + sn2 * pix[..., 2]
-            n2 = -sn2 * pix[..., 1] + c2 * pix[..., 2]
-            out[sel, 0] = s0
-            out[sel, 1] = np.sum(w * n1, axis=-1)
-            out[sel, 2] = np.sum(w * n2, axis=-1)
-            out[sel, 3] = s3
+            nb = stokes_reframe(pix, nb_frames, dst.frames(nb_dirs))
+            out[sel] = np.sum(w[..., None] * nb, axis=1)
         else:
-            nb_dirs = src.view.pixel_dirs()[rows, cols]        # (n, 4, 3)
-            nb_frames = src.view.frames(nb_dirs)
-            r_nb = _encode_many(pix, nb_frames, nb_dirs)       # (n, 4, 5) complex
+            s0 = np.sum(w * pix[..., 0], axis=-1)
+            s3 = np.sum(w * pix[..., 3], axis=-1)
+            r_nb, _ = _encode_many(pix[..., 1] + 1j * pix[..., 2], nb_frames, nb_dirs)
             # horizontal pairs, then vertical, each lerp on the blended dir
             fcn = fc[..., None]
             d_top = normalize((1 - fcn) * nb_dirs[:, 0] + fcn * nb_dirs[:, 1])
@@ -473,12 +435,8 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
             frn = fr[..., None]
             r_fin = (1 - frn) * r_top + frn * r_bot
             stilde, th_d, ph_d = _decode_many(r_fin, d)
-            F_tp = frame_theta_phi(th_d, ph_d)
-            c2, sn2 = _frame_twist(F_tp, dst_frames[sel])
-            out[sel, 0] = s0
-            out[sel, 1] = c2 * stilde.real + sn2 * stilde.imag
-            out[sel, 2] = -sn2 * stilde.real + c2 * stilde.imag
-            out[sel, 3] = s3
+            out[sel] = stokes_reframe(np.stack([s0, stilde.real, stilde.imag, s3], axis=-1),
+                                      frame_theta_phi(th_d, ph_d), dst_frames[sel])
             # bit-exact copy where the footprint collapses to one pixel whose
             # frame coincides with the destination frame
             one = (fr == 0.0) & (fc == 0.0)

@@ -23,6 +23,25 @@ def test_dir_to_sph_conventions_and_roundtrip(rng):
     assert np.abs(geom.sph_to_dir(th, ph) - d).max() < 1e-12
 
 
+def _near_pole(pole, eps, n, rng):
+    """n unit directions eps radians (to first order) from (0, 0, pole)."""
+    t = rng.normal(size=(n, 3))
+    t[:, 2] = 0.0
+    return geom.normalize(np.array([0.0, 0.0, pole]) + eps * geom.normalize(t))
+
+
+def test_dir_to_sph_round_trip_next_to_the_poles(rng):
+    # theta from arccos(z) and phi forced to 0 where |z| rounds to 1 lost
+    # up to 9e-8 of the direction here
+    for pole in (1.0, -1.0):
+        for eps in 10.0 ** -np.arange(3, 13):
+            d = _near_pole(pole, eps, 200, rng)
+            assert np.abs(geom.sph_to_dir(*geom.dir_to_sph(d)) - d).max() <= 1e-15, (pole, eps)
+    # phi is 0 by convention only where x = y = 0
+    assert geom.dir_to_sph(np.array([0.0, 1e-20, 1.0]))[1] == np.pi / 2
+    assert geom.dir_to_sph(np.array([0.0, 0.0, -1.0])) == (np.pi, 0.0)
+
+
 def test_frame_theta_phi_values():
     F = geom.frame_theta_phi(np.pi / 2, 0.0)
     assert np.allclose(F[:, 0], [0, 0, -1], atol=1e-15)

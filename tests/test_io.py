@@ -120,6 +120,44 @@ def test_perspective_header_bad_pose(tmp_path):
         pio.load_stokes_image(p)
 
 
+@pytest.mark.parametrize("header", [b"S4EM -1 0 uniform-pixel-centers\n",
+                                    b"S4EM 0 0 quadrature-nodes\n",
+                                    b"S4EM 2 0 perspective\n"])
+def test_s4em_dimensions_must_be_positive(tmp_path, header):
+    # -1 x 0 used to fail in reshape, 0 x 0 quadrature in the grid builder
+    p = tmp_path / "d.s4em"
+    p.write_bytes(header)
+    with pytest.raises(pio.FormatError, match="S4EM header line .* >= 1"):
+        pio.load_stokes_field(p)
+
+
+def _perspective_file(tmp_path):
+    view = ViewSpec("perspective", 2, 3, np.eye(3), 60.0)
+    p = tmp_path / "i.s4em"
+    pio.save_stokes_image(p, render_image(pipeline.two_lobe_field_fn, view))
+    head, fov, rest = p.read_bytes().split(b"\n", 2)
+    pose, payload = rest.split(b"\n", 1)
+    return p, head, fov, pose, payload
+
+
+@pytest.mark.parametrize("fov", [b"FOV 0", b"FOV nan", b"FOV 180", b"FOV -30", b"FOV inf"])
+def test_perspective_header_fov_out_of_range(tmp_path, fov):
+    # these loaded silently and gave non-finite or mirrored pixel directions
+    p, head, _, pose, payload = _perspective_file(tmp_path)
+    p.write_bytes(b"\n".join([head, fov, pose, payload]))
+    with pytest.raises(pio.FormatError, match=f"FOV line '{fov.decode()}'"):
+        pio.load_stokes_image(p)
+
+
+@pytest.mark.parametrize("pose", [b"POSE" + b" 0" * 9, b"POSE 2 0 0 0 2 0 0 0 2",
+                                  b"POSE -1 0 0 0 1 0 0 0 1"])
+def test_perspective_header_pose_not_rotation(tmp_path, pose):
+    p, head, fov, _, payload = _perspective_file(tmp_path)
+    p.write_bytes(b"\n".join([head, fov, pose, payload]))
+    with pytest.raises(pio.FormatError, match="POSE line .* not a rotation"):
+        pio.load_stokes_image(p)
+
+
 @pytest.mark.parametrize("fmt", ["PSHC", "PSH4", "PSHM", "PSHK"])
 def test_header_checked_against_file_size(tmp_path, fmt):
     save, load, obj, l_max_offset = {

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from polarsh import geom, operators as op, pipeline as pl, psh
+from polarsh import geom, operators as op, pipeline as pl, polar, psh
 from polarsh.polar import synthetic_pbrdf
 
 
@@ -196,12 +196,45 @@ def test_pprt_zero_s3_flag(small_setup):
 
 
 def test_pprt_threads_env(small_setup, monkeypatch):
-    mesh, _, bm, lighting = small_setup
-    recs = pl.pprt_precompute(mesh, bm, (), 6, 6)
-    out1 = pl.pprt_shade(recs, lighting, mesh.normals)
+    # POLARSH_THREADS parallelizes the bake over vertices; the records must
+    # not depend on it
+    mesh, _, bm, _ = small_setup
+    occ = [(np.array([0.7, 0.1, 0.7]), 0.6)]
+    monkeypatch.setenv("POLARSH_THREADS", "1")
+    recs1 = pl.pprt_precompute(mesh, bm, occ, l_low=2, l_high=4)
     monkeypatch.setenv("POLARSH_THREADS", "4")
-    out2 = pl.pprt_shade(recs, lighting, mesh.normals)
-    assert np.abs(out1 - out2).max() < 1e-12
+    recs4 = pl.pprt_precompute(mesh, bm, occ, l_low=2, l_high=4)
+    names = ("k00", "k03", "k30", "k33", "k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
+    assert len(recs1) == len(recs4) == len(mesh.vertices)
+    for r1, r4 in zip(recs1, recs4):
+        assert np.array_equal(r1.matrix_low.matrix, r4.matrix_low.matrix)
+        for name in names:
+            assert np.array_equal(getattr(r1.conv_high, name), getattr(r4.conv_high, name))
+        assert r1.conv_residual == r4.conv_residual
+
+
+def test_pprt_shade_next_to_the_poles(small_setup, rng):
+    # view directions next to a world pole (and local poles: next to the
+    # normals) used to need a 1e-6 direction tolerance in the final reframe.
+    # Compared under camera frames, which are smooth through the poles, the
+    # output must be continuous there.
+    mesh, _, bm, lighting = small_setup
+    recs = pl.pprt_precompute(mesh, bm, (), l_low=4, l_high=6)
+    n = len(recs)
+
+    def shade_in_camera_frames(views, up):
+        out = pl.pprt_shade(recs, lighting, views)
+        return np.array([polar.stokes_reframe(o, geom.frame_for_dir(v), geom.frame_perspective(v, u))
+                         for o, v, u in zip(out, views, up)])
+
+    for poles in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], mesh.normals):
+        poles = np.broadcast_to(poles, (n, 3))
+        up = geom.normalize(np.cross(poles, rng.normal(size=3)))
+        base = shade_in_camera_frames(poles, up)
+        for eps in 10.0 ** -np.arange(3, 13):
+            t = geom.normalize(np.cross(poles, rng.normal(size=(n, 3))))
+            views = geom.normalize(poles + eps * t)
+            assert np.abs(shade_in_camera_frames(views, up) - base).max() <= eps, eps
 
 
 def test_pprt_ray_visibility_path():

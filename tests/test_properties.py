@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from polarsh import geom, pconv
+from polarsh import geom, pconv, polar
 from polarsh import shscalar as sh
 
 REAL_FAMILIES = ("k00", "k03", "k30", "k33")
@@ -34,3 +34,69 @@ def test_wigner_d_composition(l_max, seed):
                 sh.wigner_d_stack(l_max, R1 @ R2))
     for l, (D1, D2, D12) in enumerate(pairs):
         assert np.abs(D1 @ D2 - D12).max() < 1e-12, l
+
+
+
+def _twisted_frames(rng, shape, pole_eps, count=3):
+    """count stacks of frames (shape + (3, 3)) sharing their z axes: the
+    theta-phi frame at random directions, each twisted about that direction
+    by a random angle.  pole_eps puts the directions that far from a pole."""
+    d = rng.normal(size=shape + (3,))
+    if pole_eps is not None:
+        d[..., :2] *= pole_eps / np.linalg.norm(d[..., :2], axis=-1, keepdims=True)
+        d[..., 2] = np.where(d[..., 2] < 0, -1.0, 1.0)
+    F = geom.frame_for_dir(geom.normalize(d))
+    out = []
+    for a in rng.uniform(-np.pi, np.pi, size=(count,) + shape):
+        c, s, z = np.cos(a), np.sin(a), np.zeros_like(a)
+        Rz = np.stack([np.stack([c, -s, z], -1), np.stack([s, c, z], -1),
+                       np.stack([z, z, z + 1.0], -1)], -2)
+        out.append(F @ Rz)
+    return out
+
+
+POLE_EPS = st.sampled_from([None, 1e-3, 1e-8, 1e-12])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), pole_eps=POLE_EPS)
+def test_reframe_identity_inverse_composition(seed, pole_eps):
+    rng = np.random.default_rng(seed)
+    F, G, H = _twisted_frames(rng, (8,), pole_eps)
+    s = rng.normal(size=(8, 4))
+    assert np.abs(polar.stokes_reframe(s, F, F) - s).max() < 1e-15
+    to_g = polar.stokes_reframe(s, F, G)
+    assert np.array_equal(to_g[:, [0, 3]], s[:, [0, 3]])
+    assert np.abs(polar.stokes_reframe(to_g, G, F) - s).max() < 1e-14
+    assert np.abs(polar.stokes_reframe(to_g, G, H) - polar.stokes_reframe(s, F, H)).max() < 1e-14
+    # Mueller matrices: same laws, frames on both sides
+    Fo, Go, Ho = _twisted_frames(rng, (8,), pole_eps)
+    M = polar.MuellerMatrix(rng.normal(size=(8, 4, 4)), F, Fo)
+    assert np.abs(polar.mueller_reframe(M, F, Fo).matrix - M.matrix).max() < 1e-15
+    N = polar.mueller_reframe(M, G, Go)
+    assert np.abs(polar.mueller_reframe(N, F, Fo).matrix - M.matrix).max() < 1e-14
+    assert np.abs(polar.mueller_reframe(N, H, Ho).matrix
+                  - polar.mueller_reframe(M, H, Ho).matrix).max() < 1e-14
+    # and the reframed matrix acts the same on reframed vectors
+    assert np.abs(np.einsum("...ij,...j->...i", N.matrix, to_g)
+                  - polar.stokes_reframe(np.einsum("...ij,...j->...i", M.matrix, s), Fo, Go)
+                  ).max() < 1e-13
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(seed=st.integers(0, 2 ** 32 - 1), pole_eps=POLE_EPS)
+def test_batched_reframe_equals_per_element(seed, pole_eps):
+    rng = np.random.default_rng(seed)
+    F, G, Fo, Go = _twisted_frames(rng, (3, 4), pole_eps, count=4)
+    s = rng.normal(size=(3, 4, 4))
+    M = polar.MuellerMatrix(rng.normal(size=(3, 4, 4, 4)), F, Fo)
+    batched_s = polar.stokes_reframe(s, F, G)
+    batched_m = polar.mueller_reframe(M, G, Go).matrix
+    for i, j in np.ndindex(3, 4):
+        one = polar.stokes_reframe(s[i, j], F[i, j], G[i, j])
+        assert np.abs(batched_s[i, j] - one).max() <= 1e-15
+        one = polar.mueller_reframe(polar.MuellerMatrix(M.matrix[i, j], F[i, j], Fo[i, j]),
+                                    G[i, j], Go[i, j]).matrix
+        assert np.abs(batched_m[i, j] - one).max() <= 1e-15
+    # one vector against a stack of frames broadcasts
+    assert np.abs(polar.stokes_reframe(s[0, 0], F, G)[0, 0] - batched_s[0, 0]).max() <= 1e-15

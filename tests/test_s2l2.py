@@ -251,3 +251,20 @@ def test_resample_rejects_unknown_method():
     img = s2l2.render_image(pipeline.two_lobe_field_fn, view)
     with pytest.raises(ValueError):
         s2l2.resample([img], view, "nearest")
+
+
+def test_s2l2_next_to_the_poles(rng):
+    # a camera frame 5e-8 from +z used to fail the direction check against
+    # the theta-phi frame built from the same direction
+    up = np.array([0.0, 1.0, 0.0])
+    for pole in (1.0, -1.0):
+        at_pole = np.array([0.0, 0.0, pole])
+        for eps in 10.0 ** -np.arange(3, 13):
+            t = geom.normalize(np.cross(at_pole, rng.normal(size=3)))
+            d = geom.normalize(at_pole + eps * t)
+            comps = np.array([0.0, *rng.normal(size=2), 0.0])
+            r = s2l2.s2l2(GeometricStokes(comps, geom.frame_perspective(d, up)))
+            r0 = s2l2.s2l2(GeometricStokes(comps, geom.frame_perspective(at_pole, up)))
+            assert abs(np.linalg.norm(r) - np.linalg.norm(comps)) < 1e-14
+            # the camera frame is smooth through the pole, so is the encoding
+            assert np.abs(r - r0).max() <= 10 * eps * np.linalg.norm(comps), (pole, eps)
