@@ -47,8 +47,9 @@ def dir_to_sph(d):
     rho = np.hypot(d[..., 0], d[..., 1])
     theta = np.arctan2(rho, d[..., 2])
     phi = np.arctan2(d[..., 1], d[..., 0])
-    # the values of np.mod(phi, TWO_PI) at a quarter of its cost
-    phi = np.where(rho == 0.0, 0.0, np.where(phi < 0.0, phi + TWO_PI, phi))
+    phi = np.where(phi < 0.0, phi + TWO_PI, phi)
+    # -tiny + 2 pi rounds to 2 pi, which is the angle 0
+    phi = np.where((rho == 0.0) | (phi == TWO_PI), 0.0, phi)
     if theta.ndim == 0:
         return float(theta), float(phi)
     return theta, phi
@@ -191,11 +192,6 @@ def c_to_r2(z):
     """Complex number(s) -> stacked [Re, Im] vectors."""
     z = np.asarray(z)
     return np.stack([z.real, z.imag], axis=-1)
-
-
-def r2_to_c(v):
-    v = np.asarray(v)
-    return v[..., 0] + 1j * v[..., 1]
 
 
 def c_to_r22(z):

@@ -14,7 +14,7 @@ import numpy as np
 from . import psh as P
 from .geom import gauss_legendre_grid, is_rotation
 from .operators import PshCoeffMatrix
-from .pconv import PolarConvKernelCoeffs
+from .pconv import KC_FAMILIES, PolarConvKernelCoeffs
 from .polar import SAMPLING_PIXEL, SAMPLING_QUAD, StokesField
 from .s2l2 import StokesImage, ViewSpec
 from .shscalar import ShCoeffs, sh_size
@@ -30,6 +30,19 @@ def _read_exact(f, n, what="header"):
     if n > left:
         raise FormatError(f"unexpected end of file: {what} needs {n} bytes, {left} left")
     return f.read(n)
+
+
+def _read_payload(f, what, count, dtype="<f8", exact=False):
+    """Read count values as float64: the file must hold them (and, if exact,
+    nothing after them) and every value must be finite."""
+    size = count * np.dtype(dtype).itemsize
+    if exact and size != os.fstat(f.fileno()).st_size - f.tell():
+        raise FormatError(f"{what} payload size mismatch: the header implies {size} bytes")
+    raw = np.frombuffer(_read_exact(f, size, what), dtype=dtype).astype(float)
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise FormatError(f"{what}: non-finite value at payload index {bad[0]}")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +70,10 @@ def load_sh_coeffs(path) -> ShCoeffs:
         version, kind, l_max = struct.unpack("<IBI", _read_exact(f, 9))
         if version != 1 or kind not in (0, 1):
             raise FormatError("unsupported PSHC header")
-        n = sh_size(l_max)
-        if kind == 0:
-            raw = np.frombuffer(_read_exact(f, 16 * n, f"PSHC l_max={l_max}"), dtype="<f8")
-            return ShCoeffs(l_max, "complex", raw[0::2] + 1j * raw[1::2])
-        raw = np.frombuffer(_read_exact(f, 8 * n, f"PSHC l_max={l_max}"), dtype="<f8")
-        return ShCoeffs(l_max, "real", raw.copy())
+        raw = _read_payload(f, f"PSHC l_max={l_max}", (2 - kind) * sh_size(l_max))
+    if kind == 0:
+        return ShCoeffs(l_max, "complex", raw[0::2] + 1j * raw[1::2])
+    return ShCoeffs(l_max, "real", raw)
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +92,8 @@ def load_psh_coeffs(path) -> P.PshCoeffs:
         if _read_exact(f, 4) != b"PSH4":
             raise FormatError("not a PSH4 file")
         (l_max,) = struct.unpack("<I", _read_exact(f, 4))
-        n = P.psh_size(l_max)
-        raw = np.frombuffer(_read_exact(f, 8 * n, f"PSH4 l_max={l_max}"), dtype="<f8")
-        return P.PshCoeffs.from_flat(l_max, raw.copy())
+        raw = _read_payload(f, f"PSH4 l_max={l_max}", P.psh_size(l_max))
+    return P.PshCoeffs.from_flat(l_max, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -106,30 +116,24 @@ def load_psh_matrix(path) -> PshCoeffMatrix:
             raise FormatError("not a PSHM file")
         l_max, tag = struct.unpack("<IB", _read_exact(f, 5))
         n = P.psh_size(l_max)
-        raw = np.frombuffer(_read_exact(f, 8 * n * n, f"PSHM l_max={l_max}"), dtype="<f8")
-        name = {v: k for k, v in _SPARSITY_TAGS.items()}.get(tag)
-        if name is None:
-            raise FormatError("unknown sparsity tag")
-        return PshCoeffMatrix(l_max, raw.reshape(n, n).copy(), name)
+        raw = _read_payload(f, f"PSHM l_max={l_max}", n * n)
+    name = {v: k for k, v in _SPARSITY_TAGS.items()}.get(tag)
+    if name is None:
+        raise FormatError("unknown sparsity tag")
+    return PshCoeffMatrix(l_max, raw.reshape(n, n), name)
 
 
 # ---------------------------------------------------------------------------
 # PSHK: convolution kernel coefficients
 # ---------------------------------------------------------------------------
 
-_COMPLEX_FIELDS = ("k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
-
-
 def save_kernel_coeffs(path, kc: PolarConvKernelCoeffs):
     with open(path, "wb") as f:
         f.write(b"PSHK")
         f.write(struct.pack("<I", kc.l_max))
-        for l in range(kc.l_max + 1):
-            rec = [kc.k00[l], kc.k03[l], kc.k30[l], kc.k33[l]]
-            for name in _COMPLEX_FIELDS:
-                z = getattr(kc, name)[l]
-                rec.extend([z.real, z.imag])
-            f.write(np.asarray(rec, dtype="<f8").tobytes())
+        parts = [getattr(kc, name) for name in KC_FAMILIES]
+        cols = parts[:4] + [x for z in parts[4:] for x in (z.real, z.imag)]
+        f.write(np.column_stack(cols).astype("<f8").tobytes())
 
 
 def load_kernel_coeffs(path) -> PolarConvKernelCoeffs:
@@ -137,11 +141,10 @@ def load_kernel_coeffs(path) -> PolarConvKernelCoeffs:
         if _read_exact(f, 4) != b"PSHK":
             raise FormatError("not a PSHK file")
         (l_max,) = struct.unpack("<I", _read_exact(f, 4))
-        rec = np.frombuffer(_read_exact(f, 8 * 16 * (l_max + 1), f"PSHK l_max={l_max}"),
-                            dtype="<f8").reshape(l_max + 1, 16)
+        rec = _read_payload(f, f"PSHK l_max={l_max}", 16 * (l_max + 1)).reshape(l_max + 1, 16)
     kc = PolarConvKernelCoeffs.zeros(l_max)
     kc.k00[:], kc.k03[:], kc.k30[:], kc.k33[:] = rec[:, :4].T
-    for i, name in enumerate(_COMPLEX_FIELDS):
+    for i, name in enumerate(KC_FAMILIES[4:]):
         getattr(kc, name)[:] = rec[:, 4 + 2 * i] + 1j * rec[:, 5 + 2 * i]
     return kc
 
@@ -204,10 +207,8 @@ def _load_s4em_raw(path):
             if not is_rotation(pose, 1e-6):
                 raise FormatError(f"bad perspective header: POSE line {' '.join(pose_line)!r} "
                                   "is not a rotation")
-        raw = np.frombuffer(f.read(), dtype="<f4")
-        if raw.size != n_theta * n_phi * 4:
-            raise FormatError("S4EM payload size mismatch")
-        data = raw.reshape(n_theta, n_phi, 4).astype(float)
+        data = _read_payload(f, f"S4EM {n_theta}x{n_phi}", n_theta * n_phi * 4, "<f4",
+                             exact=True).reshape(n_theta, n_phi, 4)
     return data, sampling, fov, pose
 
 

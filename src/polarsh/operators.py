@@ -15,7 +15,7 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import SphereGrid, complex_pair_separate
+from .geom import SphereGrid
 from .shscalar import ShCoeffs, sh_index, sh_size
 
 
@@ -41,25 +41,8 @@ def operator_apply(M: PshCoeffMatrix, f: P.PshCoeffs) -> P.PshCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# index bookkeeping for block assembly
+# block assembly
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _psh_positions(l_max):
-    """Arrays of canonical positions: p0/p3 per (l,m), p1/p2 per spin-2 (l,m)."""
-    pos0 = np.zeros(sh_size(l_max), dtype=int)
-    pos3 = np.zeros(sh_size(l_max), dtype=int)
-    pos1 = np.zeros(P.spin2_size(l_max), dtype=int)
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            pos0[sh_index(l, m)] = P.psh_index(l, m, 0, l_max)
-            pos3[sh_index(l, m)] = P.psh_index(l, m, 3, l_max)
-            if l >= 2:
-                pos1[P.spin2_index(l, m)] = P.psh_index(l, m, 1, l_max)
-    for a in (pos0, pos1, pos3):
-        a.setflags(write=False)
-    return pos0, pos1, pos3
-
 
 def assemble_psh_matrix(l_max, blocks) -> np.ndarray:
     """Assemble the dense canonical matrix from spin blocks.
@@ -68,8 +51,8 @@ def assemble_psh_matrix(l_max, blocks) -> np.ndarray:
     (a, b in {0, 3}; matrix over scalar SH indices), ('c2s', a) and ('s2c', b)
     for the complex mixed blocks, and 'iso'/'conj' for the spin 2-to-2 pair.
     """
-    pos0, pos1, pos3 = _psh_positions(l_max)
-    pos_scalar = {0: pos0, 3: pos3}
+    lay = P.psh_layout(l_max)
+    pos1, pos_scalar = lay.pos1, {0: lay.pos0, 3: lay.pos3}
     n = P.psh_size(l_max)
     out = np.zeros((n, n))
     for (a, b), mat in blocks.get("scalar", {}).items():
@@ -100,9 +83,8 @@ def assemble_psh_matrix(l_max, blocks) -> np.ndarray:
 
 def split_psh_matrix(M: PshCoeffMatrix):
     """Inverse of assemble_psh_matrix: extract the spin blocks."""
-    l_max = M.l_max
-    pos0, pos1, pos3 = _psh_positions(l_max)
-    pos_scalar = {0: pos0, 3: pos3}
+    lay = P.psh_layout(M.l_max)
+    pos1, pos_scalar = lay.pos1, {0: lay.pos0, 3: lay.pos3}
     blocks = {"scalar": {}, "to_spin2": {}, "from_spin2": {}}
     for a in (0, 3):
         for b in (0, 3):
@@ -154,7 +136,6 @@ def operator_project(mueller_field, l_max: int, grid: SphereGrid,
     iso = np.zeros((S2, S2), dtype=complex)
     conj = np.zeros((S2, S2), dtype=complex)
 
-    idx = {0: 0, 3: 3}
     for start in range(0, n_pts, chunk):
         sl = slice(start, min(start + chunk, n_pts))
         # K[i, o] = matrix for (w_i = dirs[i], w_o = dirs[sl][o])
@@ -163,11 +144,11 @@ def operator_project(mueller_field, l_max: int, grid: SphereGrid,
         bo_2 = b2_w[sl]
         for a in (0, 3):
             for b in (0, 3):
-                tmp = K[:, :, idx[a], idx[b]].T @ br_w          # (chunk, S)
+                tmp = K[:, :, a, b].T @ br_w          # (chunk, S)
                 scal[(a, b)] += bo_r.T @ tmp
-            m_col = K[:, :, 1, idx[a]] + 1j * K[:, :, 2, idx[a]]  # (N_in, chunk)
+            m_col = K[:, :, 1, a] + 1j * K[:, :, 2, a]  # (N_in, chunk)
             to2[a] += bo_2.conj().T @ (m_col.T @ br_w)
-            m_row = K[:, :, idx[a], 1] + 1j * K[:, :, idx[a], 2]
+            m_row = K[:, :, a, 1] + 1j * K[:, :, a, 2]
             from2[a] += bo_r.T @ (np.conj(m_row).T @ b2_w)
         blk = K[:, :, 1:3, 1:3]
         iso_pt = 0.5 * (blk[..., 0, 0] + blk[..., 1, 1]) + 0.5j * (blk[..., 1, 0] - blk[..., 0, 1])
@@ -197,56 +178,34 @@ class IsotropicCompact:
         return sum(v.size for v in self.entries.values())
 
 
-def _m_index_pairs(l_max):
-    for lo in range(l_max + 1):
-        for mo in range(-lo, lo + 1):
-            for li in range(l_max + 1):
-                for mi in range(-li, li + 1):
-                    yield lo, mo, li, mi
-
-
 def isotropic_compact(M: PshCoeffMatrix) -> IsotropicCompact:
     """Keep only |m_i| = |m_o| entries; report max violations.
 
+    Each (l, m) owns the contiguous run of rows pos0..pos3 of the layout.
     The pairing violation is the largest iso part with m_i != m_o or conj
     part with m_i != -m_o inside the spin 2-to-2 blocks.
     """
-    l_max = M.l_max
-    entries = {}
-    viol_m = 0.0
-    viol_pair = 0.0
-    for lo, mo, li, mi in _m_index_pairs(l_max):
-        ps_o = [0, 3] if lo < 2 else [0, 1, 2, 3]
-        ps_i = [0, 3] if li < 2 else [0, 1, 2, 3]
-        rows = [P.psh_index(lo, mo, p, l_max) for p in ps_o]
-        cols = [P.psh_index(li, mi, p, l_max) for p in ps_i]
-        block = M.matrix[np.ix_(rows, cols)]
-        if abs(mo) != abs(mi):
-            viol_m = max(viol_m, float(np.max(np.abs(block))))
-            continue
-        entries[(lo, mo, li, mi)] = block
-        if lo >= 2 and li >= 2:
-            sub = block[np.ix_([ps_o.index(1), ps_o.index(2)],
-                               [ps_i.index(1), ps_i.index(2)])]
-            pair = complex_pair_separate(sub)
-            if mi != mo:
-                viol_pair = max(viol_pair, abs(pair.iso))
-            if mi != -mo:
-                viol_pair = max(viol_pair, abs(pair.conj))
-    return IsotropicCompact(l_max, entries, viol_m, viol_pair)
+    lay = P.psh_layout(M.l_max)
+    am = np.abs(lay.lmp[:, 1])
+    viol_m = float(np.max(np.abs(M.matrix[am[:, None] != am[None, :]]), initial=0.0))
+    lm = list(zip(lay.l.tolist(), lay.m.tolist()))
+    runs = [slice(a, b + 1) for a, b in zip(lay.pos0.tolist(), lay.pos3.tolist())]
+    same = np.abs(lay.m)[:, None] == np.abs(lay.m)[None, :]
+    entries = {lm[i] + lm[j]: M.matrix[runs[i], runs[j]].copy()
+               for i, j in zip(*np.nonzero(same))}
+    blocks = split_psh_matrix(M)
+    mo, mi, same = lay.m[4:, None], lay.m[None, 4:], same[4:, 4:]
+    viol_pair = max(np.max(np.abs(blocks["iso"][same & (mi != mo)]), initial=0.0),
+                    np.max(np.abs(blocks["conj"][same & (mi != -mo)]), initial=0.0))
+    return IsotropicCompact(M.l_max, entries, viol_m, float(viol_pair))
 
 
 def isotropic_storage_count(l_max: int) -> int:
-    """Closed-form count of |m_i| = |m_o| real entries."""
-    total = 0
-    for lo in range(l_max + 1):
-        for li in range(l_max + 1):
-            no = 2 if lo < 2 else 4
-            ni = 2 if li < 2 else 4
-            for m in range(0, min(lo, li) + 1):
-                pairs = 1 if m == 0 else 4
-                total += pairs * no * ni
-    return total
+    """Closed-form count of |m_i| = |m_o| real entries: n_p(l_o) n_p(l_i) per
+    (m_o, m_i) pair, one pair at m = 0 and four for each 0 < m <= min(l_o, l_i)."""
+    l = np.arange(l_max + 1)
+    n_p = np.where(l < 2, 2, 4)
+    return int(np.sum(np.outer(n_p, n_p) * (1 + 4 * np.minimum.outer(l, l))))
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +260,19 @@ def _triple_tensors(l_max: int, lv_max: int):
     Sv = sh_size(lv_max)
     T000 = np.zeros((S, S, Sv))
     T022 = np.zeros((P.spin2_size(l_max), P.spin2_size(l_max), Sv))
-    for lo in range(l_max + 1):
-        for mo in range(-lo, lo + 1):
-            for li in range(l_max + 1):
-                for mi in range(-li, li + 1):
-                    mv = mo - mi
-                    for lv in range(abs(lo - li), min(lo + li, lv_max) + 1):
-                        if abs(mv) > lv:
-                            continue
-                        g = sh.triple_product_000(lo, mo, lv, mv, li, mi)
-                        if g != 0.0:
-                            T000[sh_index(lo, mo), sh_index(li, mi), sh_index(lv, mv)] = g
-                        if lo >= 2 and li >= 2:
-                            g2 = P.triple_product_022(lo, mo, lv, mv, li, mi)
-                            if g2 != 0.0:
-                                T022[P.spin2_index(lo, mo), P.spin2_index(li, mi),
-                                     sh_index(lv, mv)] = g2
+    lm = sh.sh_lm_list(l_max)
+    for io, (lo, mo) in enumerate(lm):
+        for ii, (li, mi) in enumerate(lm):
+            mv = mo - mi
+            for lv in range(max(abs(lo - li), abs(mv)), min(lo + li, lv_max) + 1):
+                g = sh.triple_product_000(lo, mo, lv, mv, li, mi)
+                if g != 0.0:
+                    T000[io, ii, sh_index(lv, mv)] = g
+                if lo >= 2 and li >= 2:
+                    # the spin-2 index set is the scalar one less its first 4
+                    g2 = P.triple_product_022(lo, mo, lv, mv, li, mi)
+                    if g2 != 0.0:
+                        T022[io - 4, ii - 4, sh_index(lv, mv)] = g2
     T000.setflags(write=False)
     T022.setflags(write=False)
     return T000, T022
@@ -376,10 +332,12 @@ def reflection_permutation_psh(l_max: int):
 
     Scalar parts: diagonal (-1)^(l+m).  Spin-2: (l, m) -> (l, -m), sign (-1)^l on
     p = 1 and -(-1)^l on p = 2 (the flip conjugates the complex pair)."""
-    index = {lmp: i for i, lmp in enumerate(P.psh_index_list(l_max))}
-    rows = np.array([index[(l, m if p in (0, 3) else -m, p)] for l, m, p in index])
-    signs = np.array([(-1.0) ** (l + m) if p in (0, 3) else (-1.0) ** l * (3 - 2 * p)
-                      for l, m, p in index])
+    l, m, p = P.psh_layout(l_max).lmp.T
+    spin = (p == 1) | (p == 2)
+    # (l, -m, p) sits 2m runs of four positions before (l, m, p)
+    rows = np.arange(l.size) - np.where(spin, 8 * m, 0)
+    parity = 1.0 - 2.0 * (l % 2)
+    signs = parity * np.where(spin, 3.0 - 2.0 * p, 1.0 - 2.0 * (m % 2))
     rows.setflags(write=False)
     signs.setflags(write=False)
     return rows, signs

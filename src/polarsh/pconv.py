@@ -20,7 +20,7 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import (c_to_r22, JMAT, fibonacci_directions, frame_for_dir,
+from .geom import (complex_pair_separate, fibonacci_directions, frame_for_dir,
                    frame_theta_phi, normalize, rotation_about_axis,
                    rotation_align, rotation_zyz, sph_to_dir, dir_to_sph)
 from .operators import PshCoeffMatrix, split_psh_matrix
@@ -28,6 +28,7 @@ from .polar import MuellerMatrix, frame_twist, mueller_reframe
 from .shscalar import FOUR_PI, sh_index
 
 TWO_PI = 2.0 * np.pi
+KC_FAMILIES = ("k00", "k03", "k30", "k33", "k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +65,13 @@ class PolarConvKernelCoeffs:
 def delta_kernel_coeffs(l_max: int) -> PolarConvKernelCoeffs:
     """Coefficients of the identity operator (Dirac delta at theta = 0)."""
     kc = PolarConvKernelCoeffs.zeros(l_max)
-    for l in range(l_max + 1):
-        v = math.sqrt((2 * l + 1) / FOUR_PI)
-        kc.k00[l] = v
-        kc.k33[l] = v
-        if l >= 2:
-            kc.kiso[l] = v
+    kc.k00[:] = kc.k33[:] = kc.kiso[:] = np.sqrt((2 * np.arange(l_max + 1) + 1) / FOUR_PI)
+    kc.kiso[:2] = 0.0
     return kc
 
 
 def kernel_validate(kernel_fn, tol=1e-9):
     """Check the end-point constraints: conj part zero at 0, iso zero at pi."""
-    from .geom import complex_pair_separate
     k0 = np.asarray(kernel_fn(0.0), dtype=float)
     kpi = np.asarray(kernel_fn(np.pi), dtype=float)
     p0 = complex_pair_separate(k0[1:3, 1:3])
@@ -191,83 +187,29 @@ def phase_weights(m: int, m_prime: int):
 # the convolution theorem
 # ---------------------------------------------------------------------------
 
-def pconv_apply(kc: PolarConvKernelCoeffs, f: P.PshCoeffs) -> P.PshCoeffs:
-    """Frequency-domain polarized convolution.
-
-    Per (l, m): the scalar outputs mix {s0, s3} diagonally plus a +-m coupled
-    contribution from the spin-2 coefficients; the spin-2 output takes the
-    iso term at m, the conjugated mirrored term at -m, and +-m coupled scalar
-    contributions.
-    """
-    if kc.l_max < f.l_max:
+def _theorem_values(kc: PolarConvKernelCoeffs, l_max: int):
+    """The theorem table at l_max and fac_l Re(w k_fam[l]) for each entry."""
+    if kc.l_max < l_max:
         raise ValueError("kernel coefficient band too small")
-    out = P.PshCoeffs.zeros(f.l_max)
-    for l in range(f.l_max + 1):
-        fac = math.sqrt(FOUR_PI / (2 * l + 1))
-        for m in range(-l, l + 1):
-            i = sh_index(l, m)
-            s0 = kc.k00[l] * f.s0[i] + kc.k03[l] * f.s3[i]
-            s3 = kc.k30[l] * f.s0[i] + kc.k33[l] * f.s3[i]
-            c = 0.0j
-            if l >= 2:
-                j = P.spin2_index(l, m)
-                c += kc.kiso[l] * f.spin2[j] + (-1.0) ** m * kc.kconj[l] * np.conj(
-                    f.spin2[P.spin2_index(l, -m)])
-                for mp in {m, -m}:
-                    ft = f.spin2[P.spin2_index(l, mp)]
-                    u = _u_from_spin2(m, mp)
-                    s0 += np.real(u * kc.k0p[l] * ft)
-                    s3 += np.real(u * kc.k3p[l] * ft)
-                    up = _u_to_spin2(m, mp)
-                    c += up * (kc.kp0[l] * f.s0[sh_index(l, mp)]
-                               + kc.kp3[l] * f.s3[sh_index(l, mp)])
-            out.s0[i] = fac * np.real(s0)
-            out.s3[i] = fac * np.real(s3)
-            if l >= 2:
-                out.spin2[P.spin2_index(l, m)] = fac * c
-    return out
+    t = _conv_tables(l_max)
+    k = np.array([getattr(kc, name) for name in KC_FAMILIES], dtype=complex)
+    fac = np.sqrt(FOUR_PI / (2 * np.arange(l_max + 1) + 1))
+    return t, fac[t.l] * (t.w * k[t.fam, t.l]).real
+
+
+def pconv_apply(kc: PolarConvKernelCoeffs, f: P.PshCoeffs) -> P.PshCoeffs:
+    """Frequency-domain polarized convolution: the theorem table applied to
+    the canonical flat vector (one gather and one segment sum by row)."""
+    t, vals = _theorem_values(kc, f.l_max)
+    out = np.bincount(t.row, weights=vals * f.flat()[t.col], minlength=P.psh_size(f.l_max))
+    return P.PshCoeffs.from_flat(f.l_max, out)
 
 
 def conv_expand_to_matrix(kc: PolarConvKernelCoeffs, l_max: int) -> PshCoeffMatrix:
     """Expand kernel coefficients into the sparse operator matrix."""
-    if kc.l_max < l_max:
-        raise ValueError("kernel coefficient band too small")
-    n = P.psh_size(l_max)
-    out = np.zeros((n, n))
-    for l in range(l_max + 1):
-        fac = math.sqrt(FOUR_PI / (2 * l + 1))
-        for m in range(-l, l + 1):
-            r0 = P.psh_index(l, m, 0, l_max)
-            r3 = P.psh_index(l, m, 3, l_max)
-            out[r0, r0] = fac * kc.k00[l]
-            out[r0, r3] = fac * kc.k03[l]
-            out[r3, r0] = fac * kc.k30[l]
-            out[r3, r3] = fac * kc.k33[l]
-            if l < 2:
-                continue
-            for mp in {m, -m}:
-                c0 = P.psh_index(l, mp, 0, l_max)
-                c3 = P.psh_index(l, mp, 3, l_max)
-                p1o = P.psh_index(l, m, 1, l_max)
-                p1i = P.psh_index(l, mp, 1, l_max)
-                up = _u_to_spin2(m, mp)
-                for (col, kv) in ((c0, kc.kp0[l]), (c3, kc.kp3[l])):
-                    z = up * kv
-                    out[p1o, col] = fac * z.real
-                    out[p1o + 1, col] = fac * z.imag
-                u = _u_from_spin2(m, mp)
-                for (row, kv) in ((r0, kc.k0p[l]), (r3, kc.k3p[l])):
-                    z = u * kv
-                    out[row, p1i] = fac * z.real
-                    out[row, p1i + 1] = fac * (-z.imag)
-            # spin 2-to-2
-            p1o = P.psh_index(l, m, 1, l_max)
-            p1i = P.psh_index(l, m, 1, l_max)
-            blk = c_to_r22(kc.kiso[l])
-            out[p1o:p1o + 2, p1i:p1i + 2] += fac * blk
-            p1i = P.psh_index(l, -m, 1, l_max)
-            blk = (-1.0) ** m * c_to_r22(kc.kconj[l]) @ JMAT
-            out[p1o:p1o + 2, p1i:p1i + 2] += fac * blk
+    t, vals = _theorem_values(kc, l_max)
+    out = np.zeros((P.psh_size(l_max),) * 2)
+    np.add.at(out, (t.row, t.col), vals)
     return PshCoeffMatrix(l_max, out)
 
 
@@ -279,13 +221,18 @@ def greatcircle_frames(w_src, w_dst):
     """Aligned frames along the oriented great circle from w_src to w_dst.
 
     Returns (x_src, x_dst): unit tangents at the two points along the circle.
-    Undefined for parallel/antiparallel pairs.
+    A parallel or antiparallel pair has no circle; it gets a shared tangent
+    anchor (x_dst = +-x_src), which serves any valid kernel since the conj
+    part vanishes at 0 and the iso part at pi.
     """
     w_src = np.asarray(w_src, dtype=float)
     w_dst = np.asarray(w_dst, dtype=float)
     dot = np.einsum("...i,...i->...", w_src, w_dst)[..., None]
-    x_src = normalize(w_dst - dot * w_src)
-    x_dst = normalize(dot * w_dst - w_src)
+    helper = np.where(np.abs(w_src[..., :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    anchor = np.cross(np.cross(w_src, helper), w_src)
+    degenerate = np.abs(dot) > 1.0 - 1e-12
+    x_src = normalize(np.where(degenerate, anchor, w_dst - dot * w_src))
+    x_dst = normalize(np.where(degenerate, np.sign(dot) * anchor, dot * w_dst - w_src))
     return x_src, x_dst
 
 
@@ -305,13 +252,7 @@ def pconv_angular_pair_matrix(kernel_fn, w_i, w_o):
     w_o = np.asarray(w_o, dtype=float)
     dot = float(np.clip(np.dot(w_i, w_o), -1.0, 1.0))
     K = np.asarray(kernel_fn(math.acos(dot)), dtype=float)
-    if abs(dot) > 1.0 - 1e-12:
-        # degenerate great circle: any shared tangent anchor works
-        helper = np.array([1.0, 0.0, 0.0]) if abs(w_i[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        x_i = normalize(np.cross(np.cross(w_i, helper), w_i))
-        x_o = x_i if dot > 0 else -x_i
-    else:
-        x_i, x_o = greatcircle_frames(w_i, w_o)
+    x_i, x_o = greatcircle_frames(w_i, w_o)
     M = MuellerMatrix(K, _aligned_frame(x_i, w_i), _aligned_frame(x_o, w_o))
     return mueller_reframe(M, frame_for_dir(w_i), frame_for_dir(w_o)).matrix
 
@@ -409,41 +350,90 @@ def pconv_angular_fixed_grid(kernel_fn, field, out_dirs):
 # least-squares projection onto the convolution structure
 # ---------------------------------------------------------------------------
 
-class _ConvTables(NamedTuple):
-    """Read-only per-l_max tables of the convolution structure.
+def _u_to(mo, mi):
+    """U^{p0}(m_o, m_i) over arrays, zero unless |m_o| = |m_i|.
 
-    l and m run over the scalar index set; the spin-2 set is their tail
-    [4:].  matched marks the entries the structure may fill (same l and
-    |m_o| = |m_i|); u_to and u_from hold U^{p0} over (spin-2 out, scalar in)
-    and U^{0p} over (l >= 2 scalar out, spin-2 in), zero off matched.
+    The one phase function of the theorem: U^{0p}(m_o, m_i) is
+    conj(U^{p0}(m_i, m_o)).  _u_to_spin2 and _u_from_spin2 are its scalar
+    oracles.
     """
+    mo, mi = np.broadcast_arrays(mo, mi)
+    sign = np.where(mo % 2, -1.0, 1.0)
+    neg_o, neg_i = mo < 0, mi < 0
+    u = (np.where(neg_o, sign, 1.0) * np.where(neg_i, np.where(neg_o, 1j, -1j), 1.0)
+         / math.sqrt(2.0))
+    u = np.where((mo == 0) & (mi == 0), 1.0, u)
+    return np.where(np.abs(mo) == np.abs(mi), u, 0.0)
+
+
+class _ConvTable(NamedTuple):
+    """Every nonzero (row, col) of the canonical convolution operator.
+
+    The entry is fac_l Re(w k[l]), fac_l = sqrt(4 pi / (2l + 1)), for the
+    family k = KC_FAMILIES[fam] and the complex phase weight w; the entries
+    of an (l, m = 0) spin 2-to-2 block repeat, iso before conj, and add.
+    """
+    row: np.ndarray
+    col: np.ndarray
+    fam: np.ndarray
     l: np.ndarray
-    m: np.ndarray
-    matched: np.ndarray
-    u_to: np.ndarray
-    u_from: np.ndarray
+    w: np.ndarray
+
+
+# (offset from the p = 1 position, factor) for a real slot and for the two
+# real slots of a complex one: an output a + ib is read as Re(c), Re(-i c);
+# an input enters as a + ib, or as a - ib where the theorem conjugates it
+_REAL = ((0, 1.0),)
+_OUT = ((0, 1.0), (1, -1j))
+_IN = ((0, 1.0), (1, 1j))
+_IN_CONJ = ((0, 1.0), (1, -1j))
 
 
 @lru_cache(maxsize=8)
-def _conv_tables(l_max: int) -> _ConvTables:
-    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    m = np.arange(l.size) - l * l - l
-    matched = (l[:, None] == l[None, :]) & (np.abs(m[:, None]) == np.abs(m[None, :]))
-    # _u_to_spin2 / _u_from_spin2 as arrays over (m_o in spin-2 rows, m_i)
-    mo, mi = m[4:, None], m[None, :]
-    sign = np.where(mo % 2, -1.0, 1.0)
-    neg_o, neg_i = mo < 0, mi < 0
-    u_to = (np.where(neg_o, sign, 1.0) * np.where(neg_i, np.where(neg_o, 1j, -1j), 1.0)
-            / math.sqrt(2.0))
-    u_from = (np.where(neg_i, sign, 1.0) * np.where(neg_o, np.where(neg_i, -1j, 1j), 1.0)
-              / math.sqrt(2.0))
-    zero = (mo == 0) & (mi == 0)
-    keep = matched[4:]
-    u_to = np.where(zero, 1.0, u_to) * keep
-    u_from = (np.where(zero, 1.0, u_from) * keep)[:, 4:]
-    for a in (l, m, matched, u_to, u_from):
+def _conv_tables(l_max: int) -> _ConvTable:
+    lay = P.psh_layout(l_max)
+    parts = []
+
+    def add(fam, rows, row_slots, cols, col_slots, l, w):
+        for (dr, a), (dc, b) in itertools.product(row_slots, col_slots):
+            parts.append((rows + dr, cols + dc, np.full(l.size, fam), l, a * b * w))
+
+    p0, p3 = lay.pos0, lay.pos3
+    for fam, (rows, cols) in enumerate(((p0, p0), (p0, p3), (p3, p0), (p3, p3))):
+        add(fam, rows, _REAL, cols, _REAL, lay.l, np.ones(lay.l.size))
+    # spin-2 (out, in) pairs with the same l and m_i = m_o, then m_i = -m_o != m_o
+    j = np.arange(lay.pos1.size)
+    m2 = lay.m[4:]
+    jo = np.concatenate([j, j[m2 != 0]])
+    ji = np.concatenate([j, (j - 2 * m2)[m2 != 0]])
+    l2, mo, mi = lay.l[4:][jo], m2[jo], m2[ji]
+    u_from = np.conj(_u_to(mi, mo))
+    add(4, p0[jo + 4], _REAL, lay.pos1[ji], _IN, l2, u_from)
+    add(5, p3[jo + 4], _REAL, lay.pos1[ji], _IN, l2, u_from)
+    add(6, lay.pos1[jo], _OUT, p0[ji + 4], _REAL, l2, _u_to(mo, mi))
+    add(7, lay.pos1[jo], _OUT, p3[ji + 4], _REAL, l2, _u_to(mo, mi))
+    add(8, lay.pos1, _OUT, lay.pos1, _IN, lay.l[4:], np.ones(j.size))
+    add(9, lay.pos1, _OUT, lay.pos1[j - 2 * m2], _IN_CONJ, lay.l[4:],
+        np.where(m2 % 2, -1.0, 1.0))
+    t = _ConvTable(*(np.concatenate(a) for a in zip(*parts)))
+    for a in t:
         a.setflags(write=False)
-    return _ConvTables(l, m, matched, u_to, u_from)
+    return t
+
+
+@lru_cache(maxsize=8)
+def _fit_weights(l_max: int):
+    """Read-only dense weights of conv_project_operator: matched marks the
+    entries the structure may fill (same l and |m_o| = |m_i|), then U^{p0}
+    over (spin-2 out, scalar in) and U^{0p} over (l >= 2 scalar out, spin-2
+    in), zero off matched."""
+    l, m, *_ = P.psh_layout(l_max)
+    matched = (l[:, None] == l[None, :]) & (np.abs(m)[:, None] == np.abs(m)[None, :])
+    u_to = _u_to(m[4:, None], m[None, :]) * matched[4:]
+    u_from = np.conj(_u_to(m[None, 4:], m[4:, None])) * matched[4:, 4:]
+    for a in (matched, u_to, u_from):
+        a.setflags(write=False)
+    return matched, u_to, u_from
 
 
 def _per_l(rows, x, n_l):
@@ -478,8 +468,9 @@ def conv_project_operator(M: PshCoeffMatrix):
     """
     l_max = M.l_max
     n_l = l_max + 1
-    t = _conv_tables(l_max)
-    rows, rows2 = t.l, t.l[4:]
+    lay = P.psh_layout(l_max)
+    rows, rows2, m = lay.l, lay.l[4:], lay.m
+    matched, u_to, u_from = _fit_weights(l_max)
     fac = np.sqrt(FOUR_PI / (2 * np.arange(n_l) + 1))
     width = 2 * np.arange(n_l) + 1
     kc = PolarConvKernelCoeffs.zeros(l_max)
@@ -509,24 +500,24 @@ def conv_project_operator(M: PshCoeffMatrix):
         k = getattr(kc, name)
         k[:] = _per_l(rows, np.diagonal(blk), n_l) / width / fac
         pairs.append((blk, np.diag(fac[rows] * k[rows])))
-    tally("scalar", rows, pairs, t.matched, 1, 0)
+    tally("scalar", rows, pairs, matched, 1, 0)
 
     # mixed families: weighted least squares over the matched entries (the
     # spin-2 index set and so these blocks are empty for l_max < 2)
-    for key, u, cut, fams in (("to_spin2", t.u_to, 0, ((0, "kp0"), (3, "kp3"))),
-                              ("from_spin2", t.u_from, 4, ((0, "k0p"), (3, "k3p")))):
+    for key, u, cut, fams in (("to_spin2", u_to, 0, ((0, "kp0"), (3, "kp3"))),
+                              ("from_spin2", u_from, 4, ((0, "k0p"), (3, "k3p")))):
         pairs = []
         for a, name in fams:
             C = blocks[key][a][cut:]
             k = getattr(kc, name)
             k[:] = _fit_weighted(rows2, C, u, fac)
             pairs.append((C, (fac * k)[rows2][:, None] * u))
-        tally(key, rows2, pairs, t.matched[4:, cut:], 2, 2)
+        tally(key, rows2, pairs, matched[4:, cut:], 2, 2)
 
     # spin 2-to-2: iso along m_i = m_o, conj along m_i = -m_o
     diag = np.arange(rows2.size)
-    mirror = diag - 2 * t.m[4:]
-    sign = np.where(t.m[4:] % 2, -1.0, 1.0)
+    mirror = diag - 2 * m[4:]
+    sign = np.where(m[4:] % 2, -1.0, 1.0)
     iso, conj = blocks["iso"], blocks["conj"]
     kc.kiso[:] = _per_l(rows2, iso[diag, diag], n_l) / width / fac
     kc.kconj[:] = _per_l(rows2, sign * conj[diag, mirror], n_l) / width / fac
@@ -534,7 +525,7 @@ def conv_project_operator(M: PshCoeffMatrix):
     fit_c = np.zeros_like(conj)
     fit_i[diag, diag] = (fac * kc.kiso)[rows2]
     fit_c[diag, mirror] = sign * (fac * kc.kconj)[rows2]
-    tally("spin22", rows2, [(iso, fit_i), (conj, fit_c)], t.matched[4:, 4:], 2, 2)
+    tally("spin22", rows2, [(iso, fit_i), (conj, fit_c)], matched[4:, 4:], 2, 2)
 
     rms = math.sqrt(totals[0] / max(totals[1], 1))
     return kc, rms, report

@@ -17,11 +17,11 @@ import numpy as np
 from . import psh as P
 from . import shscalar as sh
 from .geom import (gauss_legendre_grid, normalize, rotation_align, sph_to_dir,
-                   dir_to_sph, frame_for_dir, frame_theta_phi)
+                   dir_to_sph, fibonacci_directions, frame_for_dir, frame_theta_phi)
 from .operators import (PshCoeffMatrix, operator_apply, operator_project,
                         reflection_permutation_psh, shadow_expand,
                         visibility_from_spheres, visibility_project)
-from .pconv import PolarConvKernelCoeffs, conv_project_operator, pconv_apply
+from .pconv import KC_FAMILIES, PolarConvKernelCoeffs, conv_project_operator, pconv_apply
 from .polar import (StokesField, SyntheticPbrdf, stokes_field_from_function,
                     stokes_reframe)
 
@@ -272,7 +272,12 @@ def ray_visibility(mesh: Mesh, vertex_index: int, dirs, eps=1e-6):
 
 @dataclass
 class TransferRecord:
-    """Per-vertex transfer data in the vertex's local frame."""
+    """Per-vertex transfer data in the vertex's local frame.
+
+    Every family of conv_high is zero at l <= l_low, and the convolution
+    theorem does not mix bands, so conv_high applies to the whole local
+    lighting and adds only the bands above l_low.
+    """
     normal: np.ndarray
     rotation: np.ndarray              # local -> world
     matrix_low: PshCoeffMatrix        # bands l <= l_low
@@ -321,7 +326,6 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
         # V_local(w) = V_world(Rv w)
         if use_ray_visibility:
             # Monte-Carlo projection from Fibonacci ray casts
-            from .geom import fibonacci_directions
             dirs_f = fibonacci_directions(n_rays)
             world = dirs_f @ Rv.T
             vals = (ray_visibility(mesh, i, world)
@@ -342,24 +346,12 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
         if l_high > l_low:
             reflected = PshCoeffMatrix(l_high, refl_signs[:, None] * T.matrix[refl_rows])
             kc, resid, _ = conv_project_operator(reflected)
-            for arr in (kc.k00, kc.k03, kc.k30, kc.k33,
-                        kc.k0p, kc.k3p, kc.kp0, kc.kp3, kc.kiso, kc.kconj):
-                arr[:l_low + 1] = 0.0
+            for name in KC_FAMILIES:
+                getattr(kc, name)[:l_low + 1] = 0.0
             conv = kc
         return TransferRecord(n, Rv, mat_low, conv, l_low, l_high, resid)
 
     return _map_maybe_parallel(build, range(len(mesh.vertices)))
-
-
-def _zero_band(c: P.PshCoeffs, l_from: int, l_to: int) -> P.PshCoeffs:
-    """Zero coefficients with l_from <= l <= l_to."""
-    out = c.copy()
-    for l in range(l_from, l_to + 1):
-        out.s0[sh.sh_index(l, -l):sh.sh_index(l, l) + 1] = 0.0
-        out.s3[sh.sh_index(l, -l):sh.sh_index(l, l) + 1] = 0.0
-        if l >= 2:
-            out.spin2[P.spin2_index(l, -l):P.spin2_index(l, l) + 1] = 0.0
-    return out
 
 
 def pprt_shade(records, lighting: P.PshCoeffs, view_dirs, zero_s3=False):
@@ -383,8 +375,7 @@ def pprt_shade(records, lighting: P.PshCoeffs, view_dirs, zero_s3=False):
         low_out = operator_apply(rec.matrix_low, light_local.truncated(rec.l_low))
         comps[i] = P.psh_reconstruct(low_out, th_l, ph_l)
         if rec.conv_high is not None and rec.l_high > rec.l_low:
-            light_high = _zero_band(light_local, 0, rec.l_low)
-            g = pconv_apply(rec.conv_high, light_high)
+            g = pconv_apply(rec.conv_high, light_local)
             flipped = np.array([wo_local[0], wo_local[1], -wo_local[2]])
             th_f, ph_f = dir_to_sph(flipped)
             gc = P.psh_reconstruct(g, th_f, ph_f)

@@ -225,26 +225,6 @@ def _fresnel_rs_rp(cos_i, ior):
     return rs, rp
 
 
-def fresnel_mueller(cos_i, ior):
-    """Mueller matrix of dielectric specular reflection in the s-p frame.
-
-    The frame convention puts the x axis along the s direction (perpendicular
-    to the plane of incidence) for both the incident and reflected rays.
-    Broadcasts over cos_i; returns (..., 4, 4).
-    """
-    rs, rp = _fresnel_rs_rp(cos_i, ior)
-    a = 0.5 * (rs ** 2 + rp ** 2)
-    b = 0.5 * (rs ** 2 - rp ** 2)
-    c = rs * rp
-    z = np.zeros_like(a)
-    return np.stack([
-        np.stack([a, b, z, z], axis=-1),
-        np.stack([b, a, z, z], axis=-1),
-        np.stack([z, z, c, z], axis=-1),
-        np.stack([z, z, z, c], axis=-1),
-    ], axis=-2)
-
-
 class SyntheticPbrdf:
     """Smooth isotropic polarizing pBRDF used as a stand-in material.
 

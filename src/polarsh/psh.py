@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,20 +44,50 @@ def psh_size(l_max: int) -> int:
     return 2 * sh_size(l_max) + 2 * spin2_size(l_max)
 
 
+class PshLayout(NamedTuple):
+    """Read-only positions of the canonical I_PSH order (see psh_layout).
+
+    l and m run over the scalar index set in sh_index order; the spin-2
+    index set is their tail [4:].  pos0/pos3 give the positions of p = 0, 3
+    for each scalar (l, m), pos1 that of p = 1 for each spin-2 (l, m), with
+    p = 2 at pos1 + 1; lmp lists (l, m, p) by position.
+    """
+    l: np.ndarray
+    m: np.ndarray
+    pos0: np.ndarray
+    pos3: np.ndarray
+    pos1: np.ndarray
+    lmp: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def psh_layout(l_max: int) -> PshLayout:
+    """The one place the (l, m, p) order is decided, in closed form:
+    pos(l, m, p) = psh_size(l - 1) + (m + l) n_p(l) + rank(p), with n_p = 2
+    below l = 2 (p = 0, 3) and 4 from l = 2 (p = 0, 1, 2, 3)."""
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.arange(l.size) - l * l - l
+    n_p = np.where(l < 2, 2, 4)
+    # psh_size(l - 1) = 2 l^2 + 2 max(l^2 - 4, 0)
+    pos0 = 2 * l * l + 2 * np.maximum(l * l - 4, 0) + (m + l) * n_p
+    pos3 = pos0 + n_p - 1
+    pos1 = pos0[4:] + 1
+    lmp = np.empty((psh_size(l_max), 3), dtype=int)
+    for pos, p, sl in ((pos0, 0, slice(None)), (pos3, 3, slice(None)),
+                       (pos1, 1, slice(4, None)), (pos1 + 1, 2, slice(4, None))):
+        lmp[pos] = np.stack([l[sl], m[sl], np.full(pos.size, p)], axis=-1)
+    for a in (l, m, pos0, pos3, pos1, lmp):
+        a.setflags(write=False)
+    return PshLayout(l, m, pos0, pos3, pos1, lmp)
+
+
 def psh_index_list(l_max: int):
     """Canonical I_PSH ordering: (l, m, p) lexicographic."""
-    out = []
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            for p in (0, 1, 2, 3):
-                if p in (1, 2) and l < 2:
-                    continue
-                out.append((l, m, p))
-    return out
+    return list(map(tuple, psh_layout(l_max).lmp.tolist()))
 
 
 def psh_index(l: int, m: int, p: int, l_max: int) -> int:
-    """Flat canonical index of (l, m, p)."""
+    """Flat canonical index of (l, m, p); the scalar oracle of psh_layout."""
     if l > l_max or abs(m) > l or p not in (0, 1, 2, 3):
         raise ValueError(f"invalid PSH index ({l}, {m}, {p})")
     if p in (1, 2) and l < 2:
@@ -96,29 +128,17 @@ class PshCoeffs:
         flat = np.asarray(flat, dtype=float)
         if flat.shape[-1] != psh_size(l_max):
             raise ValueError("flat vector length does not match l_max")
-        c = cls.zeros(l_max)
-        for i, (l, m, p) in enumerate(psh_index_list(l_max)):
-            if p == 0:
-                c.s0[sh_index(l, m)] = flat[i]
-            elif p == 3:
-                c.s3[sh_index(l, m)] = flat[i]
-            elif p == 1:
-                c.spin2[spin2_index(l, m)] += flat[i]
-            else:
-                c.spin2[spin2_index(l, m)] += 1j * flat[i]
-        return c
+        lay = psh_layout(l_max)
+        return cls(l_max, flat[..., lay.pos0], flat[..., lay.pos1] + 1j * flat[..., lay.pos1 + 1],
+                   flat[..., lay.pos3])
 
     def flat(self):
-        out = np.empty(psh_size(self.l_max))
-        for i, (l, m, p) in enumerate(psh_index_list(self.l_max)):
-            if p == 0:
-                out[i] = self.s0[sh_index(l, m)]
-            elif p == 3:
-                out[i] = self.s3[sh_index(l, m)]
-            elif p == 1:
-                out[i] = self.spin2[spin2_index(l, m)].real
-            else:
-                out[i] = self.spin2[spin2_index(l, m)].imag
+        lay = psh_layout(self.l_max)
+        out = np.empty(self.s0.shape[:-1] + (psh_size(self.l_max),))
+        out[..., lay.pos0] = self.s0
+        out[..., lay.pos3] = self.s3
+        out[..., lay.pos1] = self.spin2.real
+        out[..., lay.pos1 + 1] = self.spin2.imag
         return out
 
     def copy(self):
@@ -145,11 +165,12 @@ def s2sh_basis(l_max: int, theta, phi) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
     phi = np.atleast_1d(np.asarray(phi, dtype=float)).ravel()
     out = np.zeros((theta.size, spin2_size(l_max)), dtype=complex)
+    nrm = np.sqrt((2 * np.arange(l_max + 1) + 1) / FOUR_PI)[:, None]
     for m in range(-l_max, l_max + 1):
-        cols = sh.wigner_small_d_column(l_max, m, -2, theta)
-        e = np.exp(1j * m * phi)
-        for l in range(max(2, abs(m)), l_max + 1):
-            out[:, spin2_index(l, m)] = math.sqrt((2 * l + 1) / FOUR_PI) * cols[l] * e
+        lo = max(2, abs(m))
+        vals = nrm[lo:] * sh.wigner_small_d_column(l_max, m, -2, theta)[lo:] * np.exp(1j * m * phi)
+        ls = np.arange(lo, l_max + 1)
+        out[:, ls * ls + ls + m - 4] = vals.T       # the columns spin2_index(l, m)
     return out
 
 

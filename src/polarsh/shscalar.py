@@ -368,19 +368,6 @@ def sh_rotate_coeffs(coeffs: ShCoeffs, R) -> ShCoeffs:
     return ShCoeffs(coeffs.l_max, coeffs.kind, out)
 
 
-def sh_coeffs_c2r(coeffs: ShCoeffs) -> ShCoeffs:
-    """Convert complex-SH coefficients of a function to real-SH coefficients."""
-    if coeffs.kind != "complex":
-        raise ValueError("expected complex coefficients")
-    out = np.zeros(coeffs.values.shape, dtype=complex)
-    for l in range(coeffs.l_max + 1):
-        sl = slice(sh_index(l, -l), sh_index(l, l) + 1)
-        out[sl] = complex_to_real_block(l).conj() @ coeffs.values[sl]
-    if np.max(np.abs(out.imag)) < 1e-9 * max(1.0, np.max(np.abs(out.real))):
-        out = out.real
-    return ShCoeffs(coeffs.l_max, "real", out)
-
-
 def sh_coeffs_r2c(coeffs: ShCoeffs) -> ShCoeffs:
     """Convert real-SH coefficients of a function to complex-SH coefficients."""
     if coeffs.kind != "real":

@@ -23,6 +23,15 @@ def test_dir_to_sph_conventions_and_roundtrip(rng):
     assert np.abs(geom.sph_to_dir(th, ph) - d).max() < 1e-12
 
 
+def test_dir_to_sph_phi_stays_below_two_pi():
+    # -1e-20 + 2 pi rounds to 2 pi; the wrap must give the angle 0 instead
+    for y in (-1e-20, -1e-300, -5e-324, -0.0):
+        th, ph = geom.dir_to_sph(np.array([1.0, y, 0.0]))
+        assert 0.0 <= ph < 2 * np.pi and ph == 0.0, y
+    th, ph = geom.dir_to_sph(np.array([[1.0, -1e-20, 0.0], [1.0, -1e-15, 0.0]]))
+    assert ph[0] == 0.0 and 2 * np.pi - 2e-15 < ph[1] < 2 * np.pi
+
+
 def _near_pole(pole, eps, n, rng):
     """n unit directions eps radians (to first order) from (0, 0, pole)."""
     t = rng.normal(size=(n, 3))

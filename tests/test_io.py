@@ -1,7 +1,10 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarsh import geom, io as pio, pconv, pipeline, psh
 from polarsh import shscalar as sh
@@ -179,3 +182,68 @@ def test_header_checked_against_file_size(tmp_path, fmt):
     p.write_bytes(good[:l_max_offset] + struct.pack("<I", 2 ** 31) + good[l_max_offset + 4:])
     with pytest.raises(pio.FormatError, match="l_max=2147483648"):
         load(p)
+
+
+def _fuzz_cases():
+    """(save, obj, load, the arrays of a loaded object) per format.  Values
+    lie in [1, 2), so flipping the top exponent bit makes them non-finite."""
+    n = psh.psh_size(2)
+    kc = pconv.PolarConvKernelCoeffs.zeros(2)
+    for name in pconv.KC_FAMILIES:
+        getattr(kc, name)[:] = 1.25 + (0.5j if name in pconv.KC_FAMILIES[4:] else 0)
+    field = pipeline.synth_envmap("two-lobe-polarized", band=2)
+    field.data[:] = 1.5
+    view = ViewSpec("perspective", 2, 3, geom.rotation_zyz(0.3, 1.1, -0.4), 60.0)
+    img = render_image(pipeline.two_lobe_field_fn, view)
+    img.data[:] = 1.5
+    return {
+        "PSHC": (pio.save_sh_coeffs, sh.ShCoeffs(2, "complex", np.full(9, 1.25 + 1.5j)),
+                 pio.load_sh_coeffs, lambda c: [c.values]),
+        "PSH4": (pio.save_psh_coeffs, psh.PshCoeffs.from_flat(2, np.full(n, 1.5)),
+                 pio.load_psh_coeffs, lambda c: [c.flat()]),
+        "PSHM": (pio.save_psh_matrix, PshCoeffMatrix(2, np.full((n, n), 1.5)),
+                 pio.load_psh_matrix, lambda M: [M.matrix]),
+        "PSHK": (pio.save_kernel_coeffs, kc, pio.load_kernel_coeffs,
+                 lambda kc: [getattr(kc, n) for n in pconv.KC_FAMILIES]),
+        "S4EM": (pio.save_stokes_field, field, pio.load_stokes_field, lambda f: [f.data]),
+        "S4EM-perspective": (pio.save_stokes_image, img, pio.load_stokes_image,
+                             lambda img: [img.data, img.view.pose]),
+    }
+
+
+@pytest.mark.parametrize("fmt", list(_fuzz_cases()))
+def test_fuzzed_files_raise_format_error_or_load_finite_values(fmt):
+    save, obj, load, values = _fuzz_cases()[fmt]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.bin")
+        save(path, obj)
+        with open(path, "rb") as f:
+            good = f.read()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+        @given(cut=st.one_of(st.just(len(good)), st.integers(0, len(good))),
+               flips=st.lists(st.integers(0, 8 * len(good) - 1), max_size=3))
+        def check(cut, flips):
+            data = bytearray(good)
+            for bit in flips:
+                data[bit // 8] ^= 1 << (bit % 8)
+            with open(path, "wb") as f:
+                f.write(bytes(data[:cut]))
+            try:
+                loaded = load(path)
+            except pio.FormatError:
+                return
+            assert all(np.all(np.isfinite(v)) for v in values(loaded))
+
+        check()
+
+
+def test_non_finite_payload_names_format_and_index(tmp_path):
+    c = pipeline.random_psh_coeffs(2, seed=1)
+    p = tmp_path / "c.psh4"
+    pio.save_psh_coeffs(p, c)
+    raw = bytearray(p.read_bytes())
+    raw[8 + 8 * 5:8 + 8 * 6] = struct.pack("<d", float("nan"))
+    p.write_bytes(bytes(raw))
+    with pytest.raises(pio.FormatError, match="PSH4 l_max=2: non-finite value at payload index 5"):
+        pio.load_psh_coeffs(p)

@@ -167,8 +167,9 @@ def test_cached_tables_are_read_only():
     op.visibility_project(lambda d: np.ones(np.asarray(d).shape[:-1]), 4, g)
     basis = op._weighted_real_basis(4, g.band, g.theta_nodes.tobytes(),
                                     g.theta_weights.tobytes(), g.n_phi)
-    tables = [*op._triple_tensors(2, 4), *op._psh_positions(3), basis,
-              sh._c2r_block(1), sh.complex_to_real_matrix(3), *pconv._conv_tables(3)]
+    tables = [*op._triple_tensors(2, 4), *psh.psh_layout(3), basis,
+              sh._c2r_block(1), sh.complex_to_real_matrix(3), *pconv._conv_tables(3),
+              *pconv._fit_weights(3)]
     for a in tables:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,77 @@ def test_fixed_grid_angular_path():
     assert np.abs(res - ref).max() < 1e-2
 
 
+def test_fixed_grid_rows_at_grid_and_antipodal_directions():
+    # an output on a grid direction, or antipodal to one, has a degenerate
+    # great circle; its row is the limit of the rows next to it
+    grid = geom.gauss_legendre_grid(4)
+    field = psh.psh_reconstruct_field(pipeline.random_psh_coeffs(4, seed=8), grid)
+    dirs = grid.dirs().reshape(-1, 3)
+    out = np.array([dirs[0], -dirs[1]])
+    tilt = geom.rotation_about_axis(np.cross(out, [0.0, 0.0, 1.0]), 1e-8)
+    near = np.einsum("nij,nj->ni", tilt, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pconv.pconv_angular_fixed_grid(generic_kernel, field, out)
+    assert np.all(np.isfinite(res))
+    lim = pconv.pconv_angular_fixed_grid(generic_kernel, field, near)
+    assert np.abs(res - lim).max() < 1e-6
+
+
+def _theorem_loop(kc, c):
+    """The convolution theorem per (l, m) through phase_weights; parts of c
+    carry a leading batch axis."""
+    o0, o3, o2 = np.zeros_like(c.s0), np.zeros_like(c.s3), np.zeros_like(c.spin2)
+    for l in range(c.l_max + 1):
+        fac = math.sqrt(4 * np.pi / (2 * l + 1))
+        for m in range(-l, l + 1):
+            i = sh.sh_index(l, m)
+            a = kc.k00[l] * c.s0[:, i] + kc.k03[l] * c.s3[:, i]
+            b = kc.k30[l] * c.s0[:, i] + kc.k33[l] * c.s3[:, i]
+            if l >= 2:
+                j = psh.spin2_index(l, m)
+                z = (kc.kiso[l] * c.spin2[:, j]
+                     + (-1) ** m * kc.kconj[l] * np.conj(c.spin2[:, psh.spin2_index(l, -m)]))
+                for mp in {m, -m}:
+                    w20, w02 = pconv.phase_weights(m, mp)
+                    ft = c.spin2[:, psh.spin2_index(l, mp)]
+                    a = a + np.real(np.conj(w20) * kc.k0p[l] * ft)
+                    b = b + np.real(np.conj(w20) * kc.k3p[l] * ft)
+                    z = z + w02 * (kc.kp0[l] * c.s0[:, sh.sh_index(l, mp)]
+                                   + kc.kp3[l] * c.s3[:, sh.sh_index(l, mp)])
+                o2[:, j] = fac * z
+            o0[:, i], o3[:, i] = fac * a, fac * b
+    return psh.PshCoeffs(c.l_max, o0, o2, o3).flat()
+
+
+def _random_kernel_coeffs(l_max, rng):
+    kc = pconv.PolarConvKernelCoeffs.zeros(l_max)
+    for name in pconv.KC_FAMILIES:
+        k = getattr(kc, name)
+        k[:] = rng.normal(size=k.size) + (1j * rng.normal(size=k.size) if k.dtype == complex else 0)
+        if name in pconv.KC_FAMILIES[4:]:
+            k[:2] = 0.0
+    return kc
+
+
+@pytest.mark.parametrize("L", [*range(10), 32])
+def test_theorem_table_matches_per_lm_loop(L):
+    rng = np.random.default_rng(100 + L)
+    kc = _random_kernel_coeffs(L + 1, rng)
+    n = psh.psh_size(L)
+    f = psh.PshCoeffs.from_flat(L, rng.normal(size=(2, n)))
+    want = _theorem_loop(kc, f)
+    for b in range(2):
+        fb = psh.PshCoeffs(L, f.s0[b], f.spin2[b], f.s3[b])
+        assert np.abs(pconv.pconv_apply(kc, fb).flat() - want[b]).max() < 1e-13
+    M = pconv.conv_expand_to_matrix(kc, L).matrix
+    if L <= 9:
+        # every column: the loop applied to the unit vectors
+        assert np.abs(M - _theorem_loop(kc, psh.PshCoeffs.from_flat(L, np.eye(n))).T).max() < 1e-13
+    else:
+        assert np.abs(f.flat() @ M.T - want).max() < 1e-13
+
+
 def test_conv_project_fixed_point_and_sanity(rng):
     L = 4
     kc = pconv.kernel_coeffs(generic_kernel, L)
@@ -364,13 +436,25 @@ def test_conv_project_unmatched_perturbation():
 
 
 def test_phase_weight_tables_match_scalar_weights():
+    # conv_project_operator's dense weights, and the theorem table's weights
+    # on the mixed families, against the scalar U^{p0} / U^{0p}
     L = 5
-    t = pconv._conv_tables(L)
+    matched, u_to, u_from = pconv._fit_weights(L)
     lm = sh.sh_lm_list(L)
     for j, (lo, mo) in enumerate(lm[4:]):
         for i, (li, mi) in enumerate(lm):
             same = li == lo
-            assert t.matched[j + 4, i] == (same and abs(mi) == abs(mo))
-            assert t.u_to[j, i] == (pconv._u_to_spin2(mo, mi) if same else 0.0)
+            assert matched[j + 4, i] == (same and abs(mi) == abs(mo))
+            assert u_to[j, i] == (pconv._u_to_spin2(mo, mi) if same else 0.0)
             if li >= 2:
-                assert t.u_from[j, i - 4] == (pconv._u_from_spin2(mo, mi) if same else 0.0)
+                assert u_from[j, i - 4] == (pconv._u_from_spin2(mo, mi) if same else 0.0)
+    t = pconv._conv_tables(L)
+    lmp = psh.psh_index_list(L)
+    fam = np.array(pconv.KC_FAMILIES)[t.fam]
+    for r, c, f, w in zip(t.row, t.col, fam, t.w):
+        (lo, m_o, po), (li, m_i, pi_) = lmp[r], lmp[c]
+        assert lo == li and abs(m_o) == abs(m_i)
+        if f in ("kp0", "kp3"):
+            assert w == pconv._u_to_spin2(m_o, m_i) * (1 if po == 1 else -1j)
+        elif f in ("k0p", "k3p"):
+            assert w == pconv._u_from_spin2(m_o, m_i) * (1 if pi_ == 1 else 1j)

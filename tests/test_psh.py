@@ -29,6 +29,32 @@ def test_index_set():
         psh.spin2_index(1, 0)
 
 
+def test_layout_matches_scalar_index():
+    for L in range(41):
+        lay = psh.psh_layout(L)
+        assert [psh.psh_index(l, m, p, L) for l, m, p in lay.lmp.tolist()] == list(range(psh.psh_size(L)))
+        for i, (l, m) in enumerate(zip(lay.l.tolist(), lay.m.tolist())):
+            assert i == sh.sh_index(l, m)
+            assert lay.pos0[i] == psh.psh_index(l, m, 0, L)
+            assert lay.pos3[i] == psh.psh_index(l, m, 3, L)
+            if l >= 2:
+                assert lay.pos1[i - 4] == psh.psh_index(l, m, 1, L)
+
+
+def test_flat_scatter_matches_parts(rng):
+    c = random_coeffs(7, rng)
+    v = c.flat()
+    for l, m, p in psh.psh_index_list(7):
+        part = {0: c.s0[sh.sh_index(l, m)], 3: c.s3[sh.sh_index(l, m)]}.get(p)
+        if part is None:
+            z = c.spin2[psh.spin2_index(l, m)]
+            part = z.real if p == 1 else z.imag
+        assert v[psh.psh_index(l, m, p, 7)] == part
+    back = psh.PshCoeffs.from_flat(7, v)
+    for a, b in ((back.s0, c.s0), (back.s3, c.s3), (back.spin2, c.spin2)):
+        assert np.array_equal(a, b)
+
+
 def test_s2sh_pole_behavior():
     for l in (2, 3, 5):
         for m in range(-l, l + 1):
