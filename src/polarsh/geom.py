@@ -70,11 +70,12 @@ def frame_theta_phi(theta, phi):
     phi = np.asarray(phi, dtype=float)
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    zero = np.zeros(np.broadcast(theta, phi).shape)
-    th_hat = np.stack([ct * cp, ct * sp, -st + zero], axis=-1)
-    ph_hat = np.stack([-sp + zero, cp + zero, zero], axis=-1)
-    w_hat = np.stack([st * cp, st * sp, ct + zero], axis=-1)
-    return np.stack([th_hat, ph_hat, w_hat], axis=-1)
+    F = np.empty(np.broadcast(theta, phi).shape + (3, 3))
+    # 0 - x rather than -x: a zero entry is +0, never -0
+    F[..., 0, 0], F[..., 1, 0], F[..., 2, 0] = ct * cp, ct * sp, 0.0 - st
+    F[..., 0, 1], F[..., 1, 1], F[..., 2, 1] = 0.0 - sp, cp, 0.0
+    F[..., 0, 2], F[..., 1, 2], F[..., 2, 2] = st * cp, st * sp, ct
+    return F
 
 
 def frame_for_dir(d):

@@ -32,13 +32,15 @@ def _read_exact(f, n, what="header"):
     return f.read(n)
 
 
-def _read_payload(f, what, count, dtype="<f8", exact=False):
-    """Read count values as float64: the file must hold them (and, if exact,
-    nothing after them) and every value must be finite."""
+def _read_payload(f, what, count, dtype="<f8"):
+    """Read count values as float64: the rest of the file must hold exactly
+    them, and every value must be finite."""
     size = count * np.dtype(dtype).itemsize
-    if exact and size != os.fstat(f.fileno()).st_size - f.tell():
-        raise FormatError(f"{what} payload size mismatch: the header implies {size} bytes")
-    raw = np.frombuffer(_read_exact(f, size, what), dtype=dtype).astype(float)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size != left:
+        raise FormatError(f"{what} payload size mismatch: the header implies {size} bytes, "
+                          f"the file holds {left}")
+    raw = np.frombuffer(f.read(size), dtype=dtype).astype(float)
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
         raise FormatError(f"{what}: non-finite value at payload index {bad[0]}")
@@ -207,8 +209,8 @@ def _load_s4em_raw(path):
             if not is_rotation(pose, 1e-6):
                 raise FormatError(f"bad perspective header: POSE line {' '.join(pose_line)!r} "
                                   "is not a rotation")
-        data = _read_payload(f, f"S4EM {n_theta}x{n_phi}", n_theta * n_phi * 4, "<f4",
-                             exact=True).reshape(n_theta, n_phi, 4)
+        data = _read_payload(f, f"S4EM {n_theta}x{n_phi}", n_theta * n_phi * 4,
+                             "<f4").reshape(n_theta, n_phi, 4)
     return data, sampling, fov, pose
 
 

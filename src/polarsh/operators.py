@@ -228,25 +228,9 @@ def visibility_from_spheres(occluders, dirs):
     return vis
 
 
-@lru_cache(maxsize=4)
-def _weighted_real_basis(l_max, band, theta_nodes, theta_weights, n_phi):
-    """Real-SH basis times quadrature weights on a grid given by its bytes."""
-    grid = SphereGrid(band, np.frombuffer(theta_nodes), np.frombuffer(theta_weights), n_phi)
-    th, ph = grid.angles()
-    basis_w = sh.sh_basis_real(l_max, th.ravel(), ph.ravel()) * grid.weights().reshape(-1, 1)
-    basis_w.setflags(write=False)
-    return basis_w
-
-
 def visibility_project(vis_fn, l_max: int, grid: SphereGrid) -> ShCoeffs:
     """Real-SH coefficients of a direction -> {0,1} visibility mask."""
-    if grid.band < l_max:
-        raise ValueError(f"grid band {grid.band} insufficient for l_max {l_max}")
-    vals = np.asarray(vis_fn(grid.dirs()), dtype=float)
-    basis_w = _weighted_real_basis(
-        l_max, grid.band, np.asarray(grid.theta_nodes, dtype=float).tobytes(),
-        np.asarray(grid.theta_weights, dtype=float).tobytes(), grid.n_phi)
-    return ShCoeffs(l_max, "real", basis_w.T @ vals.ravel())
+    return sh.sh_project(np.asarray(vis_fn(grid.dirs()), dtype=float), grid, l_max, "real")
 
 
 @lru_cache(maxsize=8)

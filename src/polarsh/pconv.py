@@ -25,7 +25,7 @@ from .geom import (complex_pair_separate, fibonacci_directions, frame_for_dir,
                    rotation_align, rotation_zyz, sph_to_dir, dir_to_sph)
 from .operators import PshCoeffMatrix, split_psh_matrix
 from .polar import MuellerMatrix, frame_twist, mueller_reframe
-from .shscalar import FOUR_PI, sh_index
+from .shscalar import FOUR_PI
 
 TWO_PI = 2.0 * np.pi
 KC_FAMILIES = ("k00", "k03", "k30", "k33", "k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
@@ -98,35 +98,25 @@ def kernel_coeffs(kernel_fn, l_max: int, n_nodes=None) -> PolarConvKernelCoeffs:
     theta = 0.5 * np.pi * (x + 1.0)
     w = 0.5 * np.pi * w
     k = _kernel_samples(kernel_fn, theta)
-    st = np.sin(theta)
+    ws = TWO_PI * w * np.sin(theta)
 
-    # 1-D basis rows at phi = 0, read from one basis evaluation at l_max
-    yc = sh.sh_basis_complex(l_max, theta, np.zeros(n_nodes)).real
-    y_l0 = yc[:, [sh_index(l, 0) for l in range(l_max + 1)]].T
-    y_lm2 = np.zeros((l_max + 1, n_nodes))      # Y^C_{l,-2}(theta, 0), real
-    y_lm2[2:] = yc[:, [sh_index(l, -2) for l in range(2, l_max + 1)]].T
-    # 2Y_{lm}(theta, 0) for m = 0, -2, +2, real; zero for l < 2
-    nrm = np.sqrt((2 * np.arange(l_max + 1) + 1) / FOUR_PI)[:, None]
-    s2_l0, s2_lm2, s2_lp2 = (nrm * sh.wigner_small_d_column(l_max, m, -2, theta)
-                             for m in (0, -2, 2))
+    tables = {s: sh.spin_theta_table(l_max, s, theta) for s in (0, 2)}
+
+    def rows(s, m):
+        """sY_lm(theta, 0) over l = 0..l_max (zero where l < |m|): one row per l."""
+        ls = np.arange(abs(m), l_max + 1)
+        return np.pad(tables[s][:, ls * ls + ls + m].T, ((l_max + 1 - ls.size, 0), (0, 0)))
 
     kc = PolarConvKernelCoeffs.zeros(l_max)
-    ws = w * st
-    iso_s = 0.5 * (k[:, 1, 1] + k[:, 2, 2]) + 0.5j * (k[:, 2, 1] - k[:, 1, 2])
-    conj_s = 0.5 * (k[:, 1, 1] - k[:, 2, 2]) + 0.5j * (k[:, 2, 1] + k[:, 1, 2])
-    for l in range(l_max + 1):
-        kc.k00[l] = TWO_PI * np.sum(ws * y_l0[l] * k[:, 0, 0])
-        kc.k03[l] = TWO_PI * np.sum(ws * y_l0[l] * k[:, 0, 3])
-        kc.k30[l] = TWO_PI * np.sum(ws * y_l0[l] * k[:, 3, 0])
-        kc.k33[l] = TWO_PI * np.sum(ws * y_l0[l] * k[:, 3, 3])
-        if l < 2:
-            continue
-        kc.kp0[l] = TWO_PI * np.sum(ws * s2_l0[l] * (k[:, 1, 0] + 1j * k[:, 2, 0]))
-        kc.kp3[l] = TWO_PI * np.sum(ws * s2_l0[l] * (k[:, 1, 3] + 1j * k[:, 2, 3]))
-        kc.k0p[l] = TWO_PI * np.sum(ws * y_lm2[l] * np.conj(k[:, 0, 1] + 1j * k[:, 0, 2]))
-        kc.k3p[l] = TWO_PI * np.sum(ws * y_lm2[l] * np.conj(k[:, 3, 1] + 1j * k[:, 3, 2]))
-        kc.kiso[l] = TWO_PI * np.sum(ws * s2_lm2[l] * iso_s)
-        kc.kconj[l] = TWO_PI * np.sum(ws * s2_lp2[l] * conj_s)
+    y_l0, y_lm2 = rows(0, 0), rows(0, -2)
+    kc.k00[:], kc.k03[:], kc.k30[:], kc.k33[:] = (
+        y_l0 @ (ws * k[:, a, b]) for a, b in ((0, 0), (0, 3), (3, 0), (3, 3)))
+    kc.kp0[:], kc.kp3[:] = (rows(2, 0) @ (ws * (k[:, 1, b] + 1j * k[:, 2, b])) for b in (0, 3))
+    kc.k0p[:], kc.k3p[:] = (y_lm2 @ (ws * (k[:, a, 1] - 1j * k[:, a, 2])) for a in (0, 3))
+    kc.kiso[:] = rows(2, -2) @ (ws * (0.5 * (k[:, 1, 1] + k[:, 2, 2])
+                                      + 0.5j * (k[:, 2, 1] - k[:, 1, 2])))
+    kc.kconj[:] = rows(2, 2) @ (ws * (0.5 * (k[:, 1, 1] - k[:, 2, 2])
+                                      + 0.5j * (k[:, 2, 1] + k[:, 1, 2])))
     return kc
 
 
@@ -351,19 +341,16 @@ def pconv_angular_fixed_grid(kernel_fn, field, out_dirs):
 # ---------------------------------------------------------------------------
 
 def _u_to(mo, mi):
-    """U^{p0}(m_o, m_i) over arrays, zero unless |m_o| = |m_i|.
+    """U^{p0}(m_o, m_i) over arrays: the C->R entry U[m_i, m_o] of
+    shscalar.complex_to_real_block, zero unless |m_o| = |m_i|.
 
     The one phase function of the theorem: U^{0p}(m_o, m_i) is
     conj(U^{p0}(m_i, m_o)).  _u_to_spin2 and _u_from_spin2 are its scalar
     oracles.
     """
     mo, mi = np.broadcast_arrays(mo, mi)
-    sign = np.where(mo % 2, -1.0, 1.0)
-    neg_o, neg_i = mo < 0, mi < 0
-    u = (np.where(neg_o, sign, 1.0) * np.where(neg_i, np.where(neg_o, 1j, -1j), 1.0)
-         / math.sqrt(2.0))
-    u = np.where((mo == 0) & (mi == 0), 1.0, u)
-    return np.where(np.abs(mo) == np.abs(mi), u, 0.0)
+    diag, off = sh._c2r_rows(mi)
+    return np.where(mo == mi, diag, np.where(mo == -mi, off, 0.0))
 
 
 class _ConvTable(NamedTuple):

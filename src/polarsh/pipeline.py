@@ -180,9 +180,10 @@ def load_obj(path) -> Mesh:
     """ASCII OBJ subset: v / vn / f (v or v//vn indices, negative = relative).
 
     Faces with more than three vertices are triangulated as fans from their
-    first vertex.  Raises ValueError for a face with fewer than three
-    vertices, an index out of range, or a vertex no face uses (it would have
-    no normal).
+    first vertex.  Raises ValueError for a v/vn line without three finite
+    numbers, a face with fewer than three vertices, an index out of range, a
+    file with no face, or a vertex without a usable normal (no face uses it,
+    its faces are degenerate or its vn is zero).
     """
     verts, norms, faces, face_norms = [], [], [], []
     with open(path) as f:
@@ -190,10 +191,11 @@ def load_obj(path) -> Mesh:
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "vn":
-                norms.append([float(x) for x in parts[1:4]])
+            if parts[0] in ("v", "vn"):
+                xyz = [float(x) for x in parts[1:4]]
+                if len(xyz) < 3 or not np.isfinite(xyz).all():
+                    raise ValueError(f"OBJ line {lineno}: {parts[0]} needs three finite numbers")
+                (verts if parts[0] == "v" else norms).append(xyz)
             elif parts[0] == "f":
                 if len(parts) < 4:
                     raise ValueError(f"OBJ line {lineno}: a face needs at least 3 vertices")
@@ -208,11 +210,10 @@ def load_obj(path) -> Mesh:
                     faces.append([idx[0], idx[k], idx[k + 1]])
                     face_norms.append([nidx[0], nidx[k], nidx[k + 1]]
                                       if len(nidx) == len(idx) else None)
+    if not faces:
+        raise ValueError("OBJ file has no faces")
     verts = np.asarray(verts)
     tris = np.asarray(faces, dtype=int).reshape(-1, 3)
-    unused = np.setdiff1d(np.arange(len(verts)), tris)
-    if unused.size:
-        raise ValueError(f"OBJ vertex {unused[0] + 1} is used by no face, so it has no normal")
     vnorm = np.zeros_like(verts)
     if norms and all(fn is not None for fn in face_norms):
         norms = np.asarray(norms)
@@ -226,8 +227,12 @@ def load_obj(path) -> Mesh:
             fn = np.cross(b - a, c - a)
             for v in tri:
                 vnorm[v] += fn
-    vnorm = normalize(vnorm)
-    return Mesh(verts, vnorm, tris)
+    length = np.linalg.norm(vnorm, axis=-1)
+    bad = np.flatnonzero(~(np.isfinite(length) & (length > 0.0)))
+    if bad.size:
+        raise ValueError(f"OBJ vertex {bad[0] + 1} has no usable normal: no face uses it, "
+                         "its faces are degenerate or its vn is zero")
+    return Mesh(verts, vnorm / length[:, None], tris)
 
 
 def save_obj(path, mesh: Mesh):
@@ -416,10 +421,9 @@ def shade_reference(mesh: Mesh, vertex_index: int, material: SyntheticPbrdf,
     pb = SyntheticPbrdf(n, material.roughness, material.ior,
                         material.horizon_sharpness)
     grid = gauss_legendre_grid(band)
-    th, ph = grid.angles()
     w = grid.weights().ravel()
     dirs = grid.dirs().reshape(-1, 3)
-    light = P.psh_reconstruct(lighting, th, ph).reshape(-1, 4)
+    light = P.psh_reconstruct_field(lighting, grid).data.reshape(-1, 4)
     vis = visibility_from_spheres(occluders, dirs).ravel()
     K = pb(dirs, np.asarray(view_dir, dtype=float)[None, :])
     return np.einsum("i,iab,ib->a", w * vis, K, light)

@@ -4,9 +4,13 @@ Spin-2 spherical harmonics, the combined PSH basis over real coefficients,
 projection/reconstruction of Stokes fields, rotation blocks, and the
 spin-0 x spin-2 triple product.
 
-The spin-2 basis is evaluated through Wigner-d functions,
-    2Y_lm(theta, phi) = sqrt((2l+1)/(4 pi)) e^{i m phi} d^l_{m,-2}(theta),
-which is regular at the poles; the scalar-SH combination formula is kept as a
+Both parts of the basis follow one identity,
+    sY_lm(theta, phi) = sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta) e^{i m phi},
+with s = 0 for s0/s3 (real SH) and s = 2 for the linear pair; the theta
+factor comes from the one generator shscalar.spin_theta_table and is regular
+at the poles.  Scattered points (psh_reconstruct, s2sh_basis) call the
+generator; grid transforms (psh_project, psh_reconstruct_field) are ring
+transforms.  The scalar-SH combination formula s2sh_eval_direct is kept as a
 cross-check away from the poles.
 """
 
@@ -65,8 +69,7 @@ def psh_layout(l_max: int) -> PshLayout:
     """The one place the (l, m, p) order is decided, in closed form:
     pos(l, m, p) = psh_size(l - 1) + (m + l) n_p(l) + rank(p), with n_p = 2
     below l = 2 (p = 0, 3) and 4 from l = 2 (p = 0, 1, 2, 3)."""
-    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    m = np.arange(l.size) - l * l - l
+    l, m = sh.sh_lm_arrays(l_max)
     n_p = np.where(l < 2, 2, 4)
     # psh_size(l - 1) = 2 l^2 + 2 max(l^2 - 4, 0)
     pos0 = 2 * l * l + 2 * np.maximum(l * l - 4, 0) + (m + l) * n_p
@@ -162,16 +165,7 @@ class PshCoeffs:
 
 def s2sh_basis(l_max: int, theta, phi) -> np.ndarray:
     """Matrix of 2Y_lm values over the spin-2 index set, shape (N, n_spin2)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
-    phi = np.atleast_1d(np.asarray(phi, dtype=float)).ravel()
-    out = np.zeros((theta.size, spin2_size(l_max)), dtype=complex)
-    nrm = np.sqrt((2 * np.arange(l_max + 1) + 1) / FOUR_PI)[:, None]
-    for m in range(-l_max, l_max + 1):
-        lo = max(2, abs(m))
-        vals = nrm[lo:] * sh.wigner_small_d_column(l_max, m, -2, theta)[lo:] * np.exp(1j * m * phi)
-        ls = np.arange(lo, l_max + 1)
-        out[:, ls * ls + ls + m - 4] = vals.T       # the columns spin2_index(l, m)
-    return out
+    return sh.spin_basis(l_max, 2, theta, phi)
 
 
 def s2sh_eval(l: int, m: int, theta, phi):
@@ -211,55 +205,42 @@ def s2sh_eval_direct(l: int, m: int, theta, phi):
 
 def psh_basis_eval(l: int, m: int, p: int, theta, phi) -> np.ndarray:
     """Stokes components of one PSH basis function under the theta-phi frame."""
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast(theta, np.asarray(phi)).shape
+    shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
     out = np.zeros(shape + (4,))
     if p in (0, 3):
-        y = sh.sh_real(l, m, np.ravel(theta), np.ravel(np.asarray(phi, dtype=float)))
-        out[..., 0 if p == 0 else 3] = np.reshape(y, shape)
+        out[..., p] = np.reshape(sh.sh_real(l, m, theta, phi), shape)
     else:
-        y = s2sh_eval(l, m, np.ravel(theta), np.ravel(np.asarray(phi, dtype=float)))
-        y = np.reshape(1j ** (p - 1) * y, shape)
-        out[..., 1] = y.real
-        out[..., 2] = y.imag
+        y = np.reshape(1j ** (p - 1) * s2sh_eval(l, m, theta, phi), shape)
+        out[..., 1], out[..., 2] = y.real, y.imag
     return out
 
 
 def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
-    """Quadrature projection f_lmp = <Y_lmp, f> of a Stokes field."""
+    """Quadrature projection f_lmp = <Y_lmp, f> of a Stokes field (ring transforms)."""
     if field.sampling != SAMPLING_QUAD:
         raise ValueError("projection requires quadrature sampling")
     if field.grid.band < l_max:
         raise ValueError(f"grid band {field.grid.band} insufficient for l_max {l_max}")
-    th, ph = field.grid.angles()
-    w = field.grid.weights().ravel()
-    br = sh.sh_basis_real(l_max, th.ravel(), ph.ravel())
-    b2 = s2sh_basis(l_max, th.ravel(), ph.ravel())
-    s0 = br.T @ (w * field.data[..., 0].ravel())
-    s3 = br.T @ (w * field.data[..., 3].ravel())
-    # conj(B^T conj(v)) = B^H v without a conjugated copy of the basis
-    spin2 = np.conj(b2.T @ np.conj(w * field.spin2_complex().ravel()))
+    scalar = np.moveaxis(field.data[..., [0, 3]], -1, 0)
+    s0, s3 = sh.c2r_values(sh.ring_analysis(scalar, field.grid, l_max, 0)).real
+    spin2 = sh.ring_analysis(field.spin2_complex(), field.grid, l_max, 2)[4:]
     return PshCoeffs(l_max, s0, spin2, s3)
 
 
 def psh_reconstruct(coeffs: PshCoeffs, theta, phi) -> np.ndarray:
     """Evaluate the Stokes field (components under theta-phi frames)."""
-    theta = np.asarray(theta, dtype=float)
-    shape = np.broadcast(theta, np.asarray(phi)).shape
-    th = np.ravel(np.broadcast_to(theta, shape)).astype(float)
-    ph = np.ravel(np.broadcast_to(np.asarray(phi, dtype=float), shape))
-    br = sh.sh_basis_real(coeffs.l_max, th, ph)
-    b2 = s2sh_basis(coeffs.l_max, th, ph)
-    s0 = br @ coeffs.s0
-    s3 = br @ coeffs.s3
-    c = b2 @ coeffs.spin2
-    out = np.stack([s0, c.real, c.imag, s3], axis=-1)
-    return out.reshape(shape + (4,))
+    shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
+    s0, s3 = (sh.sh_basis_real(coeffs.l_max, theta, phi) @ np.stack([coeffs.s0, coeffs.s3], -1)).T
+    c = s2sh_basis(coeffs.l_max, theta, phi) @ coeffs.spin2
+    return np.stack([s0, c.real, c.imag, s3], axis=-1).reshape(shape + (4,))
 
 
 def psh_reconstruct_field(coeffs: PshCoeffs, grid: SphereGrid) -> StokesField:
-    th, ph = grid.angles()
-    return StokesField(psh_reconstruct(coeffs, th, ph), SAMPLING_QUAD, grid)
+    """The Stokes field on a quadrature grid, by ring transforms."""
+    s0, s3 = sh.ring_synthesis(sh.r2c_values(np.stack([coeffs.s0, coeffs.s3])), grid, 0).real
+    spin2 = np.pad(coeffs.spin2, (sh_size(coeffs.l_max) - coeffs.spin2.size, 0))   # from l = 0
+    lin = sh.ring_synthesis(spin2, grid, 2)
+    return StokesField(np.stack([s0, lin.real, lin.imag, s3], axis=-1), SAMPLING_QUAD, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Scalar (spin-0) spherical harmonics.
+"""Scalar (spin-0) spherical harmonics and the one spin-weighted generator.
 
 Evaluation, projection, Wigner-D rotation (complex and real bases), the zonal
 convolution theorem, Wigner 3-j triple products, and the z-flip reflection
 operator.
 
-Conventions (pinned, since libraries differ):
+Both parts of the PSH basis follow one identity,
+  sY_lm(theta, phi) = sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta) e^{i m phi},
+with s = 0 here and s = 2 for the linear pair.  spin_theta_table generates
+its theta factor for every (l, m); scattered points multiply it by the phase,
+and grid transforms are ring transforms (ring_analysis / ring_synthesis).
+
+Conventions (pinned, since libraries differ): for s = 0 this is
   Y_lm(theta, phi) = A_lm P_l^m(cos theta) e^{i m phi},
   A_lm = sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!),
 with the Condon-Shortley phase (-1)^m inside P_l^m, and
@@ -47,6 +53,16 @@ def sh_index(l: int, m: int) -> int:
 
 def sh_lm_list(l_max: int):
     return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+
+
+@lru_cache(maxsize=None)
+def sh_lm_arrays(l_max: int):
+    """Read-only (l, m) of every position in sh_index order."""
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.arange(l.size) - l * l - l
+    for a in (l, m):
+        a.setflags(write=False)
+    return l, m
 
 
 @dataclass
@@ -94,117 +110,6 @@ def assoc_legendre(l: int, m: int, x):
     for ll in range(m + 2, l + 1):
         pmm, pmm1 = pmm1, ((2 * ll - 1) * x * pmm1 - (ll + m - 1) * pmm) / (ll - m)
     return pmm1
-
-
-def _norm_legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
-    """Fully normalized A_lm P_l^m(x) for all 0 <= m <= l <= l_max.
-
-    Returns array (n_points, n_pairs) indexed by sh_index restricted to m >= 0
-    positions; entries with m < 0 are left zero (filled by conjugation later).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    out = np.zeros((x.size, sh_size(l_max)))
-    # N_m^m
-    nmm = np.full(x.size, math.sqrt(1.0 / FOUR_PI))
-    for m in range(l_max + 1):
-        if m > 0:
-            nmm = -nmm * s * math.sqrt((2 * m + 1) / (2.0 * m))
-        out[:, sh_index(m, m)] = nmm
-        if m + 1 <= l_max:
-            prev2 = nmm
-            prev1 = x * math.sqrt(2 * m + 3) * nmm
-            out[:, sh_index(m + 1, m)] = prev1
-            for l in range(m + 2, l_max + 1):
-                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                prev2, prev1 = prev1, a * (x * prev1 - b * prev2)
-                out[:, sh_index(l, m)] = prev1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# basis evaluation
-# ---------------------------------------------------------------------------
-
-def sh_basis_complex(l_max: int, theta, phi) -> np.ndarray:
-    """Matrix of Y_lm values, shape (n_points, (l_max+1)^2)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
-    phi = np.atleast_1d(np.asarray(phi, dtype=float)).ravel()
-    nlm = _norm_legendre_table(l_max, np.cos(theta))
-    out = np.zeros((theta.size, sh_size(l_max)), dtype=complex)
-    for m in range(l_max + 1):
-        e = np.exp(1j * m * phi)
-        for l in range(m, l_max + 1):
-            v = nlm[:, sh_index(l, m)] * e
-            out[:, sh_index(l, m)] = v
-            if m > 0:
-                out[:, sh_index(l, -m)] = (-1.0) ** m * np.conj(v)
-    return out
-
-
-def sh_basis_real(l_max: int, theta, phi) -> np.ndarray:
-    """Matrix of real SH values Y^R_lm, shape (n_points, (l_max+1)^2)."""
-    yc = sh_basis_complex(l_max, theta, phi)
-    out = np.zeros(yc.shape)
-    for l in range(l_max + 1):
-        out[:, sh_index(l, 0)] = yc[:, sh_index(l, 0)].real
-        for m in range(1, l + 1):
-            out[:, sh_index(l, m)] = math.sqrt(2.0) * yc[:, sh_index(l, m)].real
-            out[:, sh_index(l, -m)] = math.sqrt(2.0) * yc[:, sh_index(l, m)].imag
-    return out
-
-
-def sh_complex(l: int, m: int, theta, phi):
-    """Single complex SH value(s)."""
-    if abs(m) > l:
-        raise ValueError("need |m| <= l")
-    y = sh_basis_complex(l, theta, phi)[:, sh_index(l, m)]
-    return y[0] if y.size == 1 else y
-
-
-def sh_real(l: int, m: int, theta, phi):
-    """Single real SH value(s)."""
-    if abs(m) > l:
-        raise ValueError("need |m| <= l")
-    y = sh_basis_real(l, theta, phi)[:, sh_index(l, m)]
-    return float(y[0]) if y.size == 1 else y
-
-
-# ---------------------------------------------------------------------------
-# projection / reconstruction on quadrature grids
-# ---------------------------------------------------------------------------
-
-def _basis_on_grid(l_max, grid: SphereGrid, kind):
-    th, ph = grid.angles()
-    fn = sh_basis_complex if kind == "complex" else sh_basis_real
-    return fn(l_max, th.ravel(), ph.ravel())
-
-
-def sh_project(field: np.ndarray, grid: SphereGrid, l_max: int, kind="complex") -> ShCoeffs:
-    """Project grid samples onto SH up to l_max: f_lm = <Y_lm, f>.
-
-    `field` has shape (n_theta, n_phi); the grid band must be at least l_max.
-    """
-    if grid.band < l_max:
-        raise ValueError(f"grid band {grid.band} insufficient for l_max {l_max}")
-    vals = np.asarray(field).reshape(-1)
-    w = grid.weights().reshape(-1)
-    basis = _basis_on_grid(l_max, grid, kind)
-    coeff = basis.conj().T @ (w * vals)
-    if kind == "real":
-        coeff = coeff.real if not np.iscomplexobj(vals) else coeff
-    return ShCoeffs(l_max, kind, coeff)
-
-
-def sh_reconstruct(coeffs: ShCoeffs, theta, phi):
-    """Evaluate sum_lm f_lm Y_lm at the given angles."""
-    fn = sh_basis_complex if coeffs.kind == "complex" else sh_basis_real
-    theta = np.asarray(theta, dtype=float)
-    shape = theta.shape
-    basis = fn(coeffs.l_max, np.ravel(theta), np.ravel(np.asarray(phi, dtype=float)))
-    out = basis @ coeffs.values
-    return out.reshape(shape) if shape else out[()] if out.ndim == 0 else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,27 +161,6 @@ def _wigner_d_step(l, m, mp, x, d, d_prev):
             / (l * (((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - mp * mp)) ** 0.5))
 
 
-def wigner_small_d_column(l_max, m, mp, beta):
-    """d^l_{m m'}(beta) for l = 0..l_max at fixed (m, m'), vectorized in beta.
-
-    Returns array (l_max+1, n_beta); entries with l < max(|m|,|m'|) are zero.
-    """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    out = np.zeros((l_max + 1, beta.size))
-    l0 = max(abs(m), abs(mp))
-    if l0 > l_max:
-        return out
-    x = np.cos(beta)
-    out[l0] = _wigner_d_seed(m, mp, beta)
-    for l in range(l0, l_max):
-        out[l + 1] = x * out[0] if l == 0 else _wigner_d_step(l, m, mp, x, out[l], out[l - 1])
-    # exact pole values: d(0) = delta_{mm'}, d(pi) = (-1)^{l-m'} delta_{m,-m'}
-    out[l0:, beta == 0.0] = float(m == mp)
-    if (beta == np.pi).any():
-        out[l0:, beta == np.pi] = (-1.0) ** (np.arange(l0, l_max + 1)[:, None] - mp) * (m == -mp)
-    return out
-
-
 def wigner_d_stack(l_max: int, R):
     """Complex Wigner blocks D^l(R), shape (2l+1, 2l+1), for all l <= l_max.
 
@@ -311,38 +195,55 @@ def wigner_d_complex(l: int, R) -> np.ndarray:
     return wigner_d_stack(l, R)[l]
 
 
-@lru_cache(maxsize=None)
-def _c2r_block(m: int) -> np.ndarray:
-    """M^{C->R} 2x2 block for |m| > 0, rows/cols ordered (+|m|, -|m|)."""
-    sign = (-1.0) ** m
-    blk = np.array([[1.0, sign], [-1.0j, sign * 1.0j]]) / math.sqrt(2.0)
-    blk.setflags(write=False)
-    return blk
+def _c2r_rows(m):
+    """Row m of the C->R change of basis U, vectorized over m: U[m, m] = diag
+    and U[m, -m] += off (off = 0 at m = 0)."""
+    sign = 1.0 - 2.0 * (m % 2)
+    diag = np.where(m > 0, 1.0, np.where(m < 0, 1j * sign, math.sqrt(2.0))) / math.sqrt(2.0)
+    off = np.where(m > 0, sign, np.where(m < 0, -1j, 0.0)) / math.sqrt(2.0)
+    return diag, off
 
 
+def _c2r_dense(m):
+    """The C->R matrix over the sh_index positions holding these m (-m sits at k - 2m)."""
+    k = np.arange(m.size)
+    diag, off = _c2r_rows(m)
+    U = np.zeros((k.size, k.size), dtype=complex)
+    U[k, k] = diag
+    U[k, k - 2 * m] += off
+    return U
+
+
+@lru_cache(maxsize=64)
 def complex_to_real_block(l: int) -> np.ndarray:
-    """Unitary (2l+1)x(2l+1) matrix U with Y^R_lm = sum_m' U_{mm'} Y^C_{lm'}."""
-    n = 2 * l + 1
-    U = np.zeros((n, n), dtype=complex)
-    U[l, l] = 1.0
-    for m in range(1, l + 1):
-        blk = _c2r_block(m)
-        U[l + m, l + m] = blk[0, 0]
-        U[l + m, l - m] = blk[0, 1]
-        U[l - m, l + m] = blk[1, 0]
-        U[l - m, l - m] = blk[1, 1]
+    """Unitary (2l+1)x(2l+1) matrix U with Y^R_lm = sum_m' U_{mm'} Y^C_{lm'} (read-only)."""
+    U = _c2r_dense(np.arange(-l, l + 1))
+    U.setflags(write=False)
     return U
 
 
 @lru_cache(maxsize=8)
 def complex_to_real_matrix(l_max: int) -> np.ndarray:
     """Block-diagonal (read-only) complex_to_real_block over l = 0..l_max."""
-    U = np.zeros((sh_size(l_max), sh_size(l_max)), dtype=complex)
-    for l in range(l_max + 1):
-        sl = slice(l * l, (l + 1) ** 2)
-        U[sl, sl] = complex_to_real_block(l)
+    U = _c2r_dense(sh_lm_arrays(l_max)[1])
     U.setflags(write=False)
     return U
+
+
+def c2r_values(c):
+    """Real-basis coefficients conj(U) c from complex-basis ones, along the
+    last axis in sh_index order (U as in complex_to_real_matrix)."""
+    m = sh_lm_arrays(math.isqrt(np.shape(c)[-1]) - 1)[1]
+    diag, off = _c2r_rows(m)
+    return diag.conj() * c + off.conj() * c[..., np.arange(m.size) - 2 * m]
+
+
+def r2c_values(r):
+    """Complex-basis coefficients U^T r from real-basis ones (inverse of c2r_values)."""
+    m = sh_lm_arrays(math.isqrt(np.shape(r)[-1]) - 1)[1]
+    mirror = np.arange(m.size) - 2 * m
+    diag, off = _c2r_rows(m)
+    return diag * r + off[mirror] * r[..., mirror]
 
 
 def wigner_d_real_from_complex(D: np.ndarray) -> np.ndarray:
@@ -372,11 +273,152 @@ def sh_coeffs_r2c(coeffs: ShCoeffs) -> ShCoeffs:
     """Convert real-SH coefficients of a function to complex-SH coefficients."""
     if coeffs.kind != "real":
         raise ValueError("expected real coefficients")
-    out = np.zeros(coeffs.values.shape, dtype=complex)
-    for l in range(coeffs.l_max + 1):
-        sl = slice(sh_index(l, -l), sh_index(l, l) + 1)
-        out[sl] = complex_to_real_block(l).T @ coeffs.values[sl]
-    return ShCoeffs(coeffs.l_max, "complex", out)
+    return ShCoeffs(coeffs.l_max, "complex", r2c_values(coeffs.values))
+
+
+# ---------------------------------------------------------------------------
+# spin-weighted harmonics: one generator
+# ---------------------------------------------------------------------------
+
+def spin_theta_table(l_max: int, s: int, theta) -> np.ndarray:
+    """sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta) for every (l, m) in sh_index order.
+
+    Shape (n_theta, (l_max+1)^2); zero where l < max(|m|, s); s is 0 or 2.
+    This is the theta factor of sY_lm = (this) e^{i m phi}.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
+    out = np.zeros((theta.size, sh_size(l_max)))
+    for l, block in _theta_blocks(l_max, s, theta):
+        out[:, l * l:(l + 1) ** 2] = block
+    return out
+
+
+def _theta_blocks(l_max, s, theta):
+    """Yield (l, block l of spin_theta_table) for l = s..l_max.
+
+    It runs wigner_d_stack's recurrence on the column m' = -s, one step per
+    l over every m, seeding each m at l = max(|m|, s); the poles are exact.
+    """
+    ms = np.arange(-l_max, l_max + 1)
+    seed = _wigner_d_seed(ms, -s, theta)
+    x = np.cos(theta)[:, None]
+    d = d_prev = np.zeros((theta.size, max(2 * s - 1, 1)))
+    for l in range(s, l_max + 1):
+        m = ms[l_max - l:l_max + l + 1]
+        nxt = seed[:, l_max - l:l_max + l + 1].copy()   # the ring |m| = l is seeded
+        if l == 1:
+            nxt[:, 1:-1] = x * d
+        elif l > s:
+            nxt[:, 1:-1] = _wigner_d_step(l - 1, m[1:-1], -s, x, d,
+                                          np.pad(d_prev, ((0, 0), (1, 1))))
+        nxt[theta == 0.0] = m == -s
+        nxt[theta == np.pi] = (m == s) * (-1.0) ** (l + s)
+        yield l, math.sqrt((2 * l + 1) / FOUR_PI) * nxt
+        d, d_prev = nxt, d
+
+
+def _basis(l_max, s, theta, phi, phase):
+    """Block l of spin_theta_table(theta) times phase(m, phi) for m = -l..l,
+    for every l >= s, at broadcast scattered points (no full table is held)."""
+    theta, phi = (np.ravel(a).astype(float) for a in np.broadcast_arrays(theta, phi))
+    ph = phase(np.arange(-l_max, l_max + 1), phi[:, None])
+    out = np.empty((theta.size, sh_size(l_max) - s * s), dtype=ph.dtype)
+    for lo in range(0, theta.size, 2048):   # points in chunks: small temporaries
+        for l, block in _theta_blocks(l_max, s, theta[lo:lo + 2048]):
+            np.multiply(block, ph[lo:lo + 2048, l_max - l:l_max + l + 1],
+                        out=out[lo:lo + 2048, l * l - s * s:(l + 1) ** 2 - s * s])
+    return out
+
+
+def spin_basis(l_max: int, s: int, theta, phi) -> np.ndarray:
+    """sY_lm at scattered points for l = s..l_max, shape (n_points,
+    (l_max+1)^2 - s^2), sh_index order from (l, m) = (s, -s)."""
+    return _basis(l_max, s, theta, phi, lambda m, p: np.exp(1j * m * p))
+
+
+def sh_basis_complex(l_max: int, theta, phi) -> np.ndarray:
+    """Matrix of Y_lm values, shape (n_points, (l_max+1)^2)."""
+    return spin_basis(l_max, 0, theta, phi)
+
+
+def sh_basis_real(l_max: int, theta, phi) -> np.ndarray:
+    """Matrix of real SH values Y^R_lm, shape (n_points, (l_max+1)^2): sqrt(2)
+    Re Y_lm for m > 0, and for m < 0 sqrt(2) Im Y_l|m| = sqrt(2) (-1)^m T_lm
+    sin(|m| phi) with T the spin_theta_table (T_{l,-m} = (-1)^m T_lm)."""
+    r2 = math.sqrt(2.0)
+    return _basis(l_max, 0, theta, phi, lambda m, p: np.where(
+        m > 0, r2 * np.cos(m * p), np.where(m < 0, r2 * (1 - 2 * (m % 2)) * np.sin(-m * p), 1.0)))
+
+
+def sh_complex(l: int, m: int, theta, phi):
+    """Single complex SH value(s); |m| <= l."""
+    y = sh_basis_complex(l, theta, phi)[:, sh_index(l, m)]
+    return y[0] if y.size == 1 else y
+
+
+def sh_real(l: int, m: int, theta, phi):
+    """Single real SH value(s); |m| <= l."""
+    y = sh_basis_real(l, theta, phi)[:, sh_index(l, m)]
+    return float(y[0]) if y.size == 1 else y
+
+
+# ---------------------------------------------------------------------------
+# ring transforms on quadrature grids
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _ring_table(l_max: int, s: int, theta_nodes: bytes) -> np.ndarray:
+    table = spin_theta_table(l_max, s, np.frombuffer(theta_nodes))
+    table.setflags(write=False)
+    return table
+
+
+def ring_table(l_max: int, s: int, grid: SphereGrid) -> np.ndarray:
+    """Read-only spin_theta_table at a grid's theta nodes, cached per (l_max, s, nodes)."""
+    return _ring_table(l_max, s, np.asarray(grid.theta_nodes, dtype=float).tobytes())
+
+
+def ring_analysis(values, grid: SphereGrid, l_max: int, s: int) -> np.ndarray:
+    """<sY_lm, f> for every (l, m) from grid samples (..., n_theta, n_phi), as
+    (..., (l_max+1)^2): an FFT over phi per ring, read at m mod n_phi, then a
+    theta sum against the ring table with the ring weights."""
+    m = sh_lm_arrays(l_max)[1]
+    rings = np.fft.fft(values, axis=-1)[..., m % grid.n_phi]
+    return np.sum(rings * (grid.theta_weights[:, None] * ring_table(l_max, s, grid)), axis=-2)
+
+
+def ring_synthesis(coeffs, grid: SphereGrid, s: int) -> np.ndarray:
+    """sum_lm c_lm sY_lm on a grid, (..., (l_max+1)^2) -> (..., n_theta, n_phi):
+    the reverse of ring_analysis, each ring's theta sum at m lands in bin
+    m mod n_phi, then an inverse FFT over phi."""
+    l_max = math.isqrt(np.shape(coeffs)[-1]) - 1
+    m = sh_lm_arrays(l_max)[1]
+    fold = (m[:, None] % grid.n_phi == np.arange(grid.n_phi)).astype(float)
+    rings = ring_table(l_max, s, grid) * np.asarray(coeffs)[..., None, :]
+    return np.fft.ifft(rings.real @ fold + 1j * (rings.imag @ fold), axis=-1) * grid.n_phi
+
+
+def sh_project(field: np.ndarray, grid: SphereGrid, l_max: int, kind="complex") -> ShCoeffs:
+    """Project grid samples onto SH up to l_max: f_lm = <Y_lm, f>.
+
+    `field` has shape (n_theta, n_phi); the grid band must be at least l_max.
+    """
+    if grid.band < l_max:
+        raise ValueError(f"grid band {grid.band} insufficient for l_max {l_max}")
+    vals = np.reshape(field, (np.size(grid.theta_nodes), grid.n_phi))
+    coeff = ring_analysis(vals, grid, l_max, 0)
+    if kind == "real":
+        coeff = c2r_values(coeff)
+        coeff = coeff if np.iscomplexobj(vals) else coeff.real
+    return ShCoeffs(l_max, kind, coeff)
+
+
+def sh_reconstruct(coeffs: ShCoeffs, theta, phi):
+    """Evaluate sum_lm f_lm Y_lm at the given angles."""
+    fn = sh_basis_complex if coeffs.kind == "complex" else sh_basis_real
+    out = fn(coeffs.l_max, theta, phi) @ coeffs.values
+    shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
+    return out.reshape(shape) if shape else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +429,12 @@ def sh_convolve(kernel_zonal: ShCoeffs, coeffs: ShCoeffs) -> ShCoeffs:
     """f'_{lm} = sqrt(4 pi / (2l+1)) k_{l0} f_{lm}; kernel must be zonal."""
     if kernel_zonal.l_max < coeffs.l_max:
         raise ValueError("kernel band too small")
-    for l, m in sh_lm_list(kernel_zonal.l_max):
-        if m != 0 and abs(kernel_zonal.values[sh_index(l, m)]) > 1e-12:
-            raise ValueError("kernel has non-zonal (m != 0) content")
-    out = np.array(coeffs.values,
-                   dtype=complex if coeffs.kind == "complex" else float)
-    for l in range(coeffs.l_max + 1):
-        sl = slice(sh_index(l, -l), sh_index(l, l) + 1)
-        out[sl] *= math.sqrt(FOUR_PI / (2 * l + 1)) * np.real(kernel_zonal.values[sh_index(l, 0)])
+    m = sh_lm_arrays(kernel_zonal.l_max)[1]
+    if np.abs(kernel_zonal.values[m != 0]).max(initial=0.0) > 1e-12:
+        raise ValueError("kernel has non-zonal (m != 0) content")
+    l = sh_lm_arrays(coeffs.l_max)[0]
+    out = (np.asarray(coeffs.values, dtype=complex if coeffs.kind == "complex" else float)
+           * (np.sqrt(FOUR_PI / (2 * l + 1)) * np.real(kernel_zonal.values[l * l + l])))
     return ShCoeffs(coeffs.l_max, coeffs.kind, out)
 
 

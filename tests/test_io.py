@@ -247,3 +247,28 @@ def test_non_finite_payload_names_format_and_index(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(pio.FormatError, match="PSH4 l_max=2: non-finite value at payload index 5"):
         pio.load_psh_coeffs(p)
+
+
+@pytest.mark.parametrize("fmt", ["PSHC", "PSH4", "PSHM", "PSHK"])
+def test_payload_must_match_header_exactly(tmp_path, fmt):
+    # one appended byte, or a header band of 1 over an l_max = 2 payload:
+    # either way the sizes disagree and nothing is loaded
+    save, load, obj, l_max_offset = {
+        "PSHC": (pio.save_sh_coeffs, pio.load_sh_coeffs, sh.ShCoeffs(2, "real", np.ones(9)), 9),
+        "PSH4": (pio.save_psh_coeffs, pio.load_psh_coeffs,
+                 pipeline.random_psh_coeffs(2, seed=1), 4),
+        "PSHM": (pio.save_psh_matrix, pio.load_psh_matrix,
+                 PshCoeffMatrix(2, np.eye(psh.psh_size(2))), 4),
+        "PSHK": (pio.save_kernel_coeffs, pio.load_kernel_coeffs,
+                 pconv.PolarConvKernelCoeffs.zeros(2), 4),
+    }[fmt]
+    p = tmp_path / "f.bin"
+    save(p, obj)
+    good = p.read_bytes()
+    assert load(p).l_max == 2
+    p.write_bytes(good + b"\0")
+    with pytest.raises(pio.FormatError, match="l_max=2 payload size mismatch"):
+        load(p)
+    p.write_bytes(good[:l_max_offset] + struct.pack("<I", 1) + good[l_max_offset + 4:])
+    with pytest.raises(pio.FormatError, match="l_max=1 payload size mismatch"):
+        load(p)

@@ -165,11 +165,10 @@ def test_visibility_basis_cache_keyed_on_grid_nodes():
 def test_cached_tables_are_read_only():
     g = geom.gauss_legendre_grid(4)
     op.visibility_project(lambda d: np.ones(np.asarray(d).shape[:-1]), 4, g)
-    basis = op._weighted_real_basis(4, g.band, g.theta_nodes.tobytes(),
-                                    g.theta_weights.tobytes(), g.n_phi)
-    tables = [*op._triple_tensors(2, 4), *psh.psh_layout(3), basis,
-              sh._c2r_block(1), sh.complex_to_real_matrix(3), *pconv._conv_tables(3),
-              *pconv._fit_weights(3)]
+    tables = [*op._triple_tensors(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
+              sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3), sh.complex_to_real_block(2),
+              sh.complex_to_real_matrix(3),
+              *pconv._conv_tables(3), *pconv._fit_weights(3)]
     for a in tables:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]

@@ -96,6 +96,21 @@ def test_obj_rejects_bad_faces(tmp_path):
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n")
     with pytest.raises(ValueError, match="line 4"):
         pl.load_obj(path)
+    # non-finite or missing coordinates, even where given normals hide them
+    tri = "vn 0 0 1\nf 1//1 2//1 3//1\n"
+    for bad in ("v nan 0 0", "v 0 inf 0", "v 0 0"):
+        path.write_text(bad + "\nv 1 0 0\nv 0 1 0\n" + tri)
+        with pytest.raises(ValueError, match="line 1: v needs three finite numbers"):
+            pl.load_obj(path)
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvn 0 0 0\nf 1//1 2//1 3//1\n")
+    with pytest.raises(ValueError, match="vertex 1 has no usable normal"):
+        pl.load_obj(path)
+    path.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")     # a degenerate face
+    with pytest.raises(ValueError, match="vertex 1 has no usable normal"):
+        pl.load_obj(path)
+    path.write_text("v 0 0 0\n")
+    with pytest.raises(ValueError, match="no faces"):
+        pl.load_obj(path)
 
 
 def test_ray_visibility_convex():

@@ -1,9 +1,12 @@
 """Seeded property tests (hypothesis, derandomized)."""
 
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from polarsh import geom, pconv, polar
+from polarsh import geom, pconv, pipeline, polar
 from polarsh import shscalar as sh
 
 REAL_FAMILIES = ("k00", "k03", "k30", "k33")
@@ -100,3 +103,50 @@ def test_batched_reframe_equals_per_element(seed, pole_eps):
         assert np.abs(batched_m[i, j] - one).max() <= 1e-15
     # one vector against a stack of frames broadcasts
     assert np.abs(polar.stokes_reframe(s[0, 0], F, G)[0, 0] - batched_s[0, 0]).max() <= 1e-15
+
+
+_NUMBER = st.one_of(st.integers(-3, 3).map(str),
+                    st.floats(allow_nan=True, allow_infinity=True, width=32).map(repr))
+_FACE_TOKEN = st.builds(lambda i, n, form: form.format(i=i, n=n), st.integers(-7, 7),
+                        st.integers(-7, 7), st.sampled_from(["{i}", "{i}//{n}", "{i}/{n}",
+                                                             "{i}/{n}/{n}", "{i}/"]))
+_OBJ_LINE = st.one_of(
+    st.lists(_NUMBER, max_size=4).map(lambda xs: " ".join(["v"] + xs)),
+    st.lists(_NUMBER, max_size=4).map(lambda xs: " ".join(["vn"] + xs)),
+    st.lists(_FACE_TOKEN, max_size=5).map(lambda ts: " ".join(["f"] + ts)),
+    st.text(st.characters(codec="utf-8"), max_size=10))
+
+
+def _tetrahedron_obj(normals):
+    lines = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "v 0 0 1"]
+    if normals:
+        lines += ["vn 1 1 1", "vn -1 0 0", "vn 0 -1 0", "vn 0 0 -1"]
+    tris = ["1 3 2", "1 2 4", "1 4 3", "2 3 4"]
+    return lines + ["f " + (" ".join(f"{i}//{i}" for i in t.split()) if normals else t)
+                    for t in tris]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(lines=st.one_of(
+    st.lists(_OBJ_LINE, max_size=12),
+    st.builds(lambda normals, junk, at, cut: (_tetrahedron_obj(normals)[:cut]
+                                             + junk + _tetrahedron_obj(normals)[cut:])[at:],
+              st.booleans(), st.lists(_OBJ_LINE, max_size=3), st.integers(0, 3),
+              st.integers(0, 12))))
+def test_load_obj_raises_or_returns_a_valid_mesh(lines):
+    # random and corrupted OBJ text: a clean error, or a mesh whose triangles
+    # index its vertices and whose normals are finite unit vectors
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.obj")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        try:
+            mesh = pipeline.load_obj(path)
+        except ValueError:          # FormatError and UnicodeDecodeError included
+            return
+    n = mesh.vertices.shape[0]
+    assert mesh.vertices.shape == mesh.normals.shape == (n, 3)
+    assert mesh.triangles.ndim == 2 and mesh.triangles.shape[1] == 3
+    assert ((mesh.triangles >= 0) & (mesh.triangles < n)).all()
+    assert np.isfinite(mesh.vertices).all() and np.isfinite(mesh.normals).all()
+    assert np.abs(np.linalg.norm(mesh.normals, axis=-1) - 1.0).max() < 1e-12

@@ -342,3 +342,68 @@ def test_naive_basis_rotation_not_block_diagonal(rng):
             cols = [2 * sh.sh_index(lp, m) + p for m in range(-lp, lp + 1) for p in (0, 1)]
             off += np.sum(mat[np.ix_(rows, cols)] ** 2)
     assert off / total > 0.01
+
+
+def test_spin2_theta_table_matches_direct_formula():
+    # the scalar-SH combination cancels near the poles (1.7e-10 at theta =
+    # 1e-3, in the formula), so compare where sin(theta) >= 0.1
+    theta = np.linspace(0.1, np.pi - 0.1, 41)
+    table = sh.spin_theta_table(20, 2, theta)
+    assert not table[:, :4].any()
+    for l in range(2, 21):
+        for m in range(-l, l + 1):
+            ref = psh.s2sh_eval_direct(l, m, theta, 0.0)
+            assert np.abs(table[:, sh.sh_index(l, m)] - ref).max() < 1e-12, (l, m)
+
+
+def _ring_grids(L):
+    """The band-L Gauss-Legendre grid and one with n_phi = 40 <= 2 L, whose
+    phi sums alias (weights rescaled to keep the phi cell width)."""
+    g = geom.gauss_legendre_grid(L)
+    return g, geom.SphereGrid(L, g.theta_nodes, g.theta_weights * g.n_phi / 40, 40)
+
+
+@pytest.mark.parametrize("aliased", [False, True])
+def test_ring_transforms_equal_dense_basis_products(rng, aliased):
+    L = 32
+    g = _ring_grids(L)[aliased]
+    th, ph = (a.ravel() for a in g.angles())
+    w = g.weights().ravel()
+    br, b2 = sh.sh_basis_real(L, th, ph), psh.s2sh_basis(L, th, ph)
+    shape = (g.theta_nodes.size, g.n_phi)
+    # sh_project, both kinds, real and complex samples
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    bc = sh.sh_basis_complex(L, th, ph)
+    for kind, basis in (("complex", bc), ("real", br)):
+        for vals in (f.real, f):
+            got = sh.sh_project(vals, g, L, kind).values
+            assert np.abs(got - basis.conj().T @ (w * vals.ravel())).max() < 1e-13, kind
+    # psh_project on unit-scale samples
+    data = rng.uniform(-1, 1, shape + (4,))
+    c = psh.psh_project(StokesField(data, SAMPLING_QUAD, g), L)
+    flat = data.reshape(-1, 4)
+    assert np.abs(c.s0 - br.T @ (w * flat[:, 0])).max() < 1e-13
+    assert np.abs(c.s3 - br.T @ (w * flat[:, 3])).max() < 1e-13
+    assert np.abs(c.spin2 - b2.conj().T @ (w * (flat[:, 1] + 1j * flat[:, 2]))).max() < 1e-13
+    # psh_reconstruct_field on coefficients of unit norm
+    c = random_coeffs(L, rng)
+    c = psh.PshCoeffs(L, c.s0 / c.norm(), c.spin2 / c.norm(), c.s3 / c.norm())
+    out = psh.psh_reconstruct_field(c, g).data.reshape(-1, 4)
+    lin = b2 @ c.spin2
+    dense = np.stack([br @ c.s0, lin.real, lin.imag, br @ c.s3], axis=-1)
+    assert np.abs(out - dense).max() < 1e-13
+
+
+def test_spin2_basis_orthonormal_on_band64_grid():
+    # Gram = sum_ij w_i conj(2Y_a) 2Y_b.  The phi sum of e^{i (m_b - m_a) phi}
+    # over the 130 nodes is n_phi for m_a = m_b and vanishes for the other
+    # |m_b - m_a| <= 128, so the Gram is one theta Gram per m.
+    L = 64
+    g = geom.gauss_legendre_grid(L)
+    phi_sums = np.exp(1j * np.outer(np.arange(1, 2 * L + 1), g.phi_nodes)).sum(axis=1)
+    assert np.abs(phi_sums).max() < 1e-12
+    table = sh.ring_table(L, 2, g) * np.sqrt(g.theta_weights * g.n_phi)[:, None]
+    m = sh.sh_lm_arrays(L)[1]
+    for mm in range(-L, L + 1):
+        cols = table[:, (m == mm) & (np.arange(m.size) >= 4)]
+        assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max() < 1e-12, mm

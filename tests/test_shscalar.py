@@ -102,15 +102,35 @@ def test_project_band_check():
         sh.sh_project(np.zeros((g.theta_nodes.size, g.n_phi)), g, 5)
 
 
+def _d_blocks(l_max, betas):
+    """d^l(beta) for a batch of beta, from wigner_d_stack at rotation_zyz(0, beta, 0)."""
+    return sh.wigner_d_stack(l_max, np.stack([geom.rotation_zyz(0.0, b, 0.0) for b in betas]))
+
+
 def test_wigner_small_d_against_racah(rng):
+    cases = []
     for _ in range(200):
         l = int(rng.integers(0, 22))
         m = int(rng.integers(-l, l + 1)) if l else 0
         mp = int(rng.integers(-l, l + 1)) if l else 0
-        beta = rng.uniform(0, np.pi)
-        a = sh.wigner_small_d_column(l, m, mp, beta)[l, 0]
-        b = sh.wigner_small_d_racah(l, m, mp, beta)
-        assert abs(a - b) < 1e-11
+        cases.append((l, m, mp, rng.uniform(0, np.pi)))
+    stack = _d_blocks(21, [beta for *_, beta in cases])
+    for i, (l, m, mp, beta) in enumerate(cases):
+        assert abs(stack[l][i, l + m, l + mp] - sh.wigner_small_d_racah(l, m, mp, beta)) < 1e-11
+
+
+def test_spin0_theta_table_matches_assoc_legendre():
+    # sqrt((2l+1)/4pi) d^l_{m0}(theta) = A_lm P_l^m(cos theta), Condon-Shortley
+    # phase included, for every (l, m) with l <= 30, poles included.  (Near
+    # a pole the oracle's sqrt(1 - x^2) loses digits that the table keeps.)
+    theta = np.linspace(0.0, np.pi, 25)
+    table = sh.spin_theta_table(30, 0, theta)
+    for l in range(31):
+        for m in range(-l, l + 1):
+            a_lm = math.sqrt((2 * l + 1) / (4 * np.pi)
+                             * math.factorial(l - m) / math.factorial(l + m))
+            ref = a_lm * sh.assoc_legendre(l, m, np.cos(theta))
+            assert np.abs(table[:, sh.sh_index(l, m)] - ref).max() < 1e-12, (l, m)
 
 
 def test_wigner_d_identities(rng):
@@ -208,21 +228,27 @@ def test_wigner_d_stack_matches_racah(rng):
             assert np.abs(stack[l] - racah).max() < 1e-11, (beta, l)
 
 
+def test_spin_theta_table_poles_exact():
+    # d^l_{m,-s}(0) = delta_{m,-s} and d^l_{m,-s}(pi) = (-1)^(l+s) delta_{m,s}
+    for s in (0, 2):
+        table = sh.spin_theta_table(64, s, [0.0, np.pi])
+        l, m = sh.sh_lm_arrays(64)
+        nrm = np.sqrt((2 * l + 1) / (4 * np.pi)) * (l >= s)
+        assert np.array_equal(table[0], nrm * (m == -s))
+        assert np.array_equal(table[1], nrm * (m == s) * (-1.0) ** (l + s))
+
+
 def test_wigner_d_poles_exact_and_finite():
-    l_max = 64
-    ms = range(-l_max, l_max + 1)
-    betas = np.array([0.0, 1e-9, np.pi - 1e-9, np.pi])
-    ls = np.arange(l_max + 1)
-    for m in ms:
-        for mp in ms:
-            col = sh.wigner_small_d_column(l_max, m, mp, betas)
-            live = ls >= max(abs(m), abs(mp))
-            at0 = np.where(live, float(m == mp), 0.0)
-            atpi = np.where(live & (m == -mp), (-1.0) ** (ls - mp), 0.0)
-            assert np.array_equal(col[:, 0], at0) and np.array_equal(col[:, 3], atpi)
-            assert np.isfinite(col).all()
-            assert np.abs(col[:, 1] - at0).max() < 1e-6
-            assert np.abs(col[:, 2] - atpi).max() < 1e-6
+    # rotation_zyz(0, 1e-9, 0) and (0, pi - 1e-9, 0) have R_zz = +-1 in floats
+    stack = _d_blocks(64, [0.0, 1e-9, np.pi - 1e-9, np.pi])
+    for l, d in enumerate(stack):
+        m = np.arange(-l, l + 1)
+        at0 = np.eye(2 * l + 1)
+        atpi = np.eye(2 * l + 1)[::-1] * (-1.0) ** (l - m)    # (-1)^(l-m') at m = -m'
+        assert np.array_equal(d[0], at0) and np.array_equal(d[3], atpi)
+        assert np.isfinite(d).all()
+        assert np.abs(d[1] - at0).max() < 1e-6
+        assert np.abs(d[2] - atpi).max() < 1e-6
     # through rotations: exact identity and flip blocks, finite near the poles
     a, g = 0.4, -1.1
     for beta in (0.0, 1e-9, 1e-6, np.pi - 1e-6, np.pi):
