@@ -323,6 +323,11 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
     vis_grid = gauss_legendre_grid(max(l_vis, 2 * l_high))
     refl_rows, refl_signs = reflection_permutation_psh(l_high)
     z = np.array([0.0, 0.0, 1.0])
+    if use_ray_visibility:
+        # Monte-Carlo projection from Fibonacci ray casts; the local ray
+        # directions, and so their basis, are the same at every vertex
+        dirs_f = fibonacci_directions(n_rays)
+        B = sh.sh_basis_real(l_vis, *dir_to_sph(dirs_f))
 
     def build(i):
         n = mesh.normals[i]
@@ -330,13 +335,9 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
         # project the visibility directly in the vertex's local frame:
         # V_local(w) = V_world(Rv w)
         if use_ray_visibility:
-            # Monte-Carlo projection from Fibonacci ray casts
-            dirs_f = fibonacci_directions(n_rays)
             world = dirs_f @ Rv.T
             vals = (ray_visibility(mesh, i, world)
                     * visibility_from_spheres(occluders, world))
-            th_f, ph_f = dir_to_sph(dirs_f)
-            B = sh.sh_basis_real(l_vis, th_f, ph_f)
             v_local = sh.ShCoeffs(l_vis, "real",
                                   (4.0 * np.pi / n_rays) * (B.T @ vals))
         else:

@@ -164,8 +164,9 @@ class PshCoeffs:
 # ---------------------------------------------------------------------------
 
 def s2sh_basis(l_max: int, theta, phi) -> np.ndarray:
-    """Matrix of 2Y_lm values over the spin-2 index set, shape (N, n_spin2)."""
-    return sh.spin_basis(l_max, 2, theta, phi)
+    """Matrix of 2Y_lm values over the spin-2 index set, shape (N, n_spin2):
+    l = 2..l_max in sh_index order from (l, m) = (2, -2)."""
+    return sh._basis(l_max, 2, theta, phi, sh._cis)
 
 
 def s2sh_eval(l: int, m: int, theta, phi):

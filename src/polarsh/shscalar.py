@@ -322,7 +322,7 @@ def _basis(l_max, s, theta, phi, phase):
     for every l >= s, at broadcast scattered points (no full table is held)."""
     theta, phi = (np.ravel(a).astype(float) for a in np.broadcast_arrays(theta, phi))
     ph = phase(np.arange(-l_max, l_max + 1), phi[:, None])
-    out = np.empty((theta.size, sh_size(l_max) - s * s), dtype=ph.dtype)
+    out = np.empty((theta.size, max(sh_size(l_max) - s * s, 0)), dtype=ph.dtype)
     for lo in range(0, theta.size, 2048):   # points in chunks: small temporaries
         for l, block in _theta_blocks(l_max, s, theta[lo:lo + 2048]):
             np.multiply(block, ph[lo:lo + 2048, l_max - l:l_max + l + 1],
@@ -330,15 +330,13 @@ def _basis(l_max, s, theta, phi, phase):
     return out
 
 
-def spin_basis(l_max: int, s: int, theta, phi) -> np.ndarray:
-    """sY_lm at scattered points for l = s..l_max, shape (n_points,
-    (l_max+1)^2 - s^2), sh_index order from (l, m) = (s, -s)."""
-    return _basis(l_max, s, theta, phi, lambda m, p: np.exp(1j * m * p))
+def _cis(m, phi):
+    return np.exp(1j * m * phi)
 
 
 def sh_basis_complex(l_max: int, theta, phi) -> np.ndarray:
     """Matrix of Y_lm values, shape (n_points, (l_max+1)^2)."""
-    return spin_basis(l_max, 0, theta, phi)
+    return _basis(l_max, 0, theta, phi, _cis)
 
 
 def sh_basis_real(l_max: int, theta, phi) -> np.ndarray:

@@ -192,6 +192,20 @@ def test_pprt_split_band_consistency(small_setup):
     assert np.sqrt(np.mean((split - full) ** 2)) < 0.2 * scale
 
 
+def test_pprt_l_low_zero(small_setup):
+    # with l_low = 0 only l = 0 goes through the transfer matrix, and the
+    # high-band kernel is zero at l = 0: constant lighting shades as at l_high = 0
+    mesh, _, bm, lighting = small_setup
+    recs = pl.pprt_precompute(mesh, bm, (), l_low=0, l_high=6)
+    out = pl.pprt_shade(recs, lighting, mesh.normals)
+    assert out.shape == (len(mesh.vertices), 4) and np.isfinite(out).all()
+    const = psh.PshCoeffs.zeros(6)
+    const.s0[0], const.s3[0] = lighting.s0[0], lighting.s3[0]
+    at0 = pl.pprt_shade(pl.pprt_precompute(mesh, bm, (), 0, 0), const, mesh.normals)
+    assert np.abs(pl.pprt_shade(recs, const, mesh.normals) - at0).max() < 1e-15
+    assert np.abs(at0).max() > 0.0
+
+
 def test_pprt_shade_reference_agreement(small_setup):
     mesh, mat, bm, lighting = small_setup
     occ = [(np.array([0.7, 0.1, 0.7]), 0.6)]

@@ -163,6 +163,14 @@ def test_psh_project_requires_band():
 
 def test_psh_reconstruct_trivial():
     assert np.abs(psh.psh_reconstruct(psh.PshCoeffs.zeros(3), 0.3, 0.2)).max() == 0.0
+    # below l = 2 there are no spin-2 columns; l_max = 0 is the constant s0, s3
+    assert psh.s2sh_basis(0, [0.3, 1.0], [0.2, 4.0]).shape == (2, 0)
+    assert psh.s2sh_basis(1, [0.3, 1.0], [0.2, 4.0]).shape == (2, 0)
+    c0 = psh.PshCoeffs.zeros(0)
+    c0.s0[0], c0.s3[0] = 2.0, -1.0
+    v = psh.psh_reconstruct(c0, np.array([0.0, 1.0, np.pi]), np.array([0.0, 2.0, 5.0]))
+    y00 = 1.0 / np.sqrt(4.0 * np.pi)
+    assert np.abs(v - [2.0 * y00, 0.0, 0.0, -y00]).max() < 1e-15
     c = psh.PshCoeffs.zeros(4)
     c.spin2[psh.spin2_index(2, -1)] = 1.0
     v = psh.psh_reconstruct(c, 0.8, 0.9)

@@ -229,13 +229,17 @@ def test_wigner_d_stack_matches_racah(rng):
 
 
 def test_spin_theta_table_poles_exact():
-    # d^l_{m,-s}(0) = delta_{m,-s} and d^l_{m,-s}(pi) = (-1)^(l+s) delta_{m,s}
+    # d^l_{m,-s}(0) = delta_{m,-s} and d^l_{m,-s}(pi) = (-1)^(l+s) delta_{m,s};
+    # the recurrence stays finite and next to those rows 1e-9 from the poles
     for s in (0, 2):
-        table = sh.spin_theta_table(64, s, [0.0, np.pi])
+        table = sh.spin_theta_table(64, s, [0.0, 1e-9, np.pi - 1e-9, np.pi])
         l, m = sh.sh_lm_arrays(64)
         nrm = np.sqrt((2 * l + 1) / (4 * np.pi)) * (l >= s)
         assert np.array_equal(table[0], nrm * (m == -s))
-        assert np.array_equal(table[1], nrm * (m == s) * (-1.0) ** (l + s))
+        assert np.array_equal(table[3], nrm * (m == s) * (-1.0) ** (l + s))
+        assert np.isfinite(table).all()
+        assert np.abs(table[1] - table[0]).max() < 1e-6
+        assert np.abs(table[2] - table[3]).max() < 1e-6
 
 
 def test_wigner_d_poles_exact_and_finite():
