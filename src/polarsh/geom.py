@@ -152,15 +152,31 @@ def rotation_align(a, b):
 
 
 def zyz_from_rotation(R):
-    """ZYZ Euler angles (alpha, beta, gamma) with R = Rz(a) Ry(b) Rz(g), R (..., 3, 3)."""
+    """ZYZ Euler angles (alpha, beta, gamma) with R = Rz(a) Ry(b) Rz(g), R (..., 3, 3).
+
+    beta = arctan2(hypot(R_xz, R_yz), R_zz) keeps tilts next to either pole.
+    Near a pole only one of alpha +- gamma is large in R: (1 + cos b) e^{i(a+g)}
+    on the north half and (1 - cos b) e^{i(a-g)} on the south half.  The
+    other comes from the products of the small entries R_xz, R_yz, R_zx, R_zy,
+    whose own errors scale with sin b.  Halving the pair fixes alpha up to pi;
+    the sign of (R_xz, R_yz) = sin b (cos a, sin a) settles it.
+    """
     R = np.asarray(R, dtype=float)
-    beta = np.arccos(np.clip(R[..., 2, 2], -1.0, 1.0))
-    # gimbal: only alpha -+ gamma is determined; put it all in alpha
-    gimbal = np.abs(R[..., 2, 2]) > 1.0 - 1e-13
-    flip = np.where(R[..., 2, 2] > 0.0, 1.0, -1.0)
-    alpha = np.where(gimbal, np.arctan2(flip * R[..., 1, 0], flip * R[..., 0, 0]),
-                     np.arctan2(R[..., 1, 2], R[..., 0, 2]))
-    gamma = np.where(gimbal, 0.0, np.arctan2(R[..., 2, 1], -R[..., 2, 0]))
+    xx, xy, xz = R[..., 0, 0], R[..., 0, 1], R[..., 0, 2]
+    yx, yy, yz = R[..., 1, 0], R[..., 1, 1], R[..., 1, 2]
+    zx, zy, zz = R[..., 2, 0], R[..., 2, 1], R[..., 2, 2]
+    beta = np.arctan2(np.hypot(xz, yz), zz)
+    # sin^2 b e^{i(a+g)} and sin^2 b e^{i(a-g)} from the small entries
+    small_sum = np.arctan2(xz * zy - yz * zx, -(xz * zx + yz * zy))
+    small_diff = np.arctan2(-(yz * zx + xz * zy), yz * zy - xz * zx)
+    north = zz >= 0.0
+    a_plus_g = np.where(north, np.arctan2(yx - xy, xx + yy), small_sum)
+    a_minus_g = np.where(north, small_diff, np.arctan2(-(yx + xy), yy - xx))
+    alpha = 0.5 * (a_plus_g + a_minus_g)
+    gamma = 0.5 * (a_plus_g - a_minus_g)
+    flip = np.cos(alpha - np.arctan2(yz, xz)) < 0.0
+    alpha = np.where(flip, alpha + np.pi, alpha)
+    gamma = np.where(flip, gamma + np.pi, gamma)
     return alpha[()], beta[()], gamma[()]
 
 

@@ -1,7 +1,7 @@
 """PSH coefficient matrices for Mueller-valued linear operators.
 
 Double-sphere projection of Mueller transform fields (pBRDF / radiance
-transfer), isotropy sparsity checks and compact storage, shadow matrices via
+transfer; ring by ring for azimuthally symmetric fields), isotropy sparsity checks and compact storage, shadow matrices via
 triple products, the reflection operator, and analytic sphere-cap visibility.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import SphereGrid
+from .geom import SphereGrid, sph_to_dir
 from .shscalar import ShCoeffs, sh_index, sh_size
 
 
@@ -106,58 +106,109 @@ def split_psh_matrix(M: PshCoeffMatrix):
 # double-sphere projection of a Mueller transform field
 # ---------------------------------------------------------------------------
 
-def operator_project(mueller_field, l_max: int, grid: SphereGrid,
-                     chunk: int = 48) -> PshCoeffMatrix:
+_CHUNK = 48   # output directions per field call on the dense path
+
+
+def _spin_parts(K):
+    """The complex fields behind each block of the projection, from Mueller
+    components K (..., 4, 4).
+
+    Yields (group, key, field, s_out, s_in, sign_in): the block is the double
+    integral of conj(Y^{s_out}_out) field Y^{s_in}_in, with conj(Y_in) where
+    sign_in = -1.  The spin 2-to-2 part needs only the iso/conj pair (two
+    integrals instead of four) and each mixed block one complex integral.
+    """
+    for a in (0, 3):
+        for b in (0, 3):
+            yield "scalar", (a, b), K[..., a, b], 0, 0, 1
+        yield "to_spin2", a, K[..., 1, a] + 1j * K[..., 2, a], 2, 0, 1
+        yield "from_spin2", a, K[..., a, 1] - 1j * K[..., a, 2], 0, 2, 1
+    blk = K[..., 1:3, 1:3]
+    yield "iso", None, (0.5 * (blk[..., 0, 0] + blk[..., 1, 1])
+                        + 0.5j * (blk[..., 1, 0] - blk[..., 0, 1])), 2, 2, 1
+    yield "conj", None, (0.5 * (blk[..., 0, 0] - blk[..., 1, 1])
+                         + 0.5j * (blk[..., 1, 0] + blk[..., 0, 1])), 2, 2, -1
+
+
+def _nest(flat):
+    """{(group, key): block} -> the blocks dict of assemble_psh_matrix."""
+    blocks = {}
+    for (group, key), value in flat.items():
+        if key is None:
+            blocks[group] = value
+        else:
+            blocks.setdefault(group, {})[key] = value
+    return blocks
+
+
+def _dense_blocks(mueller_field, l_max, grid):
+    """Every (w_i, w_o) pair of the double grid, _CHUNK output directions per
+    field call; scalar sides in the real basis."""
+    th, ph = (a.ravel() for a in grid.angles())
+    w = grid.weights().ravel()
+    dirs = grid.dirs().reshape(-1, 3)
+    b2 = P.s2sh_basis(l_max, th, ph) * w[:, None]
+    side_in = {(0, 1): sh.sh_basis_real(l_max, th, ph) * w[:, None],
+               (2, 1): b2, (2, -1): b2.conj()}
+    side_out = {0: side_in[(0, 1)], 2: side_in[(2, -1)]}
+    acc = {}
+    for start in range(0, dirs.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        # K[i, o] = matrix for (w_i = dirs[i], w_o = dirs[sl][o])
+        K = np.asarray(mueller_field(dirs[:, None, :], dirs[None, sl, :]))
+        for group, key, g, s_o, s_i, sign in _spin_parts(K):
+            part = side_out[s_o][sl].T @ (g.T @ side_in[(s_i, sign)])
+            acc[group, key] = acc.get((group, key), 0.0) + part
+    return acc
+
+
+def _ring_blocks(mueller_field, l_max, grid):
+    """The same quadrature for a field that depends on phi_o - phi_i only.
+
+    K is sampled once, at w_o on phi = 0 of each ring against every grid w_i:
+    K0[r_o, r_i, k].  The rings are uniform in phi, so the sum over phi_o of
+    the double grid leaves n_phi where mu = m_o (mod n_phi), and zero
+    elsewhere, times F_mu[r_o, r_i] = sum_k K0[r_o, r_i, k] e^{i mu phi_k}
+    at mu = +-m_i, which meets the weighted ring tables on both sides.
+    Complex-basis scalar sides go to the real basis as in shadow_expand.
+    """
+    n = grid.n_phi
+    w_o = sph_to_dir(grid.theta_nodes, 0.0)
+    K0 = np.asarray(mueller_field(grid.dirs()[None], w_o[:, None, None]))
+    m0 = sh.sh_lm_arrays(l_max)[1]
+    m = {0: m0, 2: m0[4:]}                           # spin-2 columns start at l = 2
+    wT = {s: grid.theta_weights[:, None] * sh.ring_table(l_max, s, grid)[:, s * s:]
+          for s in (0, 2)}
+    U = sh.complex_to_real_matrix(l_max)
+    flat = {}
+    for group, key, g, s_o, s_i, sign in _spin_parts(K0):
+        mu = sign * m[s_i]
+        F = np.fft.ifft(g, axis=-1)                 # F_mu / n_phi at mu mod n_phi
+        blk = (n * n) * (wT[s_o].T @ np.einsum("oib,ib->ob", F[..., mu % n], wT[s_i]))
+        blk[(mu[None, :] - m[s_o][:, None]) % n != 0] = 0.0
+        if s_o == 0:
+            blk = U.conj() @ blk
+        if s_i == 0:
+            blk = blk @ U.T
+        flat[group, key] = blk.real if s_o == s_i == 0 else blk
+    return flat
+
+
+def operator_project(mueller_field, l_max: int, grid: SphereGrid) -> PshCoeffMatrix:
     """Project a MuellerFieldFn onto PSH: P = <Y_out, P_F[Y_in]>.
 
-    The spin 2-to-2 sub-blocks are obtained from the two complex integrals of
-    the iso/conj separation (two integrals instead of four), the mixed blocks
-    from one complex integral each.
+    The integral is the grid's quadrature over every (w_i, w_o) pair of the
+    double sphere.  A field whose `azimuthal` attribute is true declares
+    that its components in theta-phi frames depend on phi_i and phi_o only
+    through phi_o - phi_i (SyntheticPbrdf with its normal along +-z); it is
+    sampled once per output ring, and an FFT over phi_i gives the same
+    double sum rearranged, exact on every grid, aliased ones included.  Any
+    other field is sampled at every pair.
     """
     if grid.band < l_max:
         raise ValueError(f"grid band {grid.band} insufficient for l_max {l_max}")
-    th, ph = grid.angles()
-    th = th.ravel()
-    ph = ph.ravel()
-    w = grid.weights().ravel()
-    dirs = grid.dirs().reshape(-1, 3)
-    n_pts = dirs.shape[0]
-
-    br = sh.sh_basis_real(l_max, th, ph)          # (N, S)
-    b2 = P.s2sh_basis(l_max, th, ph)              # (N, S2) complex
-    br_w = br * w[:, None]
-    b2_w = b2 * w[:, None]
-
-    S = sh_size(l_max)
-    S2 = P.spin2_size(l_max)
-    scal = {(a, b): np.zeros((S, S)) for a in (0, 3) for b in (0, 3)}
-    to2 = {b: np.zeros((S2, S), dtype=complex) for b in (0, 3)}
-    from2 = {a: np.zeros((S, S2), dtype=complex) for a in (0, 3)}
-    iso = np.zeros((S2, S2), dtype=complex)
-    conj = np.zeros((S2, S2), dtype=complex)
-
-    for start in range(0, n_pts, chunk):
-        sl = slice(start, min(start + chunk, n_pts))
-        # K[i, o] = matrix for (w_i = dirs[i], w_o = dirs[sl][o])
-        K = np.asarray(mueller_field(dirs[:, None, :], dirs[None, sl, :]))
-        bo_r = br_w[sl]
-        bo_2 = b2_w[sl]
-        for a in (0, 3):
-            for b in (0, 3):
-                tmp = K[:, :, a, b].T @ br_w          # (chunk, S)
-                scal[(a, b)] += bo_r.T @ tmp
-            m_col = K[:, :, 1, a] + 1j * K[:, :, 2, a]  # (N_in, chunk)
-            to2[a] += bo_2.conj().T @ (m_col.T @ br_w)
-            m_row = K[:, :, a, 1] + 1j * K[:, :, a, 2]
-            from2[a] += bo_r.T @ (np.conj(m_row).T @ b2_w)
-        blk = K[:, :, 1:3, 1:3]
-        iso_pt = 0.5 * (blk[..., 0, 0] + blk[..., 1, 1]) + 0.5j * (blk[..., 1, 0] - blk[..., 0, 1])
-        conj_pt = 0.5 * (blk[..., 0, 0] - blk[..., 1, 1]) + 0.5j * (blk[..., 1, 0] + blk[..., 0, 1])
-        iso += bo_2.conj().T @ (iso_pt.T @ b2_w)
-        conj += bo_2.conj().T @ (conj_pt.T @ b2_w.conj())
-
-    blocks = {"scalar": scal, "to_spin2": to2, "from_spin2": from2,
-              "iso": iso, "conj": conj}
+    project = _ring_blocks if getattr(mueller_field, "azimuthal", False) else _dense_blocks
+    blocks = _nest(project(mueller_field, l_max, grid))
     return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, blocks))
 
 

@@ -235,6 +235,11 @@ class SyntheticPbrdf:
     decaying frequency content for large roughness.  Cosine weighting is
     folded in.  Callable as pbrdf(w_i, w_o) -> (4, 4) components under the
     theta-phi frames of w_i and w_o (vectorized over leading axes).
+
+    With the normal along +-z the theta-phi frames turn with the field under
+    rotations about z, so the components depend on phi_o - phi_i only; the
+    read-only `azimuthal` says so, and operators.operator_project then
+    samples one w_o per theta ring instead of the whole double sphere.
     """
 
     def __init__(self, normal=(0.0, 0.0, 1.0), roughness=0.5, ior=1.5,
@@ -248,6 +253,11 @@ class SyntheticPbrdf:
         self.ior = float(ior)
         # None disables the lower-hemisphere falloff (fully smooth variant)
         self.horizon_sharpness = horizon_sharpness
+
+    @property
+    def azimuthal(self):
+        """True exactly when the normal is along +z or -z."""
+        return bool(self.normal[0] == 0.0 and self.normal[1] == 0.0)
 
     def mueller_block(self, w_i, w_o):
         """Raw Mueller matrices in the per-ray s-p frames.

@@ -79,6 +79,62 @@ def test_depolarizer_field_block_separation():
 def test_operator_project_band_check():
     with pytest.raises(ValueError):
         op.operator_project(lambda a, b: np.zeros((4, 4)), 5, geom.gauss_legendre_grid(3))
+    with pytest.raises(ValueError):   # the ring path
+        op.operator_project(synthetic_pbrdf(), 5, geom.gauss_legendre_grid(3))
+
+
+def _dense(field):
+    """The same field without its `azimuthal` declaration: the dense path."""
+    return lambda w_i, w_o: field(w_i, w_o)
+
+
+def _aliased_grid(n_phi):
+    g = geom.gauss_legendre_grid(6)
+    return geom.SphereGrid(6, g.theta_nodes, g.theta_weights * g.n_phi / n_phi, n_phi)
+
+
+@pytest.mark.parametrize("L, grid, kwargs", [
+    (9, geom.gauss_legendre_grid(18), dict(roughness=0.5, horizon_sharpness=0.15)),
+    (4, geom.gauss_legendre_grid(12), dict(roughness=1.0)),
+    (4, geom.gauss_legendre_grid(4), dict(roughness=1.0)),
+    (4, geom.gauss_legendre_grid(12), dict(normal=(0, 0, -1), roughness=0.7, ior=1.3,
+                                           horizon_sharpness=0.2)),
+    (5, _aliased_grid(6), dict(roughness=0.8)),
+    (5, _aliased_grid(11), dict(normal=(0, 0, -2), roughness=0.8)),
+], ids=["L9-band18", "L4-band12", "L4-band4", "normal-z", "nphi6", "nphi11-normal-z"])
+def test_ring_path_matches_dense_path(L, grid, kwargs):
+    pb = synthetic_pbrdf(**kwargs)
+    assert pb.azimuthal
+    ring = op.operator_project(pb, L, grid).matrix
+    dense = op.operator_project(_dense(pb), L, grid).matrix
+    assert np.abs(ring - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_azimuthal_declaration_and_phi_shift(rng):
+    assert not synthetic_pbrdf(normal=(0.1, 0.0, 1.0)).azimuthal
+    assert not synthetic_pbrdf(normal=(0.0, 1e-12, 1.0)).azimuthal
+    for normal in ((0, 0, 1), (0, 0, -1), (0, 0, 3.0)):
+        pb = synthetic_pbrdf(normal=normal, roughness=0.5, horizon_sharpness=0.15)
+        assert pb.azimuthal
+        # the declared symmetry: a common phi shift leaves K unchanged
+        th = np.arccos(rng.uniform(-1, 1, size=(2, 500)))
+        ph = rng.uniform(0, 2 * np.pi, size=(2, 500))
+        shift = rng.uniform(0, 2 * np.pi, size=500)
+        K = pb(geom.sph_to_dir(th[0], ph[0]), geom.sph_to_dir(th[1], ph[1]))
+        Ks = pb(geom.sph_to_dir(th[0], ph[0] + shift), geom.sph_to_dir(th[1], ph[1] + shift))
+        assert np.abs(Ks - K).max() <= 1e-14 * np.abs(K).max()
+    with pytest.raises(AttributeError):
+        pb.azimuthal = False
+
+
+def test_isotropy_sparsity_on_the_dense_path():
+    # criterion 10's pBRDF through the dense path, where the |m_i| = |m_o|
+    # sparsity is measured, not built in
+    M = op.operator_project(_dense(synthetic_pbrdf(roughness=1.0, ior=1.5)), 4,
+                            geom.gauss_legendre_grid(12))
+    comp = op.isotropic_compact(M)
+    assert comp.max_m_violation < 1e-9
+    assert comp.max_pair_violation < 1e-9
 
 
 def test_isotropic_compact(pbrdf_matrix, rng):

@@ -40,6 +40,27 @@ def test_wigner_d_composition(l_max, seed):
 
 
 
+def _haar(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_zyz_round_trip_next_to_the_poles(seed):
+    rng = np.random.default_rng(seed)
+    for tilt in (0.0, 1e-14, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3):
+        for beta in (tilt, np.pi - tilt):
+            a, g = rng.uniform(-np.pi, np.pi, size=2)
+            R = geom.rotation_zyz(a, beta, g)
+            Q = _haar(rng)
+            # Euler-built, the same with rounding in every entry, and Haar-random
+            for M in (R, Q @ (Q.T @ R), _haar(rng)):
+                back = geom.rotation_zyz(*geom.zyz_from_rotation(M))
+                assert np.abs(back - M).max() <= 2e-15
+
+
 def _twisted_frames(rng, shape, pole_eps, count=3):
     """count stacks of frames (shape + (3, 3)) sharing their z axes: the
     theta-phi frame at random directions, each twisted about that direction
