@@ -1,8 +1,9 @@
 """PSH coefficient matrices for Mueller-valued linear operators.
 
 Double-sphere projection of Mueller transform fields (pBRDF / radiance
-transfer; ring by ring for azimuthally symmetric fields), isotropy sparsity checks and compact storage, shadow matrices via
-triple products, the reflection operator, and analytic sphere-cap visibility.
+transfer; ring by ring for azimuthally symmetric fields), isotropy sparsity
+checks and compact storage, shadow matrices by exact single-sphere
+quadrature, the reflection operator, and analytic sphere-cap visibility.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import SphereGrid, sph_to_dir
-from .shscalar import ShCoeffs, sh_index, sh_size
+from .geom import SphereGrid, gauss_legendre_grid, sph_to_dir
+from .shscalar import ShCoeffs
 
 
 @dataclass
@@ -170,7 +171,7 @@ def _ring_blocks(mueller_field, l_max, grid):
     the double grid leaves n_phi where mu = m_o (mod n_phi), and zero
     elsewhere, times F_mu[r_o, r_i] = sum_k K0[r_o, r_i, k] e^{i mu phi_k}
     at mu = +-m_i, which meets the weighted ring tables on both sides.
-    Complex-basis scalar sides go to the real basis as in shadow_expand.
+    Complex-basis scalar sides go to the real basis by complex_to_real_matrix.
     """
     n = grid.n_phi
     w_o = sph_to_dir(grid.theta_nodes, 0.0)
@@ -284,77 +285,50 @@ def visibility_project(vis_fn, l_max: int, grid: SphereGrid) -> ShCoeffs:
     return sh.sh_project(np.asarray(vis_fn(grid.dirs()), dtype=float), grid, l_max, "real")
 
 
-@lru_cache(maxsize=8)
-def _triple_tensors(l_max: int, lv_max: int):
-    """Dense Gaunt tensors contracted against visibility coefficients.
+@lru_cache(maxsize=4)
+def _product_bases(l_max: int, band: int):
+    """Read-only real and spin-2 bases of band l_max at the points of
+    gauss_legendre_grid(band), cached as the ring tables are."""
+    th, ph = (a.ravel() for a in gauss_legendre_grid(band).angles())
+    bases = sh.sh_basis_real(l_max, th, ph), P.s2sh_basis(l_max, th, ph)
+    for b in bases:
+        b.setflags(write=False)
+    return bases
 
-    T000[(lo,mo),(li,mi),(l',m')] for the complex scalar block and
-    T022[spin2_out, spin2_in, (l',m')] for the spin 2-to-2 block.
-    """
-    S = sh_size(l_max)
-    Sv = sh_size(lv_max)
-    T000 = np.zeros((S, S, Sv))
-    T022 = np.zeros((P.spin2_size(l_max), P.spin2_size(l_max), Sv))
-    lm = sh.sh_lm_list(l_max)
-    for io, (lo, mo) in enumerate(lm):
-        for ii, (li, mi) in enumerate(lm):
-            mv = mo - mi
-            for lv in range(max(abs(lo - li), abs(mv)), min(lo + li, lv_max) + 1):
-                g = sh.triple_product_000(lo, mo, lv, mv, li, mi)
-                if g != 0.0:
-                    T000[io, ii, sh_index(lv, mv)] = g
-                if lo >= 2 and li >= 2:
-                    # the spin-2 index set is the scalar one less its first 4
-                    g2 = P.triple_product_022(lo, mo, lv, mv, li, mi)
-                    if g2 != 0.0:
-                        T022[io - 4, ii - 4, sh_index(lv, mv)] = g2
-    T000.setflags(write=False)
-    T022.setflags(write=False)
-    return T000, T022
+
+def _pointwise_product(l_max, br, b2, wv):
+    """The operator of multiplication by v from the weighted Grams of the
+    bases at the quadrature points: br^T diag(w v) br on the s0 and s3
+    blocks, b2^H diag(w v) b2 on the spin 2-to-2 pair (iso only); the 0<->2
+    and conj blocks vanish identically."""
+    Sr = br.T @ (wv[:, None] * br)
+    C2 = b2.conj().T @ (wv[:, None] * b2)
+    blocks = {"scalar": {(0, 0): Sr, (3, 3): Sr}, "iso": C2}
+    return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, blocks))
 
 
 def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
     """Expand visibility SH coefficients into the pointwise-product operator.
 
-    The spin 0-to-0 (and 3-to-3) block comes from the conventional scalar
-    triple product, the 2-to-2 block from the spin-0 x spin-2 triple product;
-    the 0<->2 blocks vanish identically.
+    conj(Y_out) v Y_in has degree at most 2 l_max + L_v (the same for the
+    spin-2 pair), and a Gauss-Legendre grid of band B integrates degree
+    2B + 1 exactly, so on B = l_max + L_v // 2 the quadrature equals the
+    Gaunt (triple-product) result; one band less does not.
     """
     if v.kind != "real":
         raise ValueError("expected real-SH visibility coefficients")
-    vc = sh.sh_coeffs_r2c(v).values
-    T000, T022 = _triple_tensors(l_max, v.l_max)
-
-    re, im = np.ascontiguousarray(vc.real), np.ascontiguousarray(vc.imag)
-
-    def contract(T):
-        # real tensor times complex vector without promoting T to complex
-        flat = T.reshape(-1, T.shape[-1])
-        return (flat @ re + 1j * (flat @ im)).reshape(T.shape[:2])
-
-    U = sh.complex_to_real_matrix(l_max)
-    Sr = (U.conj() @ contract(T000) @ U.T).real    # scalar operator, real basis
-    C2 = contract(T022)                            # complex spin-2 block (S2, S2)
-    blocks = {"scalar": {(0, 0): Sr, (3, 3): Sr.copy(),
-                         (0, 3): np.zeros_like(Sr), (3, 0): np.zeros_like(Sr)},
-              "iso": C2}
-    return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, blocks))
+    grid = gauss_legendre_grid(l_max + v.l_max // 2)
+    vals = sh.ring_synthesis(sh.r2c_values(v.values), grid, 0).real
+    return _pointwise_product(l_max, *_product_bases(l_max, grid.band),
+                              grid.weights().ravel() * vals.ravel())
 
 
 def shadow_matrix_direct(vis_fn, l_max: int, grid: SphereGrid) -> PshCoeffMatrix:
     """Direct single-sphere quadrature of the visibility operator (oracle)."""
-    th, ph = grid.angles()
-    w = grid.weights().ravel()
+    th, ph = (a.ravel() for a in grid.angles())
     vals = np.asarray(vis_fn(grid.dirs()), dtype=float).ravel()
-    br = sh.sh_basis_real(l_max, th.ravel(), ph.ravel())
-    b2 = P.s2sh_basis(l_max, th.ravel(), ph.ravel())
-    wv = w * vals
-    Sr = br.T @ (wv[:, None] * br)
-    C2 = b2.conj().T @ (wv[:, None] * b2)
-    blocks = {"scalar": {(0, 0): Sr, (3, 3): Sr.copy(),
-                         (0, 3): np.zeros_like(Sr), (3, 0): np.zeros_like(Sr)},
-              "iso": C2}
-    return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, blocks))
+    return _pointwise_product(l_max, sh.sh_basis_real(l_max, th, ph),
+                              P.s2sh_basis(l_max, th, ph), grid.weights().ravel() * vals)
 
 
 # ---------------------------------------------------------------------------

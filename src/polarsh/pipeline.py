@@ -2,8 +2,9 @@
 
 Synthetic environment maps, a small mesh layer (OBJ subset + UV sphere), the
 per-vertex precomputation chain (rotate material to the normal frame, shadow
-via triple products, project the reflected high band onto convolution
-coefficients), and runtime shading, plus the brute-force angular reference.
+by the visibility's pointwise-product operator, project the reflected high
+band onto convolution coefficients), and runtime shading, plus the
+brute-force angular reference.
 """
 
 from __future__ import annotations

@@ -51,10 +51,6 @@ def sh_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def sh_lm_list(l_max: int):
-    return [(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
-
-
 @lru_cache(maxsize=None)
 def sh_lm_arrays(l_max: int):
     """Read-only (l, m) of every position in sh_index order."""

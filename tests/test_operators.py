@@ -221,7 +221,7 @@ def test_visibility_basis_cache_keyed_on_grid_nodes():
 def test_cached_tables_are_read_only():
     g = geom.gauss_legendre_grid(4)
     op.visibility_project(lambda d: np.ones(np.asarray(d).shape[:-1]), 4, g)
-    tables = [*op._triple_tensors(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
+    tables = [*op._product_bases(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
               sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3), sh.complex_to_real_block(2),
               sh.complex_to_real_matrix(3),
               *pconv._conv_tables(3), *pconv._fit_weights(3)]
@@ -246,7 +246,7 @@ def test_shadow_expand_identity_and_zero_blocks():
 
 
 def test_shadow_expand_matches_direct():
-    # triple-product route vs direct quadrature of the pointwise product
+    # band-limited v on the band-rule grid vs direct quadrature of the raw mask
     grid = geom.gauss_legendre_grid(16)
     vis = lambda d: (np.asarray(d)[..., 2] > 0).astype(float)
     v = op.visibility_project(vis, 2 * LMAX, grid)
@@ -264,6 +264,48 @@ def test_shadow_expand_matches_direct_smooth_independent_grids():
     Vexp = op.shadow_expand(v, LMAX)
     Vdir = op.shadow_matrix_direct(vis, LMAX, geom.gauss_legendre_grid(64))
     assert np.abs(Vexp.matrix - Vdir.matrix).max() < 1e-8
+
+
+def _gaunt_shadow(v, L):
+    """The pointwise-product operator of real-SH v by Gaunt contraction over
+    v's complex coefficients: triple_product_000 on the scalar block, moved
+    to the real basis, and triple_product_022 on the spin-2 block."""
+    vc = sh.sh_coeffs_r2c(v).values
+    S0 = np.zeros((sh.sh_size(L),) * 2, dtype=complex)
+    S2 = np.zeros((psh.spin2_size(L),) * 2, dtype=complex)
+    lm = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
+    for lo, mo in lm:
+        for li, mi in lm:
+            mv = mo - mi
+            for lv in range(max(abs(lo - li), abs(mv)), min(lo + li, v.l_max) + 1):
+                c = vc[sh.sh_index(lv, mv)]
+                S0[sh.sh_index(lo, mo), sh.sh_index(li, mi)] += (
+                    sh.triple_product_000(lo, mo, lv, mv, li, mi) * c)
+                if lo >= 2 and li >= 2:
+                    S2[psh.spin2_index(lo, mo), psh.spin2_index(li, mi)] += (
+                        psh.triple_product_022(lo, mo, lv, mv, li, mi) * c)
+    U = sh.complex_to_real_matrix(L)
+    Sr = (U.conj() @ S0 @ U.T).real
+    return op.assemble_psh_matrix(L, {"scalar": {(0, 0): Sr, (3, 3): Sr}, "iso": S2})
+
+
+@pytest.mark.parametrize("L, Lv", [(4, 8), (5, 10), (4, 7)])
+def test_shadow_expand_equals_gaunt_contraction(rng, L, Lv):
+    v = sh.ShCoeffs(Lv, "real", rng.normal(size=sh.sh_size(Lv)))
+    assert np.abs(op.shadow_expand(v, L).matrix - _gaunt_shadow(v, L)).max() < 1e-13
+
+
+@pytest.mark.parametrize("L, Lv", [(4, 8), (4, 7)])
+def test_shadow_quadrature_band_rule(rng, L, Lv):
+    # degree 2L + Lv is exact on band B = L + Lv // 2 (degree 2B + 1), and
+    # one band less aliases
+    v = sh.ShCoeffs(Lv, "real", rng.normal(size=sh.sh_size(Lv)))
+    gaunt = _gaunt_shadow(v, L)
+    vis = lambda d: sh.sh_reconstruct(v, *geom.dir_to_sph(d))
+    B = L + Lv // 2
+    err = [np.abs(op.shadow_matrix_direct(vis, L, geom.gauss_legendre_grid(b)).matrix
+                  - gaunt).max() for b in (B, B - 1)]
+    assert err[0] < 1e-13 and err[1] > 1e-3, err
 
 
 def test_reflection_permutation_equals_dense_product(rng):
@@ -321,6 +363,7 @@ def test_operator_composition_matches_matrix_product():
             out[sl] = np.einsum("n,knab,knbc->kac", w_mid, A, B)
         return out.reshape(w_i_b.shape[:-1] + (4, 4))
 
+    composed.azimuthal = True    # both factors have a z normal: the ring path
     Mc = op.operator_project(composed, L, geom.gauss_legendre_grid(8))
     prod = M1.matrix @ M2.matrix
     scale = np.abs(Mc.matrix).max()

@@ -440,7 +440,7 @@ def test_phase_weight_tables_match_scalar_weights():
     # on the mixed families, against the scalar U^{p0} / U^{0p}
     L = 5
     matched, u_to, u_from = pconv._fit_weights(L)
-    lm = sh.sh_lm_list(L)
+    lm = list(zip(*sh.sh_lm_arrays(L)))
     for j, (lo, mo) in enumerate(lm[4:]):
         for i, (li, mi) in enumerate(lm):
             same = li == lo
