@@ -22,7 +22,8 @@ from .shscalar import ShCoeffs
 
 @dataclass
 class PshCoeffMatrix:
-    """Dense real operator matrix over I_PSH x I_PSH in canonical order."""
+    """Dense real operator matrix over I_PSH x I_PSH in canonical order; a
+    (..., n, n) array holds a stack of matrices."""
     l_max: int
     matrix: np.ndarray
     sparsity: str = "general"   # or "isotropic"
@@ -30,15 +31,17 @@ class PshCoeffMatrix:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
         n = P.psh_size(self.l_max)
-        if self.matrix.shape != (n, n):
+        if self.matrix.shape[-2:] != (n, n):
             raise ValueError("matrix shape does not match l_max")
 
 
 def operator_apply(M: PshCoeffMatrix, f: P.PshCoeffs) -> P.PshCoeffs:
-    """Coefficient-space application: matrix-vector product."""
+    """Coefficient-space application: matrix-vector product.  Leading axes
+    of the matrix stack and of the coefficient parts broadcast: matrix i
+    applies to vector i."""
     if M.l_max != f.l_max:
         raise ValueError("operator and coefficient bands differ")
-    return P.PshCoeffs.from_flat(f.l_max, M.matrix @ f.flat())
+    return P.PshCoeffs.from_flat(f.l_max, (M.matrix @ f.flat()[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------

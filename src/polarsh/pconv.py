@@ -41,7 +41,8 @@ class PolarConvKernelCoeffs:
 
     Four real families couple the scalar slots, four complex families couple
     scalar and spin-2 slots, and the complex pair (iso, conj) carries the
-    spin 2-to-2 part.  All spin-2 families vanish for l < 2.
+    spin 2-to-2 part.  All spin-2 families vanish for l < 2.  Families of
+    shape (..., l_max + 1) hold a stack of kernels.
     """
     l_max: int
     k00: np.ndarray
@@ -178,21 +179,32 @@ def phase_weights(m: int, m_prime: int):
 # ---------------------------------------------------------------------------
 
 def _theorem_values(kc: PolarConvKernelCoeffs, l_max: int):
-    """The theorem table at l_max and fac_l Re(w k_fam[l]) for each entry."""
+    """The theorem table at l_max and fac_l Re(w k_fam[l]) for each entry.
+
+    Families with leading axes (..., l_max + 1) give values (..., entries).
+    """
     if kc.l_max < l_max:
         raise ValueError("kernel coefficient band too small")
     t = _conv_tables(l_max)
-    k = np.array([getattr(kc, name) for name in KC_FAMILIES], dtype=complex)
+    k = np.stack([getattr(kc, name) for name in KC_FAMILIES], axis=-2).astype(complex, copy=False)
     fac = np.sqrt(FOUR_PI / (2 * np.arange(l_max + 1) + 1))
-    return t, fac[t.l] * (t.w * k[t.fam, t.l]).real
+    return t, fac[t.l] * (t.w * k[..., t.fam, t.l]).real
 
 
 def pconv_apply(kc: PolarConvKernelCoeffs, f: P.PshCoeffs) -> P.PshCoeffs:
     """Frequency-domain polarized convolution: the theorem table applied to
-    the canonical flat vector (one gather and one segment sum by row)."""
+    the canonical flat vector (one gather and one segment sum by row).
+
+    Leading axes of the kernel families and of the coefficient parts
+    broadcast: kernel i applies to field i.
+    """
     t, vals = _theorem_values(kc, f.l_max)
-    out = np.bincount(t.row, weights=vals * f.flat()[t.col], minlength=P.psh_size(f.l_max))
-    return P.PshCoeffs.from_flat(f.l_max, out)
+    terms = vals * f.flat()[..., t.col]
+    n = P.psh_size(f.l_max)
+    # one segment sum over every (batch, row): batch b owns rows b n .. b n + n - 1
+    batch = np.arange(math.prod(terms.shape[:-1]))[:, None] * n
+    out = np.bincount((batch + t.row).ravel(), weights=terms.ravel(), minlength=batch.size * n)
+    return P.PshCoeffs.from_flat(f.l_max, out.reshape(terms.shape[:-1] + (n,)))
 
 
 def conv_expand_to_matrix(kc: PolarConvKernelCoeffs, l_max: int) -> PshCoeffMatrix:

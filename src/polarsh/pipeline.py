@@ -364,35 +364,66 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
 def pprt_shade(records, lighting: P.PshCoeffs, view_dirs, zero_s3=False):
     """Per-vertex outgoing Stokes components under world theta-phi frames.
 
-    view_dirs are world-space outgoing directions (vertex toward eye).  The
-    low band goes through the transfer matrix and is evaluated at the view
-    direction; the high band goes through the convolution coefficients of the
-    reflected transfer and is evaluated at the z-flipped local view direction.
+    view_dirs (n, 3) are world-space outgoing directions (vertex toward eye),
+    one per record.  The low band goes through the transfer matrix and is
+    evaluated at the local view direction; the high band goes through the
+    convolution coefficients of the reflected transfer and is evaluated at
+    the z-flipped local view direction.  Records that share (l_low, l_high)
+    are shaded in one batched pass; an empty list gives a (0, 4) array.
     """
-    if lighting.l_max < records[0].l_high:
-        raise ValueError("lighting band below l_high")
     view_dirs = np.asarray(view_dirs, dtype=float)
-    comps = np.zeros((len(records), 4))
-    frames = np.zeros((len(records), 3, 3))
+    if view_dirs.shape != (len(records), 3):
+        raise ValueError(f"view_dirs has shape {view_dirs.shape}, expected "
+                         f"({len(records)}, 3): one direction per record")
+    if not records:
+        return np.zeros((0, 4))
+    l_top = max(rec.l_high for rec in records)
+    if lighting.l_max < l_top:
+        raise ValueError(f"lighting band {lighting.l_max} below the records' l_high {l_top}")
+    groups = {}
     for i, rec in enumerate(records):
-        Rv = rec.rotation
-        light_local = P.psh_rotate_coeffs(lighting.truncated(rec.l_high), Rv.T)
-        wo_local = Rv.T @ view_dirs[i]
-        th_l, ph_l = dir_to_sph(wo_local)
-        low_out = operator_apply(rec.matrix_low, light_local.truncated(rec.l_low))
-        comps[i] = P.psh_reconstruct(low_out, th_l, ph_l)
-        if rec.conv_high is not None and rec.l_high > rec.l_low:
-            g = pconv_apply(rec.conv_high, light_local)
-            flipped = np.array([wo_local[0], wo_local[1], -wo_local[2]])
-            th_f, ph_f = dir_to_sph(flipped)
-            gc = P.psh_reconstruct(g, th_f, ph_f)
-            comps[i] += [gc[0], gc[1], -gc[2], gc[3]]
-        # the local theta-phi frame at the view direction, in world axes
-        frames[i] = Rv @ frame_theta_phi(th_l, ph_l)
+        high = rec.conv_high is not None and rec.l_high > rec.l_low
+        groups.setdefault((rec.l_low, rec.l_high, high), []).append(i)
+    comps = np.empty((len(records), 4))
+    frames = np.empty((len(records), 3, 3))
+    for (l_low, l_high, high), idx in groups.items():
+        comps[idx], frames[idx] = _shade_group([records[i] for i in idx], l_low, high,
+                                               lighting.truncated(l_high), view_dirs[idx])
     out = stokes_reframe(comps, frames, frame_for_dir(view_dirs))
     if zero_s3:
         out[:, 3] = 0.0
     return out
+
+
+def _shade_group(records, l_low, high, lighting, view_dirs):
+    """Local Stokes components and local theta-phi frames (in world axes) at
+    the view directions of records that share (l_low, lighting.l_max)."""
+    n, l_high = len(records), lighting.l_max
+    Rv = np.stack([rec.rotation for rec in records])
+    light = P.psh_rotate_coeffs(lighting, Rv.transpose(0, 2, 1)).flat()
+    wo = np.einsum("nji,nj->ni", Rv, view_dirs)
+    # one basis at the view directions and at their z-flips
+    th, ph = dir_to_sph(np.concatenate([wo, wo * [1.0, 1.0, -1.0]]))
+    br, b2 = sh.sh_basis_real(l_high, th, ph), P.s2sh_basis(l_high, th, ph)
+    matrices = PshCoeffMatrix(l_low, np.stack([rec.matrix_low.matrix for rec in records]))
+    low = operator_apply(matrices, P.PshCoeffs.from_flat(l_low, light[:, :P.psh_size(l_low)]))
+    comps = _reconstruct_rows(low, br[:n], b2[:n])
+    if high:
+        kc = PolarConvKernelCoeffs(l_high, *(
+            np.stack([getattr(rec.conv_high, name)[:l_high + 1] for rec in records])
+            for name in KC_FAMILIES))
+        g = pconv_apply(kc, P.PshCoeffs.from_flat(l_high, light))
+        comps += _reconstruct_rows(g, br[n:], b2[n:]) * [1.0, 1.0, -1.0, 1.0]
+    return comps, Rv @ frame_theta_phi(th[:n], ph[:n])
+
+
+def _reconstruct_rows(coeffs: P.PshCoeffs, br, b2):
+    """Stokes components of coefficient row i at basis row i, from the real
+    and spin-2 bases of any band at least coeffs.l_max."""
+    def dot(basis, c):
+        return np.einsum("ij,ij->i", basis[:, :c.shape[-1]], c)
+    lin = dot(b2, coeffs.spin2)
+    return np.stack([dot(br, coeffs.s0), lin.real, lin.imag, dot(br, coeffs.s3)], axis=-1)
 
 
 def save_vertex_stokes(csv_path, bin_path, mesh: Mesh, values):

@@ -107,7 +107,8 @@ class PshCoeffs:
     """Real PSH coefficient vector, stored as three per-(l,m) parts.
 
     s0 and s3 are real-SH coefficient arrays of length (l_max+1)^2; spin2 is
-    the complex array f_{lm1} + i f_{lm2} over the spin-2 index set.
+    the complex array f_{lm1} + i f_{lm2} over the spin-2 index set.  Parts
+    with the same leading axes hold a stack of vectors.
     """
     l_max: int
     s0: np.ndarray
@@ -279,18 +280,24 @@ def psh_rotation_matrix(l_max: int, R) -> np.ndarray:
 
 
 def psh_rotate_coeffs(coeffs: PshCoeffs, R) -> PshCoeffs:
-    """Per-l block application; no cross-l mixing."""
-    out = PshCoeffs.zeros(coeffs.l_max)
+    """Per-l block application; no cross-l mixing.
+
+    R is one rotation (3, 3) or a batch (N, 3, 3); a batch gives the parts a
+    leading N axis, the coefficients broadcasting against it.
+    """
     stack = sh.wigner_d_stack(coeffs.l_max, R)
+    lead = np.broadcast_shapes(stack[0].shape[:-2], coeffs.s0.shape[:-1])
+    s0, spin2, s3 = (np.empty(lead + a.shape[-1:], dtype=a.dtype)
+                     for a in (coeffs.s0, coeffs.spin2, coeffs.s3))
     for l in range(coeffs.l_max + 1):
         sl = slice(sh_index(l, -l), sh_index(l, l) + 1)
         dr = sh.wigner_d_real_from_complex(stack[l])
-        out.s0[sl] = dr @ coeffs.s0[sl]
-        out.s3[sl] = dr @ coeffs.s3[sl]
+        s0[..., sl] = (dr @ coeffs.s0[..., sl, None])[..., 0]
+        s3[..., sl] = (dr @ coeffs.s3[..., sl, None])[..., 0]
         if l >= 2:
             s2 = slice(spin2_index(l, -l), spin2_index(l, l) + 1)
-            out.spin2[s2] = stack[l] @ coeffs.spin2[s2]
-    return out
+            spin2[..., s2] = (stack[l] @ coeffs.spin2[..., s2, None])[..., 0]
+    return PshCoeffs(coeffs.l_max, s0, spin2, s3)
 
 
 # ---------------------------------------------------------------------------

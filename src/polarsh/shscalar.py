@@ -113,7 +113,13 @@ def assoc_legendre(l: int, m: int, x):
 # ---------------------------------------------------------------------------
 
 def wigner_small_d_racah(l, m, mp, beta):
-    """Factorial-sum (Racah) evaluation of d^l_{m m'}(beta); reference path."""
+    """Factorial-sum (Racah) evaluation of d^l_{m m'}(beta); reference path.
+
+    Its alternating sum cancels: against exact rational values it is off by
+    1.3e-11 at l = 20 (beta = pi/2), 3e-9 at l = 30 and 2e-6 at l = 40
+    (beta = 2 atan(3/4)).  It checks the Wigner engine at a 1e-11 bound only
+    up to l of about 16.
+    """
     if abs(m) > l or abs(mp) > l:
         return 0.0 * np.asarray(beta, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -150,6 +156,14 @@ def _wigner_d_seed(m, mp, beta):
     return coef * np.cos(half) ** (2 * l0 - q) * np.sin(half) ** q
 
 
+def _zero_bordered(a, n_axes):
+    """a inside a zero border one wide on its last n_axes axes: the previous
+    step at the size of the current one (np.pad without its call overhead)."""
+    out = np.zeros(a.shape[:-n_axes] + tuple(k + 2 for k in a.shape[-n_axes:]))
+    out[(...,) + (slice(1, -1),) * n_axes] = a
+    return out
+
+
 def _wigner_d_step(l, m, mp, x, d, d_prev):
     """d^{l+1}_{mm'} from d^l and d^{l-1} (1 <= l, |m|, |m'| <= l)."""
     return (((2 * l + 1) * (l * (l + 1) * x - m * mp) * d
@@ -173,7 +187,7 @@ def wigner_d_stack(l_max: int, R):
         nxt = seed[:, l_max - l - 1:l_max + l + 2, l_max - l - 1:l_max + l + 2].copy()
         m = ms[l_max - l:l_max + l + 1]
         nxt[:, 1:-1, 1:-1] = x * d[0] if l == 0 else _wigner_d_step(
-            l, m[:, None], m[None, :], x, d[l], np.pad(d[l - 1], ((0, 0), (1, 1), (1, 1))))
+            l, m[:, None], m[None, :], x, d[l], _zero_bordered(d[l - 1], 2))
         d.append(nxt)
     out = []
     for l, dl in enumerate(d):
@@ -305,8 +319,7 @@ def _theta_blocks(l_max, s, theta):
         if l == 1:
             nxt[:, 1:-1] = x * d
         elif l > s:
-            nxt[:, 1:-1] = _wigner_d_step(l - 1, m[1:-1], -s, x, d,
-                                          np.pad(d_prev, ((0, 0), (1, 1))))
+            nxt[:, 1:-1] = _wigner_d_step(l - 1, m[1:-1], -s, x, d, _zero_bordered(d_prev, 1))
         nxt[theta == 0.0] = m == -s
         nxt[theta == np.pi] = (m == s) * (-1.0) ** (l + s)
         yield l, math.sqrt((2 * l + 1) / FOUR_PI) * nxt

@@ -1,9 +1,10 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
-from polarsh import geom, operators as op, pipeline as pl, polar, psh
+from polarsh import geom, operators as op, pconv, pipeline as pl, polar, psh
 from polarsh.polar import synthetic_pbrdf
 
 
@@ -264,6 +265,90 @@ def test_pprt_shade_next_to_the_poles(small_setup, rng):
             t = geom.normalize(np.cross(poles, rng.normal(size=(n, 3))))
             views = geom.normalize(poles + eps * t)
             assert np.abs(shade_in_camera_frames(views, up) - base).max() <= eps, eps
+
+
+def _shade_loop(records, lighting, view_dirs):
+    """The per-vertex shading loop: the oracle of the batched pprt_shade."""
+    comps = np.zeros((len(records), 4))
+    frames = np.zeros((len(records), 3, 3))
+    for i, rec in enumerate(records):
+        Rv = rec.rotation
+        light_local = psh.psh_rotate_coeffs(lighting.truncated(rec.l_high), Rv.T)
+        wo_local = Rv.T @ view_dirs[i]
+        th_l, ph_l = geom.dir_to_sph(wo_local)
+        low_out = op.operator_apply(rec.matrix_low, light_local.truncated(rec.l_low))
+        comps[i] = psh.psh_reconstruct(low_out, th_l, ph_l)
+        if rec.conv_high is not None and rec.l_high > rec.l_low:
+            g = pconv.pconv_apply(rec.conv_high, light_local)
+            flipped = np.array([wo_local[0], wo_local[1], -wo_local[2]])
+            gc = psh.psh_reconstruct(g, *geom.dir_to_sph(flipped))
+            comps[i] += [gc[0], gc[1], -gc[2], gc[3]]
+        frames[i] = Rv @ geom.frame_theta_phi(th_l, ph_l)
+    return polar.stokes_reframe(comps, frames, geom.frame_for_dir(view_dirs))
+
+
+@pytest.fixture(scope="module")
+def band9_setup():
+    mat = synthetic_pbrdf(roughness=0.5, ior=1.5, horizon_sharpness=0.15)
+    bm = op.operator_project(mat, 9, geom.gauss_legendre_grid(18))
+    mesh = pl.sphere_mesh(4, 6)
+    view = geom.normalize(np.array([2.0, 1.0, 3.0])[None, :] - mesh.vertices)
+    return mesh, bm, pl.random_psh_coeffs(9, seed=5), view
+
+
+@pytest.mark.parametrize("l_low, l_high", [(4, 9), (0, 6), (6, 6)])
+def test_pprt_shade_batch_matches_loop(band9_setup, l_low, l_high):
+    mesh, bm, lighting, view = band9_setup
+    occ = [(np.array([0.7, 0.1, 0.7]), 0.6)]
+    recs = pl.pprt_precompute(mesh, bm, occ, l_low, l_high)
+    assert (recs[0].conv_high is None) == (l_low == l_high)
+    want = _shade_loop(recs, lighting, view)
+    assert np.abs(want).max() > 1e-3
+    assert np.abs(pl.pprt_shade(recs, lighting, view) - want).max() < 1e-13
+    # one record alone
+    one = pl.pprt_shade(recs[5:6], lighting, view[5:6])
+    assert one.shape == (1, 4) and np.abs(one - want[5]).max() < 1e-13
+
+
+def test_pprt_shade_mixed_bands_in_output_order(band9_setup):
+    mesh, bm, lighting, view = band9_setup
+    a = pl.pprt_precompute(mesh, bm, (), 2, 4)
+    b = pl.pprt_precompute(mesh, bm, (), 4, 6)
+    pick = np.arange(len(mesh.vertices))
+    recs = [(a if i % 3 else b)[i] for i in pick]
+    want = _shade_loop(recs, lighting, view)
+    assert np.abs(pl.pprt_shade(recs, lighting, view) - want).max() < 1e-13
+    # the lighting must cover the largest l_high, not that of the first record
+    assert recs[1].l_high == 4
+    with pytest.raises(ValueError, match="lighting band 4 below the records' l_high 6"):
+        pl.pprt_shade(recs[1:], lighting.truncated(4), view[1:])
+
+
+def test_pprt_shade_normals_at_the_poles(band9_setup):
+    # normals +z and -z: the batched Wigner stack meets beta = 0 and pi
+    _, bm, lighting, _ = band9_setup
+    normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, 0.0, 0.8],
+                        [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+    mesh = pl.Mesh(normals, normals, np.zeros((0, 3), dtype=int))
+    recs = pl.pprt_precompute(mesh, bm, (), 4, 9)
+    betas = geom.zyz_from_rotation(np.stack([r.rotation.T for r in recs]))[1]
+    assert np.array_equal(betas[[0, 1, 3, 4]], [0.0, np.pi, np.pi, 0.0])
+    view = geom.normalize(np.array([[0.3, 0.2, 1.0], [0.1, -0.4, -1.0], [1.0, 0.0, 1.0],
+                                    [0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]))
+    want = _shade_loop(recs, lighting, view)
+    assert np.abs(pl.pprt_shade(recs, lighting, view) - want).max() < 1e-13
+
+
+def test_pprt_shade_input_checks(small_setup):
+    mesh, _, bm, lighting = small_setup
+    recs = pl.pprt_precompute(mesh, bm, (), 4, 6)
+    n = len(recs)
+    for views in (np.ones((n + 1, 3)), np.ones((n - 1, 3)), np.ones((n, 2)), np.ones(3)):
+        shape = re.escape(str(views.shape))
+        with pytest.raises(ValueError, match=f"{shape}, expected \\({n}, 3\\)"):
+            pl.pprt_shade(recs, lighting, views)
+    empty = pl.pprt_shade([], lighting, np.zeros((0, 3)))
+    assert empty.shape == (0, 4)
 
 
 def test_pprt_ray_visibility_path():

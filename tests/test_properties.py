@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from polarsh import geom, pconv, pipeline, polar
+from polarsh import geom, operators, pconv, pipeline, polar, psh
 from polarsh import shscalar as sh
 
 REAL_FAMILIES = ("k00", "k03", "k30", "k33")
@@ -38,6 +38,47 @@ def test_wigner_d_composition(l_max, seed):
     for l, (D1, D2, D12) in enumerate(pairs):
         assert np.abs(D1 @ D2 - D12).max() < 1e-12, l
 
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(l_max=st.integers(0, 10), n=st.integers(1, 5), poles=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_psh_rotate_equals_per_rotation(l_max, n, poles, seed):
+    rng = np.random.default_rng(seed)
+    Rs = [geom.random_rotation(rng) for _ in range(n)]
+    if poles:   # beta = 0 and pi inside the batch
+        Rs += [geom.rotation_zyz(0.4, 0.0, -1.1), geom.rotation_zyz(-0.2, np.pi, 0.7)]
+    c = pipeline.random_psh_coeffs(l_max, seed=int(rng.integers(2 ** 31)))
+    batch = psh.psh_rotate_coeffs(c, np.stack(Rs)).flat()
+    assert batch.shape == (len(Rs), psh.psh_size(l_max))
+    for i, R in enumerate(Rs):
+        assert np.abs(batch[i] - psh.psh_rotate_coeffs(c, R).flat()).max() < 1e-14
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(L=st.integers(0, 8), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_operators_equal_per_item(L, n, seed):
+    # pconv_apply over stacked kernel families, operator_apply over stacked matrices
+    rng = np.random.default_rng(seed)
+    kcs = [pconv.PolarConvKernelCoeffs.zeros(L) for _ in range(n)]
+    for kc in kcs:
+        for name in REAL_FAMILIES:
+            getattr(kc, name)[:] = rng.normal(size=L + 1)
+        for name in COMPLEX_FAMILIES:
+            getattr(kc, name)[:] = rng.normal(size=L + 1) + 1j * rng.normal(size=L + 1)
+    stacked = pconv.PolarConvKernelCoeffs(L, *(np.stack([getattr(kc, name) for kc in kcs])
+                                               for name in pconv.KC_FAMILIES))
+    fs = [pipeline.random_psh_coeffs(L, seed=int(rng.integers(2 ** 31))) for _ in range(n)]
+    out = pconv.pconv_apply(stacked, psh.PshCoeffs.from_flat(L, np.stack([f.flat() for f in fs])))
+    shared = pconv.pconv_apply(stacked, fs[0])    # one field against every kernel
+    for i, (kc, f) in enumerate(zip(kcs, fs)):
+        assert np.abs(out.flat()[i] - pconv.pconv_apply(kc, f).flat()).max() < 1e-14
+        assert np.abs(shared.flat()[i] - pconv.pconv_apply(kc, fs[0]).flat()).max() < 1e-14
+    mats = rng.normal(size=(n,) + (psh.psh_size(L),) * 2)
+    out = operators.operator_apply(operators.PshCoeffMatrix(L, mats),
+                                   psh.PshCoeffs.from_flat(L, np.stack([f.flat() for f in fs])))
+    for i, f in enumerate(fs):
+        one = operators.operator_apply(operators.PshCoeffMatrix(L, mats[i]), f).flat()
+        assert np.abs(out.flat()[i] - one).max() < 1e-14
 
 
 def _haar(rng):
