@@ -9,8 +9,6 @@ brute-force angular reference.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +23,6 @@ from .operators import (PshCoeffMatrix, operator_apply, operator_project,
 from .pconv import KC_FAMILIES, PolarConvKernelCoeffs, conv_project_operator, pconv_apply
 from .polar import (StokesField, SyntheticPbrdf, stokes_field_from_function,
                     stokes_reframe)
-
-
-def _n_workers():
-    try:
-        return max(1, int(os.environ.get("POLARSH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_maybe_parallel(fn, items):
-    n = _n_workers()
-    if n <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +341,7 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
             conv = kc
         return TransferRecord(n, Rv, mat_low, conv, l_low, l_high, resid)
 
-    return _map_maybe_parallel(build, range(len(mesh.vertices)))
+    return [build(i) for i in range(len(mesh.vertices))]
 
 
 def pprt_shade(records, lighting: P.PshCoeffs, view_dirs, zero_s3=False):

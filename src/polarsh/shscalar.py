@@ -16,10 +16,14 @@ Conventions (pinned, since libraries differ): for s = 0 this is
 with the Condon-Shortley phase (-1)^m inside P_l^m, and
   P_l^{-m} = (-1)^m (l-m)!/(l+m)! P_l^m  for m >= 0.
 Wigner D is D^l_{mm'}(R) = <Y_lm, R_F[Y_lm']> = e^{-i m a} d^l_{mm'}(b) e^{-i m' g}
-for R = Rz(a) Ry(b) Rz(g).  d^l_{mm'} comes from the upward three-term
-recurrence in l, each (m, m') seeded at l = max(|m|, |m'|) by the single-term
-closed form with its binomial taken from a log-factorial table: no factorial
-is formed, so there is no band ceiling, and the poles b = 0, pi are exact.
+for R = Rz(a) Ry(b) Rz(g).  There is one l-recurrence, _theta_blocks: the
+upward three-term recurrence on one column m' = -s, each m seeded at
+l = max(|m|, s) by the single-term closed form with its binomial taken from
+a log-factorial table, so no factorial is formed and there is no band
+ceiling.  Rotation factorizes through Delta = d(pi/2) (Risbo 1996):
+  d^l_{mm'}(b) = i^{m-m'} sum_k Delta^l_{km} e^{-ikb} Delta^l_{km'},
+with Delta built once per l_max by that recurrence in long double, so every
+tilt rounds alike; the poles b = 0, pi are exact.
 """
 
 from __future__ import annotations
@@ -138,8 +142,8 @@ def wigner_small_d_racah(l, m, mp, beta):
 
 @lru_cache(maxsize=4)
 def _log_factorials(n: int) -> np.ndarray:
-    """Read-only log(k!) for k = 0..n, as cumulative sums of log k."""
-    table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    """Read-only log(k!) for k = 0..n, as cumulative sums of log k in long double."""
+    table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=np.longdouble)))))
     table.setflags(write=False)
     return table
 
@@ -147,20 +151,20 @@ def _log_factorials(n: int) -> np.ndarray:
 def _wigner_d_seed(m, mp, beta):
     """d^{l0}_{mm'}(beta) at l0 = max(|m|, |m'|), shape beta.shape + m.shape:
     +-sqrt(C(2 l0, l0 + n)) cos(b/2)^(2 l0 - q) sin(b/2)^q with n = min(|m|,
-    |m'|), q = |m - m'| and sign (-1)^q for m > m'."""
+    |m'|), q = |m - m'| and sign (-1)^q for m > m'; in beta's dtype."""
     l0, n, q = np.maximum(abs(m), abs(mp)), np.minimum(abs(m), abs(mp)), abs(m - mp)
     log_fact = _log_factorials(2 * int(l0.max()))
     coef = (-1.0) ** (q * (m > mp)) * np.exp(
-        0.5 * (log_fact[2 * l0] - log_fact[l0 + n] - log_fact[l0 - n]))
+        0.5 * (log_fact[2 * l0] - log_fact[l0 + n] - log_fact[l0 - n])).astype(beta.dtype)
     half = beta.reshape(beta.shape + (1,) * np.ndim(m)) / 2.0
     return coef * np.cos(half) ** (2 * l0 - q) * np.sin(half) ** q
 
 
-def _zero_bordered(a, n_axes):
-    """a inside a zero border one wide on its last n_axes axes: the previous
-    step at the size of the current one (np.pad without its call overhead)."""
-    out = np.zeros(a.shape[:-n_axes] + tuple(k + 2 for k in a.shape[-n_axes:]))
-    out[(...,) + (slice(1, -1),) * n_axes] = a
+def _zero_bordered(a):
+    """a inside a zero border one wide on its last axis: the previous step at
+    the size of the current one (np.pad without its call overhead)."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + 2,), dtype=a.dtype)
+    out[..., 1:-1] = a
     return out
 
 
@@ -171,31 +175,49 @@ def _wigner_d_step(l, m, mp, x, d, d_prev):
             / (l * (((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - mp * mp)) ** 0.5))
 
 
+@lru_cache(maxsize=4)
+def _half_pi_factors(l_max: int):
+    """Read-only u^l = Delta^l_{km} i^(-m) for k = 0..l, m = -l..l and every
+    l <= l_max, with Delta^l = d^l(pi/2): the factors of wigner_d_stack.
+
+    Column m = -s of Delta is _theta_blocks' column at theta = pi/2, run in
+    long double and rounded to float64 once; column +s follows from
+    d_{k,-m}(pi/2) = (-1)^(l+k) d_{km}(pi/2).
+    """
+    theta = np.arccos(np.zeros(1, dtype=np.longdouble))    # pi/2 in long double
+    i_pow = np.array([1, -1j, -1, 1j])                     # i^(-m) at m mod 4
+    u = [np.empty((l + 1, 2 * l + 1), dtype=complex) for l in range(l_max + 1)]
+    for s in range(l_max + 1):
+        for l, block in _theta_blocks(l_max, s, theta):
+            col = (block[0, l:] / math.sqrt((2 * l + 1) / FOUR_PI)).astype(float)
+            u[l][:, l - s] = i_pow[-s % 4] * col
+            u[l][:, l + s] = i_pow[s % 4] * (-1.0) ** (l + np.arange(l + 1)) * col
+    for table in u:
+        table.setflags(write=False)
+    return tuple(u)
+
+
 def wigner_d_stack(l_max: int, R):
     """Complex Wigner blocks D^l(R), shape (2l+1, 2l+1), for all l <= l_max.
 
     R is one rotation (3, 3) or a batch (N, 3, 3), which gives every block a
-    leading N axis.  One recurrence step per l covers every (m, m', R).
+    leading N axis.  Each d^l(beta) is one batched product of the cached
+    d(pi/2) factors: the sum over k = -l..l, folded onto k >= 0 by
+    Delta_{-k,m} = (-1)^(l+m) Delta_{km}, is d = Re(u^H diag(eps_k e^{-ik beta}) u)
+    with eps_0 = 1, else 2.  beta = 0 and pi give the exact identity and flip blocks.
     """
     R = np.asarray(R, dtype=float)
     alpha, beta, gamma = (np.atleast_1d(a) for a in zyz_from_rotation(R))
-    ms = np.arange(-l_max, l_max + 1)
-    seed = _wigner_d_seed(ms[:, None], ms[None, :], beta)
-    x = np.cos(beta)[:, None, None]
-    d = [np.ones((beta.size, 1, 1))]
-    for l in range(l_max):   # the outer ring max(|m|, |m'|) = l + 1 is seeded
-        nxt = seed[:, l_max - l - 1:l_max + l + 2, l_max - l - 1:l_max + l + 2].copy()
-        m = ms[l_max - l:l_max + l + 1]
-        nxt[:, 1:-1, 1:-1] = x * d[0] if l == 0 else _wigner_d_step(
-            l, m[:, None], m[None, :], x, d[l], _zero_bordered(d[l - 1], 2))
-        d.append(nxt)
+    k = np.arange(l_max + 1)
+    w = np.where(k > 0, 2.0, 1.0) * np.exp(-1j * k * beta[:, None])
     out = []
-    for l, dl in enumerate(d):
-        w = slice(l_max - l, l_max + l + 1)
-        dl[beta == 0.0] = np.eye(2 * l + 1)
-        dl[beta == np.pi] = np.eye(2 * l + 1)[::-1] * (-1.0) ** (l - ms[w])
-        ea, eg = (np.exp(-1j * ms[w] * angle[:, None]) for angle in (alpha, gamma))
-        D = ea[:, :, None] * dl * eg[:, None, :]
+    for l, u in enumerate(_half_pi_factors(l_max)):
+        m = np.arange(-l, l + 1)
+        d = ((u.T.conj() * w[:, None, :l + 1]) @ u).real
+        d[beta == 0.0] = np.eye(2 * l + 1)
+        d[beta == np.pi] = np.eye(2 * l + 1)[::-1] * (-1.0) ** (l - m)
+        ea, eg = (np.exp(-1j * m * angle[:, None]) for angle in (alpha, gamma))
+        D = ea[:, :, None] * d * eg[:, None, :]
         out.append(D if R.ndim == 3 else D[0])
     return out
 
@@ -262,11 +284,6 @@ def wigner_d_real_from_complex(D: np.ndarray) -> np.ndarray:
     return (U.conj() @ D @ U.T).real
 
 
-def wigner_d_real(l: int, R) -> np.ndarray:
-    """Real Wigner block D^{l,R}(R) via the C->R change of basis."""
-    return wigner_d_real_from_complex(wigner_d_complex(l, R))
-
-
 def sh_rotate_coeffs(coeffs: ShCoeffs, R) -> ShCoeffs:
     """Rotate coefficients: f'_{lm} = sum_m' D^l_{mm'}(R) f_{lm'}."""
     out = np.zeros_like(coeffs.values,
@@ -279,13 +296,6 @@ def sh_rotate_coeffs(coeffs: ShCoeffs, R) -> ShCoeffs:
     return ShCoeffs(coeffs.l_max, coeffs.kind, out)
 
 
-def sh_coeffs_r2c(coeffs: ShCoeffs) -> ShCoeffs:
-    """Convert real-SH coefficients of a function to complex-SH coefficients."""
-    if coeffs.kind != "real":
-        raise ValueError("expected real coefficients")
-    return ShCoeffs(coeffs.l_max, "complex", r2c_values(coeffs.values))
-
-
 # ---------------------------------------------------------------------------
 # spin-weighted harmonics: one generator
 # ---------------------------------------------------------------------------
@@ -293,7 +303,7 @@ def sh_coeffs_r2c(coeffs: ShCoeffs) -> ShCoeffs:
 def spin_theta_table(l_max: int, s: int, theta) -> np.ndarray:
     """sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta) for every (l, m) in sh_index order.
 
-    Shape (n_theta, (l_max+1)^2); zero where l < max(|m|, s); s is 0 or 2.
+    Shape (n_theta, (l_max+1)^2); zero where l < max(|m|, s); 0 <= s <= l_max.
     This is the theta factor of sY_lm = (this) e^{i m phi}.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float)).ravel()
@@ -304,22 +314,23 @@ def spin_theta_table(l_max: int, s: int, theta) -> np.ndarray:
 
 
 def _theta_blocks(l_max, s, theta):
-    """Yield (l, block l of spin_theta_table) for l = s..l_max.
+    """Yield (l, block l of spin_theta_table) for l = s..l_max, 0 <= s <= l_max.
 
-    It runs wigner_d_stack's recurrence on the column m' = -s, one step per
-    l over every m, seeding each m at l = max(|m|, s); the poles are exact.
+    The package's one l-recurrence: d^l_{m,-s}(theta) on the column m' = -s,
+    one three-term step per l over every m, each m seeded at l = max(|m|, s)
+    by the single-term closed form.  It computes in theta's dtype (long
+    double for the d(pi/2) factors of wigner_d_stack); the poles are exact.
     """
     ms = np.arange(-l_max, l_max + 1)
     seed = _wigner_d_seed(ms, -s, theta)
     x = np.cos(theta)[:, None]
-    d = d_prev = np.zeros((theta.size, max(2 * s - 1, 1)))
+    d = d_prev = np.zeros((theta.size, max(2 * s - 1, 1)), dtype=theta.dtype)
     for l in range(s, l_max + 1):
         m = ms[l_max - l:l_max + l + 1]
         nxt = seed[:, l_max - l:l_max + l + 1].copy()   # the ring |m| = l is seeded
-        if l == 1:
-            nxt[:, 1:-1] = x * d
-        elif l > s:
-            nxt[:, 1:-1] = _wigner_d_step(l - 1, m[1:-1], -s, x, d, _zero_bordered(d_prev, 1))
+        if l > s:                                       # else every m is seeded
+            nxt[:, 1:-1] = x * d if l == 1 else _wigner_d_step(
+                l - 1, m[1:-1].astype(theta.dtype), -s, x, d, _zero_bordered(d_prev))
         nxt[theta == 0.0] = m == -s
         nxt[theta == np.pi] = (m == s) * (-1.0) ** (l + s)
         yield l, math.sqrt((2 * l + 1) / FOUR_PI) * nxt

@@ -290,8 +290,7 @@ def test_criterion_10_isotropy_sparsity():
 
 # -- 11 ----------------------------------------------------------------------
 
-def test_criterion_11_pprt_convergence(monkeypatch):
-    monkeypatch.setenv("POLARSH_THREADS", "1")
+def test_criterion_11_pprt_convergence():
     t_start = time.perf_counter()
     mesh = pl.sphere_mesh()                      # 512 vertices
     assert len(mesh.vertices) >= 500

@@ -270,7 +270,7 @@ def _gaunt_shadow(v, L):
     """The pointwise-product operator of real-SH v by Gaunt contraction over
     v's complex coefficients: triple_product_000 on the scalar block, moved
     to the real basis, and triple_product_022 on the spin-2 block."""
-    vc = sh.sh_coeffs_r2c(v).values
+    vc = sh.r2c_values(v.values)
     S0 = np.zeros((sh.sh_size(L),) * 2, dtype=complex)
     S2 = np.zeros((psh.spin2_size(L),) * 2, dtype=complex)
     lm = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]

@@ -225,24 +225,6 @@ def test_pprt_zero_s3_flag(small_setup):
     assert np.abs(out[:, 3]).max() == 0.0
 
 
-def test_pprt_threads_env(small_setup, monkeypatch):
-    # POLARSH_THREADS parallelizes the bake over vertices; the records must
-    # not depend on it
-    mesh, _, bm, _ = small_setup
-    occ = [(np.array([0.7, 0.1, 0.7]), 0.6)]
-    monkeypatch.setenv("POLARSH_THREADS", "1")
-    recs1 = pl.pprt_precompute(mesh, bm, occ, l_low=2, l_high=4)
-    monkeypatch.setenv("POLARSH_THREADS", "4")
-    recs4 = pl.pprt_precompute(mesh, bm, occ, l_low=2, l_high=4)
-    names = ("k00", "k03", "k30", "k33", "k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
-    assert len(recs1) == len(recs4) == len(mesh.vertices)
-    for r1, r4 in zip(recs1, recs4):
-        assert np.array_equal(r1.matrix_low.matrix, r4.matrix_low.matrix)
-        for name in names:
-            assert np.array_equal(getattr(r1.conv_high, name), getattr(r4.conv_high, name))
-        assert r1.conv_residual == r4.conv_residual
-
-
 def test_pprt_shade_next_to_the_poles(small_setup, rng):
     # view directions next to a world pole (and local poles: next to the
     # normals) used to need a 1e-6 direction tolerance in the final reframe.

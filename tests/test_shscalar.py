@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polarsh import geom
+from polarsh import geom, pipeline, psh
 from polarsh import shscalar as sh
 
 
@@ -187,13 +187,13 @@ def test_zonal_relation():
             assert abs(D[l + m, l] - expect) < 1e-13
 
 
-def _exact_small_d(l, m, mp):
-    """d^l_{mm'}(beta) in exact rational arithmetic at cos(beta/2) = 4/5, sin(beta/2) = 3/5.
+def _exact_small_d(l, m, mp, c=Fraction(4, 5), s=Fraction(3, 5)):
+    """d^l_{mm'}(beta) in exact rational arithmetic at cos(beta/2) = c, sin(beta/2) = s.
 
     Racah's sum without its float cancellation, which costs the float oracle
     about 2e-6 at l = 40; only the final square root is rounded.
     """
-    c, s, f = Fraction(4, 5), Fraction(3, 5), math.factorial
+    f = math.factorial
     total = sum(Fraction((-1) ** k, f(l + mp - k) * f(k) * f(l - m - k) * f(m - mp + k))
                 * c ** (2 * l - 2 * k + mp - m) * s ** (2 * k + m - mp)
                 for k in range(max(0, mp - m), min(l + mp, l - m) + 1))
@@ -267,6 +267,52 @@ def test_wigner_d_poles_exact_and_finite():
         assert np.array_equal(D.real, np.eye(2 * l + 1)[::-1] * (-1.0) ** (l - ms_l))
 
 
+# The bounds of the next three tests need an np.longdouble wider than
+# float64 (README Conventions).  NEAR_POLE_TILTS holds tilts at and next to
+# the poles, among them the chain tilts of benchmark seeds whose L = 32
+# rotate check once failed (0.074; 3.092 and 3.125).
+NEAR_POLE_TILTS = (1e-12, 1e-9, 1e-6, 0.039, 0.074, np.pi / 2, 3.092, 3.125, np.pi - 1e-12)
+
+
+def test_half_pi_factors_are_rounded_exact_values(rng):
+    # u^l_{km} = d^l_{km}(pi/2) i^(-m); float64 recurrence coefficients
+    # would leave errors up to 2.5e-16 at l = 64
+    u = sh._half_pi_factors(64)
+    i_pow = np.array([1, -1j, -1, 1j])
+    for l in (20, 64):
+        assert not u[l].flags.writeable
+        for _ in range(300):
+            k, m = int(rng.integers(0, l + 1)), int(rng.integers(-l, l + 1))
+            exact = _exact_small_d(l, k, m, 1, 1) / 2.0 ** l     # c = s = 2^(-1/2)
+            assert abs(u[l][k, l + m] - i_pow[m % 4] * exact) <= 1e-16, (l, k, m)
+
+
+def test_wigner_d_stack_unitary_next_to_the_poles():
+    Rs = np.stack([geom.rotation_zyz(0.4, b, -1.1) for b in NEAR_POLE_TILTS])
+    for l, D in enumerate(sh.wigner_d_stack(64, Rs)):
+        err = np.abs(D @ np.conj(np.swapaxes(D, -1, -2)) - np.eye(2 * l + 1)).max()
+        assert err <= 5e-15, (l, err)
+
+
+def _band_norms(c):
+    """Squared norms of s0, s3 and spin2 per band l, shape (3, l_max + 1)."""
+    l = sh.sh_lm_arrays(c.l_max)[0]
+    return np.stack([np.bincount(l, c.s0 ** 2), np.bincount(l, c.s3 ** 2),
+                     np.bincount(l[l >= 2], np.abs(c.spin2) ** 2, minlength=c.l_max + 1)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_psh_rotation_keeps_band_norms_next_to_the_poles(seed):
+    c = pipeline.random_psh_coeffs(32, seed=seed)
+    rot = psh.psh_rotate_coeffs(
+        c, np.stack([geom.rotation_zyz(0.4, b, -1.1) for b in NEAR_POLE_TILTS]))
+    before = _band_norms(c)
+    for i, beta in enumerate(NEAR_POLE_TILTS):
+        after = _band_norms(psh.PshCoeffs(32, rot.s0[i], rot.spin2[i], rot.s3[i]))
+        rel = np.abs(after - before)[before > 0] / before[before > 0]
+        assert rel.max() <= 5e-15, (beta, rel.max())
+
+
 def test_wigner_d_stack_batch_equals_single_calls(rng):
     Rs = np.array([geom.random_rotation(rng) for _ in range(6)]
                   + [np.eye(3), geom.rotation_zyz(0.3, np.pi, 0.0)])
@@ -281,10 +327,11 @@ def test_wigner_d_stack_batch_equals_single_calls(rng):
 def test_wigner_d_real(rng):
     R = geom.random_rotation(rng)
     for l in (2, 4):
-        DR = sh.wigner_d_real(l, R)
+        DR = sh.wigner_d_real_from_complex(sh.wigner_d_complex(l, R))
         assert np.abs(DR.imag).max() if np.iscomplexobj(DR) else True
         assert np.abs(DR @ DR.T - np.eye(2 * l + 1)).max() < 1e-12
-    assert np.abs(sh.wigner_d_real(3, np.eye(3)) - np.eye(7)).max() < 1e-14
+    DR = sh.wigner_d_real_from_complex(sh.wigner_d_complex(3, np.eye(3)))
+    assert np.abs(DR - np.eye(7)).max() < 1e-14
     # quadrature match
     g = geom.gauss_legendre_grid(10)
     th, ph = g.angles()
@@ -292,7 +339,7 @@ def test_wigner_d_real(rng):
     rot_dirs = g.dirs().reshape(-1, 3) @ R
     tr, pr = geom.dir_to_sph(rot_dirs)
     l = 3
-    DR = sh.wigner_d_real(l, R)
+    DR = sh.wigner_d_real_from_complex(sh.wigner_d_complex(l, R))
     B = sh.sh_basis_real(l, th.ravel(), ph.ravel())
     Br = sh.sh_basis_real(l, tr, pr)
     for m in (-3, 0, 2):
