@@ -9,7 +9,8 @@ in `to`, while s0 and s3 are unchanged.  frame_twist computes
 (cos 2t, sin 2t) and is the only place the twist is computed;
 stokes_reframe (Stokes vectors, (..., 4)) and mueller_reframe (both sides of
 Mueller matrices, (..., 4, 4)) are the only places it is applied to real
-components, and sites holding the complex pair multiply it by c - i s.
+components; pconv's angular oracles and s2l2.perturbation_protocol's
+theta-phi baseline multiply the complex pair by c - i s (S2L2 turns no pair).
 Stokes fields are stored as components under the theta-phi frame field at
 each sample (no frames are stored).
 """

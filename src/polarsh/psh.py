@@ -230,11 +230,16 @@ def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
 
 
 def psh_reconstruct(coeffs: PshCoeffs, theta, phi) -> np.ndarray:
-    """Evaluate the Stokes field (components under theta-phi frames)."""
-    shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
+    """Evaluate the Stokes field (components under theta-phi frames), sh._CHUNK
+    points at a time so that no full basis is held."""
+    theta, phi = np.broadcast_arrays(theta, phi)
+    if theta.size > sh._CHUNK:
+        parts = [psh_reconstruct(coeffs, theta.flat[lo:lo + sh._CHUNK], phi.flat[lo:lo + sh._CHUNK])
+                 for lo in range(0, theta.size, sh._CHUNK)]
+        return np.concatenate(parts).reshape(theta.shape + (4,))
     s0, s3 = (sh.sh_basis_real(coeffs.l_max, theta, phi) @ np.stack([coeffs.s0, coeffs.s3], -1)).T
     c = s2sh_basis(coeffs.l_max, theta, phi) @ coeffs.spin2
-    return np.stack([s0, c.real, c.imag, s3], axis=-1).reshape(shape + (4,))
+    return np.stack([s0, c.real, c.imag, s3], axis=-1).reshape(theta.shape + (4,))
 
 
 def psh_reconstruct_field(coeffs: PshCoeffs, grid: SphereGrid) -> StokesField:

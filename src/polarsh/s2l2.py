@@ -5,7 +5,8 @@ projections of its Dirac-delta field, scaled by sqrt(4 pi / 5) so that the
 encoding is norm preserving.  The representation is continuous in the vector
 and independent of frame and global-axis choices, which yields a rotation
 invariant distance and direction-crossing interpolation, used here for
-polarized image resampling.
+polarized image resampling.  Encoding and decoding need only some tangent
+frame at w (see _forms).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import psh as P
 from .geom import (normalize, sph_to_dir, dir_to_sph, fibonacci_directions,
                    frame_for_dir, frame_theta_phi, frame_perspective,
                    rotation_about_axis)
@@ -24,17 +24,29 @@ from .shscalar import FOUR_PI
 
 SCALE = math.sqrt(FOUR_PI / 5.0)
 
+# SCALE 2Y_2m(w) = m^T Q_m m for m = x + iy of any tangent frame (x, y, w),
+# where Q_m = SCALE E_m / sqrt(6) and E_m is the symmetric trace-free tensor
+# with Y_2m(n) = n^T E_m n (Thorne 1980, Rev. Mod. Phys. 52, 299); with
+# u = e_x + i e_y and z = e_z, column m + 2 holds Q_m, row 3i + j entry ij.
+_U, _Z = np.array([1.0, 1j, 0.0]), np.array([0.0, 0.0, 1.0])
+_FORMS = np.stack([
+    np.outer(_U.conj(), _U.conj()) / 4,
+    (np.outer(_Z, _U.conj()) + np.outer(_U.conj(), _Z)) / 4,
+    (3.0 * np.outer(_Z, _Z) - np.eye(3)) / math.sqrt(24.0),
+    -(np.outer(_Z, _U) + np.outer(_U, _Z)) / 4,
+    np.outer(_U, _U) / 4,
+]).reshape(5, 9).T
 
-def _spin2_complex_at(s: GeometricStokes):
-    """Complex spin-2 component of s under the theta-phi frame at its direction."""
-    theta, phi = dir_to_sph(s.direction)
-    comps = s.in_frame(frame_theta_phi(theta, phi))
-    return comps[1] + 1j * comps[2], theta, phi
 
+def _forms(frames):
+    """SCALE 2Y_2m(w), m = -2..2, measured in tangent frames (x, y, w) (..., 3, 3).
 
-def _basis_row(theta, phi):
-    """2Y_{2m}(theta, phi) for m = -2..2, shape (5,)."""
-    return P.s2sh_basis(2, theta, phi)[0]
+    Turning a frame by t turns x + iy by e^{-it} and the forms by e^{-2it},
+    as it turns s1 + i s2: encode is conj(forms) (s1 + i s2) and decode
+    sum(r forms) in any frame.  Returns complex (..., 5).
+    """
+    m = frames[..., :, 0] + 1j * frames[..., :, 1]
+    return (m[..., :, None] * m[..., None, :]).reshape(m.shape[:-1] + (9,)) @ _FORMS
 
 
 def s2l2(s: GeometricStokes) -> np.ndarray:
@@ -43,8 +55,7 @@ def s2l2(s: GeometricStokes) -> np.ndarray:
     Ordering: r[2*(m+2) + (p-1)] for m = -2..2, p = 1, 2.  The s0 and s3
     slots of the input are ignored (full pipelines concatenate them).
     """
-    stilde, theta, phi = _spin2_complex_at(s)
-    rt = SCALE * np.conj(_basis_row(theta, phi)) * stilde
+    rt = np.conj(_forms(s.frame)) * (s.components[1] + 1j * s.components[2])
     out = np.empty(10)
     out[0::2] = rt.real
     out[1::2] = rt.imag
@@ -55,16 +66,19 @@ def s2l2_inv(r: np.ndarray, omega) -> GeometricStokes:
     """Decode a 10-vector at a direction (projecting out-of-range inputs).
 
     For r outside the image of s2l2 this acts as the orthogonal projection in
-    r-space onto the Stokes vectors at omega.
+    r-space onto the Stokes vectors at omega.  The result is measured in
+    frame_for_dir(omega).
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (10,):
         raise ValueError("S2L2 vectors have 10 entries")
-    rt = r[0::2] + 1j * r[1::2]
-    theta, phi = dir_to_sph(normalize(np.asarray(omega, dtype=float)))
-    stilde = SCALE * np.sum(rt * _basis_row(theta, phi))
-    comps = np.array([0.0, stilde.real, stilde.imag, 0.0])
-    return GeometricStokes(comps, frame_theta_phi(theta, phi))
+    omega = np.asarray(omega, dtype=float)
+    length = np.linalg.norm(omega) if omega.shape == (3,) else math.nan
+    if not 0.0 < length < math.inf:     # also false for a NaN length
+        raise ValueError(f"the direction must be a finite, nonzero 3-vector, got {omega.tolist()}")
+    F = frame_for_dir(omega / length)
+    stilde = np.sum((r[0::2] + 1j * r[1::2]) * _forms(F))
+    return GeometricStokes(np.array([0.0, stilde.real, stilde.imag, 0.0]), F)
 
 
 def s2l2_distance(s: GeometricStokes, t: GeometricStokes) -> float:
@@ -98,24 +112,25 @@ def s2l2_interpolate(s: GeometricStokes, t: GeometricStokes, alpha: float) -> Ge
 _UNIT_COMPONENTS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 # (direction, rotation) pairs per blocked pass: bounds the working set at
-# any n (the (block, rotations, 4, 5) S2L2 vectors take about 16 MB; 49
-# directions a pass at n = 1000)
-_PAIRS = 50_000
+# any n.  The (block, rotations, 4, 5) S2L2 vectors take about 1.3 MB, 3
+# directions a pass at n = 1000; with 50 000 pairs (16 MB) the protocol ran
+# about 9 % slower, one thread.
+_PAIRS = 4_000
 
 
 def _encode_rotated(dirs, pairs, rots):
-    """S2L2 vectors and theta-phi spin-2 pairs of R_S s over a rotation stack.
+    """S2L2 vectors of R_S s over a rotation stack, and the rotated frames.
 
     dirs (b, 3) carry complex spin-2 pairs s1 + i s2, (b, c) or (c,) shared
-    by all directions, under their theta-phi frames; rots is (k, 3, 3).
-    Returns r (b, k, c, 5) complex and the rotated vectors' pairs under the
-    theta-phi frame at their new directions, (b, k, c).  The twist and the
-    basis depend only on the (direction, rotation) pair, so all c pairs
-    share them.
+    by all directions, under frame_for_dir(dirs); rots is (k, 3, 3).  A
+    rotated vector keeps its pair in the rotated frame G = R F, so
+    r = conj(_forms(G)) (s1 + i s2).  Returns r (b, k, c, 5) complex and
+    G (b, k, 3, 3); the forms depend only on the (direction, rotation) pair,
+    so all c pairs share them.
     """
     # R F for every (direction, rotation), as one (3k, 3) @ (b, 3, 3) product
-    G = (rots.reshape(-1, 3) @ frame_for_dir(dirs)).reshape(len(dirs), -1, 1, 3, 3)
-    return _encode_many(pairs[..., None, :], G, G[..., 2])
+    G = (rots.reshape(-1, 3) @ frame_for_dir(dirs)).reshape(len(dirs), -1, 3, 3)
+    return np.conj(_forms(G))[..., None, :] * pairs[..., None, :, None], G
 
 
 def perturbation_protocol(n: int = 1000, eps: float = 0.1):
@@ -129,8 +144,9 @@ def perturbation_protocol(n: int = 1000, eps: float = 0.1):
     samples ('s2l2_all_mean', 'frame_all_mean').
 
     The directions are processed in blocks of about _PAIRS / n against the
-    identity and all n rotations at once: the rotated frames, their twist to
-    the theta-phi frame and the conjugated l = 2 basis are computed once per
+    identity and all n rotations at once: the rotated frames, their
+    quadratic forms and their twist to the theta-phi frame (the baseline's
+    components are theta-phi ones by definition) are computed once per
     (direction, rotation) pair and shared by the four components.
     """
     if n < 1:
@@ -143,7 +159,9 @@ def perturbation_protocol(n: int = 1000, eps: float = 0.1):
     block = max(1, _PAIRS // len(rots))
     for lo in range(0, n, block):
         blk = dirs[lo:lo + block]
-        r, c = _encode_rotated(blk, _UNIT_COMPONENTS, rots)
+        r, G = _encode_rotated(blk, _UNIT_COMPONENTS, rots)
+        c2, s2 = frame_twist(G, frame_for_dir(G[..., 2]))
+        c = (c2 - 1j * s2)[..., None] * _UNIT_COMPONENTS                  # (b, n + 1, 4)
         ds = np.linalg.norm((r[:, 1:] - r[:, :1]).view(float), axis=-1)   # (b, n, 4)
         df = np.abs(c[:, 1:] - c[:, :1])
         max_s[lo:lo + len(blk)] = ds.max(axis=1)
@@ -278,10 +296,12 @@ class StokesImage:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape[:2] != (self.view.height, self.view.width):
-            raise ValueError("image shape does not match view")
-        if self.valid is None:
-            self.valid = np.ones(self.data.shape[:2], dtype=bool)
+        hw = (self.view.height, self.view.width)
+        if self.data.shape != hw + (4,):
+            raise ValueError(f"image data has shape {self.data.shape}; the view needs {hw + (4,)}")
+        self.valid = np.ones(hw, bool) if self.valid is None else np.asarray(self.valid, bool)
+        if self.valid.shape != hw:
+            raise ValueError(f"valid mask has shape {self.valid.shape}; the view needs {hw}")
 
     def stokes_at(self, row: int, col: int) -> GeometricStokes:
         d = self.view.pixel_dirs()[row, col]
@@ -323,34 +343,6 @@ def cubemap_views(size: int):
 # ---------------------------------------------------------------------------
 
 _SNAP = 1e-9
-
-
-def _encode_many(pairs, frames, dirs):
-    """Vectorized s2l2 of complex spin-2 pairs s1 + i s2 under `frames` at `dirs`.
-
-    Returns r, complex (..., 5) for m = -2..2, and the pairs under the
-    theta-phi frames at `dirs`; the twist's shape broadcasts against pairs.
-    """
-    th, ph = dir_to_sph(dirs)
-    c2, s2 = frame_twist(frames, frame_theta_phi(th, ph))
-    stilde = pairs * (c2 - 1j * s2)
-    B = P.s2sh_basis(2, np.ravel(th), np.ravel(ph)).reshape(np.shape(th) + (5,))
-    return SCALE * np.conj(B) * stilde[..., None], stilde
-
-
-def _decode_many(rt, dirs):
-    """Vectorized s2l2_inv: complex (N,5) -> spin-2 complex under theta-phi."""
-    th, ph = dir_to_sph(dirs)
-    B = P.s2sh_basis(2, np.ravel(th), np.ravel(ph)).reshape(np.shape(th) + (5,))
-    return SCALE * np.sum(rt * B, axis=-1), th, ph
-
-
-def _project_many(rt, dirs):
-    """Decode + re-encode at `dirs`: the r-space projection of iterated lerp."""
-    th, ph = dir_to_sph(dirs)
-    B = P.s2sh_basis(2, np.ravel(th), np.ravel(ph)).reshape(np.shape(th) + (5,))
-    stilde = SCALE * np.sum(rt * B, axis=-1)
-    return SCALE * np.conj(B) * stilde[..., None]
 
 
 def _footprints(view: ViewSpec, dirs):
@@ -411,8 +403,7 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         sel = np.nonzero(chosen == k)[0]
         if sel.size == 0:
             continue
-        d = flat_dirs[sel]
-        rows, cols, w, fr, fc = _footprints(src.view, d)
+        rows, cols, w, fr, fc = _footprints(src.view, flat_dirs[sel])
         pix = src.data[rows, cols]                      # (n, 4, 4comp)
         nb_dirs = src.view.pixel_dirs()[rows, cols]     # (n, 4, 3)
         nb_frames = src.view.frames(nb_dirs)
@@ -425,18 +416,19 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         else:
             s0 = np.sum(w * pix[..., 0], axis=-1)
             s3 = np.sum(w * pix[..., 3], axis=-1)
-            r_nb, _ = _encode_many(pix[..., 1] + 1j * pix[..., 2], nb_frames, nb_dirs)
-            # horizontal pairs, then vertical, each lerp on the blended dir
-            fcn = fc[..., None]
-            d_top = normalize((1 - fcn) * nb_dirs[:, 0] + fcn * nb_dirs[:, 1])
-            d_bot = normalize((1 - fcn) * nb_dirs[:, 2] + fcn * nb_dirs[:, 3])
-            r_top = _project_many((1 - fcn) * r_nb[:, 0] + fcn * r_nb[:, 1], d_top)
-            r_bot = _project_many((1 - fcn) * r_nb[:, 2] + fcn * r_nb[:, 3], d_bot)
-            frn = fr[..., None]
-            r_fin = (1 - frn) * r_top + frn * r_bot
-            stilde, th_d, ph_d = _decode_many(r_fin, d)
-            out[sel] = stokes_reframe(np.stack([s0, stilde.real, stilde.imag, s3], axis=-1),
-                                      frame_theta_phi(th_d, ph_d), dst_frames[sel])
+            r_nb = np.conj(_forms(nb_frames)) * (pix[..., 1] + 1j * pix[..., 2])[..., None]
+            # horizontal pairs (top row, bottom row), then vertical; each lerp is
+            # projected onto the Stokes vectors at its blended direction
+            fcn = fc[:, None, None]
+            r_nb = r_nb.reshape(-1, 2, 2, 5)
+            nb_rc = nb_dirs.reshape(-1, 2, 2, 3)
+            f = _forms(frame_for_dir(normalize((1 - fcn) * nb_rc[:, :, 0] + fcn * nb_rc[:, :, 1])))
+            r_row = (1 - fcn) * r_nb[:, :, 0] + fcn * r_nb[:, :, 1]
+            r_row = np.conj(f) * np.sum(r_row * f, axis=-1, keepdims=True)
+            frn = fr[:, None]
+            r_fin = (1 - frn) * r_row[:, 0] + frn * r_row[:, 1]
+            stilde = np.sum(r_fin * _forms(dst_frames[sel]), axis=-1)
+            out[sel] = np.stack([s0, stilde.real, stilde.imag, s3], axis=-1)
             # bit-exact copy where the footprint collapses to one pixel whose
             # frame coincides with the destination frame
             one = (fr == 0.0) & (fc == 0.0)

@@ -38,6 +38,7 @@ import numpy as np
 from .geom import SphereGrid, zyz_from_rotation
 
 FOUR_PI = 4.0 * np.pi
+_CHUNK = 2048      # scattered points per pass of a basis evaluation: small temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +344,10 @@ def _basis(l_max, s, theta, phi, phase):
     theta, phi = (np.ravel(a).astype(float) for a in np.broadcast_arrays(theta, phi))
     ph = phase(np.arange(-l_max, l_max + 1), phi[:, None])
     out = np.empty((theta.size, max(sh_size(l_max) - s * s, 0)), dtype=ph.dtype)
-    for lo in range(0, theta.size, 2048):   # points in chunks: small temporaries
-        for l, block in _theta_blocks(l_max, s, theta[lo:lo + 2048]):
-            np.multiply(block, ph[lo:lo + 2048, l_max - l:l_max + l + 1],
-                        out=out[lo:lo + 2048, l * l - s * s:(l + 1) ** 2 - s * s])
+    for lo in range(0, theta.size, _CHUNK):
+        for l, block in _theta_blocks(l_max, s, theta[lo:lo + _CHUNK]):
+            np.multiply(block, ph[lo:lo + _CHUNK, l_max - l:l_max + l + 1],
+                        out=out[lo:lo + _CHUNK, l * l - s * s:(l + 1) ** 2 - s * s])
     return out
 
 

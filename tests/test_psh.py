@@ -178,6 +178,23 @@ def test_psh_reconstruct_trivial():
     assert np.abs(v - b).max() < 1e-14
 
 
+def test_psh_reconstruct_across_a_chunk_boundary(rng):
+    # one call over a chunk and a part equals the two calls split at the
+    # chunk boundary, in the broadcast shape of its inputs
+    L = 6
+    c = psh.PshCoeffs(L, rng.normal(size=sh.sh_size(L)),
+                      rng.normal(size=psh.spin2_size(L)) + 1j * rng.normal(size=psh.spin2_size(L)),
+                      rng.normal(size=sh.sh_size(L)))
+    n = sh._CHUNK + 37
+    th, ph = rng.uniform(0, np.pi, (3, n)), rng.uniform(0, 2 * np.pi, n)
+    whole = psh.psh_reconstruct(c, th, ph)
+    assert whole.shape == (3, n, 4)
+    for row in range(3):
+        split = np.concatenate([psh.psh_reconstruct(c, th[row, :sh._CHUNK], ph[:sh._CHUNK]),
+                                psh.psh_reconstruct(c, th[row, sh._CHUNK:], ph[sh._CHUNK:])])
+        assert np.abs(whole[row] - split).max() < 1e-13
+
+
 def test_psh_rotation_block_properties(rng):
     R = geom.random_rotation(rng)
     for l in (0, 1, 3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarsh import geom, pipeline, s2l2
+from polarsh import geom, pipeline, psh, s2l2
 from polarsh.polar import GeometricStokes, stokes_rotate
 
 
@@ -10,6 +10,22 @@ def spin2_at(theta, phi, a, b, twist=0.0):
     if twist:
         F = F @ geom.rotation_z(twist)
     return GeometricStokes([0.0, a, b, 0.0], F)
+
+
+def test_forms_are_the_scaled_spin2_basis(rng):
+    # in theta-phi frames the quadratic forms are SCALE 2Y_2m, at the poles
+    # and 1e-9 from them too
+    d = geom.normalize(rng.normal(size=(4000, 3)))
+    th, ph = geom.dir_to_sph(d)
+    th = np.concatenate([th, [0.0, np.pi, 1e-9, np.pi - 1e-9, 0.0, np.pi]])
+    ph = np.concatenate([ph, [0.0, 0.0, 0.7, 2.5, 4.0, 5.5]])
+    F = geom.frame_theta_phi(th, ph)
+    want = s2l2.SCALE * psh.s2sh_basis(2, th, ph)
+    assert np.abs(s2l2._forms(F) - want).max() < 1e-14
+    # turning the frame by t multiplies the forms by e^{-2it}, as s1 + i s2
+    t = rng.uniform(0, 2 * np.pi, th.size)
+    turned = s2l2._forms(F @ np.stack([geom.rotation_z(a) for a in t]))
+    assert np.abs(turned - np.exp(-2j * t)[:, None] * want).max() < 1e-14
 
 
 def test_encode_norm_and_zero(rng):
@@ -55,6 +71,20 @@ def test_roundtrip_and_idempotence(rng):
     assert np.abs(s2l2.s2l2_inv(np.zeros(10), d).components).max() == 0.0
     with pytest.raises(ValueError):
         s2l2.s2l2_inv(np.zeros(9), d)
+
+
+def test_decode_rejects_bad_directions():
+    # zero, underflowing, non-finite and misshapen directions used to give NaN
+    # components or an IndexError
+    r = np.ones(10)
+    for omega in ([0.0, 0.0, 0.0], [1e-200, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
+                  [0.0, 1.0], np.eye(3)):
+        with pytest.raises(ValueError, match="finite, nonzero 3-vector"):
+            s2l2.s2l2_inv(r, omega)
+    # the length is not part of the direction
+    a, b = s2l2.s2l2_inv(r, [0.0, 3.0, 4.0]), s2l2.s2l2_inv(r, [0.0, 0.6, 0.8])
+    assert np.abs(a.components - b.components).max() < 1e-15
+    assert np.abs(a.frame - b.frame).max() < 1e-15
 
 
 def test_distance_properties(rng):
@@ -213,12 +243,42 @@ def test_cubemap_covers_sphere(rng):
     assert covered.all()
 
 
+def test_stokes_image_checks_shapes():
+    view = s2l2.ViewSpec("equirect", 4, 8)
+    with pytest.raises(ValueError, match=r"\(4, 8, 4\)"):
+        s2l2.StokesImage(view, np.zeros((4, 8, 3)))
+    with pytest.raises(ValueError, match=r"\(4, 8, 4\)"):
+        s2l2.StokesImage(view, np.zeros((4, 8)))
+    with pytest.raises(ValueError, match="valid mask"):
+        s2l2.StokesImage(view, np.zeros((4, 8, 4)), np.ones((4, 7), dtype=bool))
+    img = s2l2.StokesImage(view, np.zeros((4, 8, 4)))
+    assert img.valid.shape == (4, 8) and img.valid.all()
+
+
 def test_identity_resample_bit_exact():
     view = s2l2.ViewSpec("equirect", 24, 48)
     img = s2l2.render_image(pipeline.two_lobe_field_fn, view)
     out = s2l2.resample([img], view, "s2l2")
     assert np.array_equal(out.data, img.data)
     assert out.valid.all()
+
+
+def test_resample_is_iterated_s2l2_interpolation(rng):
+    # s2l2_interpolate over the footprint's top and bottom pairs, the two
+    # results lerped in r and decoded at the destination pixel, measured in
+    # the destination's frame field
+    src = s2l2.render_image(pipeline.two_lobe_field_fn, s2l2.ViewSpec("equirect", 12, 24))
+    dst = s2l2.ViewSpec("perspective", 5, 7, geom.random_rotation(rng), 70.0)
+    out = s2l2.resample([src], dst, "s2l2").data.reshape(-1, 4)
+    dirs = dst.pixel_dirs().reshape(-1, 3)
+    rows, cols, w, fr, fc = s2l2._footprints(src.view, dirs)
+    for i, d in enumerate(dirs):
+        nb = [src.stokes_at(r, c) for r, c in zip(rows[i], cols[i])]
+        top = s2l2.s2l2_interpolate(nb[0], nb[1], fc[i])
+        bot = s2l2.s2l2_interpolate(nb[2], nb[3], fc[i])
+        mid = s2l2.s2l2_inv((1 - fr[i]) * s2l2.s2l2(top) + fr[i] * s2l2.s2l2(bot), d)
+        assert np.abs(out[i, 1:3] - mid.in_frame(dst.frames(d))[1:3]).max() < 1e-12
+        assert np.abs(out[i, 0::3] - w[i] @ np.array([s.components[0::3] for s in nb])).max() < 1e-12
 
 
 def test_resample_uncovered_flagged():
