@@ -5,7 +5,9 @@ aligned frames), its PSH kernel coefficients, the frequency-domain
 convolution theorem, the angular-domain convolution (oracle path), expansion
 of kernel coefficients into a sparse operator matrix, the least-squares
 projection of an operator onto the convolution structure, and rotation
-averaging.
+averaging.  The theorem, the expansion and the projection all read the one
+theorem table _conv_tables(l_max); kernel_coeffs reads the Mueller-to-spin
+split of operators._spin_parts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import shscalar as sh
 from .geom import (complex_pair_separate, fibonacci_directions, frame_for_dir,
                    frame_theta_phi, normalize, rotation_about_axis,
                    rotation_align, rotation_zyz, sph_to_dir, dir_to_sph)
-from .operators import PshCoeffMatrix, split_psh_matrix
+from .operators import PshCoeffMatrix, _spin_parts
 from .polar import MuellerMatrix, frame_twist, mueller_reframe
 from .shscalar import FOUR_PI
 
@@ -102,23 +104,21 @@ def kernel_coeffs(kernel_fn, l_max: int, n_nodes=None) -> PolarConvKernelCoeffs:
     ws = TWO_PI * w * np.sin(theta)
 
     tables = {s: sh.spin_theta_table(l_max, s, theta) for s in (0, 2)}
-
-    def rows(s, m):
-        """sY_lm(theta, 0) over l = 0..l_max (zero where l < |m|): one row per l."""
-        ls = np.arange(abs(m), l_max + 1)
-        return np.pad(tables[s][:, ls * ls + ls + m].T, ((l_max + 1 - ls.size, 0), (0, 0)))
-
     kc = PolarConvKernelCoeffs.zeros(l_max)
-    y_l0, y_lm2 = rows(0, 0), rows(0, -2)
-    kc.k00[:], kc.k03[:], kc.k30[:], kc.k33[:] = (
-        y_l0 @ (ws * k[:, a, b]) for a, b in ((0, 0), (0, 3), (3, 0), (3, 3)))
-    kc.kp0[:], kc.kp3[:] = (rows(2, 0) @ (ws * (k[:, 1, b] + 1j * k[:, 2, b])) for b in (0, 3))
-    kc.k0p[:], kc.k3p[:] = (y_lm2 @ (ws * (k[:, a, 1] - 1j * k[:, a, 2])) for a in (0, 3))
-    kc.kiso[:] = rows(2, -2) @ (ws * (0.5 * (k[:, 1, 1] + k[:, 2, 2])
-                                      + 0.5j * (k[:, 2, 1] - k[:, 1, 2])))
-    kc.kconj[:] = rows(2, 2) @ (ws * (0.5 * (k[:, 1, 1] - k[:, 2, 2])
-                                      + 0.5j * (k[:, 2, 1] + k[:, 1, 2])))
+    for group, key, g, s_out, s_in, sign in _spin_parts(k):
+        # sY_lm(theta, 0) at m = -sign s_in over l = 0..l_max, zero where l < |m|
+        m = -sign * s_in
+        l = np.arange(abs(m), l_max + 1)
+        rows = np.zeros((l_max + 1, theta.size))
+        rows[abs(m):] = tables[s_out][:, l * l + l + m].T
+        getattr(kc, _family(group, key))[:] = rows @ (ws * g)
     return kc
+
+
+def _family(group, key):
+    """The KC_FAMILIES name of an operators._spin_parts block."""
+    names = {"scalar": "k%d%d", "to_spin2": "kp%d", "from_spin2": "k%dp"}
+    return names[group] % key if group in names else "k" + group
 
 
 def kernel_from_mueller_field(field_fn, theta, phi=0.0):
@@ -210,9 +210,9 @@ def pconv_apply(kc: PolarConvKernelCoeffs, f: P.PshCoeffs) -> P.PshCoeffs:
 def conv_expand_to_matrix(kc: PolarConvKernelCoeffs, l_max: int) -> PshCoeffMatrix:
     """Expand kernel coefficients into the sparse operator matrix."""
     t, vals = _theorem_values(kc, l_max)
-    out = np.zeros((P.psh_size(l_max),) * 2)
-    np.add.at(out, (t.row, t.col), vals)
-    return PshCoeffMatrix(l_max, out)
+    n = P.psh_size(l_max)
+    return PshCoeffMatrix(l_max, np.bincount(t.row * n + t.col, weights=vals,
+                                             minlength=n * n).reshape(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -421,113 +421,72 @@ def _conv_tables(l_max: int) -> _ConvTable:
 
 
 @lru_cache(maxsize=8)
-def _fit_weights(l_max: int):
-    """Read-only dense weights of conv_project_operator: matched marks the
-    entries the structure may fill (same l and |m_o| = |m_i|), then U^{p0}
-    over (spin-2 out, scalar in) and U^{0p} over (l >= 2 scalar out, spin-2
-    in), zero off matched."""
-    l, m, *_ = P.psh_layout(l_max)
-    matched = (l[:, None] == l[None, :]) & (np.abs(m)[:, None] == np.abs(m)[None, :])
-    u_to = _u_to(m[4:, None], m[None, :]) * matched[4:]
-    u_from = np.conj(_u_to(m[None, 4:], m[4:, None])) * matched[4:, 4:]
-    for a in (matched, u_to, u_from):
+def _residual_labels(l_max: int):
+    """Read-only labelling of the dense matrix for conv_project_operator.
+
+    label is 2 (block (l_max + 1) + l_row) + unmatched per entry, block 0..3
+    for scalar, to_spin2, from_spin2 and spin22, with one bin past the end
+    for the uncounted entries (scalar rows l < 2 by spin-2 columns); count
+    is the number of entries per label, shape (4, l_max + 1, 2).
+    """
+    l, m, p = P.psh_layout(l_max).lmp.T
+    spin = (p == 1) | (p == 2)
+    block = spin[:, None] + 2 * spin[None, :]
+    unmatched = (l[:, None] != l[None, :]) | (np.abs(m)[:, None] != np.abs(m)[None, :])
+    label = 2 * (block * (l_max + 1) + l[:, None]) + unmatched
+    label[(block == 2) & (l[:, None] < 2)] = 8 * (l_max + 1)
+    label = label.ravel()
+    count = np.bincount(label, minlength=8 * (l_max + 1) + 1)[:-1].reshape(4, l_max + 1, 2)
+    for a in (label, count):
         a.setflags(write=False)
-    return matched, u_to, u_from
-
-
-def _per_l(rows, x, n_l):
-    """Sums of x over the rows of each band (segment sum by row l)."""
-    if np.iscomplexobj(x):
-        return _per_l(rows, x.real, n_l) + 1j * _per_l(rows, x.imag, n_l)
-    return np.bincount(rows, weights=x, minlength=n_l)
-
-
-def _fit_weighted(rows, C, u, fac):
-    """Per-l weighted least squares of C = fac * u * k on u's support."""
-    n_l = fac.size
-    num = _per_l(rows, np.sum(np.conj(u) * C, axis=1), n_l)
-    den = _per_l(rows, np.sum(np.abs(u) ** 2, axis=1), n_l)
-    return np.divide(num, den * fac, out=np.zeros(n_l, dtype=complex), where=den > 0)
+    return label, count
 
 
 def conv_project_operator(M: PshCoeffMatrix):
     """Fit an operator matrix to the convolution structure per l.
 
-    Returns (PolarConvKernelCoeffs, rms_residual, report).  The scalar
-    families are diagonal means, the mixed 0<->2 families weighted least
-    squares against U^{p0} / U^{0p}, iso and conj the means along the m_i = m_o
-    and m_i = -m_o diagonals.  Per block and output band l, report[block][l]
-    holds two RMS values over the row-l entries: 'matched' is the misfit on
-    the entries the structure may fill (l_i = l and |m_i| = |m_o|), and
-    'unmatched' the energy on all other entries (which the structure forces
-    to zero).  Each real scalar entry counts once, each complex mixed entry
-    twice and each spin 2-to-2 entry (iso and conj together) four times,
-    both in the report and in rms_residual, the RMS over every counted entry
-    of the scalar, to_spin2, from_spin2 (l >= 2 rows) and spin22 blocks.
+    Returns (PolarConvKernelCoeffs, rms_residual, report).  Each family and
+    band is the least-squares fit of the theorem table's entries
+    fac_l Re(w k) to the matrix.  Every complex slot enters the table as a
+    pair (w, -+i w), so Re(w) and Im(w) are orthogonal and the fit is two
+    weighted means.  The residual R is M less the expanded fit.  Per block
+    and output band l, report[block][l] holds two RMS values over the
+    row-l entries: 'matched' is the misfit on the entries the structure may
+    fill (l_i = l and |m_i| = |m_o|), and 'unmatched' the energy on all
+    other entries (which the structure forces to zero).  Both count real
+    entries of the dense matrix, weighting R^2 by 1 in the scalar,
+    to_spin2 and from_spin2 (l >= 2 rows) blocks and by 1/2 in the spin22
+    block; rms_residual is the RMS over every one of those entries.  A
+    stacked matrix or a non-finite entry raises ValueError.
     """
     l_max = M.l_max
+    if M.matrix.ndim != 2:
+        raise ValueError(f"conv_project_operator fits one matrix, got shape {M.matrix.shape}")
+    bad = np.argwhere(~np.isfinite(M.matrix))
+    if bad.size:
+        raise ValueError(f"non-finite operator entry at (row, col) = {tuple(bad[0].tolist())}")
     n_l = l_max + 1
-    lay = P.psh_layout(l_max)
-    rows, rows2, m = lay.l, lay.l[4:], lay.m
-    matched, u_to, u_from = _fit_weights(l_max)
+    t = _conv_tables(l_max)
+    v = M.matrix[t.row, t.col]
+    key = t.fam * n_l + t.l
     fac = np.sqrt(FOUR_PI / (2 * np.arange(n_l) + 1))
-    width = 2 * np.arange(n_l) + 1
-    kc = PolarConvKernelCoeffs.zeros(l_max)
-    blocks = split_psh_matrix(M)
-    report = {}
-    totals = [0.0, 0]
+    k = np.zeros((2, len(KC_FAMILIES), n_l))
+    for part, (w, sign) in enumerate(((t.w.real, 1.0), (t.w.imag, -1.0))):
+        num, den = (np.bincount(key, weights=x, minlength=k[part].size).reshape(-1, n_l)
+                    for x in (w * v, w * w))
+        np.divide(sign * num, den * fac, out=k[part], where=den > 0)
+    kc = PolarConvKernelCoeffs(l_max, *k[0, :4], *(k[0, 4:] + 1j * k[1, 4:]))
 
-    def tally(key, rows, pairs, matched, weight, l_from):
-        res_m = sum(np.sum(np.where(matched, np.abs(v - f) ** 2, 0.0), axis=1)
-                    for v, f in pairs)
-        res_u = sum(np.sum(np.where(matched, 0.0, np.abs(v) ** 2), axis=1)
-                    for v, f in pairs)
-        count = weight * len(pairs)
-        sm, su = _per_l(rows, res_m, n_l), _per_l(rows, res_u, n_l)
-        nm = count * _per_l(rows, np.sum(matched, axis=1), n_l)
-        nu = count * _per_l(rows, np.sum(~matched, axis=1), n_l)
-        report[key] = {l: {"matched": math.sqrt(sm[l] / max(nm[l], 1)),
-                           "unmatched": math.sqrt(su[l] / max(nu[l], 1))}
-                       for l in range(l_from, n_l)}
-        totals[0] += float(np.sum(sm[l_from:] + su[l_from:]))
-        totals[1] += int(np.sum(nm[l_from:] + nu[l_from:]))
-
-    # scalar families: diagonal means
-    pairs = []
-    for ab, name in (((0, 0), "k00"), ((0, 3), "k03"), ((3, 0), "k30"), ((3, 3), "k33")):
-        blk = blocks["scalar"][ab]
-        k = getattr(kc, name)
-        k[:] = _per_l(rows, np.diagonal(blk), n_l) / width / fac
-        pairs.append((blk, np.diag(fac[rows] * k[rows])))
-    tally("scalar", rows, pairs, matched, 1, 0)
-
-    # mixed families: weighted least squares over the matched entries (the
-    # spin-2 index set and so these blocks are empty for l_max < 2)
-    for key, u, cut, fams in (("to_spin2", u_to, 0, ((0, "kp0"), (3, "kp3"))),
-                              ("from_spin2", u_from, 4, ((0, "k0p"), (3, "k3p")))):
-        pairs = []
-        for a, name in fams:
-            C = blocks[key][a][cut:]
-            k = getattr(kc, name)
-            k[:] = _fit_weighted(rows2, C, u, fac)
-            pairs.append((C, (fac * k)[rows2][:, None] * u))
-        tally(key, rows2, pairs, matched[4:, cut:], 2, 2)
-
-    # spin 2-to-2: iso along m_i = m_o, conj along m_i = -m_o
-    diag = np.arange(rows2.size)
-    mirror = diag - 2 * m[4:]
-    sign = np.where(m[4:] % 2, -1.0, 1.0)
-    iso, conj = blocks["iso"], blocks["conj"]
-    kc.kiso[:] = _per_l(rows2, iso[diag, diag], n_l) / width / fac
-    kc.kconj[:] = _per_l(rows2, sign * conj[diag, mirror], n_l) / width / fac
-    fit_i = np.zeros_like(iso)
-    fit_c = np.zeros_like(conj)
-    fit_i[diag, diag] = (fac * kc.kiso)[rows2]
-    fit_c[diag, mirror] = sign * (fac * kc.kconj)[rows2]
-    tally("spin22", rows2, [(iso, fit_i), (conj, fit_c)], matched[4:, 4:], 2, 2)
-
-    rms = math.sqrt(totals[0] / max(totals[1], 1))
-    return kc, rms, report
+    label, count = _residual_labels(l_max)
+    R = M.matrix - conv_expand_to_matrix(kc, l_max).matrix
+    energy = np.bincount(label, weights=(R * R).ravel(), minlength=count.size + 1)
+    energy = energy[:-1].reshape(count.shape)
+    energy[3] *= 0.5    # |iso|^2 + |conj|^2 is half the R^2 of their four real entries
+    rms = np.sqrt(energy / np.maximum(count, 1))
+    report = {name: {l: {"matched": float(rms[b, l, 0]), "unmatched": float(rms[b, l, 1])}
+                     for l in range(0 if b == 0 else 2, n_l)}
+              for b, name in enumerate(("scalar", "to_spin2", "from_spin2", "spin22"))}
+    return kc, math.sqrt(energy.sum() / max(count.sum(), 1)), report
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def test_cached_tables_are_read_only():
     tables = [*op._product_bases(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
               sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3), sh.complex_to_real_block(2),
               sh.complex_to_real_matrix(3),
-              *pconv._conv_tables(3), *pconv._fit_weights(3)]
+              *pconv._conv_tables(3), *pconv._residual_labels(3)]
     for a in tables:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]

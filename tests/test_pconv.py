@@ -435,19 +435,25 @@ def test_conv_project_unmatched_perturbation():
     assert rms1 > rms0
 
 
+def test_conv_project_rejects_stacked_matrix():
+    n = psh.psh_size(2)
+    with pytest.raises(ValueError, match=r"\(2, %d, %d\)" % (n, n)):
+        pconv.conv_project_operator(op.PshCoeffMatrix(2, np.zeros((2, n, n))))
+
+
+def test_conv_project_names_first_non_finite_entry():
+    L = 3
+    M = pconv.conv_expand_to_matrix(pconv.kernel_coeffs(generic_kernel, L), L).matrix.copy()
+    M[7, 11] = np.inf
+    M[20, 3] = np.nan
+    with pytest.raises(ValueError, match=r"\(row, col\) = \(7, 11\)"):
+        pconv.conv_project_operator(op.PshCoeffMatrix(L, M))
+
+
 def test_phase_weight_tables_match_scalar_weights():
-    # conv_project_operator's dense weights, and the theorem table's weights
-    # on the mixed families, against the scalar U^{p0} / U^{0p}
+    # the theorem table's weights on the mixed families against the scalar
+    # U^{p0} / U^{0p}
     L = 5
-    matched, u_to, u_from = pconv._fit_weights(L)
-    lm = list(zip(*sh.sh_lm_arrays(L)))
-    for j, (lo, mo) in enumerate(lm[4:]):
-        for i, (li, mi) in enumerate(lm):
-            same = li == lo
-            assert matched[j + 4, i] == (same and abs(mi) == abs(mo))
-            assert u_to[j, i] == (pconv._u_to_spin2(mo, mi) if same else 0.0)
-            if li >= 2:
-                assert u_from[j, i - 4] == (pconv._u_from_spin2(mo, mi) if same else 0.0)
     t = pconv._conv_tables(L)
     lmp = psh.psh_index_list(L)
     fam = np.array(pconv.KC_FAMILIES)[t.fam]

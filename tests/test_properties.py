@@ -14,18 +14,38 @@ COMPLEX_FAMILIES = ("k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
-@given(L=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1))
+@given(L=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
 def test_conv_project_inverts_conv_expand(L, seed):
     rng = np.random.default_rng(seed)
     kc = pconv.PolarConvKernelCoeffs.zeros(L)
     for name in REAL_FAMILIES:
         getattr(kc, name)[:] = rng.normal(size=L + 1)
+    n2 = max(L - 1, 0)
     for name in COMPLEX_FAMILIES:
-        getattr(kc, name)[2:] = rng.normal(size=L - 1) + 1j * rng.normal(size=L - 1)
+        getattr(kc, name)[2:] = rng.normal(size=n2) + 1j * rng.normal(size=n2)
     kc2, rms, _ = pconv.conv_project_operator(pconv.conv_expand_to_matrix(kc, L))
     assert rms < 1e-12
     for name in REAL_FAMILIES + COMPLEX_FAMILIES:
         assert np.abs(getattr(kc2, name) - getattr(kc, name)).max() < 1e-12, name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(L=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv_project_residual_meets_normal_equations(L, seed):
+    # the fit is least squares: its residual R = M - expand(kc) is orthogonal
+    # to Re(w) and Im(w) over the theorem-table entries of each family and band
+    rng = np.random.default_rng(seed)
+    M = operators.PshCoeffMatrix(L, rng.normal(size=(psh.psh_size(L),) * 2))
+    kc, _, _ = pconv.conv_project_operator(M)
+    R = M.matrix - pconv.conv_expand_to_matrix(kc, L).matrix
+    t = pconv._conv_tables(L)
+    r = R[t.row, t.col]
+    bound = 1e-12 * np.abs(M.matrix).max()
+    for fam in range(len(pconv.KC_FAMILIES)):
+        for l in range(L + 1):
+            sel = (t.fam == fam) & (t.l == l)
+            assert abs(np.sum(t.w.real[sel] * r[sel])) <= bound, (fam, l)
+            assert abs(np.sum(t.w.imag[sel] * r[sel])) <= bound, (fam, l)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
