@@ -1,4 +1,4 @@
-"""Directions, frames, rotations, sphere quadrature grids, and C <-> R^2 helpers.
+"""Directions, frames, rotations and sphere quadrature grids.
 
 All directions are unit 3-vectors in global-frame coordinates, all angles are
 radians, all matrices are row-major float64.
@@ -7,7 +7,6 @@ radians, all matrices are row-major float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,12 +93,6 @@ def frame_perspective(d, up):
     x = normalize(np.cross(np.broadcast_to(up, d.shape), d))
     y = np.cross(d, x)
     return np.stack([x, y, d], axis=-1)
-
-
-def is_frame(F, tol=1e-12):
-    F = np.asarray(F)
-    return (np.allclose(F.T @ F, np.eye(3), atol=tol)
-            and abs(np.linalg.det(F) - 1.0) < max(tol, 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -191,44 +184,6 @@ def is_rotation(R, tol=1e-12):
     R = np.asarray(R)
     return (np.allclose(R.T @ R, np.eye(3), atol=tol)
             and abs(np.linalg.det(R) - 1.0) < max(tol, 1e-10))
-
-
-# ---------------------------------------------------------------------------
-# complex pair separation of 2x2 real matrices
-# ---------------------------------------------------------------------------
-
-JMAT = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-
-class ComplexPair(NamedTuple):
-    iso: complex
-    conj: complex
-
-
-def c_to_r2(z):
-    """Complex number(s) -> stacked [Re, Im] vectors."""
-    z = np.asarray(z)
-    return np.stack([z.real, z.imag], axis=-1)
-
-
-def c_to_r22(z):
-    """Complex number -> [[x, -y], [y, x]] rotation-scaling matrix."""
-    z = complex(z)
-    return np.array([[z.real, -z.imag], [z.imag, z.real]])
-
-
-def complex_pair_separate(M) -> ComplexPair:
-    """Split a 2x2 real matrix into isomorphic and conjugation parts."""
-    M = np.asarray(M, dtype=float)
-    iso = 0.5 * (M[0, 0] + M[1, 1]) + 0.5j * (M[1, 0] - M[0, 1])
-    conj = 0.5 * (M[0, 0] - M[1, 1]) + 0.5j * (M[1, 0] + M[0, 1])
-    return ComplexPair(iso, conj)
-
-
-def complex_pair_compose(pair) -> np.ndarray:
-    """Inverse of complex_pair_separate: R22(iso) + R22(conj) @ J."""
-    iso, conj = pair
-    return c_to_r22(iso) + c_to_r22(conj) @ JMAT
 
 
 # ---------------------------------------------------------------------------

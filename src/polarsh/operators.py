@@ -29,7 +29,7 @@ class PshCoeffMatrix:
     sparsity: str = "general"   # or "isotropic"
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.matrix = P._real_array("matrix", self.matrix)
         n = P.psh_size(self.l_max)
         if self.matrix.shape[-2:] != (n, n):
             raise ValueError("matrix shape does not match l_max")

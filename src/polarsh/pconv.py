@@ -22,9 +22,8 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import (complex_pair_separate, fibonacci_directions, frame_for_dir,
-                   frame_theta_phi, normalize, rotation_about_axis,
-                   rotation_align, rotation_zyz, sph_to_dir, dir_to_sph)
+from .geom import (fibonacci_directions, frame_for_dir, frame_theta_phi, normalize,
+                   rotation_about_axis, rotation_align, rotation_zyz, sph_to_dir, dir_to_sph)
 from .operators import PshCoeffMatrix, _spin_parts
 from .polar import MuellerMatrix, frame_twist, mueller_reframe
 from .shscalar import FOUR_PI
@@ -75,11 +74,9 @@ def delta_kernel_coeffs(l_max: int) -> PolarConvKernelCoeffs:
 
 def kernel_validate(kernel_fn, tol=1e-9):
     """Check the end-point constraints: conj part zero at 0, iso zero at pi."""
-    k0 = np.asarray(kernel_fn(0.0), dtype=float)
-    kpi = np.asarray(kernel_fn(np.pi), dtype=float)
-    p0 = complex_pair_separate(k0[1:3, 1:3])
-    ppi = complex_pair_separate(kpi[1:3, 1:3])
-    return abs(p0.conj) <= tol and abs(ppi.iso) <= tol
+    k = np.asarray([kernel_fn(0.0), kernel_fn(np.pi)], dtype=float)
+    spin22 = {group: g for group, key, g, *_ in _spin_parts(k) if key is None}
+    return abs(spin22["conj"][0]) <= tol and abs(spin22["iso"][1]) <= tol
 
 
 def _kernel_samples(kernel_fn, theta):

@@ -6,11 +6,13 @@ measurement frame whose z axis is the propagation direction.  Reframing
 rotates the (s1, s2) pair by twice the frame angle t = frame_angle(frm, to)
 (to = frm @ Rz(t)): the pair a + ib measured in `frm` reads e^{-2it}(a + ib)
 in `to`, while s0 and s3 are unchanged.  frame_twist computes
-(cos 2t, sin 2t) and is the only place the twist is computed;
-stokes_reframe (Stokes vectors, (..., 4)) and mueller_reframe (both sides of
-Mueller matrices, (..., 4, 4)) are the only places it is applied to real
-components; pconv's angular oracles and s2l2.perturbation_protocol's
-theta-phi baseline multiply the complex pair by c - i s (S2L2 turns no pair).
+(cos 2t, sin 2t) and is the one place that computes the twist between two
+given frames; stokes_reframe (Stokes vectors, (..., 4)) and mueller_reframe
+(both sides of Mueller matrices, (..., 4, 4)) are the only places it is
+applied to real components; pconv's angular oracles and
+s2l2.perturbation_protocol's theta-phi baseline multiply the complex pair by
+c - i s.  The pBRDF gets its s-p to theta-phi twist as z^2,
+z = (n x w).(e_theta + i e_phi), as S2L2 gets its own through s2l2._forms.
 Stokes fields are stored as components under the theta-phi frame field at
 each sample (no frames are stored).
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import SphereGrid, complex_pair_separate, frame_for_dir, normalize
+from .geom import SphereGrid, frame_for_dir, normalize
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +93,6 @@ def stokes_inner(s: GeometricStokes, t: GeometricStokes) -> float:
     return float(np.dot(s.components, t.in_frame(s.frame)))
 
 
-def stokes_equal(s: GeometricStokes, t: GeometricStokes, tol=1e-12) -> bool:
-    if np.max(np.abs(s.direction - t.direction)) > 1e-9:
-        return False
-    return bool(np.max(np.abs(s.components - t.in_frame(s.frame))) <= tol)
-
-
 # ---------------------------------------------------------------------------
 # Mueller matrices
 # ---------------------------------------------------------------------------
@@ -133,11 +129,6 @@ def mueller_reframe(M: MuellerMatrix, new_in, new_out) -> MuellerMatrix:
     m = stokes_reframe(np.swapaxes(m, -1, -2), M.frame_in[..., None, :, :],
                        new_in[..., None, :, :])
     return MuellerMatrix(m, new_in, new_out)
-
-
-def mueller_spin22(M: np.ndarray):
-    """Complex pair (iso, conj) of the spin 2-to-2 submatrix of a 4x4 matrix."""
-    return complex_pair_separate(np.asarray(M)[1:3, 1:3])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +226,9 @@ class SyntheticPbrdf:
     is exactly azimuthally symmetric about the normal and has rapidly
     decaying frequency content for large roughness.  Cosine weighting is
     folded in.  Callable as pbrdf(w_i, w_o) -> (4, 4) components under the
-    theta-phi frames of w_i and w_o (vectorized over leading axes).
+    theta-phi frames of w_i and w_o (vectorized over leading axes), written
+    in closed form: each side's n.w and z^2 (see _side) are computed at that
+    input's own shape and only their products are broadcast.
 
     With the normal along +-z the theta-phi frames turn with the field under
     rotations about z, so the components depend on phi_o - phi_i only; the
@@ -260,69 +253,62 @@ class SyntheticPbrdf:
         """True exactly when the normal is along +z or -z."""
         return bool(self.normal[0] == 0.0 and self.normal[1] == 0.0)
 
-    def mueller_block(self, w_i, w_o):
-        """Raw Mueller matrices in the per-ray s-p frames.
+    def _side(self, w):
+        """n.w and z^2 at w's own shape, z = (n x w).(e_theta + i e_phi).
 
-        Each ray's s axis is perpendicular to its own (normal, ray) plane, so
-        the frames and the matrix vary smoothly away from w || +-normal.
+        n x w is tangent at w with |n x w|^2 = 1 - (n.w)^2, so
+        z^2 = (1 - (n.w)^2) e^{-2it}, t the frame angle from the ray's s-p
+        frame (s along n x w) to its theta-phi frame: the twist times the
+        sin^2 factor that keeps the polarizing couplings continuous where
+        w || +-n.  There the cross product is exactly 0 and so is z, so no
+        s-p frame and no fallback frame is needed.
         """
+        F = frame_for_dir(w)
+        u = np.cross(self.normal, w)
+        z = (np.einsum("...i,...i->...", u, F[..., 0])
+             + 1j * np.einsum("...i,...i->...", u, F[..., 1]))
+        # einsum, not w @ n: matmul rounds broadcast views differently
+        return np.einsum("...i,i->...", w, self.normal), z * z
+
+    def __call__(self, w_i, w_o):
+        """Mueller components under theta-phi frames at w_i and w_o."""
         w_i = np.asarray(w_i, dtype=float)
         w_o = np.asarray(w_o, dtype=float)
-        n = self.normal
-        ci = w_i @ n
-        mirror = 2.0 * ci[..., None] * n - w_i
+        ci, zi2 = self._side(w_i)
+        co, zo2 = self._side(w_o)
+        mirror = 2.0 * ci[..., None] * self.normal - w_i
         # lobe in the dot product, analytic on the whole sphere
-        t = np.einsum("...i,...i->...", mirror, np.broadcast_to(w_o, mirror.shape))
+        t = np.einsum("...i,...i->...", mirror, w_o)
         lobe = np.exp((t - 1.0) / self.roughness ** 2)
         if self.horizon_sharpness is not None:
             # logistic falloff keeps the response one-sided; the sharpness
             # trades physical plausibility against spectral decay
             k = self.horizon_sharpness
-            co = np.broadcast_to(w_o, mirror.shape) @ n
             lobe = lobe / (1.0 + np.exp(-ci / k)) / (1.0 + np.exp(-co / k))
         # cosine weighting kept analytic; the masked variant suppresses the
         # unphysical negative-cosine region instead of clamping it
         lobe = lobe * ci
         # Fresnel at a smooth proxy angle: cos_f = (1 + n.w_i) / 2
-        cos_f = 0.5 * (1.0 + ci)
-        rs, rp = _fresnel_rs_rp(cos_f, self.ior)
-        a = 0.5 * (rs ** 2 + rp ** 2)
-        b = 0.5 * (rs ** 2 - rp ** 2)
-        cc = rs * rp
-        # Polarizing couplings need a polarization reference on the side they
-        # touch, which degenerates where that ray is parallel to the normal;
-        # the sin^2 factors make the geometric field continuous there.
-        co = np.broadcast_to(w_o, w_i.shape) @ n
-        gi = 1.0 - ci ** 2
-        go = 1.0 - co ** 2
-        z = np.zeros_like(a)
-        M = np.stack([
-            np.stack([a, b * gi, z, z], axis=-1),
-            np.stack([b * go, a * gi * go, z, z], axis=-1),
-            np.stack([z, z, cc * gi * go, z], axis=-1),
-            np.stack([z, z, z, cc], axis=-1),
-        ], axis=-2)
-        return M * lobe[..., None, None]
-
-    def _sp_frame(self, w):
-        """s-p frame [s, w x s, w] of rays w, s = unit normal x w (fixed
-        fallback along the axis)."""
-        n = self.normal
-        s_dir = np.cross(np.broadcast_to(n, w.shape), w)
-        nrm = np.linalg.norm(s_dir, axis=-1, keepdims=True)
-        fallback = np.cross(np.broadcast_to(np.array([1.0, 0.0, 0.0]), w.shape), w)
-        fb_n = np.linalg.norm(fallback, axis=-1, keepdims=True)
-        s_dir = np.where(nrm > 1e-9, s_dir / np.where(nrm > 0, nrm, 1.0),
-                         fallback / np.where(fb_n > 0, fb_n, 1.0))
-        return np.stack([s_dir, np.cross(w, s_dir), w], axis=-1)
-
-    def __call__(self, w_i, w_o):
-        """Mueller components under theta-phi frames at w_i and w_o."""
-        w_i, w_o = np.broadcast_arrays(np.asarray(w_i, dtype=float),
-                                       np.asarray(w_o, dtype=float))
-        M = MuellerMatrix(self.mueller_block(w_i, w_o), self._sp_frame(w_i),
-                          self._sp_frame(w_o))
-        return mueller_reframe(M, frame_for_dir(w_i), frame_for_dir(w_o)).matrix
+        rs, rp = _fresnel_rs_rp(0.5 * (1.0 + ci), self.ior)
+        a = 0.5 * (rs ** 2 + rp ** 2) * lobe
+        b = 0.5 * (rs ** 2 - rp ** 2) * lobe
+        cc = rs * rp * lobe
+        # in the s-p frames K01 = b g_i, K10 = b g_o, K11 = a g_i g_o and
+        # K22 = cc g_i g_o, g = 1 - (n.w)^2; z^2 brings each side's g and twist
+        to_spin2 = b * zo2
+        from_spin2 = b * zi2
+        iso = 0.5 * (a + cc) * (zo2 * zi2.conj())
+        conj = 0.5 * (a - cc) * (zo2 * zi2)
+        K = np.zeros(lobe.shape + (4, 4))
+        K[..., 0, 0] = a
+        K[..., 3, 3] = cc
+        K[..., 1, 0], K[..., 2, 0] = to_spin2.real, to_spin2.imag
+        K[..., 0, 1], K[..., 0, 2] = from_spin2.real, from_spin2.imag
+        K[..., 1, 1] = iso.real + conj.real
+        K[..., 1, 2] = conj.imag - iso.imag
+        K[..., 2, 1] = iso.imag + conj.imag
+        K[..., 2, 2] = iso.real - conj.real
+        return K
 
 
 def synthetic_pbrdf(normal=(0.0, 0.0, 1.0), roughness=0.5, ior=1.5,

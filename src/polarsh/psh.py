@@ -102,6 +102,15 @@ def psh_index(l: int, m: int, p: int, l_max: int) -> int:
     return base + off + order[p]
 
 
+def _real_array(name, a):
+    """a as a float array; a complex array raises ValueError rather than
+    losing its imaginary part."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got a complex array")
+    return a.astype(float, copy=False)
+
+
 @dataclass
 class PshCoeffs:
     """Real PSH coefficient vector, stored as three per-(l,m) parts.
@@ -116,8 +125,8 @@ class PshCoeffs:
     s3: np.ndarray
 
     def __post_init__(self):
-        self.s0 = np.asarray(self.s0, dtype=float)
-        self.s3 = np.asarray(self.s3, dtype=float)
+        self.s0 = _real_array("s0", self.s0)
+        self.s3 = _real_array("s3", self.s3)
         self.spin2 = np.asarray(self.spin2, dtype=complex)
         if self.s0.shape[-1] != sh_size(self.l_max) or self.spin2.shape[-1] != spin2_size(self.l_max):
             raise ValueError("coefficient part lengths do not match l_max")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarsh import geom
+from polarsh import geom, operators
 
 
 def test_sph_to_dir_known_values():
@@ -70,8 +70,8 @@ def test_frames_orthonormal(rng):
     F = geom.frame_theta_phi(th, ph)
     eye = np.eye(3)
     for f in F:
-        assert geom.is_frame(f)
         assert np.abs(f.T @ f - eye).max() < 1e-14
+        assert abs(np.linalg.det(f) - 1.0) < 1e-14
     assert np.abs(F[..., 2] - geom.sph_to_dir(th, ph)).max() == 0.0
 
 
@@ -138,19 +138,19 @@ def test_rotation_about_axis_single_and_batched(rng):
 
 
 def test_complex_pair_separation(rng):
-    assert geom.complex_pair_separate(np.eye(2)) == (1, 0)
-    assert geom.complex_pair_separate(geom.JMAT) == (0, 1)
-    assert np.abs(geom.complex_pair_compose((1, 0)) - np.eye(2)).max() == 0
-    assert np.abs(geom.complex_pair_compose((0, 1)) - geom.JMAT).max() == 0
+    # the spin 2-to-2 split of operators._spin_parts into (iso, conj)
+    def pair(K):
+        parts = {group: g for group, key, g, *_ in operators._spin_parts(K) if key is None}
+        return parts["iso"], parts["conj"]
+    assert pair(np.eye(4)) == (1, 0)
+    assert pair(np.diag([1.0, 1.0, -1.0, 1.0])) == (0, 1)
     for _ in range(100):
-        M = rng.normal(size=(2, 2))
-        pair = geom.complex_pair_separate(M)
-        assert np.abs(geom.complex_pair_compose(pair) - M).max() < 1e-14
-        # action property: M R2(z) = R2(iso z + conj z*)
+        K = rng.normal(size=(4, 4))
+        iso, conj = pair(K)
+        # action property: M [Re z, Im z] = [Re, Im] of (iso z + conj z*)
         z = rng.normal() + 1j * rng.normal()
-        lhs = M @ geom.c_to_r2(z)
-        rhs = geom.c_to_r2(pair.iso * z + pair.conj * np.conj(z))
-        assert np.abs(lhs - rhs).max() < 1e-13
+        w = iso * z + conj * np.conj(z)
+        assert np.abs(K[1:3, 1:3] @ [z.real, z.imag] - [w.real, w.imag]).max() < 1e-13
 
 
 def test_gauss_legendre_grid():

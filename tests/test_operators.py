@@ -34,6 +34,18 @@ def test_operator_apply_basics(rng, pbrdf_matrix):
         op.operator_apply(M, pipeline.random_psh_coeffs(LMAX + 1, seed=0))
 
 
+def test_complex_input_is_rejected():
+    n = psh.psh_size(2)
+    with pytest.raises(ValueError, match="matrix"):
+        op.PshCoeffMatrix(2, (1 + 1j) * np.ones((n, n)))
+    real = np.ones(psh.sh_size(2))
+    spin2 = np.ones(psh.spin2_size(2), dtype=complex)
+    with pytest.raises(ValueError, match="s0"):
+        psh.PshCoeffs(2, (1 + 1j) * real, spin2, real)
+    with pytest.raises(ValueError, match="s3"):
+        psh.PshCoeffs(2, real, spin2, (1 + 1j) * real)
+
+
 def test_operator_project_angular_oracle(rng, pbrdf_matrix):
     # applying the matrix to band-limited lighting matches direct angular
     # integration of the rendering integral

@@ -135,21 +135,24 @@ def test_expand_matrix_structure():
         for j, (li, mi, pi_) in enumerate(idx):
             if lo != li or abs(mo) != abs(mi):
                 assert M[i, j] == 0.0
-    # 2-to-2 block values
+    # 2-to-2 block values: [[x, -y], [y, x]] of kiso, and of kconj times J
+    def r22(z):
+        return np.array([[z.real, -z.imag], [z.imag, z.real]])
+    J = np.diag([1.0, -1.0])
     for l in range(2, L + 1):
         fac = math.sqrt(4 * np.pi / (2 * l + 1))
         for m in range(-l, l + 1):
             r = psh.psh_index(l, m, 1, L)
             c0 = psh.psh_index(l, m, 1, L)
             blk = M[r:r + 2, c0:c0 + 2]
-            expect = fac * geom.c_to_r22(kc.kiso[l])
+            expect = fac * r22(kc.kiso[l])
             if m == 0:
-                expect = expect + fac * geom.c_to_r22(kc.kconj[l]) @ geom.JMAT
+                expect = expect + fac * r22(kc.kconj[l]) @ J
             assert np.abs(blk - expect).max() < 1e-13
             if m != 0:
                 cc = psh.psh_index(l, -m, 1, L)
                 blk = M[r:r + 2, cc:cc + 2]
-                expect = fac * (-1.0) ** m * geom.c_to_r22(kc.kconj[l]) @ geom.JMAT
+                expect = fac * (-1.0) ** m * r22(kc.kconj[l]) @ J
                 assert np.abs(blk - expect).max() < 1e-13
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarsh import geom, polar, psh, pipeline
+from polarsh import geom, operators, polar, psh, pipeline
 
 
 def frame_at(theta, phi, twist=0.0):
@@ -38,7 +38,9 @@ def test_stokes_rotate_and_inner(rng):
         sr, tr = polar.stokes_rotate(s, R), polar.stokes_rotate(t, R)
         assert np.abs(sr.components - s.components).max() == 0.0
         assert abs(polar.stokes_inner(sr, tr) - ip) < 1e-12
-    assert polar.stokes_equal(polar.stokes_rotate(s, np.eye(3)), s)
+    same = polar.stokes_rotate(s, np.eye(3))
+    assert np.abs(same.direction - s.direction).max() == 0.0
+    assert np.abs(same.components - s.in_frame(same.frame)).max() <= 1e-12
     # rotation about own axis by t equals reframing components by -2t
     axis = s.direction
     R = geom.rotation_about_axis(axis, 0.37)
@@ -76,6 +78,11 @@ def test_mueller_reframe(rng):
     assert np.abs(back.matrix - M.matrix).max() < 1e-12
 
 
+def spin22(K):
+    """The (iso, conj) pair of operators._spin_parts, by name."""
+    return {group: g for group, key, g, *_ in operators._spin_parts(K) if key is None}
+
+
 def test_mueller_spin22_phase(rng):
     # the iso part picks up opposite-sign double angles from the two frame
     # twists, the conj part same-sign ones (the frame-independence argument
@@ -84,10 +91,9 @@ def test_mueller_spin22_phase(rng):
     M = polar.MuellerMatrix(rng.normal(size=(4, 4)), Fi, Fo)
     a, b = 0.31, -0.83
     N = polar.mueller_reframe(M, Fi @ geom.rotation_z(a), Fo @ geom.rotation_z(b))
-    p0 = polar.mueller_spin22(M.matrix)
-    p1 = polar.mueller_spin22(N.matrix)
-    assert abs(p1.iso - p0.iso * np.exp(2j * (a - b))) < 1e-12
-    assert abs(p1.conj - p0.conj * np.exp(-2j * (a + b))) < 1e-12
+    p0, p1 = spin22(M.matrix), spin22(N.matrix)
+    assert abs(p1["iso"] - p0["iso"] * np.exp(2j * (a - b))) < 1e-12
+    assert abs(p1["conj"] - p0["conj"] * np.exp(-2j * (a + b))) < 1e-12
 
 
 def test_clamp_valid_range():
@@ -118,6 +124,66 @@ def test_synthetic_pbrdf_physics(rng):
         a = rng.uniform(0, 2 * np.pi)
         Rz = geom.rotation_z(a)
         assert np.abs(pb(wi, wo) - pb(Rz @ wi, Rz @ wo)).max() < 1e-10
+
+
+def sp_frame_pbrdf(pb, w_i, w_o):
+    """The pBRDF built in per-ray s-p frames and reframed to theta-phi frames
+    on both sides: the oracle of SyntheticPbrdf's closed form."""
+    w_i, w_o = np.broadcast_arrays(np.asarray(w_i, dtype=float), np.asarray(w_o, dtype=float))
+    n = pb.normal
+    ci, co = w_i @ n, w_o @ n
+    mirror = 2.0 * ci[..., None] * n - w_i
+    lobe = np.exp((np.einsum("...i,...i->...", mirror, w_o) - 1.0) / pb.roughness ** 2)
+    if pb.horizon_sharpness is not None:
+        k = pb.horizon_sharpness
+        lobe = lobe / (1.0 + np.exp(-ci / k)) / (1.0 + np.exp(-co / k))
+    lobe = lobe * ci
+    rs, rp = polar._fresnel_rs_rp(0.5 * (1.0 + ci), pb.ior)
+    a, b, cc = 0.5 * (rs ** 2 + rp ** 2), 0.5 * (rs ** 2 - rp ** 2), rs * rp
+    gi, go = 1.0 - ci ** 2, 1.0 - co ** 2
+    z = np.zeros_like(a)
+    block = np.stack([np.stack([a, b * gi, z, z], axis=-1),
+                      np.stack([b * go, a * gi * go, z, z], axis=-1),
+                      np.stack([z, z, cc * gi * go, z], axis=-1),
+                      np.stack([z, z, z, cc], axis=-1)], axis=-2) * lobe[..., None, None]
+
+    def sp_frame(w):
+        # s = unit n x w, with a fixed fallback where w || +-n
+        s_dir = np.cross(np.broadcast_to(n, w.shape), w)
+        nrm = np.linalg.norm(s_dir, axis=-1, keepdims=True)
+        fallback = np.cross(np.broadcast_to([1.0, 0.0, 0.0], w.shape), w)
+        fb_n = np.linalg.norm(fallback, axis=-1, keepdims=True)
+        s_dir = np.where(nrm > 1e-9, s_dir / np.where(nrm > 0, nrm, 1.0),
+                         fallback / np.where(fb_n > 0, fb_n, 1.0))
+        return np.stack([s_dir, np.cross(w, s_dir), w], axis=-1)
+
+    M = polar.MuellerMatrix(block, sp_frame(w_i), sp_frame(w_o))
+    return polar.mueller_reframe(M, geom.frame_for_dir(w_i), geom.frame_for_dir(w_o)).matrix
+
+
+@pytest.mark.parametrize("normal", [(0, 0, 1), (0, 0, -1), (0.3, -0.2, 0.9), (1, 0, 0)])
+@pytest.mark.parametrize("horizon", [None, 0.15])
+def test_synthetic_pbrdf_matches_sp_frame_oracle(rng, normal, horizon):
+    pb = polar.SyntheticPbrdf(normal, horizon_sharpness=horizon)
+    n = pb.normal
+    t = geom.normalize(np.cross(n, [0.3, 0.5, -0.1]))
+    # random rays, the theta-phi poles, +-n, and 1e-9 from +-n
+    w = np.concatenate([geom.normalize(rng.normal(size=(60, 3))),
+                        [[0, 0, 1], [0, 0, -1], n, -n],
+                        geom.normalize([n + 1e-9 * t, -n + 1e-9 * t])])
+    K = pb(w[:, None], w[None])
+    ref = sp_frame_pbrdf(pb, w[:, None], w[None])
+    assert np.abs(K - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_synthetic_pbrdf_broadcasting_is_bitwise(rng):
+    w_i = geom.normalize(rng.normal(size=(5, 7, 3)))
+    w_o = geom.normalize(rng.normal(size=(4, 1, 1, 3)))
+    for normal in ((0, 0, 1), (0.3, -0.2, 0.9)):
+        pb = polar.SyntheticPbrdf(normal, horizon_sharpness=0.15)
+        K = pb(w_i, w_o)
+        assert K.shape == (4, 5, 7, 4, 4)
+        assert np.array_equal(K, pb(*np.broadcast_arrays(w_i, w_o)))
 
 
 def test_synthetic_pbrdf_validation():

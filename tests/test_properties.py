@@ -187,6 +187,25 @@ def test_batched_reframe_equals_per_element(seed, pole_eps):
     assert np.abs(polar.stokes_reframe(s[0, 0], F, G)[0, 0] - batched_s[0, 0]).max() <= 1e-15
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), horizon=st.sampled_from([None, 0.15]))
+def test_synthetic_pbrdf_rotates_with_its_normal(seed, horizon):
+    # rotating the normal and both rays by R rotates the field: the components
+    # change only by the twist from R @ frame_for_dir(w) to frame_for_dir(R w)
+    rng = np.random.default_rng(seed)
+    R = _haar(rng)
+    n = geom.normalize(rng.normal(size=3))
+    w_i = geom.normalize(np.concatenate([rng.normal(size=(5, 1, 3)), [[n], [-n]]]))
+    w_o = geom.normalize(np.concatenate([rng.normal(size=(1, 5, 3)), [[n, [0.0, 0.0, 1.0]]]], 1))
+    K = polar.SyntheticPbrdf(n, horizon_sharpness=horizon)(w_i, w_o)
+    w_i, w_o = np.broadcast_arrays(w_i, w_o)
+    M = polar.MuellerMatrix(K, R @ geom.frame_for_dir(w_i), R @ geom.frame_for_dir(w_o))
+    rw_i, rw_o = w_i @ R.T, w_o @ R.T
+    expect = polar.mueller_reframe(M, geom.frame_for_dir(rw_i), geom.frame_for_dir(rw_o)).matrix
+    rotated = polar.SyntheticPbrdf(R @ n, horizon_sharpness=horizon)(rw_i, rw_o)
+    assert np.abs(rotated - expect).max() <= 1e-13
+
+
 _NUMBER = st.one_of(st.integers(-3, 3).map(str),
                     st.floats(allow_nan=True, allow_infinity=True, width=32).map(repr))
 _FACE_TOKEN = st.builds(lambda i, n, form: form.format(i=i, n=n), st.integers(-7, 7),
