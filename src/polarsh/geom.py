@@ -7,6 +7,7 @@ radians, all matrices are row-major float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -221,14 +222,21 @@ class SphereGrid:
         return sph_to_dir(th, ph)
 
 
+@lru_cache(maxsize=16)
 def gauss_legendre_grid(l_max: int) -> SphereGrid:
-    """Grid with l_max+1 Gauss-Legendre theta nodes and 2*l_max+2 phi samples."""
+    """Grid with l_max+1 Gauss-Legendre theta nodes and 2*l_max+2 phi samples.
+
+    Cached, as the ring tables are: callers share one grid per l_max, whose
+    theta_nodes and theta_weights are read-only.
+    """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     x, w = np.polynomial.legendre.leggauss(l_max + 1)
     theta = np.arccos(x[::-1])
     n_phi = 2 * l_max + 2
     weights = w[::-1] * (TWO_PI / n_phi)
+    for a in (theta, weights):
+        a.setflags(write=False)
     return SphereGrid(l_max, theta, weights, n_phi)
 
 

@@ -24,29 +24,33 @@ from .shscalar import FOUR_PI
 
 SCALE = math.sqrt(FOUR_PI / 5.0)
 
-# SCALE 2Y_2m(w) = m^T Q_m m for m = x + iy of any tangent frame (x, y, w),
-# where Q_m = SCALE E_m / sqrt(6) and E_m is the symmetric trace-free tensor
-# with Y_2m(n) = n^T E_m n (Thorne 1980, Rev. Mod. Phys. 52, 299); with
-# u = e_x + i e_y and z = e_z, column m + 2 holds Q_m, row 3i + j entry ij.
-_U, _Z = np.array([1.0, 1j, 0.0]), np.array([0.0, 0.0, 1.0])
-_FORMS = np.stack([
-    np.outer(_U.conj(), _U.conj()) / 4,
-    (np.outer(_Z, _U.conj()) + np.outer(_U.conj(), _Z)) / 4,
-    (3.0 * np.outer(_Z, _Z) - np.eye(3)) / math.sqrt(24.0),
-    -(np.outer(_Z, _U) + np.outer(_U, _Z)) / 4,
-    np.outer(_U, _U) / 4,
-]).reshape(5, 9).T
+_SQRT_3_8 = math.sqrt(3.0 / 8.0)
 
 
 def _forms(frames):
     """SCALE 2Y_2m(w), m = -2..2, measured in tangent frames (x, y, w) (..., 3, 3).
 
-    Turning a frame by t turns x + iy by e^{-it} and the forms by e^{-2it},
-    as it turns s1 + i s2: encode is conj(forms) (s1 + i s2) and decode
-    sum(r forms) in any frame.  Returns complex (..., 5).
+    SCALE 2Y_2m(w) = m^T Q_m m for m = x + iy, where Q_m = SCALE E_m / sqrt(6)
+    and E_m is the symmetric trace-free tensor with Y_2m(n) = n^T E_m n
+    (Thorne 1980, Rev. Mod. Phys. 52, 299).  In world components, with
+    p = m_x - i m_y, q = m_x + i m_y and z = m_z, the forms are
+    (p^2 / 4, p z / 2, sqrt(3/8) z^2, -q z / 2, q^2 / 4); the trace term of
+    E_0 drops because m.m = 0.  Turning a frame by t turns m by e^{-it} and
+    the forms by e^{-2it}, as it turns s1 + i s2: encode is
+    conj(forms) (s1 + i s2) and decode sum(r forms) in any frame.  Returns
+    complex (..., 5).
     """
-    m = frames[..., :, 0] + 1j * frames[..., :, 1]
-    return (m[..., :, None] * m[..., None, :]).reshape(m.shape[:-1] + (9,)) @ _FORMS
+    x, y = frames[..., :, 0], frames[..., :, 1]
+    p = (x[..., 0] + y[..., 1]) + 1j * (y[..., 0] - x[..., 1])
+    q = (x[..., 0] - y[..., 1]) + 1j * (y[..., 0] + x[..., 1])
+    z = x[..., 2] + 1j * y[..., 2]
+    out = np.empty(p.shape + (5,), dtype=complex)
+    out[..., 0] = 0.25 * p * p
+    out[..., 1] = 0.5 * p * z
+    out[..., 2] = _SQRT_3_8 * z * z
+    out[..., 3] = -0.5 * q * z
+    out[..., 4] = 0.25 * q * q
+    return out
 
 
 def s2l2(s: GeometricStokes) -> np.ndarray:
@@ -109,69 +113,64 @@ def s2l2_interpolate(s: GeometricStokes, t: GeometricStokes, alpha: float) -> Ge
 # validation protocol (Fibonacci perturbation / rotation-invariance harness)
 # ---------------------------------------------------------------------------
 
-_UNIT_COMPONENTS = np.array([1.0, 1.0j, -1.0, -1.0j])
-
 # (direction, rotation) pairs per blocked pass: bounds the working set at
-# any n.  The (block, rotations, 4, 5) S2L2 vectors take about 1.3 MB, 3
-# directions a pass at n = 1000; with 50 000 pairs (16 MB) the protocol ran
-# about 9 % slower, one thread.
+# any n.  The (block, rotations, 5) S2L2 vectors take about 0.24 MB, 3
+# directions a pass at n = 1000.
 _PAIRS = 4_000
 
 
-def _encode_rotated(dirs, pairs, rots):
-    """S2L2 vectors of R_S s over a rotation stack, and the rotated frames.
-
-    dirs (b, 3) carry complex spin-2 pairs s1 + i s2, (b, c) or (c,) shared
-    by all directions, under frame_for_dir(dirs); rots is (k, 3, 3).  A
-    rotated vector keeps its pair in the rotated frame G = R F, so
-    r = conj(_forms(G)) (s1 + i s2).  Returns r (b, k, c, 5) complex and
-    G (b, k, 3, 3); the forms depend only on the (direction, rotation) pair,
-    so all c pairs share them.
+def _rotated_frames(dirs, rots):
+    """The frames G = R F of directions dirs (b, 3), under F = frame_for_dir(dirs),
+    over a rotation stack rots (k, 3, 3).  A rotated spin-2 vector keeps its
+    pair s1 + i s2 in G, so its S2L2 vector is conj(_forms(G)) (s1 + i s2).
+    Returns G (b, k, 3, 3).
     """
     # R F for every (direction, rotation), as one (3k, 3) @ (b, 3, 3) product
-    G = (rots.reshape(-1, 3) @ frame_for_dir(dirs)).reshape(len(dirs), -1, 3, 3)
-    return np.conj(_forms(G))[..., None, :] * pairs[..., None, :, None], G
+    return (rots.reshape(-1, 3) @ frame_for_dir(dirs)).reshape(len(dirs), -1, 3, 3)
 
 
 def perturbation_protocol(n: int = 1000, eps: float = 0.1):
     """The Fibonacci perturbation experiment.
 
-    For each of n Fibonacci directions and four unit spin-2 Stokes vectors,
-    perturb by rotating eps radians about every Fibonacci axis and record the
-    S2L2 distance and the theta-phi-component distance.  Returns a dict with
-    per-vector maxima ('s2l2_max', 'frame_max', arrays of length 4n,
-    direction-major and component-minor) and the means over all 4*n*n
-    samples ('s2l2_all_mean', 'frame_all_mean').
+    For each of n Fibonacci directions and four unit spin-2 Stokes vectors
+    (s1 + i s2 = 1, i, -1, -i), perturb by rotating eps radians about every
+    Fibonacci axis and record the S2L2 distance and the theta-phi-component
+    distance.  Returns a dict with per-vector maxima ('s2l2_max',
+    'frame_max', arrays of length 4n, direction-major and component-minor)
+    and the means over all 4*n*n samples ('s2l2_all_mean',
+    'frame_all_mean').
 
-    The directions are processed in blocks of about _PAIRS / n against the
-    identity and all n rotations at once: the rotated frames, their
-    quadratic forms and their twist to the theta-phi frame (the baseline's
-    components are theta-phi ones by definition) are computed once per
-    (direction, rotation) pair and shared by the four components.
+    A rotated vector keeps its pair u in the rotated frame, and |u| = 1, so
+    both distances are |u| times those of u = 1: they are computed once per
+    (direction, rotation) pair and shared by the four components.  The
+    directions are processed in blocks of about _PAIRS / n against the
+    identity and all n rotations at once; the theta-phi baseline is the twist
+    of each rotated frame to the theta-phi frame at its direction.
     """
     if n < 1:
         raise ValueError(f"the perturbation protocol needs n >= 1 directions, got {n}")
     dirs = fibonacci_directions(n)
     rots = np.concatenate([np.eye(3)[None], rotation_about_axis(dirs, eps)])
-    max_s = np.empty((n, 4))
-    max_f = np.empty((n, 4))
+    max_s = np.empty(n)
+    max_f = np.empty(n)
     sum_s = sum_f = 0.0
     block = max(1, _PAIRS // len(rots))
     for lo in range(0, n, block):
         blk = dirs[lo:lo + block]
-        r, G = _encode_rotated(blk, _UNIT_COMPONENTS, rots)
+        G = _rotated_frames(blk, rots)
+        r = np.conj(_forms(G))                                            # u = 1
         c2, s2 = frame_twist(G, frame_for_dir(G[..., 2]))
-        c = (c2 - 1j * s2)[..., None] * _UNIT_COMPONENTS                  # (b, n + 1, 4)
-        ds = np.linalg.norm((r[:, 1:] - r[:, :1]).view(float), axis=-1)   # (b, n, 4)
+        c = c2 - 1j * s2                                                  # (b, n + 1)
+        ds = np.linalg.norm((r[:, 1:] - r[:, :1]).view(float), axis=-1)   # (b, n)
         df = np.abs(c[:, 1:] - c[:, :1])
         max_s[lo:lo + len(blk)] = ds.max(axis=1)
         max_f[lo:lo + len(blk)] = df.max(axis=1)
         sum_s += ds.sum()
         sum_f += df.sum()
-    count = 4 * n * n
+    count = n * n
     return {
-        "s2l2_max": max_s.ravel(),
-        "frame_max": max_f.ravel(),
+        "s2l2_max": np.repeat(max_s, 4),
+        "frame_max": np.repeat(max_f, 4),
         "s2l2_all_mean": sum_s / count,
         "frame_all_mean": sum_f / count,
     }
@@ -191,15 +190,16 @@ def rotation_invariance_sweep(n: int = 1000, n_pairs: int = 20,
     for _ in range(n_pairs):
         idx.extend(rng.integers(0, n, 2))
         pairs.extend(complex(rng.normal(), rng.normal()) for _ in range(2))
-    pairs = np.reshape(pairs, (2 * n_pairs, 1))
+    pairs = np.array(pairs, dtype=complex)
     axes = dirs[:: max(1, n // 100)]
     angles = 2.0 * np.pi * np.arange(1, n_angles) / n_angles
     rots = np.concatenate([np.eye(3)[None]] + [rotation_about_axis(axes, a) for a in angles])
     worst = 0.0
     block = 2 * max(1, _PAIRS // (2 * len(rots)))     # even: pairs stay whole
     for lo in range(0, 2 * n_pairs, block):
-        r, _ = _encode_rotated(dirs[idx[lo:lo + block]], pairs[lo:lo + block], rots)
-        d = np.linalg.norm((r[0::2] - r[1::2]).view(float), axis=-1)      # (p, k, 1)
+        G = _rotated_frames(dirs[idx[lo:lo + block]], rots)
+        r = np.conj(_forms(G)) * pairs[lo:lo + block, None, None]
+        d = np.linalg.norm((r[0::2] - r[1::2]).view(float), axis=-1)      # (p, k)
         worst = max(worst, float(np.abs(d[:, 1:] - d[:, :1]).max(initial=0.0)))
     return worst
 
@@ -373,6 +373,18 @@ def _footprints(view: ViewSpec, dirs):
     return rows, cols, w, fr, fc
 
 
+def _touched(view: ViewSpec, rows, cols):
+    """Flat indices of the source pixels that footprints (rows, cols) touch,
+    ascending, and each neighbour's position among them (rows.shape)."""
+    flat = rows * view.width + cols
+    used = np.zeros(view.height * view.width, dtype=bool)
+    used[flat] = True
+    touched = np.flatnonzero(used)
+    slot = np.empty(used.size, dtype=np.intp)
+    slot[touched] = np.arange(touched.size)
+    return touched, slot[flat]
+
+
 def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     """Resample polarized images into a new view.
 
@@ -382,9 +394,13 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     (horizontal pairs, then vertical); 'component-bilinear' lerps raw
     components and reinterprets them under the destination frame field (the
     artifact-exhibiting baseline).  s0 and s3 are scalar-bilinear in both
-    methods.  Pixels no source covers are flagged invalid.  Footprints that
-    snap onto a single source pixel with an identical frame are copied
-    bit-exactly.
+    methods.  Each source pixel that a footprint touches is encoded (or, for
+    'component-bilinear', reframed) once, and footprints gather the results,
+    so the work scales with min(footprints, source pixels).  Pixels no
+    source covers, and pixels whose footprint gives nonzero weight to an
+    invalid source pixel, are flagged invalid and written as zeros.
+    Footprints that snap onto a single source pixel with an identical frame
+    are copied bit-exactly.
     """
     if method not in ("s2l2", "component-bilinear"):
         raise ValueError(f"unknown method {method!r}")
@@ -404,38 +420,44 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         if sel.size == 0:
             continue
         rows, cols, w, fr, fc = _footprints(src.view, flat_dirs[sel])
-        pix = src.data[rows, cols]                      # (n, 4, 4comp)
-        nb_dirs = src.view.pixel_dirs()[rows, cols]     # (n, 4, 3)
-        nb_frames = src.view.frames(nb_dirs)
+        # the source pixels the footprints touch, each encoded once; nb
+        # indexes them per footprint neighbour (n, 4)
+        touched, nb = _touched(src.view, rows, cols)
+        t_data = src.data.reshape(-1, 4)[touched]
+        t_dirs = src.view.pixel_dirs().reshape(-1, 3)[touched]
+        t_frames = src.view.frames(t_dirs)
         if method == "component-bilinear":
-            # express each neighbor in the destination frame field at its own
-            # direction, then lerp the raw components (the conventional
+            # express each source pixel in the destination frame field at its
+            # own direction, then lerp the raw components (the conventional
             # approach, which collapses near dst frame-field singularities)
-            nb = stokes_reframe(pix, nb_frames, dst.frames(nb_dirs))
-            out[sel] = np.sum(w[..., None] * nb, axis=1)
+            pix = stokes_reframe(t_data, t_frames, dst.frames(t_dirs))[nb]
+            res = np.sum(w[..., None] * pix, axis=1)
         else:
+            pix = t_data[nb]                                # (n, 4, 4comp)
+            r_t = np.conj(_forms(t_frames)) * (t_data[:, 1] + 1j * t_data[:, 2])[:, None]
             s0 = np.sum(w * pix[..., 0], axis=-1)
             s3 = np.sum(w * pix[..., 3], axis=-1)
-            r_nb = np.conj(_forms(nb_frames)) * (pix[..., 1] + 1j * pix[..., 2])[..., None]
             # horizontal pairs (top row, bottom row), then vertical; each lerp is
             # projected onto the Stokes vectors at its blended direction
             fcn = fc[:, None, None]
-            r_nb = r_nb.reshape(-1, 2, 2, 5)
-            nb_rc = nb_dirs.reshape(-1, 2, 2, 3)
+            r_nb = r_t[nb].reshape(-1, 2, 2, 5)
+            nb_rc = t_dirs[nb].reshape(-1, 2, 2, 3)
             f = _forms(frame_for_dir(normalize((1 - fcn) * nb_rc[:, :, 0] + fcn * nb_rc[:, :, 1])))
             r_row = (1 - fcn) * r_nb[:, :, 0] + fcn * r_nb[:, :, 1]
             r_row = np.conj(f) * np.sum(r_row * f, axis=-1, keepdims=True)
             frn = fr[:, None]
             r_fin = (1 - frn) * r_row[:, 0] + frn * r_row[:, 1]
             stilde = np.sum(r_fin * _forms(dst_frames[sel]), axis=-1)
-            out[sel] = np.stack([s0, stilde.real, stilde.imag, s3], axis=-1)
+            res = np.stack([s0, stilde.real, stilde.imag, s3], axis=-1)
             # bit-exact copy where the footprint collapses to one pixel whose
             # frame coincides with the destination frame
             one = (fr == 0.0) & (fc == 0.0)
             if np.any(one):
-                same = np.all(nb_frames[:, 0] == dst_frames[sel], axis=(-2, -1))
+                same = np.all(t_frames[nb[:, 0]] == dst_frames[sel], axis=(-2, -1))
                 hit = one & same
-                out[sel[hit]] = pix[hit, 0]
-        valid[sel] = True
+                res[hit] = pix[hit, 0]
+        ok = ~np.any(~src.valid[rows, cols] & (w != 0.0), axis=-1)
+        out[sel[ok]] = res[ok]
+        valid[sel[ok]] = True
     return StokesImage(dst, out.reshape(dirs.shape[:-1] + (4,)),
                        valid.reshape(dirs.shape[:-1]))

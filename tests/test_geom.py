@@ -161,6 +161,15 @@ def test_gauss_legendre_grid():
         geom.gauss_legendre_grid(-1)
 
 
+def test_gauss_legendre_grid_is_cached_read_only():
+    g = geom.gauss_legendre_grid(13)
+    assert geom.gauss_legendre_grid(13) is g
+    for a in (g.theta_nodes, g.theta_weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_grid_integrates_y00():
     from polarsh import shscalar as sh
     g = geom.gauss_legendre_grid(4)

@@ -1,8 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
 from polarsh import geom, pipeline, psh, s2l2
-from polarsh.polar import GeometricStokes, stokes_rotate
+from polarsh.polar import GeometricStokes, stokes_reframe, stokes_rotate
+
+# SCALE 2Y_2m(w) = m^T Q_m m for m = x + iy of any tangent frame (x, y, w),
+# where Q_m = SCALE E_m / sqrt(6) and E_m is the symmetric trace-free tensor
+# with Y_2m(n) = n^T E_m n (Thorne 1980, Rev. Mod. Phys. 52, 299); with
+# u = e_x + i e_y and z = e_z, column m + 2 holds Q_m, row 3i + j entry ij.
+_U, _Z = np.array([1.0, 1j, 0.0]), np.array([0.0, 0.0, 1.0])
+_FORMS = np.stack([
+    np.outer(_U.conj(), _U.conj()) / 4,
+    (np.outer(_Z, _U.conj()) + np.outer(_U.conj(), _Z)) / 4,
+    (3.0 * np.outer(_Z, _Z) - np.eye(3)) / math.sqrt(24.0),
+    -(np.outer(_Z, _U) + np.outer(_U, _Z)) / 4,
+    np.outer(_U, _U) / 4,
+]).reshape(5, 9).T
+
+
+def forms_table(frames):
+    """The quadratic forms through the (9, 5) table: the oracle of s2l2._forms."""
+    m = frames[..., :, 0] + 1j * frames[..., :, 1]
+    return (m[..., :, None] * m[..., None, :]).reshape(m.shape[:-1] + (9,)) @ _FORMS
 
 
 def spin2_at(theta, phi, a, b, twist=0.0):
@@ -26,6 +47,18 @@ def test_forms_are_the_scaled_spin2_basis(rng):
     t = rng.uniform(0, 2 * np.pi, th.size)
     turned = s2l2._forms(F @ np.stack([geom.rotation_z(a) for a in t]))
     assert np.abs(turned - np.exp(-2j * t)[:, None] * want).max() < 1e-14
+
+
+def test_forms_match_the_quadratic_form_table(rng):
+    # random orthonormal frames, theta-phi frames at and next to the poles,
+    # and camera frames through the poles
+    F = np.stack([geom.random_rotation(rng) for _ in range(2000)])
+    th = np.array([0.0, np.pi, 1e-9, np.pi - 1e-9])
+    ph = np.array([0.0, 2.5, 0.7, 4.0])
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    F = np.concatenate([F, geom.frame_theta_phi(th, ph),
+                        geom.frame_perspective(poles, np.array([0.0, 1.0, 0.0]))])
+    assert np.abs(s2l2._forms(F) - forms_table(F)).max() <= 1e-15
 
 
 def test_encode_norm_and_zero(rng):
@@ -279,6 +312,92 @@ def test_resample_is_iterated_s2l2_interpolation(rng):
         mid = s2l2.s2l2_inv((1 - fr[i]) * s2l2.s2l2(top) + fr[i] * s2l2.s2l2(bot), d)
         assert np.abs(out[i, 1:3] - mid.in_frame(dst.frames(d))[1:3]).max() < 1e-12
         assert np.abs(out[i, 0::3] - w[i] @ np.array([s.components[0::3] for s in nb])).max() < 1e-12
+
+
+def resample_per_neighbour(sources, dst, method):
+    """resample with every footprint neighbour encoded or reframed on its own
+    and the forms from the (9, 5) table: the oracle of s2l2.resample on
+    all-valid sources."""
+    dirs = dst.pixel_dirs()
+    flat_dirs = dirs.reshape(-1, 3)
+    out = np.zeros((flat_dirs.shape[0], 4))
+    dst_frames = dst.frames(flat_dirs)
+    chosen = np.full(flat_dirs.shape[0], -1, dtype=int)
+    for k, src in enumerate(sources):
+        chosen[src.view.contains(flat_dirs) & (chosen < 0)] = k
+    for k, src in enumerate(sources):
+        sel = np.nonzero(chosen == k)[0]
+        if sel.size == 0:
+            continue
+        rows, cols, w, fr, fc = s2l2._footprints(src.view, flat_dirs[sel])
+        pix = src.data[rows, cols]
+        nb_dirs = src.view.pixel_dirs()[rows, cols]
+        nb_frames = src.view.frames(nb_dirs)
+        if method == "component-bilinear":
+            nb = stokes_reframe(pix, nb_frames, dst.frames(nb_dirs))
+            out[sel] = np.sum(w[..., None] * nb, axis=1)
+            continue
+        r_nb = np.conj(forms_table(nb_frames)) * (pix[..., 1] + 1j * pix[..., 2])[..., None]
+        fcn = fc[:, None, None]
+        r_nb = r_nb.reshape(-1, 2, 2, 5)
+        nb_rc = nb_dirs.reshape(-1, 2, 2, 3)
+        f = forms_table(geom.frame_for_dir(geom.normalize((1 - fcn) * nb_rc[:, :, 0] + fcn * nb_rc[:, :, 1])))
+        r_row = (1 - fcn) * r_nb[:, :, 0] + fcn * r_nb[:, :, 1]
+        r_row = np.conj(f) * np.sum(r_row * f, axis=-1, keepdims=True)
+        frn = fr[:, None]
+        r_fin = (1 - frn) * r_row[:, 0] + frn * r_row[:, 1]
+        stilde = np.sum(r_fin * forms_table(dst_frames[sel]), axis=-1)
+        out[sel] = np.stack([np.sum(w * pix[..., 0], axis=-1), stilde.real, stilde.imag,
+                             np.sum(w * pix[..., 3], axis=-1)], axis=-1)
+        hit = (fr == 0.0) & (fc == 0.0) & np.all(nb_frames[:, 0] == dst_frames[sel], axis=(-2, -1))
+        out[sel[hit]] = pix[hit, 0]
+    return out.reshape(dirs.shape[:-1] + (4,))
+
+
+def test_resample_matches_per_neighbour_oracle():
+    cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(16)]
+    dst = s2l2.ViewSpec("equirect", 32, 64)
+    got = s2l2.resample(cube, dst, "s2l2")
+    want = resample_per_neighbour(cube, dst, "s2l2")
+    assert got.valid.all()
+    assert np.abs(got.data - want).max() <= 1e-15 * np.abs(want).max()
+    got = s2l2.resample(cube, dst, "component-bilinear")
+    assert np.array_equal(got.data, resample_per_neighbour(cube, dst, "component-bilinear"))
+
+
+def test_resample_frames_only_touched_source_pixels():
+    # the +z face centre of an odd cubemap is exactly the z axis, where a
+    # z-up camera's frame field is undefined; a 120-degree z-up view takes
+    # pixels from the +z face, but no footprint reaches that centre pixel
+    cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(5)]
+    assert np.array_equal(cube[4].view.pixel_dirs()[2, 2], [0.0, 0.0, 1.0])
+    pose = np.stack([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], axis=-1)
+    dst = s2l2.ViewSpec("perspective", 16, 16, pose, 120.0)
+    assert cube[4].view.contains(dst.pixel_dirs()[0]).any()
+    for method in ("s2l2", "component-bilinear"):
+        got = s2l2.resample(cube, dst, method)
+        assert np.isfinite(got.data).all()
+        assert np.abs(got.data - resample_per_neighbour(cube, dst, method)).max() <= 1e-15 * 2.0
+
+
+def test_resample_invalid_source_pixels_invalidate_footprints():
+    # a 60-degree view to an equirect image (uncovered pixels are zeros) and
+    # back: footprints that reach an uncovered pixel used to blend its zeros
+    # into pixels flagged valid, up to 1.19 off in s0 on a scale of 1.57
+    pv = s2l2.ViewSpec("perspective", 32, 32, np.eye(3), 60.0)
+    img = s2l2.render_image(pipeline.two_lobe_field_fn, pv)
+    eq = s2l2.resample([img], s2l2.ViewSpec("equirect", 32, 64), "s2l2")
+    assert (~eq.valid).sum() == 1680
+    scale = np.abs(img.data[..., 0]).max()
+    for method in ("s2l2", "component-bilinear"):
+        back = s2l2.resample([eq], pv, method)
+        assert back.valid.any() and not back.valid.all()
+        assert np.abs(back.data[~back.valid]).max() == 0.0
+        assert np.abs(back.data - img.data)[back.valid].max() < 0.02 * scale
+        # exactly the footprints with weight on an uncovered pixel are dropped
+        rows, cols, w, _, _ = s2l2._footprints(eq.view, pv.pixel_dirs().reshape(-1, 3))
+        reach = np.any(~eq.valid[rows, cols] & (w != 0.0), axis=-1)
+        assert np.array_equal(back.valid.ravel(), ~reach)
 
 
 def test_resample_uncovered_flagged():
