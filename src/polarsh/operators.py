@@ -288,26 +288,59 @@ def visibility_project(vis_fn, l_max: int, grid: SphereGrid) -> ShCoeffs:
     return sh.sh_project(np.asarray(vis_fn(grid.dirs()), dtype=float), grid, l_max, "real")
 
 
+def _gram_bases(l_max, th, ph):
+    """Real and spin-2 bases of band l_max at the points (th, ph), with
+    contiguous copies of br^T and b2^H for the left factors of the Grams."""
+    br, b2 = sh.sh_basis_real(l_max, th, ph), P.s2sh_basis(l_max, th, ph)
+    return br, b2, np.ascontiguousarray(br.T), np.ascontiguousarray(b2.conj().T)
+
+
 @lru_cache(maxsize=4)
 def _product_bases(l_max: int, band: int):
-    """Read-only real and spin-2 bases of band l_max at the points of
-    gauss_legendre_grid(band), cached as the ring tables are."""
+    """Read-only _gram_bases at the points of gauss_legendre_grid(band),
+    cached as the ring tables are."""
     th, ph = (a.ravel() for a in gauss_legendre_grid(band).angles())
-    bases = sh.sh_basis_real(l_max, th, ph), P.s2sh_basis(l_max, th, ph)
+    bases = _gram_bases(l_max, th, ph)
     for b in bases:
         b.setflags(write=False)
     return bases
 
 
-def _pointwise_product(l_max, br, b2, wv):
+@lru_cache(maxsize=8)
+def _gram_positions(l_max: int):
+    """Read-only flat positions of the pointwise-product operator's nonzero
+    blocks in the dense canonical matrix: (2, S, S) for the real Gram on the
+    s0 and s3 blocks, and (S2, 2, S2, 2) for the spin 2-to-2 pair, with
+    axes (spin-2 row, p_o = 1, 2, spin-2 column, p_i = 1, 2)."""
+    lay = P.psh_layout(l_max)
+    n = P.psh_size(l_max)
+    scalar = np.stack([pos[:, None] * n + pos for pos in (lay.pos0, lay.pos3)])
+    pair = np.stack([lay.pos1, lay.pos1 + 1], axis=-1)
+    spin22 = pair[:, :, None, None] * n + pair
+    for a in (scalar, spin22):
+        a.setflags(write=False)
+    return scalar, spin22
+
+
+def _pointwise_product(l_max, bases, wv):
     """The operator of multiplication by v from the weighted Grams of the
-    bases at the quadrature points: br^T diag(w v) br on the s0 and s3
-    blocks, b2^H diag(w v) b2 on the spin 2-to-2 pair (iso only); the 0<->2
-    and conj blocks vanish identically."""
-    Sr = br.T @ (wv[:, None] * br)
-    C2 = b2.conj().T @ (wv[:, None] * b2)
-    blocks = {"scalar": {(0, 0): Sr, (3, 3): Sr}, "iso": C2}
-    return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, blocks))
+    bases (br, b2, br^T, b2^H) at the quadrature points: br^T diag(w v) br on
+    the s0 and s3 blocks, b2^H diag(w v) b2 on the spin 2-to-2 pair (iso
+    only), written straight into their _gram_positions; the 0<->2 and conj
+    blocks vanish identically."""
+    br, b2, brT, b2H = bases
+    scalar, spin22 = _gram_positions(l_max)
+    n = P.psh_size(l_max)
+    out = np.zeros(n * n)
+    out[scalar] = brT @ (wv[:, None] * br)
+    C2 = b2H @ (wv[:, None] * b2)
+    # the real 2x2 form [[re, -im], [im, re]] of each complex entry
+    pair = np.empty(spin22.shape)
+    pair[:, 0, :, 0] = pair[:, 1, :, 1] = C2.real
+    pair[:, 1, :, 0] = C2.imag
+    pair[:, 0, :, 1] = -C2.imag
+    out[spin22] = pair
+    return PshCoeffMatrix(l_max, out.reshape(n, n))
 
 
 def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
@@ -316,13 +349,16 @@ def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
     conj(Y_out) v Y_in has degree at most 2 l_max + L_v (the same for the
     spin-2 pair), and a Gauss-Legendre grid of band B integrates degree
     2B + 1 exactly, so on B = l_max + L_v // 2 the quadrature equals the
-    Gaunt (triple-product) result; one band less does not.
+    Gaunt (triple-product) result; one band less does not.  The bases at the
+    grid points, their transposes and the Grams' flat positions in the
+    dense matrix are cached per (l_max, B), so a call costs the two weighted
+    Grams and one scattered write of each.
     """
     if v.kind != "real":
         raise ValueError("expected real-SH visibility coefficients")
     grid = gauss_legendre_grid(l_max + v.l_max // 2)
     vals = sh.ring_synthesis(sh.r2c_values(v.values), grid, 0).real
-    return _pointwise_product(l_max, *_product_bases(l_max, grid.band),
+    return _pointwise_product(l_max, _product_bases(l_max, grid.band),
                               grid.weights().ravel() * vals.ravel())
 
 
@@ -330,8 +366,8 @@ def shadow_matrix_direct(vis_fn, l_max: int, grid: SphereGrid) -> PshCoeffMatrix
     """Direct single-sphere quadrature of the visibility operator (oracle)."""
     th, ph = (a.ravel() for a in grid.angles())
     vals = np.asarray(vis_fn(grid.dirs()), dtype=float).ravel()
-    return _pointwise_product(l_max, sh.sh_basis_real(l_max, th, ph),
-                              P.s2sh_basis(l_max, th, ph), grid.weights().ravel() * vals)
+    return _pointwise_product(l_max, _gram_bases(l_max, th, ph),
+                              grid.weights().ravel() * vals)
 
 
 # ---------------------------------------------------------------------------

@@ -417,26 +417,47 @@ def _conv_tables(l_max: int) -> _ConvTable:
     return t
 
 
-@lru_cache(maxsize=8)
-def _residual_labels(l_max: int):
+class _ResidualLabels(NamedTuple):
     """Read-only labelling of the dense matrix for conv_project_operator.
 
-    label is 2 (block (l_max + 1) + l_row) + unmatched per entry, block 0..3
-    for scalar, to_spin2, from_spin2 and spin22, with one bin past the end
-    for the uncounted entries (scalar rows l < 2 by spin-2 columns); count
-    is the number of entries per label, shape (4, l_max + 1, 2).
+    An entry's label is 2 (block (l_max + 1) + l_row) + unmatched, block
+    0..3 for scalar, to_spin2, from_spin2 and spin22, with one bin past the
+    end for the uncounted entries (scalar rows l < 2 by spin-2 columns).
+    matched holds the sorted flat positions with l_i = l_o and |m_i| = |m_o|
+    and matched_label their labels; theorem-table entry e falls on
+    matched[table[e]].  row_label (n, 2) labels the unmatched rest of each
+    row per column spin class (scalar, spin-2), the classes col_spin picks
+    as a one-hot (n, 2) matrix.  count is the number of entries per label,
+    shape (4, l_max + 1, 2).
     """
+    matched: np.ndarray
+    matched_label: np.ndarray
+    table: np.ndarray
+    row_label: np.ndarray
+    col_spin: np.ndarray
+    count: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _residual_labels(l_max: int) -> _ResidualLabels:
     l, m, p = P.psh_layout(l_max).lmp.T
+    n, n_l = l.size, l_max + 1
     spin = (p == 1) | (p == 2)
     block = spin[:, None] + 2 * spin[None, :]
     unmatched = (l[:, None] != l[None, :]) | (np.abs(m)[:, None] != np.abs(m)[None, :])
-    label = 2 * (block * (l_max + 1) + l[:, None]) + unmatched
-    label[(block == 2) & (l[:, None] < 2)] = 8 * (l_max + 1)
-    label = label.ravel()
-    count = np.bincount(label, minlength=8 * (l_max + 1) + 1)[:-1].reshape(4, l_max + 1, 2)
-    for a in (label, count):
+    label = 2 * (block * n_l + l[:, None]) + unmatched
+    label[(block == 2) & (l[:, None] < 2)] = 8 * n_l
+    count = np.bincount(label.ravel(), minlength=8 * n_l + 1)[:-1].reshape(4, n_l, 2)
+    matched = np.flatnonzero(~unmatched)
+    t = _conv_tables(l_max)
+    table = np.searchsorted(matched, t.row * n + t.col)
+    col_spin = np.stack([~spin, spin], axis=-1).astype(float)
+    row_label = 2 * ((spin[:, None] + 2 * np.arange(2)) * n_l + l[:, None]) + 1
+    row_label[:, 1][~spin & (l < 2)] = 8 * n_l
+    out = _ResidualLabels(matched, label.ravel()[matched], table, row_label, col_spin, count)
+    for a in out:
         a.setflags(write=False)
-    return label, count
+    return out
 
 
 def conv_project_operator(M: PshCoeffMatrix):
@@ -455,13 +476,19 @@ def conv_project_operator(M: PshCoeffMatrix):
     to_spin2 and from_spin2 (l >= 2 rows) blocks and by 1/2 in the spin22
     block; rms_residual is the RMS over every one of those entries.  A
     stacked matrix or a non-finite entry raises ValueError.
+
+    The fit is never expanded into a dense matrix: R differs from M only on
+    the table's positions, all of them matched, so the matched energies come
+    from the gathered matched entries with the fit subtracted there, and the
+    unmatched ones from the row sums of M^2, per column spin class, with the
+    matched entries set to zero.
     """
     l_max = M.l_max
     if M.matrix.ndim != 2:
         raise ValueError(f"conv_project_operator fits one matrix, got shape {M.matrix.shape}")
-    bad = np.argwhere(~np.isfinite(M.matrix))
-    if bad.size:
-        raise ValueError(f"non-finite operator entry at (row, col) = {tuple(bad[0].tolist())}")
+    if not np.isfinite(M.matrix).all():
+        bad = np.argwhere(~np.isfinite(M.matrix))[0]
+        raise ValueError(f"non-finite operator entry at (row, col) = {tuple(bad.tolist())}")
     n_l = l_max + 1
     t = _conv_tables(l_max)
     v = M.matrix[t.row, t.col]
@@ -474,16 +501,22 @@ def conv_project_operator(M: PshCoeffMatrix):
         np.divide(sign * num, den * fac, out=k[part], where=den > 0)
     kc = PolarConvKernelCoeffs(l_max, *k[0, :4], *(k[0, 4:] + 1j * k[1, 4:]))
 
-    label, count = _residual_labels(l_max)
-    R = M.matrix - conv_expand_to_matrix(kc, l_max).matrix
-    energy = np.bincount(label, weights=(R * R).ravel(), minlength=count.size + 1)
-    energy = energy[:-1].reshape(count.shape)
+    lab = _residual_labels(l_max)
+    nbins = lab.count.size + 1
+    R = M.matrix.ravel()[lab.matched] - np.bincount(
+        lab.table, weights=_theorem_values(kc, l_max)[1], minlength=lab.matched.size)
+    rest = (M.matrix * M.matrix).ravel()
+    rest[lab.matched] = 0.0
+    rows = rest.reshape(M.matrix.shape) @ lab.col_spin
+    energy = (np.bincount(lab.matched_label, weights=R * R, minlength=nbins)
+              + np.bincount(lab.row_label.ravel(), weights=rows.ravel(), minlength=nbins))
+    energy = energy[:-1].reshape(lab.count.shape)
     energy[3] *= 0.5    # |iso|^2 + |conj|^2 is half the R^2 of their four real entries
-    rms = np.sqrt(energy / np.maximum(count, 1))
+    rms = np.sqrt(energy / np.maximum(lab.count, 1))
     report = {name: {l: {"matched": float(rms[b, l, 0]), "unmatched": float(rms[b, l, 1])}
                      for l in range(0 if b == 0 else 2, n_l)}
               for b, name in enumerate(("scalar", "to_spin2", "from_spin2", "spin22"))}
-    return kc, math.sqrt(energy.sum() / max(count.sum(), 1)), report
+    return kc, math.sqrt(energy.sum() / max(lab.count.sum(), 1)), report
 
 
 # ---------------------------------------------------------------------------

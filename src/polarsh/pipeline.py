@@ -276,9 +276,38 @@ class TransferRecord:
     conv_residual: float = 0.0
 
 
-def _truncate_matrix(M: PshCoeffMatrix, l_new: int) -> PshCoeffMatrix:
-    n = P.psh_size(l_new)
-    return PshCoeffMatrix(l_new, M.matrix[:n, :n].copy())
+def _reflected_blocks(brdf: np.ndarray, l_max: int):
+    """The z-flipped transfer's factors, one per |m| column class.
+
+    One pass (brdf != 0) @ onehot(|m|) counts each row's nonzeros per class
+    of columns; class k keeps its rows with any.  An isotropic material
+    couples only |m_i| = |m_o| (Ramamoorthi & Hanrahan 2001), so class k
+    keeps the rows of |m| = k; a dense material keeps every row.  Returns
+    (dest, block, cols) per class with R (brdf @ V) = sum over classes of
+    block @ V[cols] added to rows dest, where R = reflection_permutation_psh
+    (which keeps |m|) is folded in: dest are the flipped rows and the flip's
+    signs scale the block's rows.
+    """
+    m_abs = np.abs(P.psh_layout(l_max).lmp[:, 1])
+    onehot = (m_abs[:, None] == np.arange(l_max + 1)).astype(np.float32)
+    # counts of at most n are exact in float32
+    counts = (brdf != 0).astype(np.float32) @ onehot
+    flip_rows, flip_signs = reflection_permutation_psh(l_max)
+    blocks = []
+    for k in range(l_max + 1):
+        rows = np.flatnonzero(counts[:, k])
+        cols = np.flatnonzero(m_abs == k)
+        dest = flip_rows[rows]
+        blocks.append((dest, flip_signs[dest][:, None] * brdf[np.ix_(rows, cols)], cols))
+    return blocks
+
+
+def _reflected_product(blocks, V: np.ndarray) -> np.ndarray:
+    """R (brdf @ V) from the _reflected_blocks of brdf."""
+    out = np.zeros(V.shape)
+    for dest, block, cols in blocks:
+        out[dest] += block @ V[cols]
+    return out
 
 
 def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
@@ -288,24 +317,41 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
     """Build per-vertex transfer records.
 
     material is either the local-frame pBRDF callable (projected here) or an
-    already-projected coefficient matrix in the local frame (normal along z).
+    already-projected coefficient matrix in the local frame (normal along z):
+    one finite (n, n) matrix of band at least l_high, whose leading l_high
+    block is used; a stacked or non-finite matrix raises ValueError.
     Visibility comes from analytic sphere occluders by default, or from
     casting n_rays Fibonacci rays against the mesh itself.
+
+    Per vertex the transfer is the material times the visibility's shadow
+    operator, formed already z-flipped (the high band is fitted as the
+    reflected transfer's convolution) one |m| column class at a time: the
+    material's exact zeros, found once per call, give each class its rows
+    (see _reflected_blocks).  Nothing is dropped: a dense material takes
+    full row sets and gets the dense product, summed by class.
     """
     if l_low > l_high:
         raise ValueError("l_low must not exceed l_high")
     if isinstance(material, PshCoeffMatrix):
+        if material.matrix.ndim != 2:
+            raise ValueError("material must be one coefficient matrix, got shape "
+                             f"{material.matrix.shape}")
         if material.l_max < l_high:
             raise ValueError("material matrix band below l_high")
+        if not np.isfinite(material.matrix).all():
+            bad = np.argwhere(~np.isfinite(material.matrix))[0]
+            raise ValueError(f"non-finite material entry at (row, col) = {tuple(bad.tolist())}")
         # canonical order is band-major: the leading block holds l <= l_high
-        brdf_mat = _truncate_matrix(material, l_high)
+        n_high = P.psh_size(l_high)
+        brdf = material.matrix[:n_high, :n_high]
     else:
         grid = gauss_legendre_grid(grid_band if grid_band is not None else max(12, 2 * l_high))
-        brdf_mat = operator_project(material, l_high, grid)
+        brdf = operator_project(material, l_high, grid).matrix
+    blocks = _reflected_blocks(brdf, l_high)
+    flip_rows, flip_signs = reflection_permutation_psh(l_low)
     if l_vis is None:
         l_vis = 2 * l_high
     vis_grid = gauss_legendre_grid(max(l_vis, 2 * l_high))
-    refl_rows, refl_signs = reflection_permutation_psh(l_high)
     z = np.array([0.0, 0.0, 1.0])
     if use_ray_visibility:
         # Monte-Carlo projection from Fibonacci ray casts; the local ray
@@ -328,14 +374,15 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
             v_local = visibility_project(
                 lambda dirs: visibility_from_spheres(occluders, dirs @ Rv.T),
                 l_vis, vis_grid)
-        vmat = shadow_expand(v_local, l_high)
-        T = PshCoeffMatrix(l_high, brdf_mat.matrix @ vmat.matrix)
-        mat_low = _truncate_matrix(T, l_low)
+        reflected = _reflected_product(blocks, shadow_expand(v_local, l_high).matrix)
+        # the flip is its own inverse and keeps l: the low band of the
+        # transfer is the flipped low band of the reflected one
+        mat_low = PshCoeffMatrix(l_low, flip_signs[:, None]
+                                 * reflected[flip_rows, :flip_rows.size])
         conv = None
         resid = 0.0
         if l_high > l_low:
-            reflected = PshCoeffMatrix(l_high, refl_signs[:, None] * T.matrix[refl_rows])
-            kc, resid, _ = conv_project_operator(reflected)
+            kc, resid, _ = conv_project_operator(PshCoeffMatrix(l_high, reflected))
             for name in KC_FAMILIES:
                 getattr(kc, name)[:l_low + 1] = 0.0
             conv = kc

@@ -259,12 +259,17 @@ class ViewSpec:
 
     # --- lookups ----------------------------------------------------------
     def contains(self, dirs):
-        """Mask of directions inside the view's footprint."""
+        """Mask of directions inside the view's footprint, edges included.
+
+        The half-angle tangent has a few ulps of slack: tan(pi / 4) rounds to
+        1 - 2^-53, and without it a direction on a cube edge, where
+        |x / z| = 1, would be outside both faces that share the edge.
+        """
         dirs = np.asarray(dirs, dtype=float)
         if self.kind == "equirect":
             return np.ones(dirs.shape[:-1], dtype=bool)
         cam = dirs @ self.pose
-        t = math.tan(math.radians(self.fov_deg) / 2.0)
+        t = math.tan(math.radians(self.fov_deg) / 2.0) * (1.0 + 8.0 * np.finfo(float).eps)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = cam[..., 0] / cam[..., 2]
             y = cam[..., 1] / cam[..., 2]

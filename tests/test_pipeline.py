@@ -369,3 +369,22 @@ def test_pprt_band_validation(small_setup):
     recs = pl.pprt_precompute(mesh, bm, (), 6, 6)
     with pytest.raises(ValueError):
         pl.pprt_shade(recs, pl.random_psh_coeffs(4, seed=0), mesh.normals)
+
+
+def test_pprt_material_matrix_checks(small_setup):
+    mesh, _, bm, _ = small_setup
+    stacked = op.PshCoeffMatrix(6, np.stack([bm.matrix, bm.matrix]))
+    for l_low, l_high in ((6, 6), (2, 6), (2, 4)):
+        with pytest.raises(ValueError, match=re.escape(str(stacked.matrix.shape))):
+            pl.pprt_precompute(mesh, stacked, (), l_low, l_high)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = bm.matrix.copy()
+        m[7, 3] = bad
+        m[9, 1] = bad
+        with pytest.raises(ValueError, match=re.escape("(row, col) = (7, 3)")):
+            pl.pprt_precompute(mesh, op.PshCoeffMatrix(6, m), (), 2, 4)
+    # the whole matrix is checked, the part above l_high too
+    m = bm.matrix.copy()
+    m[-1, -2] = np.nan
+    with pytest.raises(ValueError, match=re.escape("(row, col) = (187, 186)")):
+        pl.pprt_precompute(mesh, op.PshCoeffMatrix(6, m), (), 2, 4)

@@ -276,6 +276,18 @@ def test_cubemap_covers_sphere(rng):
     assert covered.all()
 
 
+def test_cubemap_covers_its_edges_and_corners():
+    views = s2l2.cubemap_views(8)
+    edges = geom.normalize(np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0],
+                                     [-1.0, 1.0, -1.0], [0.0, -1.0, -1.0]]))
+    for d in edges:
+        assert sum(bool(v.contains(d)) for v in views) >= 2, d
+    # a wide view over a coarse cubemap looks along the face diagonals
+    cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(5)]
+    out = s2l2.resample(cube, s2l2.ViewSpec("perspective", 16, 16, np.eye(3), 120.0), "s2l2")
+    assert out.valid.all()
+
+
 def test_stokes_image_checks_shapes():
     view = s2l2.ViewSpec("equirect", 4, 8)
     with pytest.raises(ValueError, match=r"\(4, 8, 4\)"):
