@@ -82,12 +82,8 @@ def _view_from_json(path):
     from .s2l2 import ViewSpec
     with open(path) as f:
         spec = json.load(f)
-    kind = spec.get("kind", "equirect")
-    if kind == "equirect":
-        return ViewSpec("equirect", int(spec["height"]), int(spec["width"]))
-    pose = np.asarray(spec.get("pose", np.eye(3).tolist()), dtype=float)
-    return ViewSpec("perspective", int(spec["height"]), int(spec["width"]),
-                    pose, float(spec.get("fov", 90.0)))
+    return ViewSpec(spec.get("kind", "equirect"), spec["height"], spec["width"],
+                    spec.get("pose", np.eye(3)), float(spec.get("fov", 90.0)))
 
 
 def cmd_resample(args):

@@ -32,13 +32,13 @@ def _read_exact(f, n, what="header"):
     return f.read(n)
 
 
-def _read_payload(f, what, count, dtype="<f8"):
+def _read_payload(f, what, count, dtype="<f8", after=0):
     """Read count values as float64: the rest of the file must hold exactly
-    them, and every value must be finite."""
+    them and `after` more bytes, and every value must be finite."""
     size = count * np.dtype(dtype).itemsize
     left = os.fstat(f.fileno()).st_size - f.tell()
-    if size != left:
-        raise FormatError(f"{what} payload size mismatch: the header implies {size} bytes, "
+    if size + after != left:
+        raise FormatError(f"{what} payload size mismatch: the header implies {size + after} bytes, "
                           f"the file holds {left}")
     raw = np.frombuffer(f.read(size), dtype=dtype).astype(float)
     bad = np.flatnonzero(~np.isfinite(raw))
@@ -162,23 +162,31 @@ def save_stokes_field(path, field: StokesField):
 
 
 def save_stokes_image(path, img: StokesImage):
+    """An image with an invalid pixel gets the header token `masked` and its
+    validity bits (np.packbits, row-major) after the payload; an all-valid
+    image is written without them."""
     v = img.view
+    sampling = SAMPLING_PIXEL if v.kind == "equirect" else "perspective"
+    masked = " masked" if not img.valid.all() else ""
     with open(path, "wb") as f:
-        if v.kind == "equirect":
-            f.write(f"S4EM {v.height} {v.width} {SAMPLING_PIXEL}\n".encode())
-        else:
-            f.write(f"S4EM {v.height} {v.width} perspective\n".encode())
+        f.write(f"S4EM {v.height} {v.width} {sampling}{masked}\n".encode())
+        if v.kind == "perspective":
             f.write(f"FOV {float(v.fov_deg)!r}\n".encode())
             f.write(("POSE " + " ".join(repr(float(x)) for x in v.pose.ravel()) + "\n").encode())
         f.write(img.data.astype("<f4").tobytes())
+        if masked:
+            f.write(np.packbits(img.valid).tobytes())
 
 
 def _load_s4em_raw(path):
     with open(path, "rb") as f:
         line = f.readline().decode("ascii", errors="replace").strip()
         header = line.split()
-        if len(header) != 4 or header[0] != "S4EM":
+        if len(header) not in (4, 5) or header[0] != "S4EM":
             raise FormatError("not an S4EM file")
+        if header[4:] not in ([], ["masked"]):
+            raise FormatError(f"bad S4EM header line {line!r}: unknown token {header[4]!r}")
+        masked = len(header) == 5
         bad_dims = FormatError(f"bad S4EM header line {line!r}: dimensions must be integers >= 1")
         try:
             n_theta, n_phi = int(header[1]), int(header[2])
@@ -209,15 +217,25 @@ def _load_s4em_raw(path):
             if not is_rotation(pose, 1e-6):
                 raise FormatError(f"bad perspective header: POSE line {' '.join(pose_line)!r} "
                                   "is not a rotation")
-        data = _read_payload(f, f"S4EM {n_theta}x{n_phi}", n_theta * n_phi * 4,
-                             "<f4").reshape(n_theta, n_phi, 4)
-    return data, sampling, fov, pose
+        n_pix = n_theta * n_phi
+        n_mask = -(-n_pix // 8) if masked else 0
+        data = _read_payload(f, f"S4EM {n_theta}x{n_phi}", n_pix * 4, "<f4",
+                             n_mask).reshape(n_theta, n_phi, 4)
+        valid = None
+        if masked:
+            bits = np.unpackbits(np.frombuffer(f.read(n_mask), dtype=np.uint8))
+            if bits[n_pix:].any():
+                raise FormatError(f"S4EM {n_theta}x{n_phi}: nonzero padding bits after the validity mask")
+            valid = bits[:n_pix].astype(bool).reshape(n_theta, n_phi)
+    return data, sampling, fov, pose, valid
 
 
 def load_stokes_field(path) -> StokesField:
-    data, sampling, fov, _ = _load_s4em_raw(path)
+    data, sampling, fov, _, valid = _load_s4em_raw(path)
     if fov is not None:
         raise FormatError("file holds a perspective image, not a sphere map")
+    if valid is not None:
+        raise FormatError("file holds a masked image, not a sphere map")
     if sampling == SAMPLING_QUAD:
         band = data.shape[0] - 1
         grid = gauss_legendre_grid(band)
@@ -230,11 +248,11 @@ def load_stokes_field(path) -> StokesField:
 
 
 def load_stokes_image(path) -> StokesImage:
-    data, sampling, fov, pose = _load_s4em_raw(path)
+    data, sampling, fov, pose, valid = _load_s4em_raw(path)
     if sampling == "perspective":
         view = ViewSpec("perspective", data.shape[0], data.shape[1], pose, fov)
     elif sampling == SAMPLING_PIXEL:
         view = ViewSpec("equirect", data.shape[0], data.shape[1])
     else:
         raise FormatError("sphere maps with quadrature sampling are not images")
-    return StokesImage(view, data)
+    return StokesImage(view, data, valid)

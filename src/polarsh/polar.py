@@ -12,7 +12,9 @@ given frames; stokes_reframe (Stokes vectors, (..., 4)) and mueller_reframe
 applied to real components; pconv's angular oracles and
 s2l2.perturbation_protocol's theta-phi baseline multiply the complex pair by
 c - i s.  The pBRDF gets its s-p to theta-phi twist as z^2,
-z = (n x w).(e_theta + i e_phi), as S2L2 gets its own through s2l2._forms.
+z = (n x w).(e_theta + i e_phi), as S2L2 gets its own from any tangent frame
+a to any frame b as (conj(m_a) . m_b)^2 / 4, m = x + iy (see the s2l2
+module).
 Stokes fields are stored as components under the theta-phi frame field at
 each sample (no frames are stored).
 """

@@ -7,6 +7,18 @@ and independent of frame and global-axis choices, which yields a rotation
 invariant distance and direction-crossing interpolation, used here for
 polarized image resampling.  Encoding and decoding need only some tangent
 frame at w (see _forms).
+
+For tangent frames a and b with m = x + iy, the encodings' inner product is
+one scalar (Thorne 1980, Rev. Mod. Phys. 52, 299):
+
+    sum_m conj(F_m(a)) F_m(b) = (conj(m_a) . m_b)^2 / 4,
+
+with a bilinear dot product (no conjugation on m_b); at a shared direction
+it is the twist e^{-2it} from a to b.  For any right-handed tangent frame at
+a unit u, m_u conj(m_u)^T = (I - u u^T) + i [u]x, so projecting onto the
+Stokes vectors at u and decoding in a frame with vector m_d needs no frame
+at u: it is conj(m) . v with v = m_d - (u . m_d) u + i u x m_d.  resample
+interpolates through this scalar.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import numpy as np
 
 from .geom import (normalize, sph_to_dir, dir_to_sph, fibonacci_directions,
                    frame_for_dir, frame_theta_phi, frame_perspective,
-                   rotation_about_axis)
+                   is_rotation, rotation_about_axis)
 from .polar import GeometricStokes, frame_twist, stokes_reframe
 from .shscalar import FOUR_PI
 
@@ -216,7 +228,9 @@ class ViewSpec:
     theta-phi frame field; 'perspective' uses a pinhole camera whose frame
     field is anchored to the camera up axis; 'cubeface' is a 90-degree
     perspective view.  pose maps camera coordinates (x right, y up,
-    z forward) to world.
+    z forward) to world.  height and width must be integers >= 1, fov_deg
+    an angle in (0, 180) degrees and pose a rotation to 1e-6, as in S4EM
+    headers; otherwise a ValueError names the field.
     """
     kind: str
     height: int
@@ -231,6 +245,15 @@ class ViewSpec:
             self.fov_deg = 90.0
         if self.kind not in ("equirect", "perspective"):
             raise ValueError(f"unknown view kind {self.kind!r}")
+        for name in ("height", "width"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"view {name} must be an integer >= 1, got {value!r}")
+            setattr(self, name, int(value))
+        if not 0.0 < self.fov_deg < 180.0:      # also false for NaN
+            raise ValueError(f"view fov_deg must be an angle in (0, 180) degrees, got {self.fov_deg!r}")
+        if self.pose.shape != (3, 3) or not is_rotation(self.pose, 1e-6):
+            raise ValueError(f"view pose must be a 3x3 rotation, got {self.pose.tolist()}")
 
     # --- directions -------------------------------------------------------
     def pixel_dirs(self):
@@ -390,6 +413,24 @@ def _touched(view: ViewSpec, rows, cols):
     return touched, slot[flat]
 
 
+def _transport(u, m):
+    """v = (I - u u^T + i [u]x) m for unit directions u and complex vectors m,
+    each a list of three component arrays (broadcast together).
+
+    For a right-handed tangent frame (x, y, u) and m_u = x + iy,
+    m_u conj(m_u)^T = I - u u^T + i [u]x, so conj(m_a) . v equals
+    (conj(m_a) . m_u)(conj(m_u) . m) for every such frame: projecting onto
+    the Stokes vectors at u and decoding in the frame of m needs no frame
+    at u.
+    """
+    ux, uy, uz = u
+    mx, my, mz = m
+    um = ux * mx + uy * my + uz * mz
+    return [mx - um * ux + 1j * (uy * mz - uz * my),
+            my - um * uy + 1j * (uz * mx - ux * mz),
+            mz - um * uz + 1j * (ux * my - uy * mx)]
+
+
 def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     """Resample polarized images into a new view.
 
@@ -399,13 +440,23 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     (horizontal pairs, then vertical); 'component-bilinear' lerps raw
     components and reinterprets them under the destination frame field (the
     artifact-exhibiting baseline).  s0 and s3 are scalar-bilinear in both
-    methods.  Each source pixel that a footprint touches is encoded (or, for
-    'component-bilinear', reframed) once, and footprints gather the results,
-    so the work scales with min(footprints, source pixels).  Pixels no
-    source covers, and pixels whose footprint gives nonzero weight to an
-    invalid source pixel, are flagged invalid and written as zeros.
-    Footprints that snap onto a single source pixel with an identical frame
-    are copied bit-exactly.
+    methods.  For 's2l2' the encode, the lerps, the projections onto the
+    Stokes vectors at each row's blended direction u_j and the decode in
+    the destination frame (vector m_d) collapse, by the module's transport
+    identity, to
+
+        s1 + i s2 = sum_k w_k z_k (conj(m_k) . v_j(k))^2 / 16,
+        v_j = m_d - (u_j . m_d) u_j + i u_j x m_d,
+
+    with z_k = s1 + i s2 of neighbour k in its own frame (vector m_k) and w_k
+    its bilinear weight: no frame at u_j and no 5-vector forms.  Each source
+    pixel that a footprint touches is read once (conj(m) and z, or for
+    'component-bilinear' its reframed components), and footprints gather
+    the results, so the work scales with min(footprints, source pixels).
+    Pixels no source covers, and pixels whose footprint gives nonzero
+    weight to an invalid source pixel, are flagged invalid and written as
+    zeros.  Footprints that snap onto a single source pixel with an
+    identical frame are copied bit-exactly.
     """
     if method not in ("s2l2", "component-bilinear"):
         raise ValueError(f"unknown method {method!r}")
@@ -425,7 +476,7 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         if sel.size == 0:
             continue
         rows, cols, w, fr, fc = _footprints(src.view, flat_dirs[sel])
-        # the source pixels the footprints touch, each encoded once; nb
+        # the source pixels the footprints touch, each read once; nb
         # indexes them per footprint neighbour (n, 4)
         touched, nb = _touched(src.view, rows, cols)
         t_data = src.data.reshape(-1, 4)[touched]
@@ -439,28 +490,27 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
             res = np.sum(w[..., None] * pix, axis=1)
         else:
             pix = t_data[nb]                                # (n, 4, 4comp)
-            r_t = np.conj(_forms(t_frames)) * (t_data[:, 1] + 1j * t_data[:, 2])[:, None]
             s0 = np.sum(w * pix[..., 0], axis=-1)
             s3 = np.sum(w * pix[..., 3], axis=-1)
-            # horizontal pairs (top row, bottom row), then vertical; each lerp is
-            # projected onto the Stokes vectors at its blended direction
-            fcn = fc[:, None, None]
-            r_nb = r_t[nb].reshape(-1, 2, 2, 5)
-            nb_rc = t_dirs[nb].reshape(-1, 2, 2, 3)
-            f = _forms(frame_for_dir(normalize((1 - fcn) * nb_rc[:, :, 0] + fcn * nb_rc[:, :, 1])))
-            r_row = (1 - fcn) * r_nb[:, :, 0] + fcn * r_nb[:, :, 1]
-            r_row = np.conj(f) * np.sum(r_row * f, axis=-1, keepdims=True)
-            frn = fr[:, None]
-            r_fin = (1 - frn) * r_row[:, 0] + frn * r_row[:, 1]
-            stilde = np.sum(r_fin * _forms(dst_frames[sel]), axis=-1)
+            # per touched pixel only conj(m) and z = s1 + i s2; per footprint
+            # row j, its blended direction u_j and v_j (see _transport); the
+            # vectors are lists of their three components
+            mbar = t_frames[:, :, 0] - 1j * t_frames[:, :, 1]                # (t, 3)
+            nb2 = nb.reshape(-1, 2, 2)                                         # (n, j, k)
+            fcn = fc[:, None]
+            u = [(1 - fcn) * c[nb2[..., 0]] + fcn * c[nb2[..., 1]] for c in t_dirs.T]
+            norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])           # (n, 2)
+            m_d = dst_frames[sel, :, 0:1] + 1j * dst_frames[sel, :, 1:2]       # (n, 3, 1)
+            v = _transport([c / norm for c in u], [m_d[:, c] for c in range(3)])
+            a = sum(mbar[:, c][nb2] * v[c][..., None] for c in range(3))      # (n, 2, 2)
+            zw = (w * (t_data[:, 1] + 1j * t_data[:, 2])[nb]).reshape(a.shape)
+            stilde = np.sum((zw * a * a).reshape(-1, 4), axis=-1) / 16
             res = np.stack([s0, stilde.real, stilde.imag, s3], axis=-1)
             # bit-exact copy where the footprint collapses to one pixel whose
             # frame coincides with the destination frame
-            one = (fr == 0.0) & (fc == 0.0)
-            if np.any(one):
-                same = np.all(t_frames[nb[:, 0]] == dst_frames[sel], axis=(-2, -1))
-                hit = one & same
-                res[hit] = pix[hit, 0]
+            one = np.flatnonzero((fr == 0.0) & (fc == 0.0))
+            same = np.all(t_frames[nb[one, 0]] == dst_frames[sel[one]], axis=(-2, -1))
+            res[one[same]] = pix[one[same], 0]
         ok = ~np.any(~src.valid[rows, cols] & (w != 0.0), axis=-1)
         out[sel[ok]] = res[ok]
         valid[sel[ok]] = True

@@ -1,6 +1,8 @@
 import json
+import re
 
 import numpy as np
+import pytest
 
 from polarsh import cli, io as pio, pipeline
 from polarsh.s2l2 import ViewSpec, render_image
@@ -73,6 +75,29 @@ def test_resample_cli(tmp_path):
     img = pio.load_stokes_image(out)
     assert img.data.shape == (16, 32, 4)
     assert run("resample", "--method", "naive", "--dst", dstspec, "--out", out, src) == 0
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "perspective", "height": 0, "width": 8}, "view height must be an integer >= 1, got 0"),
+    ({"kind": "equirect", "height": 8, "width": 0}, "view width must be an integer >= 1, got 0"),
+    ({"kind": "perspective", "height": 8, "width": 8, "fov": 0}, r"view fov_deg .* \(0, 180\) degrees, got 0.0"),
+    ({"kind": "perspective", "height": 8, "width": 8, "fov": 200}, "view fov_deg .* got 200.0"),
+    ({"kind": "perspective", "height": 8, "width": 8, "fov": float("nan")}, "view fov_deg .* got nan"),
+    ({"kind": "perspective", "height": 8, "width": 8, "pose": np.diag([1.0, 1.0, -1.0]).tolist()},
+     "view pose must be a 3x3 rotation"),
+    # any kind but equirect used to become a perspective view
+    ({"kind": "equirectangular", "height": 8, "width": 16}, "unknown view kind 'equirectangular'"),
+])
+def test_resample_rejects_bad_view_specs(tmp_path, capsys, spec, message):
+    # each used to exit 0 and write an S4EM file that load_stokes_image rejects
+    src = tmp_path / "p.s4em"
+    dstspec = tmp_path / "v.json"
+    out = tmp_path / "o.s4em"
+    pio.save_stokes_image(src, render_image(pipeline.two_lobe_field_fn, ViewSpec("equirect", 4, 8)))
+    dstspec.write_text(json.dumps(spec))
+    assert run("resample", "--dst", dstspec, "--out", out, src) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_pprt_cli(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarsh import geom, io as pio, pconv, pipeline, psh
+from polarsh import geom, io as pio, pconv, pipeline, psh, s2l2
 from polarsh import shscalar as sh
 from polarsh.operators import PshCoeffMatrix
 from polarsh.s2l2 import ViewSpec, render_image
@@ -77,6 +77,64 @@ def test_stokes_image_roundtrip(tmp_path, rng):
     pio.save_stokes_image(p, img)
     img2 = pio.load_stokes_image(p)
     assert img2.view.kind == "equirect" and img2.data.shape == (6, 12, 4)
+
+
+def test_masked_image_round_trip(tmp_path):
+    # a 60-degree view to an equirect image: its uncovered pixels stay
+    # invalid through the file, so resampling it back drops the footprints
+    # that reach them, as in memory
+    pv = ViewSpec("perspective", 32, 32, np.eye(3), 60.0)
+    eq = s2l2.resample([render_image(pipeline.two_lobe_field_fn, pv)], ViewSpec("equirect", 32, 64))
+    p = tmp_path / "e.s4em"
+    pio.save_stokes_image(p, eq)
+    assert p.read_bytes().startswith(b"S4EM 32 64 uniform-pixel-centers masked\n")
+    loaded = pio.load_stokes_image(p)
+    assert (~loaded.valid).sum() == 1680
+    assert np.array_equal(loaded.valid, eq.valid)
+    assert np.array_equal(loaded.data, eq.data.astype(np.float32))
+    in_memory = s2l2.StokesImage(eq.view, eq.data.astype(np.float32), eq.valid)
+    for method in ("s2l2", "component-bilinear"):
+        back = s2l2.resample([loaded], pv, method)
+        want = s2l2.resample([in_memory], pv, method)
+        assert not back.valid.all()
+        assert np.array_equal(back.valid, want.valid)
+        assert np.array_equal(back.data, want.data)
+    with pytest.raises(pio.FormatError, match="masked image"):
+        pio.load_stokes_field(p)
+
+
+def test_all_valid_image_files_carry_no_mask(tmp_path, rng):
+    # byte for byte the header and float32 payload, as before masks existed
+    for view in (ViewSpec("equirect", 3, 5), ViewSpec("perspective", 2, 3, geom.random_rotation(rng), 50.0)):
+        img = render_image(pipeline.two_lobe_field_fn, view)
+        p = tmp_path / "i.s4em"
+        pio.save_stokes_image(p, img)
+        raw = p.read_bytes()
+        assert raw.endswith(img.data.astype("<f4").tobytes())
+        assert b"masked" not in raw.split(b"\n", 1)[0]
+        assert pio.load_stokes_image(p).valid.all()
+
+
+def test_masked_image_size_and_padding_checked(tmp_path):
+    # 3 x 5 pixels: 2 mask bytes, the last with one padding bit
+    valid = np.ones((3, 5), dtype=bool)
+    valid[1, 2] = False
+    img = s2l2.StokesImage(ViewSpec("equirect", 3, 5), np.ones((3, 5, 4)), valid)
+    p = tmp_path / "m.s4em"
+    pio.save_stokes_image(p, img)
+    good = p.read_bytes()
+    assert len(good) == len(b"S4EM 3 5 uniform-pixel-centers masked\n") + 3 * 5 * 16 + 2
+    assert np.array_equal(pio.load_stokes_image(p).valid, valid)
+    for bad in (good[:-1], good + b"\0"):
+        p.write_bytes(bad)
+        with pytest.raises(pio.FormatError, match="S4EM 3x5 payload size mismatch"):
+            pio.load_stokes_image(p)
+    p.write_bytes(good[:-1] + bytes([good[-1] | 1]))
+    with pytest.raises(pio.FormatError, match="padding bits"):
+        pio.load_stokes_image(p)
+    p.write_bytes(good.replace(b" masked", b" masks"))
+    with pytest.raises(pio.FormatError, match="unknown token 'masks'"):
+        pio.load_stokes_image(p)
 
 
 def test_malformed_files(tmp_path):
@@ -196,6 +254,9 @@ def _fuzz_cases():
     view = ViewSpec("perspective", 2, 3, geom.rotation_zyz(0.3, 1.1, -0.4), 60.0)
     img = render_image(pipeline.two_lobe_field_fn, view)
     img.data[:] = 1.5
+    valid = np.ones((3, 5), dtype=bool)
+    valid[::2, 1::2] = False
+    masked = s2l2.StokesImage(ViewSpec("equirect", 3, 5), np.full((3, 5, 4), 1.5), valid)
     return {
         "PSHC": (pio.save_sh_coeffs, sh.ShCoeffs(2, "complex", np.full(9, 1.25 + 1.5j)),
                  pio.load_sh_coeffs, lambda c: [c.values]),
@@ -208,6 +269,8 @@ def _fuzz_cases():
         "S4EM": (pio.save_stokes_field, field, pio.load_stokes_field, lambda f: [f.data]),
         "S4EM-perspective": (pio.save_stokes_image, img, pio.load_stokes_image,
                              lambda img: [img.data, img.view.pose]),
+        "S4EM-masked": (pio.save_stokes_image, masked, pio.load_stokes_image,
+                        lambda img: [img.data, img.valid]),
     }
 
 

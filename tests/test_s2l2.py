@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarsh import geom, pipeline, psh, s2l2
+from polarsh import polar
 from polarsh.polar import GeometricStokes, stokes_reframe, stokes_rotate
 
 # SCALE 2Y_2m(w) = m^T Q_m m for m = x + iy of any tangent frame (x, y, w),
@@ -24,6 +26,35 @@ def forms_table(frames):
     """The quadratic forms through the (9, 5) table: the oracle of s2l2._forms."""
     m = frames[..., :, 0] + 1j * frames[..., :, 1]
     return (m[..., :, None] * m[..., None, :]).reshape(m.shape[:-1] + (9,)) @ _FORMS
+
+
+def _m(frames):
+    return frames[..., :, 0] + 1j * frames[..., :, 1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_forms_inner_product_is_the_transport_scalar(seed):
+    # sum_m conj(F_m(a)) F_m(b) = (conj(m_a) . m_b)^2 / 4 for tangent frames
+    # a, b at any two directions (bilinear dot, no conjugation on m_b); at a
+    # shared direction it is the twist e^{-2it} from a to b
+    rng = np.random.default_rng(seed)
+    a = np.stack([geom.random_rotation(rng) for _ in range(16)])
+    b = np.stack([geom.random_rotation(rng) for _ in range(16)])
+    inner = np.sum(np.conj(forms_table(a)) * forms_table(b), axis=-1)
+    dot = np.sum(np.conj(_m(a)) * _m(b), axis=-1)
+    assert np.abs(inner - dot ** 2 / 4).max() < 1e-15
+    twisted = a @ np.stack([geom.rotation_z(t) for t in rng.uniform(-np.pi, np.pi, 16)])
+    c2, s2 = polar.frame_twist(a, twisted)
+    inner = np.sum(np.conj(forms_table(a)) * forms_table(twisted), axis=-1)
+    assert np.abs(inner - (c2 - 1j * s2)).max() < 1e-15
+    # through a third direction u: (conj(m_a) . m_u)(conj(m_u) . m_b), of
+    # modulus up to 4, is conj(m_a) . v with v = (I - u u^T + i [u]x) m_b,
+    # in any frame at u
+    u = np.stack([geom.random_rotation(rng) for _ in range(16)])
+    v = s2l2._transport(list(u[:, :, 2].T), list(_m(b).T))
+    through = (np.sum(np.conj(_m(a)) * _m(u), axis=-1) * np.sum(np.conj(_m(u)) * _m(b), axis=-1))
+    assert np.abs(np.sum(np.conj(_m(a)) * np.stack(v, axis=-1), axis=-1) - through).max() < 4e-15
 
 
 def spin2_at(theta, phi, a, b, twist=0.0):
@@ -377,13 +408,60 @@ def test_resample_matches_per_neighbour_oracle():
     assert np.array_equal(got.data, resample_per_neighbour(cube, dst, "component-bilinear"))
 
 
+def _pose(forward, up):
+    x = np.cross(up, forward)
+    return np.stack([x, up, forward], axis=-1)
+
+
+def _oracle_cases(case):
+    """(sources, dst views) of the resample cases beyond the cubemap one."""
+    if case == "poles":
+        # equirect to views centred on each pole, where theta-phi frames turn fastest
+        src = [s2l2.render_image(pipeline.two_lobe_field_fn, s2l2.ViewSpec("equirect", 24, 48))]
+        views = [s2l2.ViewSpec("perspective", 9, 11, _pose(np.array([0.0, 0.0, z]),
+                                                          np.array([0.0, 1.0, 0.0])), 70.0)
+                 for z in (1.0, -1.0)]
+        return src, views
+    if case == "rolled":
+        # perspective to perspective, each camera rolled about its own axis
+        roll = geom.rotation_about_axis(np.array([[1.0, 0.0, 0.0]]), 0.7)[0]
+        src_pose = roll @ _pose(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        src = [s2l2.render_image(pipeline.two_lobe_field_fn,
+                                 s2l2.ViewSpec("perspective", 30, 40, src_pose, 100.0))]
+        dst_pose = geom.rotation_zyz(0.2, 0.1, -0.4) @ src_pose
+        return src, [s2l2.ViewSpec("perspective", 12, 16, dst_pose, 60.0)]
+    # sources with invalid pixels: a 60-degree view resampled to an equirect
+    # image (1,680 uncovered pixels), and back
+    pv = s2l2.ViewSpec("perspective", 32, 32, np.eye(3), 60.0)
+    eq = s2l2.resample([s2l2.render_image(pipeline.two_lobe_field_fn, pv)],
+                       s2l2.ViewSpec("equirect", 32, 64), "s2l2")
+    assert (~eq.valid).sum() == 1680
+    return [eq], [pv]
+
+
+@pytest.mark.parametrize("case", ["poles", "rolled", "invalid"])
+def test_resample_matches_per_neighbour_oracle_on_more_views(case):
+    sources, views = _oracle_cases(case)
+    for dst in views:
+        for method in ("s2l2", "component-bilinear"):
+            got = s2l2.resample(sources, dst, method)
+            # the oracle writes every footprint; resample zeroes the invalid ones
+            assert got.valid.any() and (case == "invalid") != got.valid.all()
+            assert np.abs(got.data[~got.valid]).max(initial=0.0) == 0.0
+            want = resample_per_neighbour(sources, dst, method)[got.valid]
+            if method == "s2l2":
+                assert np.abs(got.data[got.valid] - want).max() <= 1e-15 * np.abs(want).max()
+            else:
+                assert np.array_equal(got.data[got.valid], want)
+
+
 def test_resample_frames_only_touched_source_pixels():
     # the +z face centre of an odd cubemap is exactly the z axis, where a
     # z-up camera's frame field is undefined; a 120-degree z-up view takes
     # pixels from the +z face, but no footprint reaches that centre pixel
     cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(5)]
     assert np.array_equal(cube[4].view.pixel_dirs()[2, 2], [0.0, 0.0, 1.0])
-    pose = np.stack([[0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], axis=-1)
+    pose = np.stack([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], axis=-1)
     dst = s2l2.ViewSpec("perspective", 16, 16, pose, 120.0)
     assert cube[4].view.contains(dst.pixel_dirs()[0]).any()
     for method in ("s2l2", "component-bilinear"):
