@@ -223,6 +223,17 @@ class SphereGrid:
 
 
 @lru_cache(maxsize=16)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1]: read-only nodes x (ascending)
+    and weights w, cached per n, which gauss_legendre_grid and
+    pconv.kernel_coeffs read."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    for a in (x, w):
+        a.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=16)
 def gauss_legendre_grid(l_max: int) -> SphereGrid:
     """Grid with l_max+1 Gauss-Legendre theta nodes and 2*l_max+2 phi samples.
 
@@ -231,7 +242,7 @@ def gauss_legendre_grid(l_max: int) -> SphereGrid:
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    x, w = np.polynomial.legendre.leggauss(l_max + 1)
+    x, w = gauss_legendre(l_max + 1)
     theta = np.arccos(x[::-1])
     n_phi = 2 * l_max + 2
     weights = w[::-1] * (TWO_PI / n_phi)

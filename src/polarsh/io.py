@@ -47,22 +47,32 @@ def _read_payload(f, what, count, dtype="<f8", after=0):
     return raw
 
 
+def _payload(what, values, dtype="<f8"):
+    """values as the payload bytes of `what`, cast to dtype.  A value that is
+    not finite after the cast (a float64 above 3.4e38 becomes inf in float32)
+    raises ValueError, as _read_payload would reject it; writers call this
+    before they open the file, so that nothing is written."""
+    with np.errstate(over="ignore"):
+        raw = np.ravel(np.asarray(values).astype(dtype))
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise ValueError(f"{what}: cannot write the non-finite value {raw[bad[0]]} "
+                         f"at payload index {bad[0]}")
+    return raw.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # PSHC: scalar SH coefficient vectors
 # ---------------------------------------------------------------------------
 
 def save_sh_coeffs(path, coeffs: ShCoeffs):
     kind = 0 if coeffs.kind == "complex" else 1
+    values = coeffs.values if kind else np.ascontiguousarray(coeffs.values, dtype=complex).view(float)
+    payload = _payload(f"PSHC l_max={coeffs.l_max}", values)     # complex: re, im interleaved
     with open(path, "wb") as f:
         f.write(b"PSHC")
         f.write(struct.pack("<IBI", 1, kind, coeffs.l_max))
-        if kind == 0:
-            inter = np.empty(2 * coeffs.values.size)
-            inter[0::2] = np.real(coeffs.values)
-            inter[1::2] = np.imag(coeffs.values)
-            f.write(inter.astype("<f8").tobytes())
-        else:
-            f.write(np.asarray(coeffs.values, dtype="<f8").tobytes())
+        f.write(payload)
 
 
 def load_sh_coeffs(path) -> ShCoeffs:
@@ -83,10 +93,11 @@ def load_sh_coeffs(path) -> ShCoeffs:
 # ---------------------------------------------------------------------------
 
 def save_psh_coeffs(path, coeffs: P.PshCoeffs):
+    payload = _payload(f"PSH4 l_max={coeffs.l_max}", coeffs.flat())
     with open(path, "wb") as f:
         f.write(b"PSH4")
         f.write(struct.pack("<I", coeffs.l_max))
-        f.write(coeffs.flat().astype("<f8").tobytes())
+        f.write(payload)
 
 
 def load_psh_coeffs(path) -> P.PshCoeffs:
@@ -106,10 +117,11 @@ _SPARSITY_TAGS = {"general": 0, "isotropic": 1}
 
 
 def save_psh_matrix(path, M: PshCoeffMatrix):
+    payload = _payload(f"PSHM l_max={M.l_max}", M.matrix)
     with open(path, "wb") as f:
         f.write(b"PSHM")
         f.write(struct.pack("<IB", M.l_max, _SPARSITY_TAGS[M.sparsity]))
-        f.write(M.matrix.astype("<f8").tobytes())
+        f.write(payload)
 
 
 def load_psh_matrix(path) -> PshCoeffMatrix:
@@ -130,12 +142,13 @@ def load_psh_matrix(path) -> PshCoeffMatrix:
 # ---------------------------------------------------------------------------
 
 def save_kernel_coeffs(path, kc: PolarConvKernelCoeffs):
+    parts = [getattr(kc, name) for name in KC_FAMILIES]
+    cols = parts[:4] + [x for z in parts[4:] for x in (z.real, z.imag)]
+    payload = _payload(f"PSHK l_max={kc.l_max}", np.column_stack(cols))
     with open(path, "wb") as f:
         f.write(b"PSHK")
         f.write(struct.pack("<I", kc.l_max))
-        parts = [getattr(kc, name) for name in KC_FAMILIES]
-        cols = parts[:4] + [x for z in parts[4:] for x in (z.real, z.imag)]
-        f.write(np.column_stack(cols).astype("<f8").tobytes())
+        f.write(payload)
 
 
 def load_kernel_coeffs(path) -> PolarConvKernelCoeffs:
@@ -156,9 +169,10 @@ def load_kernel_coeffs(path) -> PolarConvKernelCoeffs:
 # ---------------------------------------------------------------------------
 
 def save_stokes_field(path, field: StokesField):
+    payload = _payload(f"S4EM {field.n_theta}x{field.n_phi}", field.data, "<f4")
     with open(path, "wb") as f:
         f.write(f"S4EM {field.n_theta} {field.n_phi} {field.sampling}\n".encode())
-        f.write(field.data.astype("<f4").tobytes())
+        f.write(payload)
 
 
 def save_stokes_image(path, img: StokesImage):
@@ -168,12 +182,13 @@ def save_stokes_image(path, img: StokesImage):
     v = img.view
     sampling = SAMPLING_PIXEL if v.kind == "equirect" else "perspective"
     masked = " masked" if not img.valid.all() else ""
+    payload = _payload(f"S4EM {v.height}x{v.width}", img.data, "<f4")
     with open(path, "wb") as f:
         f.write(f"S4EM {v.height} {v.width} {sampling}{masked}\n".encode())
         if v.kind == "perspective":
             f.write(f"FOV {float(v.fov_deg)!r}\n".encode())
             f.write(("POSE " + " ".join(repr(float(x)) for x in v.pose.ravel()) + "\n").encode())
-        f.write(img.data.astype("<f4").tobytes())
+        f.write(payload)
         if masked:
             f.write(np.packbits(img.valid).tobytes())
 

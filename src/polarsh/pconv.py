@@ -6,8 +6,11 @@ convolution theorem, the angular-domain convolution (oracle path), expansion
 of kernel coefficients into a sparse operator matrix, the least-squares
 projection of an operator onto the convolution structure, and rotation
 averaging.  The theorem, the expansion and the projection all read the one
-theorem table _conv_tables(l_max); kernel_coeffs reads the Mueller-to-spin
-split of operators._spin_parts.
+theorem table _conv_tables(l_max).  kernel_coeffs reads the Mueller-to-spin
+split of operators._spin_parts, the cached Gauss-Legendre rule
+geom.gauss_legendre and, for its rows sY_lm(theta_j, 0), their Fourier series
+in theta from the s = 0 and s = 2 columns of d(pi/2)
+(shscalar._theta_fourier_rows).
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import (fibonacci_directions, frame_for_dir, frame_theta_phi, normalize,
-                   rotation_about_axis, rotation_align, rotation_zyz, sph_to_dir, dir_to_sph)
+from .geom import (fibonacci_directions, frame_for_dir, frame_theta_phi, gauss_legendre,
+                   normalize, rotation_about_axis, rotation_align, rotation_zyz, sph_to_dir,
+                   dir_to_sph)
 from .operators import PshCoeffMatrix, _spin_parts
 from .polar import MuellerMatrix, frame_twist, mueller_reframe
 from .shscalar import FOUR_PI
@@ -86,29 +90,46 @@ def _kernel_samples(kernel_fn, theta):
     return vals
 
 
+# the (s_out, m) of the rows sY_lm(theta, 0) that kernel_coeffs integrates:
+# m = -sign_in s_in for each block of operators._spin_parts
+_KERNEL_ROWS = ((0, 0), (2, 0), (0, -2), (2, -2), (2, 2))
+
+
 def kernel_coeffs(kernel_fn, l_max: int, n_nodes=None) -> PolarConvKernelCoeffs:
     """1-D quadrature of the five coefficient families of a kernel.
 
     kernel_fn(theta) returns the 4x4 Mueller matrix k(theta) under the
-    aligned great-circle frame convention.
+    aligned great-circle frame convention; it is sampled at n_nodes
+    Gauss-Legendre nodes in theta (default 4 l_max + 16).  Each family is
+    sum_j w_j sin(theta_j) sY_lm(theta_j, 0) g(theta_j) for one (s, m) of
+    _KERNEL_ROWS, and the rows sY_lm(theta_j, 0) are their Fourier series in
+    theta (shscalar._theta_fourier_rows, cached per l_max) times cos(k theta_j):
+    one product, no l-recurrence and no Gauss-Legendre solve per call.  Raises
+    ValueError for l_max < 0, an n_nodes that is not an integer >= 1 and a
+    kernel sample that is not finite.
     """
+    if not isinstance(l_max, (int, np.integer)) or l_max < 0:
+        raise ValueError(f"kernel_coeffs needs an integer l_max >= 0, got {l_max!r}")
     if n_nodes is None:
         n_nodes = 4 * l_max + 16
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
+        raise ValueError(f"kernel_coeffs needs an integer n_nodes >= 1, got {n_nodes!r}")
+    x, w = gauss_legendre(int(n_nodes))
     theta = 0.5 * np.pi * (x + 1.0)
-    w = 0.5 * np.pi * w
     k = _kernel_samples(kernel_fn, theta)
-    ws = TWO_PI * w * np.sin(theta)
+    bad = ~np.isfinite(k)
+    if bad.any():
+        j, row, col = np.argwhere(bad)[0]
+        raise ValueError(f"kernel sample at theta = {float(theta[j])!r} is not finite: "
+                         f"entry ({row}, {col}) is {k[j, row, col]}")
+    ws = TWO_PI * (0.5 * np.pi * w) * np.sin(theta)
 
-    tables = {s: sh.spin_theta_table(l_max, s, theta) for s in (0, 2)}
+    e = sh._cis_powers(l_max, theta).T                  # e^{i k theta_j}, k = 0..l_max
+    rows = dict(zip(_KERNEL_ROWS, sh._theta_fourier_rows(l_max, _KERNEL_ROWS) @ e.real))
     kc = PolarConvKernelCoeffs.zeros(l_max)
     for group, key, g, s_out, s_in, sign in _spin_parts(k):
-        # sY_lm(theta, 0) at m = -sign s_in over l = 0..l_max, zero where l < |m|
-        m = -sign * s_in
-        l = np.arange(abs(m), l_max + 1)
-        rows = np.zeros((l_max + 1, theta.size))
-        rows[abs(m):] = tables[s_out][:, l * l + l + m].T
-        getattr(kc, _family(group, key))[:] = rows @ (ws * g)
+        # sY_lm(theta, 0) at m = -sign s_in over l = 0..l_max (m + s_out is even)
+        getattr(kc, _family(group, key))[:] = rows[s_out, -sign * s_in] @ (ws * g)
     return kc
 
 

@@ -8,10 +8,12 @@ Both parts of the basis follow one identity,
     sY_lm(theta, phi) = sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta) e^{i m phi},
 with s = 0 for s0/s3 (real SH) and s = 2 for the linear pair; the theta
 factor comes from the one generator shscalar.spin_theta_table and is regular
-at the poles.  Scattered points (psh_reconstruct, s2sh_basis) call the
-generator; grid transforms (psh_project, psh_reconstruct_field) are ring
-transforms.  The scalar-SH combination formula s2sh_eval_direct is kept as a
-cross-check away from the poles.
+at the poles.  The basis matrix s2sh_basis calls the generator;
+psh_reconstruct at scattered points sums one Fourier-in-theta table per spin
+(shscalar._fourier_table, from the cached d(pi/2) factors); grid transforms
+(psh_project, psh_reconstruct_field) are ring transforms.  The scalar-SH
+combination formula s2sh_eval_direct is kept as a cross-check away from the
+poles.
 """
 
 from __future__ import annotations
@@ -239,16 +241,18 @@ def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
 
 
 def psh_reconstruct(coeffs: PshCoeffs, theta, phi) -> np.ndarray:
-    """Evaluate the Stokes field (components under theta-phi frames), sh._CHUNK
-    points at a time so that no full basis is held."""
+    """Evaluate the Stokes field (components under theta-phi frames) at
+    scattered points, from one Fourier-in-theta table per spin
+    (shscalar._fourier_table): s0 + i s3 from the complex-basis scalar
+    coefficients and s1 + i s2 from the spin-2 ones."""
     theta, phi = np.broadcast_arrays(theta, phi)
-    if theta.size > sh._CHUNK:
-        parts = [psh_reconstruct(coeffs, theta.flat[lo:lo + sh._CHUNK], phi.flat[lo:lo + sh._CHUNK])
-                 for lo in range(0, theta.size, sh._CHUNK)]
-        return np.concatenate(parts).reshape(theta.shape + (4,))
-    s0, s3 = (sh.sh_basis_real(coeffs.l_max, theta, phi) @ np.stack([coeffs.s0, coeffs.s3], -1)).T
-    c = s2sh_basis(coeffs.l_max, theta, phi) @ coeffs.spin2
-    return np.stack([s0, c.real, c.imag, s3], axis=-1).reshape(theta.shape + (4,))
+    shape = theta.shape
+    theta, phi = (np.ravel(a).astype(float) for a in (theta, phi))
+    scalar = sh.r2c_values(coeffs.s0) + 1j * sh.r2c_values(coeffs.s3)
+    spin2 = np.pad(coeffs.spin2, (sh_size(coeffs.l_max) - coeffs.spin2.size, 0))   # from l = 0
+    f0, f2 = sh._fourier_eval(np.stack([sh._fourier_table(scalar, 0), sh._fourier_table(spin2, 2)]),
+                              theta, phi).T
+    return np.stack([f0.real, f2.real, f2.imag, f0.imag], axis=-1).reshape(shape + (4,))
 
 
 def psh_reconstruct_field(coeffs: PshCoeffs, grid: SphereGrid) -> StokesField:

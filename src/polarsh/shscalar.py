@@ -7,8 +7,12 @@ operator.
 Both parts of the PSH basis follow one identity,
   sY_lm(theta, phi) = sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta) e^{i m phi},
 with s = 0 here and s = 2 for the linear pair.  spin_theta_table generates
-its theta factor for every (l, m); scattered points multiply it by the phase,
-and grid transforms are ring transforms (ring_analysis / ring_synthesis).
+its theta factor for every (l, m); basis matrices at scattered points
+multiply it by the phase, and grid transforms are ring transforms
+(ring_analysis / ring_synthesis).  The same factor is also a Fourier series
+in theta through Delta = d(pi/2) (_theta_fourier), which kernel rows and
+coefficient sums at scattered points read instead (_theta_fourier_rows,
+_fourier_table, _fourier_eval).
 
 Conventions (pinned, since libraries differ): for s = 0 this is
   Y_lm(theta, phi) = A_lm P_l^m(cos theta) e^{i m phi},
@@ -176,26 +180,133 @@ def _wigner_d_step(l, m, mp, x, d, d_prev):
             / (l * (((l + 1) ** 2 - m * m) * ((l + 1) ** 2 - mp * mp)) ** 0.5))
 
 
-@lru_cache(maxsize=4)
-def _half_pi_factors(l_max: int):
-    """Read-only u^l = Delta^l_{km} i^(-m) for k = 0..l, m = -l..l and every
-    l <= l_max, with Delta^l = d^l(pi/2): the factors of wigner_d_stack.
+def _half_pi_column(l_max: int, s: int):
+    """Yield (l, Delta^l_{k,-s} for k = 0..l) for l = s..l_max, Delta^l = d^l(pi/2).
 
-    Column m = -s of Delta is _theta_blocks' column at theta = pi/2, run in
-    long double and rounded to float64 once; column +s follows from
+    It is _theta_blocks' column m' = -s at theta = pi/2, run in long double
+    and rounded to float64 once; column +s follows from
     d_{k,-m}(pi/2) = (-1)^(l+k) d_{km}(pi/2).
     """
     theta = np.arccos(np.zeros(1, dtype=np.longdouble))    # pi/2 in long double
+    for l, block in _theta_blocks(l_max, s, theta):
+        yield l, (block[0, l:] / math.sqrt((2 * l + 1) / FOUR_PI)).astype(float)
+
+
+@lru_cache(maxsize=4)
+def _half_pi_factors(l_max: int):
+    """Read-only u^l = Delta^l_{km} i^(-m) for k = 0..l, m = -l..l and every
+    l <= l_max, with Delta^l = d^l(pi/2): the factors of wigner_d_stack,
+    one _half_pi_column per s."""
     i_pow = np.array([1, -1j, -1, 1j])                     # i^(-m) at m mod 4
     u = [np.empty((l + 1, 2 * l + 1), dtype=complex) for l in range(l_max + 1)]
     for s in range(l_max + 1):
-        for l, block in _theta_blocks(l_max, s, theta):
-            col = (block[0, l:] / math.sqrt((2 * l + 1) / FOUR_PI)).astype(float)
+        for l, col in _half_pi_column(l_max, s):
             u[l][:, l - s] = i_pow[-s % 4] * col
             u[l][:, l + s] = i_pow[s % 4] * (-1.0) ** (l + np.arange(l + 1)) * col
     for table in u:
         table.setflags(write=False)
     return tuple(u)
+
+
+def _theta_fourier(l, k, s: int, m, delta_m, delta_s):
+    """Fourier coefficients in theta of sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta):
+      sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta) = sum_k a^l_{km} cos(k theta)  (m + s even)
+                                            = sum_k a^l_{km} sin(k theta)  (m + s odd),
+    a^l_{km} = sqrt((2l+1)/(4 pi)) eps_k i^(m+s) Delta^l_{km} Delta^l_{k,-s}
+    with eps_0 = 1, else 2, and i^(m+s) taken as its real or imaginary part:
+    the Delta factorization of d folded onto k >= 0 (Risbo 1996; Huffenberger
+    & Wandelt 2010).  l, k and m broadcast against delta_m (Delta^l_{km}) and
+    delta_s (Delta^l_{k,-s}).
+    """
+    return (np.sqrt((2 * l + 1) / FOUR_PI) * np.where(k > 0, 2.0, 1.0)
+            * np.where((m + s) % 4 < 2, 1.0, -1.0) * delta_m * delta_s)
+
+
+@lru_cache(maxsize=8)
+def _theta_fourier_rows(l_max: int, pairs: tuple) -> np.ndarray:
+    """Read-only _theta_fourier coefficients a^l_k of each (s, m) in pairs,
+    shape (len(pairs), l_max + 1, l_max + 1) over (pair, l, k), zero where
+    l < max(|m|, s).  Built from the Delta columns m' = -s and -|m| alone
+    (_half_pi_column), O(l_max^2), never the full _half_pi_factors: that is
+    what keeps a one-shot kernel_coeffs cheap."""
+    cols = {}
+    for r in {r for s, m in pairs for r in (s, abs(m))}:
+        cols[r] = np.zeros((l_max + 1, l_max + 1))          # Delta^l_{k,-r} over (l, k)
+        for l, col in _half_pi_column(l_max, r):
+            cols[r][l, :l + 1] = col
+    l, k = np.ogrid[:l_max + 1, :l_max + 1]
+    # Delta_{k,|m|} = (-1)^(l+k) Delta_{k,-|m|}
+    out = np.stack([_theta_fourier(l, k, s, m, cols[abs(m)] * (-1.0) ** ((m > 0) * (l + k)), cols[s])
+                    for s, m in pairs])
+    out.setflags(write=False)
+    return out
+
+
+def _fourier_table(coeffs, s: int) -> np.ndarray:
+    """F_km = sum_l c_lm a^l_km (_theta_fourier) for k = 0..l_max and
+    m = -l_max..l_max, from coefficients c over sh_index order (zero below
+    l = s): sum_lm c_lm sY_lm(theta, phi) = sum_{k,m} F_km t_km(theta) e^{i m phi}
+    with t_km = cos(k theta) for m + s even and sin(k theta) for m + s odd.
+    O(l_max^3), from the cached factors of _half_pi_factors."""
+    l_max = math.isqrt(np.shape(coeffs)[-1]) - 1
+    i_pow = np.array([1, 1j, -1, -1j])                     # i^m at m mod 4
+    table = np.zeros((l_max + 1, 2 * l_max + 1), dtype=complex)
+    for l, u in enumerate(_half_pi_factors(l_max)):
+        if l < s:
+            continue
+        m = np.arange(-l, l + 1)
+        delta = (u * i_pow[m % 4]).real                  # Delta^l_{km}, exactly
+        a = _theta_fourier(l, np.arange(l + 1)[:, None], s, m, delta, delta[:, l - s, None])
+        table[:l + 1, l_max - l:l_max + l + 1] += a * coeffs[l * l:(l + 1) ** 2]
+    return table
+
+
+def _fourier_eval(tables, theta, phi) -> np.ndarray:
+    """sum_{k,m} F_km t_km(theta) e^{i m phi} (as in _fourier_table) for each of
+    the tables (n_t, l_max+1, 2 l_max+1) of even spin (s = 0, 2: cos columns at
+    even m, sin columns at odd m) at the points theta, phi (N,), as (N, n_t).
+    Per _CHUNK points: two real products of cos(k theta) and sin(k theta)
+    against the tables' cos and sin columns, then a row-wise dot with
+    e^{i m phi}; no l-recurrence per point."""
+    n_t, l_max = tables.shape[0], tables.shape[1] - 1
+    m = np.arange(-l_max, l_max + 1)
+    parts = [m % 2 == 0, m % 2 == 1]                    # cos columns, sin columns
+    by_k = np.moveaxis(tables, 0, 1)                    # (l_max+1, n_t, 2 l_max+1)
+    flat = [np.ascontiguousarray(by_k[..., p]).view(float).reshape(l_max + 1, -1) for p in parts]
+    out = np.empty((theta.size, n_t), dtype=complex)
+    for lo in range(0, theta.size, _CHUNK):
+        th, ph = theta[lo:lo + _CHUNK], phi[lo:lo + _CHUNK]
+        e_th = _cis_powers(l_max, th)
+        e_ph = _cis_powers(l_max, ph)
+        e_ph = np.concatenate([e_ph[:, :0:-1].conj(), e_ph], axis=1)     # m = -l_max..l_max
+        acc = 0.0
+        for p, t, f in zip(parts, (e_th.real, e_th.imag), flat):
+            g = (t @ f).view(complex).reshape(th.size, n_t, -1)
+            acc = acc + (g @ e_ph[:, p, None])[..., 0]
+        out[lo:lo + _CHUNK] = acc
+    return out
+
+
+def _cis_powers(n_max: int, x) -> np.ndarray:
+    """e^{i n x} for n = 0..n_max at float64 x, shape (x.size, n_max + 1), each
+    within a few ulps: n = b q + r (b = isqrt(n_max) + 1, 0 <= r < b) takes the
+    product of e^{i b q x} and e^{i r x}, 2b complex exponentials per point.
+    Their arguments are kept exact: x = hi + lo with the low bits of hi's
+    mantissa cleared so that n hi is exact in float64 for every n used, and
+    e^{i n x} = e^{i n hi} (1 + i n lo) to within (n lo)^2 / 2 (below 1e-21 for
+    |x| <= 2 pi and n_max <= 255).  A rounded n x would be off by up to half
+    an ulp of it."""
+    b = math.isqrt(n_max) + 1
+    n = np.arange(b)
+    x = np.ascontiguousarray(x, dtype=float)
+    mask = ~((1 << (b * (b - 1)).bit_length()) - 1) & 0xFFFFFFFFFFFFFFFF
+    hi = (x.view(np.uint64) & np.uint64(mask)).view(float)
+    lo = x - hi
+
+    def cis(n):
+        return np.exp(1j * (hi[:, None] * n)) * (1.0 + 1j * (lo[:, None] * n))
+
+    return (cis(b * n)[:, :, None] * cis(n)[:, None, :]).reshape(x.size, -1)[:, :n_max + 1]
 
 
 def wigner_d_stack(l_max: int, R):

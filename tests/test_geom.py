@@ -170,6 +170,19 @@ def test_gauss_legendre_grid_is_cached_read_only():
             a[0] = 0.0
 
 
+def test_gauss_legendre_rule_is_cached_read_only():
+    x, w = geom.gauss_legendre(17)
+    assert geom.gauss_legendre(17)[0] is x and geom.gauss_legendre(17)[1] is w
+    assert np.all(np.diff(x) > 0) and abs(w.sum() - 2.0) < 1e-14
+    for a in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # the grid of band 16 reads the same rule
+    g = geom.gauss_legendre_grid(16)
+    assert np.array_equal(g.theta_nodes, np.arccos(x[::-1]))
+    assert np.array_equal(g.theta_weights, w[::-1] * (2 * np.pi / g.n_phi))
+
+
 def test_grid_integrates_y00():
     from polarsh import shscalar as sh
     g = geom.gauss_legendre_grid(4)

@@ -335,3 +335,42 @@ def test_payload_must_match_header_exactly(tmp_path, fmt):
     p.write_bytes(good[:l_max_offset] + struct.pack("<I", 1) + good[l_max_offset + 4:])
     with pytest.raises(pio.FormatError, match="l_max=1 payload size mismatch"):
         load(p)
+
+
+def _writer_cases():
+    """(format, writer, object with one bad value, its payload index) for every writer."""
+    sh_c = sh.ShCoeffs(2, "complex", np.ones(9, dtype=complex))
+    sh_c.values[4] = complex(1.0, np.nan)                   # imaginary part: index 9
+    sh_r = sh.ShCoeffs(2, "real", np.ones(9))
+    sh_r.values[3] = -np.inf
+    c = pipeline.random_psh_coeffs(2, seed=1)
+    c.s3[1] = np.nan                                        # flat position of (1, 0, 3)
+    n = psh.psh_size(2)
+    M = PshCoeffMatrix(2, np.eye(n))
+    M.matrix[3, 5] = np.inf
+    kc = pconv.PolarConvKernelCoeffs.zeros(2)
+    kc.kp3[2] = complex(0.0, np.inf)                        # row 2, column 4 + 2 * 3 + 1
+    field = pipeline.synth_envmap("two-lobe-polarized", band=2)
+    field.data[1, 2, 3] = np.nan
+    big = render_image(pipeline.two_lobe_field_fn, ViewSpec("equirect", 3, 5))
+    big.data[2, 4, 0] = 1e39                                # finite, inf in float32
+    return [
+        ("PSHC l_max=2", pio.save_sh_coeffs, sh_c, 9),
+        ("PSHC l_max=2", pio.save_sh_coeffs, sh_r, 3),
+        ("PSH4 l_max=2", pio.save_psh_coeffs, c, int(psh.psh_layout(2).pos3[1])),
+        ("PSHM l_max=2", pio.save_psh_matrix, M, 3 * n + 5),
+        ("PSHK l_max=2", pio.save_kernel_coeffs, kc, 2 * 16 + 11),
+        ("S4EM 3x6", pio.save_stokes_field, field, (1 * 6 + 2) * 4 + 3),
+        ("S4EM 3x5", pio.save_stokes_image, big, (2 * 5 + 4) * 4),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_writers_refuse_non_finite_values(tmp_path, case):
+    # the index the loader would name; the file is never opened
+    what, save, obj, index = _writer_cases()[case]
+    p = tmp_path / "out.bin"
+    with pytest.raises(ValueError, match=f"{what}: cannot write the non-finite value "
+                                         rf"\S+ at payload index {index}$"):
+        save(p, obj)
+    assert not p.exists()

@@ -467,3 +467,82 @@ def test_phase_weight_tables_match_scalar_weights():
             assert w == pconv._u_to_spin2(m_o, m_i) * (1 if po == 1 else -1j)
         elif f in ("k0p", "k3p"):
             assert w == pconv._u_from_spin2(m_o, m_i) * (1 if pi_ == 1 else 1j)
+
+
+def _spin_theta_table(l_max, s, theta):
+    """The previous shscalar.spin_theta_table body, in theta's dtype."""
+    out = np.zeros((theta.size, sh.sh_size(l_max)), dtype=theta.dtype)
+    for l, block in sh._theta_blocks(l_max, s, theta):
+        out[:, l * l:(l + 1) ** 2] = block
+    return out
+
+
+def _kernel_coeffs_oracle(kernel_fn, l_max):
+    """The previous kernel_coeffs body (numpy's rule, rows from the
+    recurrence), with the rows and sums in long double: in float64 the
+    recurrence itself is off by up to 2e-13 of a row at l_max = 64."""
+    x, w = np.polynomial.legendre.leggauss(4 * l_max + 16)
+    theta = 0.5 * np.pi * (x + 1.0)
+    w = 0.5 * np.pi * w
+    k = pconv._kernel_samples(kernel_fn, theta)
+    ws = 2.0 * np.pi * w * np.sin(theta)
+    tables = {s: _spin_theta_table(l_max, s, theta.astype(np.longdouble)) for s in (0, 2)}
+    out = {}
+    for group, key, g, s_out, s_in, sign in op._spin_parts(k):
+        m = -sign * s_in
+        l = np.arange(abs(m), l_max + 1)
+        rows = np.zeros((l_max + 1, theta.size), dtype=np.longdouble)
+        rows[abs(m):] = tables[s_out][:, l * l + l + m].T
+        wg = ws * g
+        out[pconv._family(group, key)] = rows @ wg.real + 1j * (rows @ np.imag(wg))
+    return out
+
+
+def test_kernel_coeffs_match_previous_body_in_long_double():
+    # rows from the Fourier series in theta against the previous
+    # recurrence-table body; needs an np.longdouble wider than float64
+    def kinked(th):
+        return generic_kernel(th) * (1.0 + abs(th - 1.0))
+
+    for fn in (pi_minus_theta, generic_kernel, kinked):
+        for L in (0, 1, 2, 9, 32, 64):
+            kc = pconv.kernel_coeffs(fn, L)
+            for fam, want in _kernel_coeffs_oracle(fn, L).items():
+                got = getattr(kc, fam)
+                if fam in ("k0p", "k3p", "kp0", "kp3", "kiso", "kconj"):
+                    assert np.all(got[:2] == 0.0), (fam, L)
+                scale = float(np.abs(want).max())
+                assert float(np.abs(got - want).max()) <= 1e-14 * scale, (fn, L, fam)
+
+
+def test_kernel_coeffs_rejects_bad_input():
+    calls = []
+
+    def counted(th):
+        calls.append(th)
+        return pi_minus_theta(th)
+
+    with pytest.raises(ValueError, match="l_max >= 0"):
+        pconv.kernel_coeffs(counted, -1)
+    for n in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="n_nodes >= 1"):
+            pconv.kernel_coeffs(counted, 4, n_nodes=n)
+    assert not calls
+    # a NaN at one node names that theta and the entry; no extra kernel call
+    x, _ = geom.gauss_legendre(20)
+    bad_theta = float(0.5 * np.pi * (x[7] + 1.0))
+
+    def holed(th):
+        k = counted(th)
+        if th == bad_theta:
+            k[2, 1] = np.nan
+        return k
+
+    with pytest.raises(ValueError, match=rf"theta = {bad_theta!r} .*entry \(2, 1\) is nan"):
+        pconv.kernel_coeffs(holed, 4, n_nodes=20)
+    assert len(calls) == 20
+    inf_k = np.ones((4, 4))
+    inf_k[0, 3] = np.inf
+    with pytest.raises(ValueError, match=r"entry \(0, 3\) is inf"):
+        pconv.kernel_coeffs(lambda th: inf_k, 3)
+    assert np.isfinite(pconv.kernel_coeffs(pi_minus_theta, 0, n_nodes=1).k00).all()

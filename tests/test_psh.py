@@ -432,3 +432,67 @@ def test_spin2_basis_orthonormal_on_band64_grid():
     for mm in range(-L, L + 1):
         cols = table[:, (m == mm) & (np.arange(m.size) >= 4)]
         assert np.abs(cols.T @ cols - np.eye(cols.shape[1])).max() < 1e-12, mm
+
+
+def _psh_reconstruct_basis(coeffs, theta, phi):
+    """The previous psh_reconstruct: basis matrices from the recurrence,
+    sh._CHUNK points at a time."""
+    theta, phi = np.broadcast_arrays(theta, phi)
+    if theta.size > sh._CHUNK:
+        parts = [_psh_reconstruct_basis(coeffs, theta.flat[lo:lo + sh._CHUNK],
+                                        phi.flat[lo:lo + sh._CHUNK])
+                 for lo in range(0, theta.size, sh._CHUNK)]
+        return np.concatenate(parts).reshape(theta.shape + (4,))
+    s0, s3 = (sh.sh_basis_real(coeffs.l_max, theta, phi) @ np.stack([coeffs.s0, coeffs.s3], -1)).T
+    c = psh.s2sh_basis(coeffs.l_max, theta, phi) @ coeffs.spin2
+    return np.stack([s0, c.real, c.imag, s3], axis=-1).reshape(theta.shape + (4,))
+
+
+def _psh_reconstruct_ld(coeffs, theta, phi):
+    """psh_reconstruct in long double: the recurrence's blocks times the real
+    (s = 0) and complex (s = 2) phases, as sh_basis_real and s2sh_basis form them."""
+    L = coeffs.l_max
+    th, ph = (np.asarray(a, dtype=np.longdouble) for a in (theta, phi))
+    m = np.arange(-L, L + 1)
+    cos, sin = np.cos(m * ph[:, None]), np.sin(m * ph[:, None])
+    r2 = np.sqrt(np.longdouble(2))
+    real_phase = np.where(m > 0, r2 * cos, np.where(m < 0, -r2 * (-1) ** (m % 2) * sin, 1))
+    out = np.zeros((th.size, 4), dtype=np.longdouble)
+    for l, block in sh._theta_blocks(L, 0, th):
+        b = block * real_phase[:, L - l:L + l + 1]
+        out[:, [0, 3]] += b @ np.stack([coeffs.s0, coeffs.s3], -1)[l * l:(l + 1) ** 2]
+    for l, block in sh._theta_blocks(L, 2, th) if L >= 2 else ():
+        c = coeffs.spin2[l * l - 4:(l + 1) ** 2 - 4]
+        re, im = block * cos[:, L - l:L + l + 1], block * sin[:, L - l:L + l + 1]
+        out[:, 1] += re @ c.real - im @ c.imag
+        out[:, 2] += re @ c.imag + im @ c.real
+    return out
+
+
+def _random_psh(L, rng):
+    n2 = psh.spin2_size(L)
+    spin2 = rng.normal(size=n2) + 1j * rng.normal(size=n2)
+    return psh.PshCoeffs(L, rng.normal(size=sh.sh_size(L)), spin2, rng.normal(size=sh.sh_size(L)))
+
+
+def test_psh_reconstruct_matches_long_double_reference(rng):
+    # at the poles, 1e-9 from each and at random points; needs an
+    # np.longdouble wider than float64
+    for L in (32, 64, 128):
+        c = _random_psh(L, rng)
+        th = np.concatenate([[0.0, np.pi, 1e-9, np.pi - 1e-9], np.arccos(rng.uniform(-1, 1, 150))])
+        ph = rng.uniform(0, 2 * np.pi, th.size)
+        want = _psh_reconstruct_ld(c, th, ph)
+        err = np.abs(psh.psh_reconstruct(c, th, ph) - want).max()
+        assert float(err) <= 2e-14 * float(np.abs(want).max()), (L, err)
+
+
+def test_psh_reconstruct_matches_previous_basis_path(rng):
+    for L in (0, 1, 2, 9, 32):
+        c = _random_psh(L, rng)
+        n = sh._CHUNK + 37 if L == 9 else 200
+        th, ph = np.arccos(rng.uniform(-1, 1, (2, n))), rng.uniform(0, 2 * np.pi, n)
+        th[0, :4] = [0.0, np.pi, 1e-9, np.pi - 1e-9]
+        got, want = psh.psh_reconstruct(c, th, ph), _psh_reconstruct_basis(c, th, ph)
+        assert got.shape == want.shape == (2, n, 4)
+        assert np.abs(got - want).max() <= 2e-14 * max(1.0, np.abs(want).max()), L

@@ -490,3 +490,46 @@ def test_rotation_block_diagonal_structure(rng):
             blk = mat[sh.sh_index(l, -l):sh.sh_index(l, l) + 1,
                       sh.sh_index(lp, -lp):sh.sh_index(lp, lp) + 1]
             assert np.abs(blk).max() < 1e-10
+
+
+def _spin_theta_table_ld(l_max, s, theta):
+    """spin_theta_table(l_max, s, theta) run in long double."""
+    out = np.zeros((theta.size, sh.sh_size(l_max)), dtype=np.longdouble)
+    for l, block in sh._theta_blocks(l_max, s, np.asarray(theta, dtype=np.longdouble)):
+        out[:, l * l:(l + 1) ** 2] = block
+    return out
+
+
+# The next test also needs an np.longdouble wider than float64.
+def test_theta_fourier_rows_match_long_double_recurrence():
+    # the kernel rows of pconv (even m + s) and odd pairs (sin series), at
+    # kernel nodes, the poles and 1e-9 from them; the float64 recurrence is
+    # off by 4.4e-13 of a row at L = 128
+    pairs = ((0, 0), (2, 0), (0, -2), (2, -2), (2, 2), (0, 1), (2, -3), (2, 5))
+    for L in (32, 64, 128):
+        rows = sh._theta_fourier_rows(L, pairs)
+        assert not rows.flags.writeable and sh._theta_fourier_rows(L, pairs) is rows
+        x, _ = geom.gauss_legendre(4 * L + 16)
+        theta = np.concatenate([0.5 * np.pi * (x[::3] + 1.0), [0.0, 1e-9, np.pi - 1e-9, np.pi]])
+        e = sh._cis_powers(L, theta).T
+        ref = {s: _spin_theta_table_ld(L, s, theta) for s in (0, 2)}
+        for (s, m), a in zip(pairs, rows):
+            got = a @ (e.real if (m + s) % 2 == 0 else e.imag)
+            want = np.zeros((L + 1, theta.size), dtype=np.longdouble)
+            l = np.arange(abs(m), L + 1)
+            want[abs(m):] = ref[s][:, l * l + l + m].T
+            scale = float(np.abs(want).max())
+            assert float(np.abs(got - want).max()) <= 2e-14 * scale, (L, s, m)
+            assert np.all(got[:max(s, abs(m))] == 0.0)
+
+
+def test_cis_powers_keep_the_argument_exact(rng):
+    # within a few ulps of e^{i n x} with n x formed in long double; a
+    # rounded n x is off by up to 5.7e-14 here
+    x = np.concatenate([rng.uniform(-7.0, 7.0, 500), [0.0, np.pi, 1e-9]])
+    for n_max in (0, 1, 2, 31, 128, 300):
+        e = sh._cis_powers(n_max, x)
+        arg = x.astype(np.longdouble)[:, None] * np.arange(n_max + 1)
+        assert e.shape == (x.size, n_max + 1)
+        assert np.abs(e.real - np.cos(arg)).max() <= 5e-16
+        assert np.abs(e.imag - np.sin(arg)).max() <= 5e-16
