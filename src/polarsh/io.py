@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from . import psh as P
-from .geom import gauss_legendre_grid, is_rotation
+from .geom import gauss_legendre_grid
 from .operators import PshCoeffMatrix
 from .pconv import KC_FAMILIES, PolarConvKernelCoeffs
 from .polar import SAMPLING_PIXEL, SAMPLING_QUAD, StokesField
@@ -210,8 +210,7 @@ def _load_s4em_raw(path):
         if n_theta < 1 or n_phi < 1:
             raise bad_dims
         sampling = header[3]
-        fov = None
-        pose = None
+        view = None
         if sampling == "perspective":
             fov_line = f.readline().decode("ascii", errors="replace").split()
             pose_line = f.readline().decode("ascii", errors="replace").split()
@@ -222,16 +221,17 @@ def _load_s4em_raw(path):
             except (IndexError, ValueError) as e:
                 raise FormatError(f"bad perspective header: FOV line {' '.join(fov_line)!r} "
                                   "needs one number") from e
-            if not 0.0 < fov < 180.0:     # also rejects nan
-                raise FormatError(f"bad perspective header: FOV line {' '.join(fov_line)!r} "
-                                  "needs an angle in (0, 180) degrees")
             try:
                 pose = np.array([float(x) for x in pose_line[1:]]).reshape(3, 3)
             except ValueError as e:
                 raise FormatError("bad perspective header: POSE line needs 9 numbers") from e
-            if not is_rotation(pose, 1e-6):
-                raise FormatError(f"bad perspective header: POSE line {' '.join(pose_line)!r} "
-                                  "is not a rotation")
+            try:
+                view = ViewSpec("perspective", n_theta, n_phi, pose, fov)
+            except ValueError as e:
+                bad = fov_line if "fov_deg" in str(e) else pose_line
+                what = "a valid angle" if bad is fov_line else "a rotation"
+                raise FormatError(f"bad perspective header: {bad[0]} line {' '.join(bad)!r} "
+                                  f"is not {what} ({e})") from e
         n_pix = n_theta * n_phi
         n_mask = -(-n_pix // 8) if masked else 0
         data = _read_payload(f, f"S4EM {n_theta}x{n_phi}", n_pix * 4, "<f4",
@@ -242,12 +242,12 @@ def _load_s4em_raw(path):
             if bits[n_pix:].any():
                 raise FormatError(f"S4EM {n_theta}x{n_phi}: nonzero padding bits after the validity mask")
             valid = bits[:n_pix].astype(bool).reshape(n_theta, n_phi)
-    return data, sampling, fov, pose, valid
+    return data, sampling, view, valid
 
 
 def load_stokes_field(path) -> StokesField:
-    data, sampling, fov, _, valid = _load_s4em_raw(path)
-    if fov is not None:
+    data, sampling, view, valid = _load_s4em_raw(path)
+    if view is not None:
         raise FormatError("file holds a perspective image, not a sphere map")
     if valid is not None:
         raise FormatError("file holds a masked image, not a sphere map")
@@ -263,11 +263,7 @@ def load_stokes_field(path) -> StokesField:
 
 
 def load_stokes_image(path) -> StokesImage:
-    data, sampling, fov, pose, valid = _load_s4em_raw(path)
-    if sampling == "perspective":
-        view = ViewSpec("perspective", data.shape[0], data.shape[1], pose, fov)
-    elif sampling == SAMPLING_PIXEL:
-        view = ViewSpec("equirect", data.shape[0], data.shape[1])
-    else:
+    data, sampling, view, valid = _load_s4em_raw(path)
+    if view is None and sampling != SAMPLING_PIXEL:
         raise FormatError("sphere maps with quadrature sampling are not images")
-    return StokesImage(view, data, valid)
+    return StokesImage(view or ViewSpec("equirect", data.shape[0], data.shape[1]), data, valid)

@@ -17,6 +17,8 @@ import numpy as np
 from . import psh as P
 from . import shscalar as sh
 from .geom import SphereGrid, gauss_legendre_grid, sph_to_dir
+from .polar import (MUELLER_ENTRIES, SPIN_BLOCKS, read_spin_blocks,
+                    write_spin_blocks)
 from .shscalar import ShCoeffs
 
 
@@ -48,61 +50,35 @@ def operator_apply(M: PshCoeffMatrix, f: P.PshCoeffs) -> P.PshCoeffs:
 # block assembly
 # ---------------------------------------------------------------------------
 
+def _assemble(l_max, blocks) -> np.ndarray:
+    """The dense canonical matrix of spin blocks {(group, key): value}."""
+    n = P.psh_size(l_max)
+    return write_spin_blocks(np.zeros(n * n), P.psh_block_entries(l_max), blocks).reshape(n, n)
+
+
 def assemble_psh_matrix(l_max, blocks) -> np.ndarray:
     """Assemble the dense canonical matrix from spin blocks.
 
-    blocks is a dict with keys like ('s', a, b) for scalar-to-scalar kernels
-    (a, b in {0, 3}; matrix over scalar SH indices), ('c2s', a) and ('s2c', b)
-    for the complex mixed blocks, and 'iso'/'conj' for the spin 2-to-2 pair.
+    blocks is a dict: 'scalar' maps (a, b), a, b in {0, 3}, to a real matrix
+    over scalar SH indices; 'to_spin2' maps b to the complex matrix from
+    slot b to the spin-2 pair and 'from_spin2' maps a to the one from the
+    pair to slot a; 'iso' and 'conj' hold the spin 2-to-2 pair.  Absent
+    blocks are zero; polar.SPIN_BLOCKS places each one.
     """
-    lay = P.psh_layout(l_max)
-    pos1, pos_scalar = lay.pos1, {0: lay.pos0, 3: lay.pos3}
-    n = P.psh_size(l_max)
-    out = np.zeros((n, n))
-    for (a, b), mat in blocks.get("scalar", {}).items():
-        out[np.ix_(pos_scalar[a], pos_scalar[b])] = mat
-    # spin 0-to-2: complex c over (spin2_out, scalar_in); rows p_o = 1, 2
-    for b, c in blocks.get("to_spin2", {}).items():
-        out[np.ix_(pos1, pos_scalar[b])] = c.real
-        out[np.ix_(pos1 + 1, pos_scalar[b])] = c.imag
-    # spin 2-to-0: complex c over (scalar_out, spin2_in); cols p_i = 1, 2
-    for a, c in blocks.get("from_spin2", {}).items():
-        out[np.ix_(pos_scalar[a], pos1)] = c.real
-        out[np.ix_(pos_scalar[a], pos1 + 1)] = -c.imag
-    # spin 2-to-2 from complex pair
-    iso = blocks.get("iso")
-    conj = blocks.get("conj")
-    if iso is not None:
-        out[np.ix_(pos1, pos1)] += iso.real
-        out[np.ix_(pos1, pos1 + 1)] += -iso.imag
-        out[np.ix_(pos1 + 1, pos1)] += iso.imag
-        out[np.ix_(pos1 + 1, pos1 + 1)] += iso.real
-    if conj is not None:
-        out[np.ix_(pos1, pos1)] += conj.real
-        out[np.ix_(pos1, pos1 + 1)] += conj.imag
-        out[np.ix_(pos1 + 1, pos1)] += conj.imag
-        out[np.ix_(pos1 + 1, pos1 + 1)] += -conj.real
-    return out
+    return _assemble(l_max, {(blk.group, blk.key): blocks.get(blk.group) if blk.key is None
+                             else blocks.get(blk.group, {}).get(blk.key)
+                             for blk in SPIN_BLOCKS})
 
 
 def split_psh_matrix(M: PshCoeffMatrix):
     """Inverse of assemble_psh_matrix: extract the spin blocks."""
-    lay = P.psh_layout(M.l_max)
-    pos1, pos_scalar = lay.pos1, {0: lay.pos0, 3: lay.pos3}
     blocks = {"scalar": {}, "to_spin2": {}, "from_spin2": {}}
-    for a in (0, 3):
-        for b in (0, 3):
-            blocks["scalar"][(a, b)] = M.matrix[np.ix_(pos_scalar[a], pos_scalar[b])]
-        blocks["from_spin2"][a] = (M.matrix[np.ix_(pos_scalar[a], pos1)]
-                                   - 1j * M.matrix[np.ix_(pos_scalar[a], pos1 + 1)])
-        blocks["to_spin2"][a] = (M.matrix[np.ix_(pos1, pos_scalar[a])]
-                                 + 1j * M.matrix[np.ix_(pos1 + 1, pos_scalar[a])])
-    A = M.matrix[np.ix_(pos1, pos1)]
-    B = M.matrix[np.ix_(pos1, pos1 + 1)]
-    C = M.matrix[np.ix_(pos1 + 1, pos1)]
-    D = M.matrix[np.ix_(pos1 + 1, pos1 + 1)]
-    blocks["iso"] = 0.5 * (A + D) + 0.5j * (C - B)
-    blocks["conj"] = 0.5 * (A - D) + 0.5j * (C + B)
+    flat = M.matrix.reshape(M.matrix.shape[:-2] + (-1,))
+    for (group, key), value in read_spin_blocks(flat, P.psh_block_entries(M.l_max)).items():
+        if key is None:
+            blocks[group] = value
+        else:
+            blocks[group][key] = value
     return blocks
 
 
@@ -117,32 +93,16 @@ def _spin_parts(K):
     """The complex fields behind each block of the projection, from Mueller
     components K (..., 4, 4).
 
-    Yields (group, key, field, s_out, s_in, sign_in): the block is the double
+    Yields (group, key, field, s_out, s_in, sign_in) for each block of
+    polar.SPIN_BLOCKS, read from K by its slot rule: the block is the double
     integral of conj(Y^{s_out}_out) field Y^{s_in}_in, with conj(Y_in) where
-    sign_in = -1.  The spin 2-to-2 part needs only the iso/conj pair (two
-    integrals instead of four) and each mixed block one complex integral.
+    sign_in = -1, so the spin 2-to-2 part takes two integrals (iso, conj)
+    instead of four and each mixed block one complex integral.
     """
-    for a in (0, 3):
-        for b in (0, 3):
-            yield "scalar", (a, b), K[..., a, b], 0, 0, 1
-        yield "to_spin2", a, K[..., 1, a] + 1j * K[..., 2, a], 2, 0, 1
-        yield "from_spin2", a, K[..., a, 1] - 1j * K[..., a, 2], 0, 2, 1
-    blk = K[..., 1:3, 1:3]
-    yield "iso", None, (0.5 * (blk[..., 0, 0] + blk[..., 1, 1])
-                        + 0.5j * (blk[..., 1, 0] - blk[..., 0, 1])), 2, 2, 1
-    yield "conj", None, (0.5 * (blk[..., 0, 0] - blk[..., 1, 1])
-                         + 0.5j * (blk[..., 1, 0] + blk[..., 0, 1])), 2, 2, -1
-
-
-def _nest(flat):
-    """{(group, key): block} -> the blocks dict of assemble_psh_matrix."""
-    blocks = {}
-    for (group, key), value in flat.items():
-        if key is None:
-            blocks[group] = value
-        else:
-            blocks.setdefault(group, {})[key] = value
-    return blocks
+    values = read_spin_blocks(K.reshape(K.shape[:-2] + (16,)), MUELLER_ENTRIES)
+    for blk in SPIN_BLOCKS:
+        yield (blk.group, blk.key, values[blk.group, blk.key],
+               2 * (blk.rows == 1), 2 * (blk.cols == 1), blk.sign_in)
 
 
 def _dense_blocks(mueller_field, l_max, grid):
@@ -212,8 +172,7 @@ def operator_project(mueller_field, l_max: int, grid: SphereGrid) -> PshCoeffMat
     if grid.band < l_max:
         raise ValueError(f"grid band {grid.band} insufficient for l_max {l_max}")
     project = _ring_blocks if getattr(mueller_field, "azimuthal", False) else _dense_blocks
-    blocks = _nest(project(mueller_field, l_max, grid))
-    return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, blocks))
+    return PshCoeffMatrix(l_max, _assemble(l_max, project(mueller_field, l_max, grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,41 +265,15 @@ def _product_bases(l_max: int, band: int):
     return bases
 
 
-@lru_cache(maxsize=8)
-def _gram_positions(l_max: int):
-    """Read-only flat positions of the pointwise-product operator's nonzero
-    blocks in the dense canonical matrix: (2, S, S) for the real Gram on the
-    s0 and s3 blocks, and (S2, 2, S2, 2) for the spin 2-to-2 pair, with
-    axes (spin-2 row, p_o = 1, 2, spin-2 column, p_i = 1, 2)."""
-    lay = P.psh_layout(l_max)
-    n = P.psh_size(l_max)
-    scalar = np.stack([pos[:, None] * n + pos for pos in (lay.pos0, lay.pos3)])
-    pair = np.stack([lay.pos1, lay.pos1 + 1], axis=-1)
-    spin22 = pair[:, :, None, None] * n + pair
-    for a in (scalar, spin22):
-        a.setflags(write=False)
-    return scalar, spin22
-
-
 def _pointwise_product(l_max, bases, wv):
     """The operator of multiplication by v from the weighted Grams of the
     bases (br, b2, br^T, b2^H) at the quadrature points: br^T diag(w v) br on
     the s0 and s3 blocks, b2^H diag(w v) b2 on the spin 2-to-2 pair (iso
-    only), written straight into their _gram_positions; the 0<->2 and conj
-    blocks vanish identically."""
+    only); the 0<->2 and conj blocks vanish identically."""
     br, b2, brT, b2H = bases
-    scalar, spin22 = _gram_positions(l_max)
-    n = P.psh_size(l_max)
-    out = np.zeros(n * n)
-    out[scalar] = brT @ (wv[:, None] * br)
-    C2 = b2H @ (wv[:, None] * b2)
-    # the real 2x2 form [[re, -im], [im, re]] of each complex entry
-    pair = np.empty(spin22.shape)
-    pair[:, 0, :, 0] = pair[:, 1, :, 1] = C2.real
-    pair[:, 1, :, 0] = C2.imag
-    pair[:, 0, :, 1] = -C2.imag
-    out[spin22] = pair
-    return PshCoeffMatrix(l_max, out.reshape(n, n))
+    G = brT @ (wv[:, None] * br)
+    return PshCoeffMatrix(l_max, _assemble(l_max, {
+        ("scalar", (0, 0)): G, ("scalar", (3, 3)): G, ("iso", None): b2H @ (wv[:, None] * b2)}))
 
 
 def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
@@ -350,9 +283,9 @@ def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
     spin-2 pair), and a Gauss-Legendre grid of band B integrates degree
     2B + 1 exactly, so on B = l_max + L_v // 2 the quadrature equals the
     Gaunt (triple-product) result; one band less does not.  The bases at the
-    grid points, their transposes and the Grams' flat positions in the
-    dense matrix are cached per (l_max, B), so a call costs the two weighted
-    Grams and one scattered write of each.
+    grid points and their transposes are cached per (l_max, B) and the
+    blocks' flat positions per l_max, so a call costs the two weighted Grams
+    and their scattered writes.
     """
     if v.kind != "real":
         raise ValueError("expected real-SH visibility coefficients")

@@ -29,7 +29,7 @@ from .geom import (fibonacci_directions, frame_for_dir, frame_theta_phi, gauss_l
                    normalize, rotation_about_axis, rotation_align, rotation_zyz, sph_to_dir,
                    dir_to_sph)
 from .operators import PshCoeffMatrix, _spin_parts
-from .polar import MuellerMatrix, frame_twist, mueller_reframe
+from .polar import SPIN_BLOCKS, MuellerMatrix, slot_pairs, frame_twist, mueller_reframe
 from .shscalar import FOUR_PI
 
 TWO_PI = 2.0 * np.pi
@@ -397,27 +397,20 @@ class _ConvTable(NamedTuple):
     w: np.ndarray
 
 
-# (offset from the p = 1 position, factor) for a real slot and for the two
-# real slots of a complex one: an output a + ib is read as Re(c), Re(-i c);
-# an input enters as a + ib, or as a - ib where the theorem conjugates it
-_REAL = ((0, 1.0),)
-_OUT = ((0, 1.0), (1, -1j))
-_IN = ((0, 1.0), (1, 1j))
-_IN_CONJ = ((0, 1.0), (1, -1j))
-
-
 @lru_cache(maxsize=8)
 def _conv_tables(l_max: int) -> _ConvTable:
     lay = P.psh_layout(l_max)
+    blocks = {_family(blk.group, blk.key): blk for blk in SPIN_BLOCKS}
     parts = []
 
-    def add(fam, rows, row_slots, cols, col_slots, l, w):
-        for (dr, a), (dc, b) in itertools.product(row_slots, col_slots):
-            parts.append((rows + dr, cols + dc, np.full(l.size, fam), l, a * b * w))
+    def add(fam, rows, cols, l, w):
+        # the block's real entries Re(f value) at each paired (row, col)
+        for dr, dc, f in slot_pairs(blocks[KC_FAMILIES[fam]]):
+            parts.append((rows + dr, cols + dc, np.full(l.size, fam), l, f * w))
 
     p0, p3 = lay.pos0, lay.pos3
     for fam, (rows, cols) in enumerate(((p0, p0), (p0, p3), (p3, p0), (p3, p3))):
-        add(fam, rows, _REAL, cols, _REAL, lay.l, np.ones(lay.l.size))
+        add(fam, rows, cols, lay.l, np.ones(lay.l.size))
     # spin-2 (out, in) pairs with the same l and m_i = m_o, then m_i = -m_o != m_o
     j = np.arange(lay.pos1.size)
     m2 = lay.m[4:]
@@ -425,13 +418,12 @@ def _conv_tables(l_max: int) -> _ConvTable:
     ji = np.concatenate([j, (j - 2 * m2)[m2 != 0]])
     l2, mo, mi = lay.l[4:][jo], m2[jo], m2[ji]
     u_from = np.conj(_u_to(mi, mo))
-    add(4, p0[jo + 4], _REAL, lay.pos1[ji], _IN, l2, u_from)
-    add(5, p3[jo + 4], _REAL, lay.pos1[ji], _IN, l2, u_from)
-    add(6, lay.pos1[jo], _OUT, p0[ji + 4], _REAL, l2, _u_to(mo, mi))
-    add(7, lay.pos1[jo], _OUT, p3[ji + 4], _REAL, l2, _u_to(mo, mi))
-    add(8, lay.pos1, _OUT, lay.pos1, _IN, lay.l[4:], np.ones(j.size))
-    add(9, lay.pos1, _OUT, lay.pos1[j - 2 * m2], _IN_CONJ, lay.l[4:],
-        np.where(m2 % 2, -1.0, 1.0))
+    add(4, p0[jo + 4], lay.pos1[ji], l2, u_from)
+    add(5, p3[jo + 4], lay.pos1[ji], l2, u_from)
+    add(6, lay.pos1[jo], p0[ji + 4], l2, _u_to(mo, mi))
+    add(7, lay.pos1[jo], p3[ji + 4], l2, _u_to(mo, mi))
+    add(8, lay.pos1, lay.pos1, lay.l[4:], np.ones(j.size))
+    add(9, lay.pos1, lay.pos1[j - 2 * m2], lay.l[4:], np.where(m2 % 2, -1.0, 1.0))
     t = _ConvTable(*(np.concatenate(a) for a in zip(*parts)))
     for a in t:
         a.setflags(write=False)

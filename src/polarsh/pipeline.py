@@ -116,9 +116,18 @@ class Mesh:
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.normals = np.asarray(self.normals, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=int)
-        if self.triangles.size and self.triangles.max() >= len(self.vertices):
-            raise ValueError("triangle index out of range")
+        if self.normals.shape != self.vertices.shape:
+            raise ValueError(f"mesh has normals of shape {self.normals.shape} for vertices "
+                             f"of shape {self.vertices.shape}")
+        bad = np.argwhere((self.triangles < 0) | (self.triangles >= len(self.vertices)))
+        if bad.size:
+            t, corner = bad[0]
+            raise ValueError(f"triangle {t} has vertex index {self.triangles[t, corner]}, "
+                             f"out of range for {len(self.vertices)} vertices")
         n = np.linalg.norm(self.normals, axis=-1)
+        bad = np.flatnonzero(~(np.isfinite(n) & (n > 0.0)))
+        if bad.size:
+            raise ValueError(f"normal {bad[0]} is zero or not finite: {self.normals[bad[0]]}")
         if np.any(np.abs(n - 1.0) > 1e-6):
             self.normals = self.normals / n[:, None]
 

@@ -17,11 +17,21 @@ a to any frame b as (conj(m_a) . m_b)^2 / 4, m = x + iy (see the s2l2
 module).
 Stokes fields are stored as components under the theta-phi frame field at
 each sample (no frames are stored).
+
+A real operator acts on z = s1 + i s2 as z -> iso z + conj conj(z), with
+complex couplings to and from s0 and s3: the blocks of SPIN_BLOCKS.  One slot
+rule (slot_pairs) places them: an output c fills rows p = 1, 2 with Re(c) and
+Re(-i c), an input enters columns p = 1, 2 as s1 + i s2, or s1 - i s2 in the
+conj block.  write_spin_blocks and read_spin_blocks write and read them at
+the expanded positions of a Mueller matrix (MUELLER_ENTRIES) or a PSH one
+(psh.psh_block_entries).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,6 +216,101 @@ def clamp_valid_range(s):
 
 
 # ---------------------------------------------------------------------------
+# complex spin-2 blocks in real matrices
+# ---------------------------------------------------------------------------
+
+class SpinBlock(NamedTuple):
+    """A block of a real operator over (s0, z = s1 + i s2, s3), acting as
+    z -> iso z + conj conj(z) on the spin-2 pair: rows and cols are the
+    slots p of its output and input (0, 3, or 1 for the pair at p = 1, 2)."""
+    group: str
+    key: object
+    rows: int
+    cols: int
+    sign_in: int    # -1 where the block acts on conj(z)
+
+
+# in the order of operators._spin_parts; iso comes before conj, which adds
+# onto iso's entries
+SPIN_BLOCKS = (
+    *(blk for a in (0, 3) for blk in (
+        SpinBlock("scalar", (a, 0), a, 0, 1), SpinBlock("scalar", (a, 3), a, 3, 1),
+        SpinBlock("to_spin2", a, 1, a, 1), SpinBlock("from_spin2", a, a, 1, 1))),
+    SpinBlock("iso", None, 1, 1, 1), SpinBlock("conj", None, 1, 1, -1))
+
+
+def slot_pairs(blk: SpinBlock):
+    """(row offset, column offset, f) of each real entry Re(f value) of a
+    block, the offsets from the position of p = rows and p = cols."""
+    rows = ((0, 1), (1, -1j)) if blk.rows == 1 else ((0, 1),)
+    cols = ((0, 1), (1, blk.sign_in * 1j)) if blk.cols == 1 else ((0, 1),)
+    return [(dr, dc, a * b) for (dr, a), (dc, b) in itertools.product(rows, cols)]
+
+
+def spin_block_entries(pos0, pos3, pos1, n):
+    """Per SPIN_BLOCKS block, its real entries (flat positions, imag, sign)
+    in a flat (n * n) matrix: sign Im(value) if imag else sign Re(value).
+    pos0, pos3 and pos1 place p = 0, 3 and the p = 1 half of each spin-2
+    pair: arrays, giving read-only (rows, cols) positions, or ints for one
+    4x4 Mueller matrix."""
+    first = {0: pos0, 3: pos3, 1: pos1}
+    table = []
+    for blk in SPIN_BLOCKS:
+        cells = []
+        for dr, dc, f in slot_pairs(blk):
+            pos = np.add.outer((first[blk.rows] + dr) * n, first[blk.cols] + dc)
+            if isinstance(pos, np.ndarray):
+                pos.setflags(write=False)
+            # Re(f c) with f in {+-1, +-i}
+            cells.append((pos, f.imag != 0, f.real - f.imag))
+        table.append(tuple(cells))
+    return tuple(table)
+
+
+MUELLER_ENTRIES = spin_block_entries(0, 3, 1, 4)
+
+
+def write_spin_blocks(out, entries, blocks):
+    """Write blocks {(group, key): value} into the flat real array
+    out (..., n * n) at their entries and return out; iso and conj share
+    their entries and add."""
+    written = set()
+    for blk, cells in zip(SPIN_BLOCKS, entries):
+        value = blocks.get((blk.group, blk.key))
+        if value is not None:
+            add = (blk.rows, blk.cols) in written
+            written.add((blk.rows, blk.cols))
+            for pos, imag, sign in cells:
+                part = value.imag if imag else value.real
+                if not add:
+                    out[..., pos] = part if sign > 0 else -part
+                elif sign > 0:
+                    out[..., pos] += part
+                else:
+                    out[..., pos] -= part
+    return out
+
+
+def read_spin_blocks(flat, entries):
+    """{(group, key): value} of every block from the flat real array
+    (..., n * n), the inverse of write_spin_blocks: each part is the mean of
+    sign * entry over its one or two entries, as iso and conj are orthogonal
+    on theirs."""
+    out = {}
+    for blk, cells in zip(SPIN_BLOCKS, entries):
+        parts = [None, None]
+        for pos, imag, sign in cells:
+            x = flat[..., pos] if sign > 0 else -flat[..., pos]
+            parts[imag] = x if parts[imag] is None else 0.5 * (parts[imag] + x)
+        if parts[1] is None:
+            out[blk.group, blk.key] = parts[0]
+        else:
+            value = out[blk.group, blk.key] = np.empty(np.shape(parts[0]), complex)
+            value.real, value.imag = parts
+    return out
+
+
+# ---------------------------------------------------------------------------
 # synthetic analytic pBRDF
 # ---------------------------------------------------------------------------
 
@@ -297,20 +402,13 @@ class SyntheticPbrdf:
         cc = rs * rp * lobe
         # in the s-p frames K01 = b g_i, K10 = b g_o, K11 = a g_i g_o and
         # K22 = cc g_i g_o, g = 1 - (n.w)^2; z^2 brings each side's g and twist
-        to_spin2 = b * zo2
-        from_spin2 = b * zi2
-        iso = 0.5 * (a + cc) * (zo2 * zi2.conj())
-        conj = 0.5 * (a - cc) * (zo2 * zi2)
-        K = np.zeros(lobe.shape + (4, 4))
-        K[..., 0, 0] = a
-        K[..., 3, 3] = cc
-        K[..., 1, 0], K[..., 2, 0] = to_spin2.real, to_spin2.imag
-        K[..., 0, 1], K[..., 0, 2] = from_spin2.real, from_spin2.imag
-        K[..., 1, 1] = iso.real + conj.real
-        K[..., 1, 2] = conj.imag - iso.imag
-        K[..., 2, 1] = iso.imag + conj.imag
-        K[..., 2, 2] = iso.real - conj.real
-        return K
+        K = np.zeros(lobe.shape + (16,))
+        write_spin_blocks(K, MUELLER_ENTRIES, {
+            ("scalar", (0, 0)): a, ("scalar", (3, 3)): cc,
+            ("to_spin2", 0): b * zo2, ("from_spin2", 0): b * zi2.conj(),
+            ("iso", None): 0.5 * (a + cc) * (zo2 * zi2.conj()),
+            ("conj", None): 0.5 * (a - cc) * (zo2 * zi2)})
+        return K.reshape(lobe.shape + (4, 4))
 
 
 def synthetic_pbrdf(normal=(0.0, 0.0, 1.0), roughness=0.5, ior=1.5,

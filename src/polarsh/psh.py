@@ -27,7 +27,8 @@ import numpy as np
 
 from . import shscalar as sh
 from .geom import SphereGrid, frame_theta_phi, sph_to_dir, dir_to_sph
-from .polar import StokesField, SAMPLING_QUAD, stokes_reframe
+from .polar import (StokesField, SAMPLING_QUAD, spin_block_entries, stokes_reframe,
+                    write_spin_blocks)
 from .shscalar import FOUR_PI, sh_index, sh_size
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,18 @@ def psh_layout(l_max: int) -> PshLayout:
     for a in (l, m, pos0, pos3, pos1, lmp):
         a.setflags(write=False)
     return PshLayout(l, m, pos0, pos3, pos1, lmp)
+
+
+@lru_cache(maxsize=64)     # one entry per rotation block l, plus full matrices
+def psh_block_entries(l_max: int, l_min: int = 0):
+    """polar.spin_block_entries over bands l_min..l_max of the layout, with
+    positions counted from the first one of band l_min: l_min = 0 places the
+    spin blocks in a full PSH matrix, l_min = l_max in one rotation block."""
+    lay = psh_layout(l_max)
+    base = psh_size(l_min - 1)
+    s = l_min * l_min
+    return spin_block_entries(lay.pos0[s:] - base, lay.pos3[s:] - base,
+                              lay.pos1[max(s - 4, 0):] - base, psh_size(l_max) - base)
 
 
 def psh_index_list(l_max: int):
@@ -270,20 +283,19 @@ def psh_reconstruct_field(coeffs: PshCoeffs, grid: SphereGrid) -> StokesField:
 def psh_rotation_block(l: int, R, dc=None) -> np.ndarray:
     """Dense rotation block over (m, p) for one l, canonical ordering.
 
-    Realizes diag(D^R, R2x2(D^C), D^R) per (m_o, m_i) pair; a batch of
-    complex Wigner blocks dc (N, 2l+1, 2l+1) gives a leading N axis.
+    The real Wigner block D^R on s0 and s3 and the complex D^C as the iso
+    block of the spin-2 pair; a batch of complex Wigner blocks
+    dc (N, 2l+1, 2l+1) gives a leading N axis.
     """
     if dc is None:
         dc = sh.wigner_d_complex(l, R)
     dr = sh.wigner_d_real_from_complex(dc)
-    n_p = 2 if l < 2 else 4
-    out = np.zeros(dc.shape[:-2] + ((2 * l + 1) * n_p,) * 2)
-    out[..., 0::n_p, 0::n_p] = out[..., n_p - 1::n_p, n_p - 1::n_p] = dr
+    n = psh_size(l) - psh_size(l - 1)
+    out = np.zeros(dc.shape[:-2] + (n * n,))
+    blocks = {("scalar", (0, 0)): dr, ("scalar", (3, 3)): dr}
     if l >= 2:
-        out[..., 1::4, 1::4] = out[..., 2::4, 2::4] = dc.real
-        out[..., 1::4, 2::4] = -dc.imag
-        out[..., 2::4, 1::4] = dc.imag
-    return out
+        blocks["iso", None] = dc
+    return write_spin_blocks(out, psh_block_entries(l, l), blocks).reshape(out.shape[:-1] + (n, n))
 
 
 def psh_rotation_matrix(l_max: int, R) -> np.ndarray:

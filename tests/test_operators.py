@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polarsh import geom, operators as op, pconv, pipeline, psh
+from polarsh import geom, operators as op, pconv, pipeline, polar, psh
 from polarsh import shscalar as sh
 from polarsh.polar import synthetic_pbrdf
 
@@ -161,12 +161,42 @@ def test_isotropic_compact(pbrdf_matrix, rng):
     assert bad.max_m_violation > 0.1
 
 
+def _within_4_ulps(got, want):
+    return np.abs(got - want).max(initial=0.0) <= 4 * np.spacing(np.abs(want).max(initial=0.0))
+
+
 def test_assemble_split_roundtrip(rng):
-    n = psh.psh_size(3)
-    M = op.PshCoeffMatrix(3, rng.normal(size=(n, n)))
-    blocks = op.split_psh_matrix(M)
-    back = op.assemble_psh_matrix(3, blocks)
-    assert np.abs(back - M.matrix).max() < 1e-14
+    # PSH matrices through assemble/split, and 4x4 Mueller matrices with
+    # leading axes through the same writer and reader
+    def c(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for L in (0, 1, 2, 5, 9):
+        n, S, S2 = psh.psh_size(L), sh.sh_size(L), psh.spin2_size(L)
+        M = op.PshCoeffMatrix(L, rng.normal(size=(n, n)))
+        assert _within_4_ulps(op.assemble_psh_matrix(L, op.split_psh_matrix(M)), M.matrix)
+        B = {"scalar": {(a, b): rng.normal(size=(S, S)) for a in (0, 3) for b in (0, 3)},
+             "to_spin2": {a: c(S2, S) for a in (0, 3)},
+             "from_spin2": {a: c(S, S2) for a in (0, 3)}, "iso": c(S2, S2), "conj": c(S2, S2)}
+        back = op.split_psh_matrix(op.PshCoeffMatrix(L, op.assemble_psh_matrix(L, B)))
+        for group in ("iso", "conj"):
+            assert back[group].shape == B[group].shape
+            assert _within_4_ulps(back[group], B[group])
+        for group in ("scalar", "to_spin2", "from_spin2"):
+            for key, value in B[group].items():
+                assert back[group][key].shape == value.shape
+                assert _within_4_ulps(back[group][key], value)
+    K = rng.normal(size=(3, 5, 16))
+    back = polar.write_spin_blocks(np.zeros(K.shape), polar.MUELLER_ENTRIES,
+                                   polar.read_spin_blocks(K, polar.MUELLER_ENTRIES))
+    assert _within_4_ulps(back, K)
+    B = {(blk.group, blk.key): rng.normal(size=(3, 5)) if blk.group == "scalar" else c(3, 5)
+         for blk in polar.SPIN_BLOCKS}
+    back = polar.read_spin_blocks(polar.write_spin_blocks(np.zeros((3, 5, 16)),
+                                                          polar.MUELLER_ENTRIES, B),
+                                  polar.MUELLER_ENTRIES)
+    for key, value in B.items():
+        assert back[key].shape == value.shape and _within_4_ulps(back[key], value)
 
 
 def test_visibility_from_spheres():
@@ -236,7 +266,8 @@ def test_cached_tables_are_read_only():
     tables = [*op._product_bases(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
               sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3), sh.complex_to_real_block(2),
               sh.complex_to_real_matrix(3),
-              *pconv._conv_tables(3), *pconv._residual_labels(3)]
+              *pconv._conv_tables(3), *pconv._residual_labels(3),
+              *(pos for cells in psh.psh_block_entries(3) for pos, _, _ in cells)]
     for a in tables:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]

@@ -114,6 +114,24 @@ def test_obj_rejects_bad_faces(tmp_path):
         pl.load_obj(path)
 
 
+def test_mesh_rejects_bad_indices_and_normals():
+    eye = np.eye(3)
+    with pytest.raises(ValueError, match="triangle 1 has vertex index -1, out of range for 3"):
+        pl.Mesh(eye, eye, [[0, 1, 2], [0, 1, -1]])
+    with pytest.raises(ValueError, match="triangle 0 has vertex index 3"):
+        pl.Mesh(eye, eye, [[0, 3, 1]])
+    with pytest.raises(ValueError, match=r"normals of shape \(2, 3\) for vertices of shape \(3, 3\)"):
+        pl.Mesh(eye, eye[:2], [[0, 1, 2]])
+    for bad in (np.nan, np.inf, 0.0):
+        normals = eye.copy()
+        normals[1] = [bad, 0.0, 0.0]
+        with pytest.raises(ValueError, match="normal 1 is zero or not finite"):
+            pl.Mesh(eye, normals, [[0, 1, 2]])
+    # one vertex and no triangle, as a bake of one vertex uses
+    one = pl.Mesh(eye[:1], 2.0 * eye[:1], np.zeros((0, 3), dtype=int))
+    assert np.array_equal(one.normals, eye[:1])
+
+
 def test_ray_visibility_convex():
     m = pl.sphere_mesh(6, 8)
     vis = pl.ray_visibility(m, 0, np.array([[0, 0, 1.0], [1.0, 0, 0], [0, 0, -1.0]]))
