@@ -17,8 +17,7 @@ import numpy as np
 from . import psh as P
 from . import shscalar as sh
 from .geom import SphereGrid, gauss_legendre_grid, sph_to_dir
-from .polar import (MUELLER_ENTRIES, SPIN_BLOCKS, read_spin_blocks,
-                    write_spin_blocks)
+from .polar import SPIN_BLOCKS, read_spin_blocks, write_spin_blocks
 from .shscalar import ShCoeffs
 
 
@@ -50,10 +49,14 @@ def operator_apply(M: PshCoeffMatrix, f: P.PshCoeffs) -> P.PshCoeffs:
 # block assembly
 # ---------------------------------------------------------------------------
 
+def _runs(l_max):
+    """Runs (n2, n4) of the canonical layout (see the polar module)."""
+    return min(sh.sh_size(l_max), 4), P.spin2_size(l_max)
+
+
 def _assemble(l_max, blocks) -> np.ndarray:
     """The dense canonical matrix of spin blocks {(group, key): value}."""
-    n = P.psh_size(l_max)
-    return write_spin_blocks(np.zeros(n * n), P.psh_block_entries(l_max), blocks).reshape(n, n)
+    return write_spin_blocks(np.zeros((P.psh_size(l_max),) * 2), _runs(l_max), blocks)
 
 
 def assemble_psh_matrix(l_max, blocks) -> np.ndarray:
@@ -73,8 +76,7 @@ def assemble_psh_matrix(l_max, blocks) -> np.ndarray:
 def split_psh_matrix(M: PshCoeffMatrix):
     """Inverse of assemble_psh_matrix: extract the spin blocks."""
     blocks = {"scalar": {}, "to_spin2": {}, "from_spin2": {}}
-    flat = M.matrix.reshape(M.matrix.shape[:-2] + (-1,))
-    for (group, key), value in read_spin_blocks(flat, P.psh_block_entries(M.l_max)).items():
+    for (group, key), value in read_spin_blocks(M.matrix, _runs(M.l_max)).items():
         if key is None:
             blocks[group] = value
         else:
@@ -99,9 +101,9 @@ def _spin_parts(K):
     sign_in = -1, so the spin 2-to-2 part takes two integrals (iso, conj)
     instead of four and each mixed block one complex integral.
     """
-    values = read_spin_blocks(K.reshape(K.shape[:-2] + (16,)), MUELLER_ENTRIES)
+    values = read_spin_blocks(K, (0, 1))
     for blk in SPIN_BLOCKS:
-        yield (blk.group, blk.key, values[blk.group, blk.key],
+        yield (blk.group, blk.key, values[blk.group, blk.key][..., 0, 0],
                2 * (blk.rows == 1), 2 * (blk.cols == 1), blk.sign_in)
 
 
@@ -283,9 +285,8 @@ def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
     spin-2 pair), and a Gauss-Legendre grid of band B integrates degree
     2B + 1 exactly, so on B = l_max + L_v // 2 the quadrature equals the
     Gaunt (triple-product) result; one band less does not.  The bases at the
-    grid points and their transposes are cached per (l_max, B) and the
-    blocks' flat positions per l_max, so a call costs the two weighted Grams
-    and their scattered writes.
+    grid points and their transposes are cached per (l_max, B), so a call
+    costs the two weighted Grams and their strided writes.
     """
     if v.kind != "real":
         raise ValueError("expected real-SH visibility coefficients")

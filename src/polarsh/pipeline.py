@@ -119,6 +119,9 @@ class Mesh:
         if self.normals.shape != self.vertices.shape:
             raise ValueError(f"mesh has normals of shape {self.normals.shape} for vertices "
                              f"of shape {self.vertices.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=-1))
+        if bad.size:
+            raise ValueError(f"vertex {bad[0]} is not finite: {self.vertices[bad[0]]}")
         bad = np.argwhere((self.triangles < 0) | (self.triangles >= len(self.vertices)))
         if bad.size:
             t, corner = bad[0]

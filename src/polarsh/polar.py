@@ -22,9 +22,10 @@ A real operator acts on z = s1 + i s2 as z -> iso z + conj conj(z), with
 complex couplings to and from s0 and s3: the blocks of SPIN_BLOCKS.  One slot
 rule (slot_pairs) places them: an output c fills rows p = 1, 2 with Re(c) and
 Re(-i c), an input enters columns p = 1, 2 as s1 + i s2, or s1 - i s2 in the
-conj block.  write_spin_blocks and read_spin_blocks write and read them at
-the expanded positions of a Mueller matrix (MUELLER_ENTRIES) or a PSH one
-(psh.psh_block_entries).
+conj block.  write_spin_blocks and read_spin_blocks go through strided views
+of a real matrix whose slots come in runs (n2, n4): n2 (l, m) runs of two
+(p = 0, 3), then n4 runs of four (p = 0..3); a 4x4 Mueller matrix has
+(0, 1), a PSH one (min(S, 4), max(S - 4, 0)) over its S scalar (l, m).
 """
 
 from __future__ import annotations
@@ -247,60 +248,66 @@ def slot_pairs(blk: SpinBlock):
     return [(dr, dc, a * b) for (dr, a), (dc, b) in itertools.product(rows, cols)]
 
 
-def spin_block_entries(pos0, pos3, pos1, n):
-    """Per SPIN_BLOCKS block, its real entries (flat positions, imag, sign)
-    in a flat (n * n) matrix: sign Im(value) if imag else sign Re(value).
-    pos0, pos3 and pos1 place p = 0, 3 and the p = 1 half of each spin-2
-    pair: arrays, giving read-only (rows, cols) positions, or ints for one
-    4x4 Mueller matrix."""
-    first = {0: pos0, 3: pos3, 1: pos1}
-    table = []
-    for blk in SPIN_BLOCKS:
-        cells = []
-        for dr, dc, f in slot_pairs(blk):
-            pos = np.add.outer((first[blk.rows] + dr) * n, first[blk.cols] + dc)
-            if isinstance(pos, np.ndarray):
-                pos.setflags(write=False)
-            # Re(f c) with f in {+-1, +-i}
-            cells.append((pos, f.imag != 0, f.real - f.imag))
-        table.append(tuple(cells))
-    return tuple(table)
+def _halves(runs, p, d):
+    """(matrix slice, block slice) along one axis of a layout of runs
+    (n2, n4), per nonempty half: slot p (0, 3 or 1) of each run, plus d."""
+    n2, n4 = runs
+    halves = []
+    if n2 and p != 1:
+        halves.append((slice(p // 3 + d, 2 * n2, 2), slice(0, n2)))
+    if n4:
+        halves.append((slice(2 * n2 + p + d, 2 * n2 + 4 * n4, 4),
+                       slice(0, n4) if p == 1 else slice(n2, n2 + n4)))
+    return halves
 
 
-MUELLER_ENTRIES = spin_block_entries(0, 3, 1, 4)
-
-
-def write_spin_blocks(out, entries, blocks):
-    """Write blocks {(group, key): value} into the flat real array
-    out (..., n * n) at their entries and return out; iso and conj share
-    their entries and add."""
+def write_spin_blocks(out, runs, blocks):
+    """Write blocks {(group, key): value} into the real matrices out
+    (..., n, n) of a layout of runs (n2, n4) and return out; iso and conj
+    share their entries and add.  A value has the block's (rows, cols) as
+    its last two axes."""
     written = set()
-    for blk, cells in zip(SPIN_BLOCKS, entries):
+    for blk in SPIN_BLOCKS:
         value = blocks.get((blk.group, blk.key))
         if value is not None:
             add = (blk.rows, blk.cols) in written
             written.add((blk.rows, blk.cols))
-            for pos, imag, sign in cells:
-                part = value.imag if imag else value.real
-                if not add:
-                    out[..., pos] = part if sign > 0 else -part
-                elif sign > 0:
-                    out[..., pos] += part
-                else:
-                    out[..., pos] -= part
+            for dr, dc, f in slot_pairs(blk):
+                # Re(f value) with f in {+-1, +-i}
+                part = value.imag if f.imag else value.real
+                if f.real - f.imag < 0:
+                    part = -part
+                for (ro, vr), (co, vc) in itertools.product(_halves(runs, blk.rows, dr),
+                                                            _halves(runs, blk.cols, dc)):
+                    if add:
+                        out[..., ro, co] += part[..., vr, vc]
+                    else:
+                        out[..., ro, co] = part[..., vr, vc]
     return out
 
 
-def read_spin_blocks(flat, entries):
-    """{(group, key): value} of every block from the flat real array
-    (..., n * n), the inverse of write_spin_blocks: each part is the mean of
-    sign * entry over its one or two entries, as iso and conj are orthogonal
-    on theirs."""
+def read_spin_blocks(M, runs):
+    """{(group, key): value} of every block from the real matrices M
+    (..., n, n) of a layout of runs (n2, n4), the inverse of
+    write_spin_blocks: each part is the mean of sign * entry over its one or
+    two entries, as iso and conj are orthogonal on theirs.  A part with one
+    entry, of sign +1, in one (row, column) half is a view of M."""
+    n2, n4 = runs
     out = {}
-    for blk, cells in zip(SPIN_BLOCKS, entries):
+    for blk in SPIN_BLOCKS:
         parts = [None, None]
-        for pos, imag, sign in cells:
-            x = flat[..., pos] if sign > 0 else -flat[..., pos]
+        for dr, dc, f in slot_pairs(blk):
+            rows, cols = _halves(runs, blk.rows, dr), _halves(runs, blk.cols, dc)
+            if len(rows) * len(cols) == 1:
+                x = M[..., rows[0][0], cols[0][0]]
+            else:
+                x = np.empty(M.shape[:-2] + tuple(n4 if p == 1 else n2 + n4
+                                                  for p in (blk.rows, blk.cols)))
+                for (ro, vr), (co, vc) in itertools.product(rows, cols):
+                    x[..., vr, vc] = M[..., ro, co]
+            if f.real - f.imag < 0:
+                x = -x
+            imag = f.imag != 0
             parts[imag] = x if parts[imag] is None else 0.5 * (parts[imag] + x)
         if parts[1] is None:
             out[blk.group, blk.key] = parts[0]
@@ -402,13 +409,13 @@ class SyntheticPbrdf:
         cc = rs * rp * lobe
         # in the s-p frames K01 = b g_i, K10 = b g_o, K11 = a g_i g_o and
         # K22 = cc g_i g_o, g = 1 - (n.w)^2; z^2 brings each side's g and twist
-        K = np.zeros(lobe.shape + (16,))
-        write_spin_blocks(K, MUELLER_ENTRIES, {
-            ("scalar", (0, 0)): a, ("scalar", (3, 3)): cc,
-            ("to_spin2", 0): b * zo2, ("from_spin2", 0): b * zi2.conj(),
-            ("iso", None): 0.5 * (a + cc) * (zo2 * zi2.conj()),
-            ("conj", None): 0.5 * (a - cc) * (zo2 * zi2)})
-        return K.reshape(lobe.shape + (4, 4))
+        # one run of four slots, each block a (1, 1) matrix
+        blocks = {("scalar", (0, 0)): a, ("scalar", (3, 3)): cc,
+                  ("to_spin2", 0): b * zo2, ("from_spin2", 0): b * zi2.conj(),
+                  ("iso", None): 0.5 * (a + cc) * (zo2 * zi2.conj()),
+                  ("conj", None): 0.5 * (a - cc) * (zo2 * zi2)}
+        return write_spin_blocks(np.zeros(lobe.shape + (4, 4)), (0, 1),
+                                 {k: v[..., None, None] for k, v in blocks.items()})
 
 
 def synthetic_pbrdf(normal=(0.0, 0.0, 1.0), roughness=0.5, ior=1.5,

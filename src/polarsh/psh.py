@@ -27,8 +27,7 @@ import numpy as np
 
 from . import shscalar as sh
 from .geom import SphereGrid, frame_theta_phi, sph_to_dir, dir_to_sph
-from .polar import (StokesField, SAMPLING_QUAD, spin_block_entries, stokes_reframe,
-                    write_spin_blocks)
+from .polar import StokesField, SAMPLING_QUAD, stokes_reframe, write_spin_blocks
 from .shscalar import FOUR_PI, sh_index, sh_size
 
 # ---------------------------------------------------------------------------
@@ -85,18 +84,6 @@ def psh_layout(l_max: int) -> PshLayout:
     for a in (l, m, pos0, pos3, pos1, lmp):
         a.setflags(write=False)
     return PshLayout(l, m, pos0, pos3, pos1, lmp)
-
-
-@lru_cache(maxsize=64)     # one entry per rotation block l, plus full matrices
-def psh_block_entries(l_max: int, l_min: int = 0):
-    """polar.spin_block_entries over bands l_min..l_max of the layout, with
-    positions counted from the first one of band l_min: l_min = 0 places the
-    spin blocks in a full PSH matrix, l_min = l_max in one rotation block."""
-    lay = psh_layout(l_max)
-    base = psh_size(l_min - 1)
-    s = l_min * l_min
-    return spin_block_entries(lay.pos0[s:] - base, lay.pos3[s:] - base,
-                              lay.pos1[max(s - 4, 0):] - base, psh_size(l_max) - base)
 
 
 def psh_index_list(l_max: int):
@@ -290,12 +277,12 @@ def psh_rotation_block(l: int, R, dc=None) -> np.ndarray:
     if dc is None:
         dc = sh.wigner_d_complex(l, R)
     dr = sh.wigner_d_real_from_complex(dc)
-    n = psh_size(l) - psh_size(l - 1)
-    out = np.zeros(dc.shape[:-2] + (n * n,))
+    n = 2 * l + 1
     blocks = {("scalar", (0, 0)): dr, ("scalar", (3, 3)): dr}
     if l >= 2:
         blocks["iso", None] = dc
-    return write_spin_blocks(out, psh_block_entries(l, l), blocks).reshape(out.shape[:-1] + (n, n))
+    return write_spin_blocks(np.zeros(dc.shape[:-2] + (psh_size(l) - psh_size(l - 1),) * 2),
+                             (n, 0) if l < 2 else (0, n), blocks)
 
 
 def psh_rotation_matrix(l_max: int, R) -> np.ndarray:

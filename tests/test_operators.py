@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,15 +187,13 @@ def test_assemble_split_roundtrip(rng):
             for key, value in B[group].items():
                 assert back[group][key].shape == value.shape
                 assert _within_4_ulps(back[group][key], value)
-    K = rng.normal(size=(3, 5, 16))
-    back = polar.write_spin_blocks(np.zeros(K.shape), polar.MUELLER_ENTRIES,
-                                   polar.read_spin_blocks(K, polar.MUELLER_ENTRIES))
+    K = rng.normal(size=(3, 5, 4, 4))
+    back = polar.write_spin_blocks(np.zeros(K.shape), (0, 1), polar.read_spin_blocks(K, (0, 1)))
     assert _within_4_ulps(back, K)
-    B = {(blk.group, blk.key): rng.normal(size=(3, 5)) if blk.group == "scalar" else c(3, 5)
-         for blk in polar.SPIN_BLOCKS}
-    back = polar.read_spin_blocks(polar.write_spin_blocks(np.zeros((3, 5, 16)),
-                                                          polar.MUELLER_ENTRIES, B),
-                                  polar.MUELLER_ENTRIES)
+    B = {(blk.group, blk.key): rng.normal(size=(3, 5, 1, 1)) if blk.group == "scalar"
+         else c(3, 5, 1, 1) for blk in polar.SPIN_BLOCKS}
+    back = polar.read_spin_blocks(polar.write_spin_blocks(np.zeros((3, 5, 4, 4)), (0, 1), B),
+                                  (0, 1))
     for key, value in B.items():
         assert back[key].shape == value.shape and _within_4_ulps(back[key], value)
 
@@ -260,14 +259,30 @@ def test_visibility_basis_cache_keyed_on_grid_nodes():
     assert np.abs(outs[2] - 2.0 * outs[0]).max() < 1e-12
 
 
+def test_assemble_and_split_retain_no_memory():
+    # nothing sized by the matrix outlives a call: at L = 16 a table of the
+    # blocks' entries would hold about 12 MB
+    L = 16
+    S = sh.sh_size(L)
+    blocks = {"scalar": {(0, 0): np.eye(S)}, "iso": np.eye(psh.spin2_size(L), dtype=complex)}
+    psh.psh_layout(L)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op.split_psh_matrix(op.PshCoeffMatrix(L, op.assemble_psh_matrix(L, blocks)))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(retained) < 2 ** 20
+
+
 def test_cached_tables_are_read_only():
     g = geom.gauss_legendre_grid(4)
     op.visibility_project(lambda d: np.ones(np.asarray(d).shape[:-1]), 4, g)
     tables = [*op._product_bases(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
               sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3), sh.complex_to_real_block(2),
               sh.complex_to_real_matrix(3),
-              *pconv._conv_tables(3), *pconv._residual_labels(3),
-              *(pos for cells in psh.psh_block_entries(3) for pos, _, _ in cells)]
+              *pconv._conv_tables(3), *pconv._residual_labels(3)]
     for a in tables:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]

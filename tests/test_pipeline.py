@@ -97,9 +97,10 @@ def test_obj_rejects_bad_faces(tmp_path):
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n")
     with pytest.raises(ValueError, match="line 4"):
         pl.load_obj(path)
-    # non-finite or missing coordinates, even where given normals hide them
+    # non-finite (1e400 overflows to inf) or missing coordinates, even where
+    # given normals hide them
     tri = "vn 0 0 1\nf 1//1 2//1 3//1\n"
-    for bad in ("v nan 0 0", "v 0 inf 0", "v 0 0"):
+    for bad in ("v nan 0 0", "v 0 inf 0", "v 0 0 1e400", "v 0 0"):
         path.write_text(bad + "\nv 1 0 0\nv 0 1 0\n" + tri)
         with pytest.raises(ValueError, match="line 1: v needs three finite numbers"):
             pl.load_obj(path)
@@ -127,6 +128,13 @@ def test_mesh_rejects_bad_indices_and_normals():
         normals[1] = [bad, 0.0, 0.0]
         with pytest.raises(ValueError, match="normal 1 is zero or not finite"):
             pl.Mesh(eye, normals, [[0, 1, 2]])
+    for bad in (np.nan, -np.inf):
+        verts = eye.copy()
+        verts[2, 1] = bad
+        with pytest.raises(ValueError, match="vertex 2 is not finite"):
+            pl.Mesh(verts, eye, [[0, 1, 2]])
+    with pytest.raises(ValueError, match="vertex 0 is not finite"):
+        pl.Mesh([[np.nan, 0.0, 0.0]], [[0.0, 0.0, 1.0]], np.zeros((0, 3), dtype=int))
     # one vertex and no triangle, as a bake of one vertex uses
     one = pl.Mesh(eye[:1], 2.0 * eye[:1], np.zeros((0, 3), dtype=int))
     assert np.array_equal(one.normals, eye[:1])
