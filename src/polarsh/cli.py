@@ -13,12 +13,17 @@ import sys
 import numpy as np
 
 
-def _parse_rotation(text):
-    from .geom import rotation_zyz
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("rotation needs three ZYZ angles a,b,g")
-    return rotation_zyz(*parts)
+def _parse_numbers(flag, text, count):
+    """count finite numbers given as a,b,...; otherwise a ValueError naming
+    the flag."""
+    try:
+        vals = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        vals = np.array([np.nan])
+    if vals.size != count or not np.isfinite(vals).all():
+        raise ValueError(f"{flag} needs {count} finite numbers separated by commas, "
+                         f"got {text!r}")
+    return vals
 
 
 def _load_kernel(spec, l_max):
@@ -58,9 +63,10 @@ def cmd_reconstruct(args):
 
 def cmd_rotate(args):
     from . import psh
+    from .geom import rotation_zyz
     from .io import load_psh_coeffs, save_psh_coeffs
     coeffs = load_psh_coeffs(args.input)
-    R = _parse_rotation(args.rotation)
+    R = rotation_zyz(*_parse_numbers("--rotation", args.rotation, 3))
     save_psh_coeffs(args.output, psh.psh_rotate_coeffs(coeffs, R))
     print(f"rotated {args.input} -> {args.output} (zyz {args.rotation})")
     return 0
@@ -117,21 +123,17 @@ def cmd_pprt(args):
                            save_vertex_stokes, sphere_mesh)
     from .polar import synthetic_pbrdf
 
+    cam = _parse_numbers("--camera", args.camera, 3)
+    occluders = [(vals[:3], vals[3]) for vals in
+                 (_parse_numbers("--occluder", spec, 4) for spec in args.occluder or [])]
     mesh = sphere_mesh() if args.mesh == "sphere" else load_obj(args.mesh)
     lighting = load_psh_coeffs(args.env)
     if lighting.l_max < args.lhigh:
         raise ValueError(f"environment band {lighting.l_max} below l_high {args.lhigh}")
-    occluders = []
-    for spec in args.occluder or []:
-        vals = [float(x) for x in spec.split(",")]
-        if len(vals) != 4:
-            raise ValueError("occluder needs center x,y,z and angular radius")
-        occluders.append((np.asarray(vals[:3]), vals[3]))
     material = synthetic_pbrdf(roughness=args.roughness, ior=args.ior,
                                horizon_sharpness=0.15)
     records = pprt_precompute(mesh, material, occluders,
                               l_low=args.llow, l_high=args.lhigh)
-    cam = np.asarray([float(x) for x in args.camera.split(",")])
     view = normalize(cam[None, :] - mesh.vertices)
     out = pprt_shade(records, lighting, view, zero_s3=args.zero_s3)
     save_vertex_stokes(args.out_csv, args.out_bin, mesh, out)

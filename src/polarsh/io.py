@@ -15,7 +15,7 @@ from . import psh as P
 from .geom import gauss_legendre_grid
 from .operators import PshCoeffMatrix
 from .pconv import KC_FAMILIES, PolarConvKernelCoeffs
-from .polar import SAMPLING_PIXEL, SAMPLING_QUAD, StokesField
+from .polar import StokesField
 from .s2l2 import StokesImage, ViewSpec
 from .shscalar import ShCoeffs, sh_size
 
@@ -168,10 +168,14 @@ def load_kernel_coeffs(path) -> PolarConvKernelCoeffs:
 # S4EM: Stokes maps and images
 # ---------------------------------------------------------------------------
 
+_QUAD_NODES = "quadrature-nodes"            # a StokesField on its grid's nodes
+_PIXEL_CENTERS = "uniform-pixel-centers"    # an equirectangular StokesImage
+
+
 def save_stokes_field(path, field: StokesField):
     payload = _payload(f"S4EM {field.n_theta}x{field.n_phi}", field.data, "<f4")
     with open(path, "wb") as f:
-        f.write(f"S4EM {field.n_theta} {field.n_phi} {field.sampling}\n".encode())
+        f.write(f"S4EM {field.n_theta} {field.n_phi} {_QUAD_NODES}\n".encode())
         f.write(payload)
 
 
@@ -180,7 +184,7 @@ def save_stokes_image(path, img: StokesImage):
     validity bits (np.packbits, row-major) after the payload; an all-valid
     image is written without them."""
     v = img.view
-    sampling = SAMPLING_PIXEL if v.kind == "equirect" else "perspective"
+    sampling = _PIXEL_CENTERS if v.kind == "equirect" else "perspective"
     masked = " masked" if not img.valid.all() else ""
     payload = _payload(f"S4EM {v.height}x{v.width}", img.data, "<f4")
     with open(path, "wb") as f:
@@ -210,6 +214,8 @@ def _load_s4em_raw(path):
         if n_theta < 1 or n_phi < 1:
             raise bad_dims
         sampling = header[3]
+        if sampling not in (_QUAD_NODES, _PIXEL_CENTERS, "perspective"):
+            raise FormatError(f"bad S4EM header line {line!r}: unknown sampling {sampling!r}")
         view = None
         if sampling == "perspective":
             fov_line = f.readline().decode("ascii", errors="replace").split()
@@ -246,24 +252,25 @@ def _load_s4em_raw(path):
 
 
 def load_stokes_field(path) -> StokesField:
+    """A sphere map on quadrature nodes; pixel and perspective files are
+    images (load_stokes_image)."""
     data, sampling, view, valid = _load_s4em_raw(path)
     if view is not None:
         raise FormatError("file holds a perspective image, not a sphere map")
     if valid is not None:
         raise FormatError("file holds a masked image, not a sphere map")
-    if sampling == SAMPLING_QUAD:
-        band = data.shape[0] - 1
-        grid = gauss_legendre_grid(band)
-        if grid.n_phi != data.shape[1]:
-            raise FormatError("quadrature grid shape mismatch")
-        return StokesField(data, SAMPLING_QUAD, grid)
-    if sampling == SAMPLING_PIXEL:
-        return StokesField(data, SAMPLING_PIXEL)
-    raise FormatError(f"unknown sampling {sampling!r}")
+    if sampling == _PIXEL_CENTERS:
+        raise FormatError("file holds an equirectangular image, not a sphere map "
+                          "on quadrature nodes")
+    grid = gauss_legendre_grid(data.shape[0] - 1)
+    if grid.n_phi != data.shape[1]:
+        raise FormatError(f"quadrature-nodes map of {data.shape[0]} rows needs "
+                          f"{grid.n_phi} columns, the file has {data.shape[1]}")
+    return StokesField(data, grid)
 
 
 def load_stokes_image(path) -> StokesImage:
     data, sampling, view, valid = _load_s4em_raw(path)
-    if view is None and sampling != SAMPLING_PIXEL:
+    if view is None and sampling != _PIXEL_CENTERS:
         raise FormatError("sphere maps with quadrature sampling are not images")
     return StokesImage(view or ViewSpec("equirect", data.shape[0], data.shape[1]), data, valid)

@@ -232,15 +232,20 @@ def visibility_from_spheres(occluders, dirs):
     """Binary visibility against analytic sphere caps.
 
     occluders: sequence of (center_direction, angular_radius); a direction is
-    occluded when its angle to a cap center is below that cap's radius.
+    occluded when its angle to a cap center is below that cap's radius.  A
+    center that is not a finite nonzero 3-vector, or a radius that is not in
+    [0, pi], raises ValueError naming the occluder's index.
     """
     dirs = np.asarray(dirs, dtype=float)
     vis = np.ones(dirs.shape[:-1])
-    for center, radius in occluders:
+    for i, (center, radius) in enumerate(occluders):
         c = np.asarray(center, dtype=float)
-        c = c / np.linalg.norm(c)
-        cosang = dirs @ c
-        vis = np.where(cosang > math.cos(radius), 0.0, vis)
+        norm = np.linalg.norm(c)
+        if c.shape != (3,) or not (np.isfinite(norm) and norm > 0.0):
+            raise ValueError(f"occluder {i}: center {c} is not a finite nonzero 3-vector")
+        if not 0.0 <= radius <= math.pi:
+            raise ValueError(f"occluder {i}: angular radius {radius} is not in [0, pi]")
+        vis = np.where(dirs @ (c / norm) > math.cos(radius), 0.0, vis)
     return vis
 
 

@@ -333,39 +333,6 @@ def pconv_angular(kernel_fn, coeffs: P.PshCoeffs, out_theta, out_phi,
     return result.reshape(shape + (4,))
 
 
-def pconv_angular_fixed_grid(kernel_fn, field, out_dirs):
-    """Fixed-grid double loop over the field's own quadrature samples.
-
-    Kept for demonstrations; the kernel's conical kink at coincident and
-    antipodal pairs limits the attainable accuracy.
-    """
-    grid = field.grid
-    th, ph = grid.angles()
-    w = grid.weights().ravel()
-    src = grid.dirs().reshape(-1, 3)
-    comps = field.data.reshape(-1, 4)
-    out_dirs = np.asarray(out_dirs, dtype=float)
-    res = np.zeros((out_dirs.shape[0], 4))
-    F_src = frame_theta_phi(th.ravel(), ph.ravel())
-    for i, wo in enumerate(out_dirs):
-        dot = np.clip(src @ wo, -1.0, 1.0)
-        ang = np.arccos(dot)
-        wo_b = np.broadcast_to(wo, src.shape)
-        x_i, x_o = greatcircle_frames(src, wo_b)
-        c, s = frame_twist(F_src, _aligned_frame(x_i, src))
-        ct = (comps[:, 1] + 1j * comps[:, 2]) * (c - 1j * s)
-        vec = np.stack([comps[:, 0], ct.real, ct.imag, comps[:, 3]], axis=-1)
-        km = np.asarray([np.asarray(kernel_fn(a), dtype=float) for a in ang])
-        contrib = np.einsum("mab,mb->ma", km, vec)
-        c, s = frame_twist(_aligned_frame(x_o, wo_b), frame_for_dir(wo_b))
-        cto = (contrib[:, 1] + 1j * contrib[:, 2]) * (c - 1j * s)
-        res[i, 0] = np.sum(w * contrib[:, 0])
-        res[i, 3] = np.sum(w * contrib[:, 3])
-        c = np.sum(w * cto)
-        res[i, 1], res[i, 2] = c.real, c.imag
-    return res
-
-
 # ---------------------------------------------------------------------------
 # least-squares projection onto the convolution structure
 # ---------------------------------------------------------------------------
@@ -551,37 +518,6 @@ def _so3_fibonacci(n_rotations: int):
         rots.append(rotation_align(np.array([0.0, 0.0, 1.0]), normals[k])
                     @ rotation_about_axis([0.0, 0.0, 1.0], psi))
     return rots
-
-
-def rotation_average_operator(field_fn, n: int):
-    """Average of rotation-conjugated copies of a Mueller field (angular form).
-
-    Uses n^2 quasi-uniform rotations; the average converges to a rotation
-    equivariant operator as n grows.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rots = _so3_fibonacci(n * n)
-
-    def averaged(w_i, w_o):
-        w_i = np.asarray(w_i, dtype=float)
-        w_o = np.asarray(w_o, dtype=float)
-        w_i_b, w_o_b = np.broadcast_arrays(w_i, w_o)
-        acc = None
-        F_i = frame_for_dir(w_i_b)
-        F_o = frame_for_dir(w_o_b)
-        for R in rots:
-            wi_r = w_i_b @ R.T
-            wo_r = w_o_b @ R.T
-            # conjugate back: frames R^-1 F_tp(R w) -> F_tp(w)
-            M = MuellerMatrix(field_fn(wi_r, wo_r),
-                              np.einsum("ji,...jk->...ik", R, frame_for_dir(wi_r)),
-                              np.einsum("ji,...jk->...ik", R, frame_for_dir(wo_r)))
-            term = mueller_reframe(M, F_i, F_o).matrix
-            acc = term if acc is None else acc + term
-        return acc / len(rots)
-
-    return averaged
 
 
 def rotation_average_matrix(M: PshCoeffMatrix, n: int) -> PshCoeffMatrix:

@@ -17,6 +17,7 @@ from . import psh as P
 from . import shscalar as sh
 from .geom import (gauss_legendre_grid, normalize, rotation_align, sph_to_dir,
                    dir_to_sph, fibonacci_directions, frame_for_dir, frame_theta_phi)
+from .io import _payload
 from .operators import (PshCoeffMatrix, operator_apply, operator_project,
                         reflection_permutation_psh, shadow_expand,
                         visibility_from_spheres, visibility_project)
@@ -116,6 +117,10 @@ class Mesh:
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.normals = np.asarray(self.normals, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=int)
+        for name, rows in (("vertices", "N"), ("triangles", "M")):
+            shape = getattr(self, name).shape
+            if len(shape) != 2 or shape[1] != 3:
+                raise ValueError(f"mesh {name} have shape {shape}, expected ({rows}, 3)")
         if self.normals.shape != self.vertices.shape:
             raise ValueError(f"mesh has normals of shape {self.normals.shape} for vertices "
                              f"of shape {self.vertices.shape}")
@@ -137,6 +142,12 @@ class Mesh:
 
 def sphere_mesh(n_rings: int = 18, n_segments: int = 30, radius: float = 1.0) -> Mesh:
     """UV sphere; default resolution gives 512 vertices."""
+    if n_rings < 2:
+        raise ValueError(f"sphere_mesh needs n_rings >= 2, got {n_rings}")
+    if n_segments < 3:
+        raise ValueError(f"sphere_mesh needs n_segments >= 3, got {n_segments}")
+    if not (np.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"sphere_mesh needs a finite radius > 0, got {radius}")
     verts = [np.array([0.0, 0.0, radius])]
     for i in range(1, n_rings):
         t = np.pi * i / n_rings
@@ -165,7 +176,10 @@ def sphere_mesh(n_rings: int = 18, n_segments: int = 30, radius: float = 1.0) ->
 def _obj_index(tok, count, lineno):
     """1-based or negative (relative) OBJ index -> 0-based, checked against
     the count of entries read so far."""
-    i = int(tok)
+    try:
+        i = int(tok)
+    except ValueError:
+        raise ValueError(f"OBJ line {lineno}: index {tok!r} is not an integer") from None
     j = i - 1 if i > 0 else count + i
     if not 0 <= j < count:
         raise ValueError(f"OBJ line {lineno}: index {i} out of range for {count} entries")
@@ -177,9 +191,10 @@ def load_obj(path) -> Mesh:
 
     Faces with more than three vertices are triangulated as fans from their
     first vertex.  Raises ValueError for a v/vn line without three finite
-    numbers, a face with fewer than three vertices, an index out of range, a
-    file with no face, or a vertex without a usable normal (no face uses it,
-    its faces are degenerate or its vn is zero).
+    numbers, a face with fewer than three vertices, an index that is not an
+    integer or is out of range, a file with no face, or a vertex without a
+    usable normal (no face uses it, its faces are degenerate or its vn is
+    zero).
     """
     verts, norms, faces, face_norms = [], [], [], []
     with open(path) as f:
@@ -188,7 +203,10 @@ def load_obj(path) -> Mesh:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] in ("v", "vn"):
-                xyz = [float(x) for x in parts[1:4]]
+                try:
+                    xyz = [float(x) for x in parts[1:4]]
+                except ValueError:
+                    xyz = []
                 if len(xyz) < 3 or not np.isfinite(xyz).all():
                     raise ValueError(f"OBJ line {lineno}: {parts[0]} needs three finite numbers")
                 (verts if parts[0] == "v" else norms).append(xyz)
@@ -324,7 +342,6 @@ def _reflected_product(blocks, V: np.ndarray) -> np.ndarray:
 
 def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
                     occluders=(), l_low: int = 4, l_high: int = 9,
-                    grid_band: int | None = None, l_vis: int | None = None,
                     use_ray_visibility: bool = False, n_rays: int = 2000):
     """Build per-vertex transfer records.
 
@@ -357,13 +374,12 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
         n_high = P.psh_size(l_high)
         brdf = material.matrix[:n_high, :n_high]
     else:
-        grid = gauss_legendre_grid(grid_band if grid_band is not None else max(12, 2 * l_high))
+        grid = gauss_legendre_grid(max(12, 2 * l_high))
         brdf = operator_project(material, l_high, grid).matrix
     blocks = _reflected_blocks(brdf, l_high)
     flip_rows, flip_signs = reflection_permutation_psh(l_low)
-    if l_vis is None:
-        l_vis = 2 * l_high
-    vis_grid = gauss_legendre_grid(max(l_vis, 2 * l_high))
+    l_vis = 2 * l_high
+    vis_grid = gauss_legendre_grid(l_vis)
     z = np.array([0.0, 0.0, 1.0])
     if use_ray_visibility:
         # Monte-Carlo projection from Fibonacci ray casts; the local ray
@@ -473,14 +489,20 @@ def save_vertex_stokes(csv_path, bin_path, mesh: Mesh, values):
 
     The CSV carries index, position, normal, and the four Stokes components;
     the binary file is the (n, 4) component array, little-endian row-major.
+    Values of another shape, or non-finite ones, raise ValueError before
+    either file is opened.
     """
     values = np.asarray(values, dtype=float)
+    if values.shape != (len(mesh.vertices), 4):
+        raise ValueError(f"vertex Stokes values have shape {values.shape}, expected "
+                         f"({len(mesh.vertices)}, 4)")
+    payload = _payload("vertex Stokes", values)
     with open(csv_path, "w") as f:
         f.write("index,x,y,z,nx,ny,nz,s0,s1,s2,s3\n")
         for i, (v, n, s) in enumerate(zip(mesh.vertices, mesh.normals, values)):
             f.write(f"{i}," + ",".join(repr(float(x)) for x in (*v, *n, *s)) + "\n")
     with open(bin_path, "wb") as f:
-        f.write(values.astype("<f8").tobytes())
+        f.write(payload)
 
 
 def shade_reference(mesh: Mesh, vertex_index: int, material: SyntheticPbrdf,

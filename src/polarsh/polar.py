@@ -9,14 +9,14 @@ in `to`, while s0 and s3 are unchanged.  frame_twist computes
 (cos 2t, sin 2t) and is the one place that computes the twist between two
 given frames; stokes_reframe (Stokes vectors, (..., 4)) and mueller_reframe
 (both sides of Mueller matrices, (..., 4, 4)) are the only places it is
-applied to real components; pconv's angular oracles and
+applied to real components; pconv's angular oracle pconv_angular and
 s2l2.perturbation_protocol's theta-phi baseline multiply the complex pair by
 c - i s.  The pBRDF gets its s-p to theta-phi twist as z^2,
 z = (n x w).(e_theta + i e_phi), as S2L2 gets its own from any tangent frame
 a to any frame b as (conj(m_a) . m_b)^2 / 4, m = x + iy (see the s2l2
 module).
-Stokes fields are stored as components under the theta-phi frame field at
-each sample (no frames are stored).
+Stokes fields hold components at the nodes of a quadrature grid under the
+theta-phi frame field (no frames are stored).
 
 A real operator acts on z = s1 + i s2 as z -> iso z + conj conj(z), with
 complex couplings to and from s0 and s3: the blocks of SPIN_BLOCKS.  One slot
@@ -145,30 +145,28 @@ def mueller_reframe(M: MuellerMatrix, new_in, new_out) -> MuellerMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Stokes fields on equirectangular grids
+# Stokes fields on quadrature grids
 # ---------------------------------------------------------------------------
-
-SAMPLING_QUAD = "quadrature-nodes"
-SAMPLING_PIXEL = "uniform-pixel-centers"
-
 
 @dataclass
 class StokesField:
-    """Grid of Stokes components measured under frame_theta_phi(theta, phi).
+    """Stokes components at the nodes of a quadrature grid, measured under
+    frame_theta_phi(theta, phi).
 
-    data has shape (n_theta, n_phi, 4).  For quadrature sampling the grid
-    object carries the Gauss-Legendre nodes/weights.
+    data has shape (grid.theta_nodes.size, grid.n_phi, 4).  Pixel images are
+    s2l2.StokesImage.
     """
     data: np.ndarray
-    sampling: str
-    grid: SphereGrid | None = None
+    grid: SphereGrid
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 3 or self.data.shape[2] != 4:
-            raise ValueError("StokesField data must have shape (n_theta, n_phi, 4)")
-        if self.sampling == SAMPLING_QUAD and self.grid is None:
-            raise ValueError("quadrature sampling requires a grid")
+        if self.grid is None:
+            raise ValueError("StokesField needs the quadrature grid of its nodes")
+        want = (self.grid.theta_nodes.size, self.grid.n_phi, 4)
+        if self.data.shape != want:
+            raise ValueError(f"StokesField data has shape {self.data.shape}, but its "
+                             f"band-{self.grid.band} grid needs {want}")
 
     @property
     def n_theta(self):
@@ -178,13 +176,6 @@ class StokesField:
     def n_phi(self):
         return self.data.shape[1]
 
-    def angles(self):
-        if self.sampling == SAMPLING_QUAD:
-            return self.grid.angles()
-        th = (np.arange(self.n_theta) + 0.5) * np.pi / self.n_theta
-        ph = (np.arange(self.n_phi) + 0.5) * 2.0 * np.pi / self.n_phi
-        return np.meshgrid(th, ph, indexing="ij")
-
     def spin2_complex(self):
         return self.data[..., 1] + 1j * self.data[..., 2]
 
@@ -192,7 +183,7 @@ class StokesField:
 def stokes_field_from_function(fn, grid: SphereGrid) -> StokesField:
     """Sample `fn(theta, phi) -> (..., 4)` on a quadrature grid."""
     th, ph = grid.angles()
-    return StokesField(np.asarray(fn(th, ph), dtype=float), SAMPLING_QUAD, grid)
+    return StokesField(np.asarray(fn(th, ph), dtype=float), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import shscalar as sh
 from .geom import SphereGrid, frame_theta_phi, sph_to_dir, dir_to_sph
-from .polar import StokesField, SAMPLING_QUAD, stokes_reframe, write_spin_blocks
+from .polar import StokesField, stokes_reframe, write_spin_blocks
 from .shscalar import FOUR_PI, sh_index, sh_size
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,6 @@ def psh_basis_eval(l: int, m: int, p: int, theta, phi) -> np.ndarray:
 
 def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
     """Quadrature projection f_lmp = <Y_lmp, f> of a Stokes field (ring transforms)."""
-    if field.sampling != SAMPLING_QUAD:
-        raise ValueError("projection requires quadrature sampling")
     if field.grid.band < l_max:
         raise ValueError(f"grid band {field.grid.band} insufficient for l_max {l_max}")
     scalar = np.moveaxis(field.data[..., [0, 3]], -1, 0)
@@ -260,7 +258,7 @@ def psh_reconstruct_field(coeffs: PshCoeffs, grid: SphereGrid) -> StokesField:
     s0, s3 = sh.ring_synthesis(sh.r2c_values(np.stack([coeffs.s0, coeffs.s3])), grid, 0).real
     spin2 = np.pad(coeffs.spin2, (sh_size(coeffs.l_max) - coeffs.spin2.size, 0))   # from l = 0
     lin = sh.ring_synthesis(spin2, grid, 2)
-    return StokesField(np.stack([s0, lin.real, lin.imag, s3], axis=-1), SAMPLING_QUAD, grid)
+    return StokesField(np.stack([s0, lin.real, lin.imag, s3], axis=-1), grid)
 
 
 # ---------------------------------------------------------------------------

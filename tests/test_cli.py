@@ -122,6 +122,27 @@ def test_pprt_cli(tmp_path):
                "--out-csv", csv_out, "--out-bin", bin_out) == 1
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--camera", "1,2,nan", "--camera needs 3 finite numbers"),
+    ("--camera", "1,2", "--camera needs 3 finite numbers"),
+    ("--occluder", "nan,0,1,0.5", "--occluder needs 4 finite numbers"),
+    ("--occluder", "0,0,1,nan", "--occluder needs 4 finite numbers"),
+    ("--occluder", "0,0,0,0.5", "occluder 0: center .* not a finite nonzero 3-vector"),
+    ("--occluder", "0,0,1,4", r"occluder 0: angular radius 4.0 is not in \[0, pi\]"),
+])
+def test_pprt_rejects_bad_scene_input(tmp_path, capsys, flag, value, message):
+    # a NaN camera would shade NaN values, a bad occluder would be dropped
+    env = tmp_path / "e.psh4"
+    pio.save_psh_coeffs(env, pipeline.random_psh_coeffs(4, seed=7))
+    obj = tmp_path / "m.obj"
+    pipeline.save_obj(obj, pipeline.sphere_mesh(2, 3))
+    csv_out, bin_out = tmp_path / "v.csv", tmp_path / "v.f64"
+    assert run("pprt", "--mesh", obj, "--env", env, "--llow", 2, "--lhigh", 4, flag, value,
+               "--out-csv", csv_out, "--out-bin", bin_out) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not csv_out.exists() and not bin_out.exists()
+
+
 def test_s2l2_validate_cli(capsys):
     assert run("s2l2-validate", "--n", 60, "--pairs", 1) == 0
     text = capsys.readouterr().out

@@ -57,8 +57,19 @@ def test_stokes_field_roundtrip(tmp_path):
     p = tmp_path / "f.s4em"
     pio.save_stokes_field(p, f)
     f2 = pio.load_stokes_field(p)
-    assert f2.sampling == f.sampling and f2.grid.band == f.grid.band
+    assert f2.grid.band == f.grid.band
     assert np.abs(f2.data - f.data).max() < 1e-6   # float32 payload
+
+
+def test_pixel_image_file_is_not_a_sphere_map(tmp_path):
+    # 10 x 20 pixel centres have the shape of the band-9 quadrature nodes,
+    # but not their positions: the file loads as an image only
+    img = render_image(pipeline.two_lobe_field_fn, ViewSpec("equirect", 10, 20))
+    p = tmp_path / "e.s4em"
+    pio.save_stokes_image(p, img)
+    with pytest.raises(pio.FormatError, match="equirectangular image, not a sphere map"):
+        pio.load_stokes_field(p)
+    assert np.abs(pio.load_stokes_image(p).data - img.data).max() < 1e-6
 
 
 def test_stokes_image_roundtrip(tmp_path, rng):
@@ -157,6 +168,10 @@ def test_malformed_files(tmp_path):
     pio.save_stokes_field(p, f)
     with pytest.raises(pio.FormatError):
         pio.load_stokes_image(p)
+    p.write_bytes(b"S4EM 1 1 pixel-centers\n" + bytes(16))
+    for loader in (pio.load_stokes_field, pio.load_stokes_image):
+        with pytest.raises(pio.FormatError, match="unknown sampling 'pixel-centers'"):
+            loader(p)
 
 
 @pytest.mark.parametrize("fov_line", [b"FOV\n", b"FOV abc\n"])

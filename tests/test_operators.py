@@ -203,6 +203,12 @@ def test_visibility_from_spheres():
     assert op.visibility_from_spheres([], np.array([0.0, 0, 1])) == 1.0
     assert op.visibility_from_spheres(occ, np.array([0.0, 0, 1])) == 0.0
     assert op.visibility_from_spheres(occ, geom.sph_to_dir(0.5, 0.0)) == 1.0
+    # a bad occluder is refused, not dropped from the visibility
+    for center, radius in (([0.0, 0.0, 0.0], 0.5), ([np.nan, 0.0, 1.0], 0.5),
+                           ([0.0, 1.0], 0.5), ([0.0, 0.0, 1.0], np.nan),
+                           ([0.0, 0.0, 1.0], -0.1), ([0.0, 0.0, 1.0], 3.2)):
+        with pytest.raises(ValueError, match="occluder 1: "):
+            op.visibility_from_spheres(occ + [(np.array(center), radius)], np.array([0.0, 0, 1]))
 
 
 def test_visibility_project_trivial_and_zonal():
@@ -387,8 +393,8 @@ def test_reflection_matrix():
     c = pipeline.random_psh_coeffs(LMAX, seed=2)
     ev = lambda t_, p_: psh.psh_reconstruct(c, t_, p_)
     flipped = psh.reflect_field_components(ev, th, ph)
-    from polarsh.polar import StokesField, SAMPLING_QUAD
-    c_flip = psh.psh_project(StokesField(flipped, SAMPLING_QUAD, grid), LMAX)
+    from polarsh.polar import StokesField
+    c_flip = psh.psh_project(StokesField(flipped, grid), LMAX)
     expect = R.matrix @ c.flat()
     assert np.abs(c_flip.flat() - expect).max() < 1e-9
 

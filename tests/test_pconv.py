@@ -217,36 +217,18 @@ def test_kernel_phi_invariance():
         assert np.abs(mats[0] - generic_kernel(th)).max() < 1e-12
 
 
-def test_fixed_grid_angular_path():
-    # the demonstration double-loop agrees loosely (conical kink limits it)
-    L = 4
-    c = pipeline.random_psh_coeffs(L, seed=8)
-    grid = geom.gauss_legendre_grid(40)
-    field = psh.psh_reconstruct_field(c, grid)
-    out_dirs = geom.sph_to_dir(np.array([0.8, 2.1]), np.array([0.5, 3.8]))
-    res = pconv.pconv_angular_fixed_grid(pi_minus_theta, field, out_dirs)
-    kc = pconv.kernel_coeffs(pi_minus_theta, L)
-    out = pconv.pconv_apply(kc, c)
-    tt, pp = geom.dir_to_sph(out_dirs)
-    ref = psh.psh_reconstruct(out, tt, pp)
-    assert np.abs(res - ref).max() < 1e-2
-
-
-def test_fixed_grid_rows_at_grid_and_antipodal_directions():
-    # an output on a grid direction, or antipodal to one, has a degenerate
-    # great circle; its row is the limit of the rows next to it
-    grid = geom.gauss_legendre_grid(4)
-    field = psh.psh_reconstruct_field(pipeline.random_psh_coeffs(4, seed=8), grid)
-    dirs = grid.dirs().reshape(-1, 3)
-    out = np.array([dirs[0], -dirs[1]])
-    tilt = geom.rotation_about_axis(np.cross(out, [0.0, 0.0, 1.0]), 1e-8)
-    near = np.einsum("nij,nj->ni", tilt, out)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = pconv.pconv_angular_fixed_grid(generic_kernel, field, out)
-    assert np.all(np.isfinite(res))
-    lim = pconv.pconv_angular_fixed_grid(generic_kernel, field, near)
-    assert np.abs(res - lim).max() < 1e-6
+def test_pair_matrix_at_coincident_and_antipodal_directions():
+    # a coincident or antipodal pair has a degenerate great circle; its
+    # matrix is the limit of the matrices of the pairs next to it
+    dirs = geom.gauss_legendre_grid(4).dirs().reshape(-1, 3)
+    for w_i, w_o in ((dirs[0], dirs[0]), (dirs[1], -dirs[1])):
+        near = geom.rotation_about_axis(np.cross(w_o, [0.0, 0.0, 1.0]), 1e-8) @ w_o
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at = pconv.pconv_angular_pair_matrix(generic_kernel, w_i, w_o)
+        assert np.all(np.isfinite(at))
+        lim = pconv.pconv_angular_pair_matrix(generic_kernel, w_i, near)
+        assert np.abs(at - lim).max() < 1e-6
 
 
 def _theorem_loop(kc, c):
@@ -316,34 +298,18 @@ def test_conv_project_fixed_point_and_sanity(rng):
     assert rms_rnd > 0.1
 
 
-def test_rotation_average_operator_angular(rng):
-    # an already-equivariant operator is unchanged by the averaging
-    def equivariant(w_i, w_o):
-        w_i = np.asarray(w_i, dtype=float)
-        w_o = np.asarray(w_o, dtype=float)
-        w_i_b, w_o_b = np.broadcast_arrays(w_i, w_o)
-        flat_i = w_i_b.reshape(-1, 3)
-        flat_o = w_o_b.reshape(-1, 3)
-        out = np.empty((flat_i.shape[0], 4, 4))
-        for k in range(flat_i.shape[0]):
-            out[k] = pconv.pconv_angular_pair_matrix(generic_kernel, flat_i[k], flat_o[k])
-        return out.reshape(w_i_b.shape[:-1] + (4, 4))
-
-    avg = pconv.rotation_average_operator(equivariant, 5)
-    wi = geom.sph_to_dir(0.8, 0.4)
-    wo = geom.sph_to_dir(1.7, 2.9)
-    assert np.abs(avg(wi, wo) - equivariant(wi, wo)).max() < 5e-3
-
-
 def test_rotation_average_matrix_matches_per_rotation_loop(rng):
     n_psh = psh.psh_size(3)
-    M = op.PshCoeffMatrix(3, rng.normal(size=(n_psh, n_psh)))
-    expect = np.zeros_like(M.matrix)
-    for R in pconv._so3_fibonacci(9):
-        D = psh.psh_rotation_matrix(3, R)
-        expect += D.T @ M.matrix @ D
-    got = pconv.rotation_average_matrix(M, 3).matrix
-    assert np.abs(got - expect / 9).max() < 1e-14
+    # a convolution operator is equivariant: the average leaves it as it is
+    conv = pconv.conv_expand_to_matrix(pconv.kernel_coeffs(generic_kernel, 3), 3)
+    for M in (op.PshCoeffMatrix(3, rng.normal(size=(n_psh, n_psh))), conv):
+        expect = np.zeros_like(M.matrix)
+        for R in pconv._so3_fibonacci(9):
+            D = psh.psh_rotation_matrix(3, R)
+            expect += D.T @ M.matrix @ D
+        got = pconv.rotation_average_matrix(M, 3).matrix
+        assert np.abs(got - expect / 9).max() < 1e-14
+    assert np.abs(got - conv.matrix).max() < 1e-12
 
 
 def test_rotation_average_reduces_residual():

@@ -50,6 +50,28 @@ def test_sphere_mesh_and_obj(tmp_path):
     assert np.abs(m2.vertices - m.vertices).max() == 0.0
     assert np.abs(m2.normals - m.normals).max() < 1e-12
     assert np.array_equal(m2.triangles, m.triangles)
+    assert len(pl.sphere_mesh(2, 3).vertices) == 5
+    with pytest.raises(ValueError, match="n_rings >= 2, got 1"):
+        pl.sphere_mesh(1, 3)
+    with pytest.raises(ValueError, match="n_segments >= 3, got 2"):
+        pl.sphere_mesh(2, 2)
+    for radius in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"finite radius > 0, got {radius}"):
+            pl.sphere_mesh(2, 3, radius)
+
+
+def test_save_vertex_stokes_refuses_before_writing(tmp_path):
+    mesh = pl.sphere_mesh(2, 3)
+    csv_out, bin_out = tmp_path / "v.csv", tmp_path / "v.f64"
+    values = np.ones((5, 4))
+    values[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite value nan at payload index 6"):
+        pl.save_vertex_stokes(csv_out, bin_out, mesh, values)
+    with pytest.raises(ValueError, match=r"shape \(4, 4\), expected \(5, 4\)"):
+        pl.save_vertex_stokes(csv_out, bin_out, mesh, np.ones((4, 4)))
+    assert not csv_out.exists() and not bin_out.exists()
+    pl.save_vertex_stokes(csv_out, bin_out, mesh, np.ones((5, 4)))
+    assert np.array_equal(np.fromfile(bin_out, dtype="<f8"), np.ones(20))
 
 
 def test_obj_without_normals(tmp_path):
@@ -113,6 +135,13 @@ def test_obj_rejects_bad_faces(tmp_path):
     path.write_text("v 0 0 0\n")
     with pytest.raises(ValueError, match="no faces"):
         pl.load_obj(path)
+    # non-numeric tokens name their line
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 0 x\nf 1 2 3\n")
+    with pytest.raises(ValueError, match="line 3: v needs three finite numbers"):
+        pl.load_obj(path)
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 a\n")
+    with pytest.raises(ValueError, match="line 4: index 'a' is not an integer"):
+        pl.load_obj(path)
 
 
 def test_mesh_rejects_bad_indices_and_normals():
@@ -135,6 +164,10 @@ def test_mesh_rejects_bad_indices_and_normals():
             pl.Mesh(verts, eye, [[0, 1, 2]])
     with pytest.raises(ValueError, match="vertex 0 is not finite"):
         pl.Mesh([[np.nan, 0.0, 0.0]], [[0.0, 0.0, 1.0]], np.zeros((0, 3), dtype=int))
+    with pytest.raises(ValueError, match=r"vertices have shape \(3, 2\), expected \(N, 3\)"):
+        pl.Mesh(eye[:, :2], eye[:, :2], [[0, 1, 2]])
+    with pytest.raises(ValueError, match=r"triangles have shape \(1, 2\), expected \(M, 3\)"):
+        pl.Mesh(eye, eye, [[0, 1]])
     # one vertex and no triangle, as a bake of one vertex uses
     one = pl.Mesh(eye[:1], 2.0 * eye[:1], np.zeros((0, 3), dtype=int))
     assert np.array_equal(one.normals, eye[:1])

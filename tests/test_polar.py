@@ -215,10 +215,16 @@ def test_stokes_field_pole_continuity(rng):
 def test_stokes_field_grid_shapes(rng):
     g = geom.gauss_legendre_grid(4)
     data = rng.normal(size=(g.theta_nodes.size, g.n_phi, 4))
-    f = polar.StokesField(data, polar.SAMPLING_QUAD, g)
+    f = polar.StokesField(data, g)
     assert f.n_theta == 5 and f.n_phi == 10
     assert f.spin2_complex().shape == (5, 10)
     with pytest.raises(ValueError):
-        polar.StokesField(data[..., :3], polar.SAMPLING_QUAD, g)
+        polar.StokesField(data[..., :3], g)
     with pytest.raises(ValueError):
-        polar.StokesField(data, polar.SAMPLING_QUAD, None)
+        polar.StokesField(data, None)
+    # band 9 has 10 x 20 nodes: with a 21st phi column, a constant s0 = 1
+    # would project to s0_00 = 3.722, not sqrt(4 pi)
+    const = np.zeros((10, 21, 4))
+    const[..., 0] = 1.0
+    with pytest.raises(ValueError, match=r"\(10, 21, 4\).*\(10, 20, 4\)"):
+        polar.StokesField(const, geom.gauss_legendre_grid(9))

@@ -5,7 +5,7 @@ import pytest
 
 from polarsh import geom, psh, pipeline
 from polarsh import shscalar as sh
-from polarsh.polar import SAMPLING_QUAD, StokesField
+from polarsh.polar import StokesField
 
 
 def random_coeffs(l_max, rng):
@@ -137,19 +137,19 @@ def test_psh_project_examples(rng):
     # one-hot basis field (3, 2, 1)
     c0 = psh.PshCoeffs.zeros(6)
     c0.spin2[psh.spin2_index(3, 2)] = 1.0
-    field = StokesField(psh.psh_reconstruct(c0, th, ph), SAMPLING_QUAD, g)
+    field = StokesField(psh.psh_reconstruct(c0, th, ph), g)
     c1 = psh.psh_project(field, 6)
     assert np.abs(c1.flat() - c0.flat()).max() < 1e-10
     # unpolarized constant field
     const = np.zeros(th.shape + (4,))
     const[..., 0] = 2.5
-    c = psh.psh_project(StokesField(const, SAMPLING_QUAD, g), 4)
+    c = psh.psh_project(StokesField(const, g), 4)
     assert abs(c.s0[0] - 2.5 * math.sqrt(4 * np.pi)) < 1e-12
     assert np.abs(c.s0[1:]).max() < 1e-12
     assert np.abs(c.spin2).max() < 1e-12 and np.abs(c.s3).max() < 1e-12
     # random round trip
     c0 = random_coeffs(6, rng)
-    field = StokesField(psh.psh_reconstruct(c0, th, ph), SAMPLING_QUAD, g)
+    field = StokesField(psh.psh_reconstruct(c0, th, ph), g)
     c1 = psh.psh_project(field, 6)
     assert np.abs(c1.flat() - c0.flat()).max() < 1e-10
 
@@ -158,7 +158,7 @@ def test_psh_project_requires_band():
     g = geom.gauss_legendre_grid(3)
     data = np.zeros((g.theta_nodes.size, g.n_phi, 4))
     with pytest.raises(ValueError):
-        psh.psh_project(StokesField(data, SAMPLING_QUAD, g), 5)
+        psh.psh_project(StokesField(data, g), 5)
 
 
 def test_psh_reconstruct_trivial():
@@ -261,7 +261,7 @@ def test_psh_rotation_block_quadrature(rng):
     c = random_coeffs(lmax, rng)
     ev = lambda t_, p_: psh.psh_reconstruct(c, t_, p_)
     rot = psh.rotate_field_components(ev, R, th, ph)
-    c_ang = psh.psh_project(StokesField(rot, SAMPLING_QUAD, g), lmax)
+    c_ang = psh.psh_project(StokesField(rot, g), lmax)
     c_freq = psh.psh_rotate_coeffs(c, R)
     assert np.abs(c_ang.flat() - c_freq.flat()).max() < 1e-9
     # matrix route identical to block route
@@ -405,7 +405,7 @@ def test_ring_transforms_equal_dense_basis_products(rng, aliased):
             assert np.abs(got - basis.conj().T @ (w * vals.ravel())).max() < 1e-13, kind
     # psh_project on unit-scale samples
     data = rng.uniform(-1, 1, shape + (4,))
-    c = psh.psh_project(StokesField(data, SAMPLING_QUAD, g), L)
+    c = psh.psh_project(StokesField(data, g), L)
     flat = data.reshape(-1, 4)
     assert np.abs(c.s0 - br.T @ (w * flat[:, 0])).max() < 1e-13
     assert np.abs(c.s3 - br.T @ (w * flat[:, 3])).max() < 1e-13
