@@ -130,11 +130,16 @@ def cmd_pprt(args):
     lighting = load_psh_coeffs(args.env)
     if lighting.l_max < args.lhigh:
         raise ValueError(f"environment band {lighting.l_max} below l_high {args.lhigh}")
+    to_cam = cam[None, :] - mesh.vertices
+    on_vertex = np.flatnonzero(~to_cam.any(axis=1))
+    if on_vertex.size:
+        raise ValueError(f"--camera {args.camera} sits on mesh vertex {on_vertex[0]}, "
+                         "which has no view direction")
+    view = normalize(to_cam)
     material = synthetic_pbrdf(roughness=args.roughness, ior=args.ior,
                                horizon_sharpness=0.15)
     records = pprt_precompute(mesh, material, occluders,
                               l_low=args.llow, l_high=args.lhigh)
-    view = normalize(cam[None, :] - mesh.vertices)
     out = pprt_shade(records, lighting, view, zero_s3=args.zero_s3)
     save_vertex_stokes(args.out_csv, args.out_bin, mesh, out)
     resid = max((r.conv_residual for r in records), default=0.0)

@@ -9,12 +9,12 @@ in `to`, while s0 and s3 are unchanged.  frame_twist computes
 (cos 2t, sin 2t) and is the one place that computes the twist between two
 given frames; stokes_reframe (Stokes vectors, (..., 4)) and mueller_reframe
 (both sides of Mueller matrices, (..., 4, 4)) are the only places it is
-applied to real components; pconv's angular oracle pconv_angular and
-s2l2.perturbation_protocol's theta-phi baseline multiply the complex pair by
-c - i s.  The pBRDF gets its s-p to theta-phi twist as z^2,
-z = (n x w).(e_theta + i e_phi), as S2L2 gets its own from any tangent frame
-a to any frame b as (conj(m_a) . m_b)^2 / 4, m = x + iy (see the s2l2
-module).
+applied to real components; pconv's angular oracle pconv_angular
+multiplies the complex pair by c - i s.  The pBRDF gets its s-p to
+theta-phi twist as z^2, z = (n x w).(e_theta + i e_phi), as S2L2 gets its
+own from any tangent frame a to any frame b as (conj(m_a) . m_b)^2 / 4,
+m = x + iy, and the perturbation protocol's theta-phi baseline its twist to
+the theta-phi frame as (conj(m_z) / |m_z|)^2 (see the s2l2 module).
 Stokes fields hold components at the nodes of a quadrature grid under the
 theta-phi frame field (no frames are stored).
 

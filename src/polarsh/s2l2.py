@@ -31,7 +31,7 @@ import numpy as np
 from .geom import (normalize, sph_to_dir, dir_to_sph, fibonacci_directions,
                    frame_for_dir, frame_theta_phi, frame_perspective,
                    is_rotation, rotation_about_axis)
-from .polar import GeometricStokes, frame_twist, stokes_reframe
+from .polar import GeometricStokes, stokes_reframe
 from .shscalar import FOUR_PI
 
 SCALE = math.sqrt(FOUR_PI / 5.0)
@@ -126,9 +126,9 @@ def s2l2_interpolate(s: GeometricStokes, t: GeometricStokes, alpha: float) -> Ge
 # ---------------------------------------------------------------------------
 
 # (direction, rotation) pairs per blocked pass: bounds the working set at
-# any n.  The (block, rotations, 5) S2L2 vectors take about 0.24 MB, 3
-# directions a pass at n = 1000.
-_PAIRS = 4_000
+# any n.  At n = 1000 a pass takes 8 directions, and its Delta (3, n, 8)
+# takes 0.38 MB.
+_PAIRS = 8_000
 
 
 def _rotated_frames(dirs, rots):
@@ -139,6 +139,18 @@ def _rotated_frames(dirs, rots):
     """
     # R F for every (direction, rotation), as one (3k, 3) @ (b, 3, 3) product
     return (rots.reshape(-1, 3) @ frame_for_dir(dirs)).reshape(len(dirs), -1, 3, 3)
+
+
+def _theta_phi_twist(v):
+    """The twist c - i s from frames with m = x + iy = v (3, ...) to frame_for_dir's
+    theta-phi frames: (conj(m_z) / |m_z|)^2, or where m_z = 0 (w = +-z) the
+    transport scalar (conj(m) . (w_z, i, 0))^2 / 4 to its pole frame (phi = 0)."""
+    size = np.abs(v[2])
+    pole = size == 0.0
+    twist = (np.conj(v[2]) / np.where(pole, 1.0, size)) ** 2
+    x, y = np.conj(v[0][pole]), np.conj(v[1][pole])
+    twist[pole] = (np.sign((x * np.conj(y)).imag) * x + 1j * y) ** 2 / 4
+    return twist
 
 
 def perturbation_protocol(n: int = 1000, eps: float = 0.1):
@@ -153,30 +165,36 @@ def perturbation_protocol(n: int = 1000, eps: float = 0.1):
     'frame_all_mean').
 
     A rotated vector keeps its pair u in the rotated frame, and |u| = 1, so
-    both distances are |u| times those of u = 1: they are computed once per
-    (direction, rotation) pair and shared by the four components.  The
-    directions are processed in blocks of about _PAIRS / n against the
-    identity and all n rotations at once; the theta-phi baseline is the twist
-    of each rotated frame to the theta-phi frame at its direction.
+    both distances are |u| times those of u = 1, shared by the four
+    components.  With m = x + iy of frame_for_dir and Delta = (R - I) m, the
+    S2L2 distance is sqrt(-2 Re(delta) - Re(delta^2) / 2), delta = conj(m) .
+    Delta, and the baseline |_theta_phi_twist(R m) - 1| (README, Conventions).
+    Per block of about _PAIRS / n directions, Delta against all n rotations
+    is one real (3n, 3) @ (3, b) complex product.
     """
     if n < 1:
         raise ValueError(f"the perturbation protocol needs n >= 1 directions, got {n}")
+    if not math.isfinite(eps):
+        raise ValueError(f"the perturbation protocol needs a finite eps, got {eps}")
     dirs = fibonacci_directions(n)
-    rots = np.concatenate([np.eye(3)[None], rotation_about_axis(dirs, eps)])
+    K = np.cross(np.eye(3), dirs[:, None])                            # [a]x, (n, 3, 3)
+    D = math.sin(eps) * K + 2.0 * math.sin(0.5 * eps) ** 2 * (K @ K)  # R - I
+    D = D.transpose(1, 0, 2).reshape(-1, 3)                           # row (i, k): (3n, 3)
+    F = frame_for_dir(dirs)
+    m = np.ascontiguousarray((F[..., 0] + 1j * F[..., 1]).T)          # (3, n)
     max_s = np.empty(n)
     max_f = np.empty(n)
     sum_s = sum_f = 0.0
-    block = max(1, _PAIRS // len(rots))
+    block = max(1, _PAIRS // n)
     for lo in range(0, n, block):
-        blk = dirs[lo:lo + block]
-        G = _rotated_frames(blk, rots)
-        r = np.conj(_forms(G))                                            # u = 1
-        c2, s2 = frame_twist(G, frame_for_dir(G[..., 2]))
-        c = c2 - 1j * s2                                                  # (b, n + 1)
-        ds = np.linalg.norm((r[:, 1:] - r[:, :1]).view(float), axis=-1)   # (b, n)
-        df = np.abs(c[:, 1:] - c[:, :1])
-        max_s[lo:lo + len(blk)] = ds.max(axis=1)
-        max_f[lo:lo + len(blk)] = df.max(axis=1)
+        mb = m[:, lo:lo + block]
+        v = (D @ mb.view(float)).view(complex).reshape(3, n, -1)       # Delta (3, n, b)
+        delta = np.einsum("ib,ikb->kb", np.conj(mb), v)
+        ds = np.sqrt(-2.0 * delta.real - 0.5 * (delta * delta).real)  # (n, b)
+        v += mb[:, None]                                               # R m
+        df = np.abs(_theta_phi_twist(v) - 1.0)      # the twist of m itself is 1
+        max_s[lo:lo + block] = ds.max(axis=0)
+        max_f[lo:lo + block] = df.max(axis=0)
         sum_s += ds.sum()
         sum_f += df.sum()
     count = n * n
@@ -196,6 +214,9 @@ def rotation_invariance_sweep(n: int = 1000, n_pairs: int = 20,
     Fibonacci directions is rotated about every max(1, n // 100)-th of those
     directions by each nonzero angle 2 pi k / n_angles.
     """
+    for name, value, low in (("n", n, 1), ("n_pairs", n_pairs, 0), ("n_angles", n_angles, 1)):
+        if value < low:
+            raise ValueError(f"the rotation sweep needs {name} >= {low}, got {value}")
     rng = np.random.default_rng(seed)
     dirs = fibonacci_directions(n)
     idx, pairs = [], []

@@ -125,6 +125,7 @@ def test_pprt_cli(tmp_path):
 @pytest.mark.parametrize("flag, value, message", [
     ("--camera", "1,2,nan", "--camera needs 3 finite numbers"),
     ("--camera", "1,2", "--camera needs 3 finite numbers"),
+    ("--camera", "0,0,1", "--camera 0,0,1 sits on mesh vertex 0"),
     ("--occluder", "nan,0,1,0.5", "--occluder needs 4 finite numbers"),
     ("--occluder", "0,0,1,nan", "--occluder needs 4 finite numbers"),
     ("--occluder", "0,0,0,0.5", "occluder 0: center .* not a finite nonzero 3-vector"),
@@ -148,6 +149,27 @@ def test_s2l2_validate_cli(capsys):
     text = capsys.readouterr().out
     assert "per-vector max distance" in text
     assert "rotation-invariance sweep" in text
+
+
+def test_pprt_refuses_a_camera_on_a_vertex_before_baking(tmp_path, capsys, monkeypatch):
+    # the vertex has no view direction; nothing is baked or written
+    def no_bake(*args, **kwargs):
+        raise AssertionError("baked before checking the camera")
+    monkeypatch.setattr(pipeline, "pprt_precompute", no_bake)
+    env = tmp_path / "e.psh4"
+    pio.save_psh_coeffs(env, pipeline.random_psh_coeffs(4, seed=7))
+    cam = ",".join(repr(float(x)) for x in pipeline.sphere_mesh().vertices[37])
+    csv_out, bin_out = tmp_path / "v.csv", tmp_path / "v.f64"
+    assert run("pprt", "--env", env, "--llow", 2, "--lhigh", 4, "--camera", cam,
+               "--out-csv", csv_out, "--out-bin", bin_out) == 1
+    assert f"--camera {cam} sits on mesh vertex 37" in capsys.readouterr().err
+    assert not csv_out.exists() and not bin_out.exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_s2l2_validate_rejects_non_finite_eps(capsys, eps):
+    assert run("s2l2-validate", "--n", 10, "--eps", eps) == 1
+    assert f"needs a finite eps, got {eps}" in capsys.readouterr().err
 
 
 def test_malformed_input_exits_nonzero(tmp_path, capsys):

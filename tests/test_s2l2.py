@@ -232,6 +232,102 @@ def test_perturbation_protocol_matches_oracle(monkeypatch):
             assert np.abs(g - w).max() < 1e-13, pairs
 
 
+def _blocked_protocol_oracle(n, eps):
+    """The protocol through the frames G = R F of every rotated direction:
+    S2L2 vectors from _forms(G) and the theta-phi baseline from frame_twist
+    of each G to frame_for_dir at its direction, in blocks of about _PAIRS
+    (direction, rotation) pairs with the identity."""
+    dirs = geom.fibonacci_directions(n)
+    rots = np.concatenate([np.eye(3)[None], geom.rotation_about_axis(dirs, eps)])
+    max_s = np.empty(n)
+    max_f = np.empty(n)
+    sum_s = sum_f = 0.0
+    block = max(1, s2l2._PAIRS // len(rots))
+    for lo in range(0, n, block):
+        blk = dirs[lo:lo + block]
+        G = s2l2._rotated_frames(blk, rots)
+        r = np.conj(s2l2._forms(G))                                       # u = 1
+        c2, s2 = polar.frame_twist(G, geom.frame_for_dir(G[..., 2]))
+        c = c2 - 1j * s2                                                  # (b, n + 1)
+        ds = np.linalg.norm((r[:, 1:] - r[:, :1]).view(float), axis=-1)   # (b, n)
+        df = np.abs(c[:, 1:] - c[:, :1])
+        max_s[lo:lo + len(blk)] = ds.max(axis=1)
+        max_f[lo:lo + len(blk)] = df.max(axis=1)
+        sum_s += ds.sum()
+        sum_f += df.sum()
+    count = n * n
+    return {
+        "s2l2_max": np.repeat(max_s, 4),
+        "frame_max": np.repeat(max_f, 4),
+        "s2l2_all_mean": sum_s / count,
+        "frame_all_mean": sum_f / count,
+    }
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 2.0])
+def test_perturbation_protocol_matches_rotated_frame_oracle(eps):
+    want = _blocked_protocol_oracle(200, eps)
+    got = s2l2.perturbation_protocol(200, eps)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        assert np.shape(got[key]) == np.shape(w)
+        assert np.abs(got[key] - w).max() < 1e-14, key
+
+
+def _twist_oracle(G):
+    c, s = polar.frame_twist(G, geom.frame_for_dir(G[..., 2]))
+    return c - 1j * s
+
+
+def _m_first(G):
+    """m = x + iy of frames G (..., 3, 3), components first: (3, ...)."""
+    return np.moveaxis(_m(G), -1, 0)
+
+
+def test_theta_phi_twist_at_the_poles():
+    # (1, 0, 0) with (e_theta, e_phi) = (-z, y), rotated by +-pi/2 about y,
+    # lands exactly on -+z (m_z = 0), where frame_for_dir takes phi = 0;
+    # turns about z keep it there
+    F = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    turns = np.stack([geom.rotation_z(a) for a in np.linspace(0.0, 2 * np.pi, 13)])
+    for side in (1.0, -1.0):
+        Ry = np.array([[0.0, 0.0, side], [0.0, 1.0, 0.0], [-side, 0.0, 0.0]])
+        G = turns @ Ry @ F
+        assert (G[..., 2, :2] == 0.0).all() and (G[..., 2, 2] == -side).all()
+        got = s2l2._theta_phi_twist(_m_first(G))
+        assert np.abs(got - _twist_oracle(G)).max() < 1e-15
+
+
+def test_theta_phi_twist_next_to_the_poles():
+    # frames turned about their own direction 1e-9 from either pole
+    turns = np.stack([geom.rotation_z(a) for a in np.linspace(0.0, 2 * np.pi, 13)])
+    for theta in (1e-9, np.pi - 1e-9):
+        G = geom.frame_theta_phi(theta, 0.7) @ turns
+        got = s2l2._theta_phi_twist(_m_first(G))
+        assert np.isfinite(got).all()
+        assert np.abs(got - _twist_oracle(G)).max() < 1e-15
+    # (1, 0, 0) rotated to 1e-9 from -z: m_z is rounding-sized but not 0
+    R = geom.rotation_about_axis([0.0, 1.0, 0.0], np.pi / 2 - 1e-9)
+    got = s2l2._theta_phi_twist(_m_first(R @ geom.frame_for_dir([[1.0, 0.0, 0.0]])))
+    assert np.isfinite(got).all() and np.abs(np.abs(got) - 1.0).max() < 1e-15
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+def test_perturbation_protocol_rejects_non_finite_eps(eps):
+    with pytest.raises(ValueError, match="needs a finite eps"):
+        s2l2.perturbation_protocol(n=10, eps=eps)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"n": 0}, "needs n >= 1, got 0"),
+    ({"n_pairs": -1}, "needs n_pairs >= 0, got -1"),
+    ({"n_angles": 0}, "needs n_angles >= 1, got 0"),
+])
+def test_rotation_invariance_sweep_rejects_bad_counts(bad, message):
+    with pytest.raises(ValueError, match=message):
+        s2l2.rotation_invariance_sweep(**{"n": 12, "n_pairs": 2, **bad})
+
+
 def test_rotation_invariance_sweep_matches_recorded_value():
     # recorded from the per-pair, per-angle sweep.  The value is a maximum of
     # rounding errors in distances up to about 3.6 (ulp 4.4e-16), so any
