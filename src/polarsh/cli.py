@@ -84,12 +84,36 @@ def cmd_convolve(args):
     return 0
 
 
+_VIEW_KEYS = ("kind", "height", "width", "fov", "pose")
+
+
 def _view_from_json(path):
+    """The view in a JSON object with the keys height and width and, optionally,
+    kind (default equirect), fov (degrees, default 90) and pose (3x3, default
+    the identity); otherwise a ValueError names the file and the key."""
     from .s2l2 import ViewSpec
     with open(path) as f:
-        spec = json.load(f)
-    return ViewSpec(spec.get("kind", "equirect"), spec["height"], spec["width"],
-                    spec.get("pose", np.eye(3)), float(spec.get("fov", 90.0)))
+        try:
+            spec = json.load(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: not JSON: {e}") from None
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: a view spec is a JSON object, got a {type(spec).__name__}")
+    for key in spec:
+        if key not in _VIEW_KEYS:
+            raise ValueError(f"{path}: unknown view key {key!r}; the keys are "
+                             f"{', '.join(_VIEW_KEYS)}")
+    for key in ("height", "width"):
+        if key not in spec:
+            raise ValueError(f"{path}: the view key {key!r} is missing")
+    fov = spec.get("fov", 90.0)
+    if isinstance(fov, bool) or not isinstance(fov, (int, float)):
+        raise ValueError(f"{path}: the view key 'fov' must be a number, got {fov!r}")
+    try:
+        return ViewSpec(spec.get("kind", "equirect"), spec["height"], spec["width"],
+                        spec.get("pose", np.eye(3)), float(fov))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def cmd_resample(args):

@@ -7,7 +7,8 @@ rotates the (s1, s2) pair by twice the frame angle t = frame_angle(frm, to)
 (to = frm @ Rz(t)): the pair a + ib measured in `frm` reads e^{-2it}(a + ib)
 in `to`, while s0 and s3 are unchanged.  frame_twist computes
 (cos 2t, sin 2t) and is the one place that computes the twist between two
-given frames; stokes_reframe (Stokes vectors, (..., 4)) and mueller_reframe
+given frames; stokes_turn (Stokes vectors, (..., 4), behind
+stokes_reframe and the resample plan's stored twists) and mueller_reframe
 (both sides of Mueller matrices, (..., 4, 4)) are the only places it is
 applied to real components; pconv's angular oracle pconv_angular
 multiplies the complex pair by c - i s.  The pBRDF gets its s-p to
@@ -66,7 +67,12 @@ def stokes_reframe(s, frm, to):
 
     The twist's shape broadcasts against s.shape[:-1].
     """
-    c, sn = frame_twist(frm, to)
+    return stokes_turn(s, *frame_twist(frm, to))
+
+
+def stokes_turn(s, c, sn):
+    """Stokes components (..., 4) turned by a twist (c, sn) = (cos 2t, sin 2t)
+    from frame_twist; (c, sn) broadcast against s.shape[:-1]."""
     s = np.asarray(s, dtype=float)
     a, b = s[..., 1], s[..., 2]
     out = np.empty(np.broadcast_shapes(np.shape(c), s.shape[:-1]) + (4,))

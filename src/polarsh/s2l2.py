@@ -24,6 +24,8 @@ interpolates through this scalar.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,7 @@ import numpy as np
 from .geom import (normalize, sph_to_dir, dir_to_sph, fibonacci_directions,
                    frame_for_dir, frame_theta_phi, frame_perspective,
                    is_rotation, rotation_about_axis)
-from .polar import GeometricStokes, stokes_reframe
+from .polar import GeometricStokes, frame_twist, stokes_reframe, stokes_turn
 from .shscalar import FOUR_PI
 
 SCALE = math.sqrt(FOUR_PI / 5.0)
@@ -418,8 +420,12 @@ def _footprints(view: ViewSpec, dirs):
         cols = np.mod(cols, view.width)
     else:
         cols = np.clip(cols, 0, view.width - 1)
-    w = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc], axis=-1)
-    return rows, cols, w, fr, fc
+    return rows, cols, _weights(fr, fc), fr, fc
+
+
+def _weights(fr, fc):
+    """The four bilinear weights (..., 4) of fractional offsets fr and fc."""
+    return np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc], axis=-1)
 
 
 def _touched(view: ViewSpec, rows, cols):
@@ -452,6 +458,112 @@ def _transport(u, m):
             mz - um * uz + 1j * (ux * my - uy * mx)]
 
 
+class _ResamplePlan:
+    """The geometry of a resample from source views into a destination view,
+    independent of pixel values and validity masks; every array is
+    read-only.
+
+    The source pixels that footprints touch are slots 0 .. n_slots - 1:
+    touched[k] holds source k's flat pixels, ascending, from slot
+    offsets[k] on.  Slot n_slots is blank (zero and valid), and the
+    footprints of pixels that no source covers (covered false) rest on it.
+    Per destination pixel, nb (H * W, 4) holds each footprint neighbour's
+    slot, (fr, fc) the fractional offsets of its bilinear weights w
+    (_weights) and coef each neighbour's s2l2 coefficient
+    w_k (conj(m_k) . v_j)^2 / 16; per slot, (c, sn) is the twist from its
+    frame to the destination frame field at its direction.  The pixels copy
+    snap onto the single slot copy_from with their own frame.
+    """
+
+    def __init__(self, src_views, dst: ViewSpec):
+        dirs = dst.pixel_dirs().reshape(-1, 3)
+        dst_frames = dst.frames(dirs)
+        chosen = np.full(dirs.shape[0], -1)
+        for k, view in enumerate(src_views):
+            chosen[view.contains(dirs) & (chosen < 0)] = k
+        self.covered = chosen >= 0
+        self.nb = np.empty((dirs.shape[0], 4), dtype=np.int32)
+        self.fr = np.zeros(dirs.shape[0])
+        self.fc = np.zeros(dirs.shape[0])
+        self.coef = np.zeros((dirs.shape[0], 4), dtype=complex)
+        touched, offsets, twists, copies = [], [0], [], []
+        for k, view in enumerate(src_views):
+            sel = np.flatnonzero(chosen == k)
+            if sel.size == 0:
+                touched.append(np.empty(0, dtype=np.int32))
+                offsets.append(offsets[-1])
+                continue
+            rows, cols, w, fr, fc = _footprints(view, dirs[sel])
+            t, nb = _touched(view, rows, cols)
+            t_dirs = view.pixel_dirs().reshape(-1, 3)[t]
+            t_frames = view.frames(t_dirs)
+            twists.append(frame_twist(t_frames, dst.frames(t_dirs)))
+            # per footprint row j, its blended direction u_j and v_j (see
+            # _transport); the vectors are lists of their three components
+            mbar = t_frames[:, :, 0] - 1j * t_frames[:, :, 1]                # (t, 3)
+            nb2 = nb.reshape(-1, 2, 2)                                         # (n, j, k)
+            fcn = fc[:, None]
+            u = [(1 - fcn) * x[nb2[..., 0]] + fcn * x[nb2[..., 1]] for x in t_dirs.T]
+            norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])           # (n, 2)
+            m_d = dst_frames[sel, :, 0:1] + 1j * dst_frames[sel, :, 1:2]       # (n, 3, 1)
+            v = _transport([x / norm for x in u], [m_d[:, x] for x in range(3)])
+            a = sum(mbar[:, x][nb2] * v[x][..., None] for x in range(3))      # (n, 2, 2)
+            self.coef[sel] = w * (a * a).reshape(-1, 4) / 16
+            one = np.flatnonzero((fr == 0.0) & (fc == 0.0))
+            copies.append(sel[one[np.all(t_frames[nb[one, 0]] == dst_frames[sel[one]],
+                                         axis=(-2, -1))]])
+            self.nb[sel] = nb + offsets[-1]
+            self.fr[sel], self.fc[sel] = fr, fc
+            touched.append(t.astype(np.int32))
+            offsets.append(offsets[-1] + t.size)
+        self.n_slots = offsets[-1]
+        self.nb[~self.covered] = self.n_slots
+        self.c, self.sn = (np.concatenate([x[i] for x in twists] + [np.zeros(1)]) for i in (0, 1))
+        self.copy = np.concatenate([np.empty(0, dtype=np.intp)] + copies)
+        self.copy_from = self.nb[self.copy, 0]
+        self.touched, self.offsets = tuple(touched), tuple(offsets)
+        self.shape = (dst.height, dst.width)
+        self.src_shapes = tuple((view.height, view.width) for view in src_views)
+        self.arrays = (self.covered, self.nb, self.fr, self.fc, self.coef, self.c, self.sn,
+                       self.copy, self.copy_from, *self.touched)
+        for x in self.arrays:
+            x.setflags(write=False)
+        self.nbytes = sum(x.nbytes for x in self.arrays)
+
+
+# resample keeps at most _PLAN_COUNT plans of at most _PLAN_BYTES in all,
+# most recently used last; a larger plan serves its own call only
+_PLAN_COUNT = 2
+_PLAN_BYTES = 32 << 20
+_plans: OrderedDict = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def _view_key(view: ViewSpec):
+    pose = np.asarray(view.pose, dtype=float)
+    return view.kind, view.height, view.width, view.fov_deg, pose.shape, pose.tobytes()
+
+
+def _resample_plan(src_views, dst: ViewSpec) -> _ResamplePlan:
+    """The plan of (src_views, dst), cached by the views' values: ViewSpec is
+    mutable, so a view changed in place since it was built misses, and the
+    rebuild validates it again."""
+    key = tuple(_view_key(view) for view in (*src_views, dst))
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+    fresh = [ViewSpec(v.kind, v.height, v.width, v.pose, v.fov_deg) for v in (*src_views, dst)]
+    plan = _ResamplePlan(fresh[:-1], fresh[-1])
+    if plan.nbytes <= _PLAN_BYTES:
+        with _plans_lock:
+            _plans[key] = plan
+            while len(_plans) > _PLAN_COUNT or sum(p.nbytes for p in _plans.values()) > _PLAN_BYTES:
+                _plans.popitem(last=False)
+    return plan
+
+
 def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     """Resample polarized images into a new view.
 
@@ -470,70 +582,58 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         v_j = m_d - (u_j . m_d) u_j + i u_j x m_d,
 
     with z_k = s1 + i s2 of neighbour k in its own frame (vector m_k) and w_k
-    its bilinear weight: no frame at u_j and no 5-vector forms.  Each source
-    pixel that a footprint touches is read once (conj(m) and z, or for
-    'component-bilinear' its reframed components), and footprints gather
-    the results, so the work scales with min(footprints, source pixels).
+    its bilinear weight: no frame at u_j and no 5-vector forms.
+
+    Everything but the pixel values depends only on the views, so it is a
+    plan built once per (source views, destination view) and shared by both
+    methods: the covering source of each pixel, the footprints, the copy
+    list, each footprint neighbour's coefficient w_k (conj(m_k) . v_j)^2 / 16
+    and each touched source pixel's twist to the destination frame field.
+    A call reads each touched source pixel once and gathers: s0, s3 and
+    s1 + i s2 are weighted sums ('s2l2'), or the touched pixels are turned
+    by their twists and lerped ('component-bilinear').  Plans are cached by
+    the views' values (a view changed in place gets a fresh plan); at most
+    two are kept, of at most 32 MB in all, and a larger plan is dropped
+    after its call.
+
     Pixels no source covers, and pixels whose footprint gives nonzero
     weight to an invalid source pixel, are flagged invalid and written as
-    zeros.  Footprints that snap onto a single source pixel with an
-    identical frame are copied bit-exactly.
+    zeros.  In both methods, footprints that snap onto a single source pixel
+    with an identical frame are copied bit-exactly.
     """
     if method not in ("s2l2", "component-bilinear"):
         raise ValueError(f"unknown method {method!r}")
-    dirs = dst.pixel_dirs()
-    flat_dirs = dirs.reshape(-1, 3)
-    n_pix = flat_dirs.shape[0]
-    out = np.zeros((n_pix, 4))
-    valid = np.zeros(n_pix, dtype=bool)
-    dst_frames = dst.frames(flat_dirs)
-    chosen = np.full(n_pix, -1, dtype=int)
+    sources = list(sources)
+    plan = _resample_plan([src.view for src in sources], dst)
+    # the touched source pixels, each read once, and the blank slot
+    t_data = np.zeros((plan.n_slots + 1, 4))
+    bad = np.zeros(plan.n_slots + 1, dtype=bool)
     for k, src in enumerate(sources):
-        mask = src.view.contains(flat_dirs) & (chosen < 0)
-        chosen[mask.reshape(-1)] = k
-
-    for k, src in enumerate(sources):
-        sel = np.nonzero(chosen == k)[0]
-        if sel.size == 0:
-            continue
-        rows, cols, w, fr, fc = _footprints(src.view, flat_dirs[sel])
-        # the source pixels the footprints touch, each read once; nb
-        # indexes them per footprint neighbour (n, 4)
-        touched, nb = _touched(src.view, rows, cols)
-        t_data = src.data.reshape(-1, 4)[touched]
-        t_dirs = src.view.pixel_dirs().reshape(-1, 3)[touched]
-        t_frames = src.view.frames(t_dirs)
-        if method == "component-bilinear":
-            # express each source pixel in the destination frame field at its
-            # own direction, then lerp the raw components (the conventional
-            # approach, which collapses near dst frame-field singularities)
-            pix = stokes_reframe(t_data, t_frames, dst.frames(t_dirs))[nb]
-            res = np.sum(w[..., None] * pix, axis=1)
-        else:
-            pix = t_data[nb]                                # (n, 4, 4comp)
-            s0 = np.sum(w * pix[..., 0], axis=-1)
-            s3 = np.sum(w * pix[..., 3], axis=-1)
-            # per touched pixel only conj(m) and z = s1 + i s2; per footprint
-            # row j, its blended direction u_j and v_j (see _transport); the
-            # vectors are lists of their three components
-            mbar = t_frames[:, :, 0] - 1j * t_frames[:, :, 1]                # (t, 3)
-            nb2 = nb.reshape(-1, 2, 2)                                         # (n, j, k)
-            fcn = fc[:, None]
-            u = [(1 - fcn) * c[nb2[..., 0]] + fcn * c[nb2[..., 1]] for c in t_dirs.T]
-            norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])           # (n, 2)
-            m_d = dst_frames[sel, :, 0:1] + 1j * dst_frames[sel, :, 1:2]       # (n, 3, 1)
-            v = _transport([c / norm for c in u], [m_d[:, c] for c in range(3)])
-            a = sum(mbar[:, c][nb2] * v[c][..., None] for c in range(3))      # (n, 2, 2)
-            zw = (w * (t_data[:, 1] + 1j * t_data[:, 2])[nb]).reshape(a.shape)
-            stilde = np.sum((zw * a * a).reshape(-1, 4), axis=-1) / 16
-            res = np.stack([s0, stilde.real, stilde.imag, s3], axis=-1)
-            # bit-exact copy where the footprint collapses to one pixel whose
-            # frame coincides with the destination frame
-            one = np.flatnonzero((fr == 0.0) & (fc == 0.0))
-            same = np.all(t_frames[nb[one, 0]] == dst_frames[sel[one]], axis=(-2, -1))
-            res[one[same]] = pix[one[same], 0]
-        ok = ~np.any(~src.valid[rows, cols] & (w != 0.0), axis=-1)
-        out[sel[ok]] = res[ok]
-        valid[sel[ok]] = True
-    return StokesImage(dst, out.reshape(dirs.shape[:-1] + (4,)),
-                       valid.reshape(dirs.shape[:-1]))
+        hw = plan.src_shapes[k]
+        if src.data.shape != hw + (4,) or src.valid.shape != hw:
+            raise ValueError(f"source {k} has data {src.data.shape} and mask {src.valid.shape}; "
+                             f"its view needs {hw + (4,)} and {hw}")
+        lo, hi = plan.offsets[k], plan.offsets[k + 1]
+        t_data[lo:hi] = src.data.reshape(-1, 4)[plan.touched[k]]
+        bad[lo:hi] = ~src.valid.reshape(-1)[plan.touched[k]]
+    nb, w = plan.nb, _weights(plan.fr, plan.fc)
+    if method == "component-bilinear":
+        # express each touched pixel in the destination frame field at its
+        # own direction, then lerp the raw components (the conventional
+        # approach, which collapses near dst frame-field singularities)
+        pix = np.take(stokes_turn(t_data, plan.c, plan.sn), nb, axis=0)
+        pix *= w[..., None]
+        out = np.sum(pix, axis=1)
+    else:
+        out = np.empty(w.shape)
+        for i in (0, 3):
+            out[:, i] = np.einsum("ij,ij->i", w, np.take(t_data[:, i], nb))
+        stilde = np.einsum("ij,ij->i", plan.coef, np.take(t_data[:, 1] + 1j * t_data[:, 2], nb))
+        out[:, 1], out[:, 2] = stilde.real, stilde.imag
+    out[plan.copy] = t_data[plan.copy_from]
+    valid = plan.covered.copy()
+    if bad.any():
+        # drop the footprints that give nonzero weight to an invalid pixel
+        valid &= ~np.any(np.take(bad, nb) & (w != 0.0), axis=-1)
+        out[~valid] = 0.0
+    return StokesImage(dst, out.reshape(plan.shape + (4,)), valid.reshape(plan.shape))

@@ -87,6 +87,15 @@ def test_resample_cli(tmp_path):
      "view pose must be a 3x3 rotation"),
     # any kind but equirect used to become a perspective view
     ({"kind": "equirectangular", "height": 8, "width": 16}, "unknown view kind 'equirectangular'"),
+    # a missing key used to print only error: 'height'
+    ({"kind": "perspective", "width": 8}, "v.json: the view key 'height' is missing"),
+    # a list used to print 'list' object has no attribute 'get'
+    ([8, 8], "v.json: a view spec is a JSON object, got a list"),
+    # an unknown key used to be ignored: this view was rendered at 90 degrees
+    ({"kind": "perspective", "height": 8, "width": 8, "fov_deg": 60},
+     "v.json: unknown view key 'fov_deg'; the keys are kind, height, width, fov, pose"),
+    ({"kind": "perspective", "height": 8, "width": 8, "fov": "wide"},
+     "v.json: the view key 'fov' must be a number, got 'wide'"),
 ])
 def test_resample_rejects_bad_view_specs(tmp_path, capsys, spec, message):
     # each used to exit 0 and write an S4EM file that load_stokes_image rejects

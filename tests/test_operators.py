@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polarsh import geom, operators as op, pconv, pipeline, polar, psh
+from polarsh import geom, operators as op, pconv, pipeline, polar, psh, s2l2
 from polarsh import shscalar as sh
 from polarsh.polar import synthetic_pbrdf
 
@@ -288,7 +288,9 @@ def test_cached_tables_are_read_only():
     tables = [*op._product_bases(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
               sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3), sh.complex_to_real_block(2),
               sh.complex_to_real_matrix(3),
-              *pconv._conv_tables(3), *pconv._residual_labels(3)]
+              *pconv._conv_tables(3), *pconv._residual_labels(3),
+              *s2l2._resample_plan([s2l2.ViewSpec("equirect", 4, 8)],
+                                   s2l2.ViewSpec("equirect", 4, 8)).arrays]
     for a in tables:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]

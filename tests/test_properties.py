@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from polarsh import geom, operators, pconv, pipeline, polar, psh
+from polarsh import geom, operators, pconv, pipeline, polar, psh, s2l2
 from polarsh import shscalar as sh
 
 REAL_FAMILIES = ("k00", "k03", "k30", "k33")
@@ -251,3 +251,48 @@ def test_load_obj_raises_or_returns_a_valid_mesh(lines):
     assert ((mesh.triangles >= 0) & (mesh.triangles < n)).all()
     assert np.isfinite(mesh.vertices).all() and np.isfinite(mesh.normals).all()
     assert np.abs(np.linalg.norm(mesh.normals, axis=-1) - 1.0).max() < 1e-12
+
+
+def _random_view(rng, equirect, height, width, fov):
+    if equirect:
+        return s2l2.ViewSpec("equirect", height, width)
+    return s2l2.ViewSpec("perspective", height, width, geom.random_rotation(rng), fov)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(equirect=st.booleans(), height=st.integers(1, 12), width=st.integers(1, 24),
+       fov=st.floats(1.0, 170.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_resample_into_its_own_view_is_bit_exact(equirect, height, width, fov, seed):
+    # every footprint snaps onto its own pixel, whose frame is the
+    # destination's: both methods copy it
+    rng = np.random.default_rng(seed)
+    view = _random_view(rng, equirect, height, width, fov)
+    img = s2l2.StokesImage(view, rng.normal(size=(height, width, 4)))
+    for method in ("s2l2", "component-bilinear"):
+        out = s2l2.resample([img], view, method)
+        assert out.valid.all()
+        assert np.array_equal(out.data, img.data)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(size=st.integers(1, 6), equirect=st.booleans(), height=st.integers(1, 10),
+       width=st.integers(1, 16), fov=st.floats(1.0, 170.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_resample_warm_plan_equals_fresh_plan(size, equirect, height, width, fov, seed):
+    # a cached plan gives the same bits as one built for the call, on pixel
+    # values and validity masks it has not seen
+    rng = np.random.default_rng(seed)
+    views = s2l2.cubemap_views(size)
+    dst = _random_view(rng, equirect, height, width, fov)
+
+    def images():
+        return [s2l2.StokesImage(v, rng.normal(size=(size, size, 4)), rng.random((size, size)) > 0.2)
+                for v in views]
+
+    for method in ("s2l2", "component-bilinear"):
+        s2l2.resample(images(), dst, method)
+        sources = images()
+        warm = s2l2.resample(sources, dst, method)
+        s2l2._plans.clear()
+        cold = s2l2.resample(sources, dst, method)
+        assert np.array_equal(warm.data, cold.data)
+        assert np.array_equal(warm.valid, cold.valid)

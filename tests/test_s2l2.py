@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,19 +478,22 @@ def resample_per_neighbour(sources, dst, method):
         if method == "component-bilinear":
             nb = stokes_reframe(pix, nb_frames, dst.frames(nb_dirs))
             out[sel] = np.sum(w[..., None] * nb, axis=1)
-            continue
-        r_nb = np.conj(forms_table(nb_frames)) * (pix[..., 1] + 1j * pix[..., 2])[..., None]
-        fcn = fc[:, None, None]
-        r_nb = r_nb.reshape(-1, 2, 2, 5)
-        nb_rc = nb_dirs.reshape(-1, 2, 2, 3)
-        f = forms_table(geom.frame_for_dir(geom.normalize((1 - fcn) * nb_rc[:, :, 0] + fcn * nb_rc[:, :, 1])))
-        r_row = (1 - fcn) * r_nb[:, :, 0] + fcn * r_nb[:, :, 1]
-        r_row = np.conj(f) * np.sum(r_row * f, axis=-1, keepdims=True)
-        frn = fr[:, None]
-        r_fin = (1 - frn) * r_row[:, 0] + frn * r_row[:, 1]
-        stilde = np.sum(r_fin * forms_table(dst_frames[sel]), axis=-1)
-        out[sel] = np.stack([np.sum(w * pix[..., 0], axis=-1), stilde.real, stilde.imag,
-                             np.sum(w * pix[..., 3], axis=-1)], axis=-1)
+        else:
+            r_nb = np.conj(forms_table(nb_frames)) * (pix[..., 1] + 1j * pix[..., 2])[..., None]
+            fcn = fc[:, None, None]
+            r_nb = r_nb.reshape(-1, 2, 2, 5)
+            nb_rc = nb_dirs.reshape(-1, 2, 2, 3)
+            f = forms_table(geom.frame_for_dir(geom.normalize((1 - fcn) * nb_rc[:, :, 0]
+                                                              + fcn * nb_rc[:, :, 1])))
+            r_row = (1 - fcn) * r_nb[:, :, 0] + fcn * r_nb[:, :, 1]
+            r_row = np.conj(f) * np.sum(r_row * f, axis=-1, keepdims=True)
+            frn = fr[:, None]
+            r_fin = (1 - frn) * r_row[:, 0] + frn * r_row[:, 1]
+            stilde = np.sum(r_fin * forms_table(dst_frames[sel]), axis=-1)
+            out[sel] = np.stack([np.sum(w * pix[..., 0], axis=-1), stilde.real, stilde.imag,
+                                 np.sum(w * pix[..., 3], axis=-1)], axis=-1)
+        # both methods copy a footprint that snaps onto one pixel of the
+        # destination pixel's own frame
         hit = (fr == 0.0) & (fc == 0.0) & np.all(nb_frames[:, 0] == dst_frames[sel], axis=(-2, -1))
         out[sel[hit]] = pix[hit, 0]
     return out.reshape(dirs.shape[:-1] + (4,))
@@ -616,6 +622,105 @@ def test_resample_rejects_unknown_method():
     img = s2l2.render_image(pipeline.two_lobe_field_fn, view)
     with pytest.raises(ValueError):
         s2l2.resample([img], view, "nearest")
+
+
+def _fresh_resample(sources, dst, method):
+    """resample through a plan built for this call from copies of the views."""
+    copy = lambda v: s2l2.ViewSpec(v.kind, v.height, v.width, v.pose.copy(), v.fov_deg)
+    s2l2._plans.clear()
+    return s2l2.resample([s2l2.StokesImage(copy(s.view), s.data, s.valid) for s in sources],
+                         copy(dst), method)
+
+
+def test_resample_plan_follows_views_changed_in_place():
+    # plans are cached by the views' values, not by the view objects
+    src = s2l2.render_image(pipeline.two_lobe_field_fn,
+                            s2l2.ViewSpec("perspective", 16, 16, np.eye(3), 150.0))
+    dst = s2l2.ViewSpec("perspective", 8, 10, np.eye(3), 70.0)
+
+    def changed(before, method):
+        got = s2l2.resample([src], dst, method)
+        assert not np.array_equal(got.data, before.data)
+        want = _fresh_resample([src], dst, method)
+        assert np.array_equal(got.data, want.data) and np.array_equal(got.valid, want.valid)
+        return got
+
+    for method in ("s2l2", "component-bilinear"):
+        got = s2l2.resample([src], dst, method)
+        dst.pose[...] = geom.rotation_zyz(0.3, 0.5, -0.2)
+        got = changed(got, method)
+        dst.height = 6
+        got = changed(got, method)
+        src.view.pose[...] = geom.rotation_zyz(0.0, 0.2, 0.0)
+        changed(got, method)
+        dst.pose[...], dst.height, src.view.pose[...] = np.eye(3), 8, np.eye(3)
+
+
+def test_resample_revalidates_views_changed_in_place():
+    view = s2l2.ViewSpec("perspective", 6, 6, np.eye(3), 60.0)
+    img = s2l2.render_image(pipeline.two_lobe_field_fn, view)
+    dst = s2l2.ViewSpec("equirect", 8, 16)
+    s2l2.resample([img], dst)
+    dst.pose[0, 0] = 2.0
+    with pytest.raises(ValueError, match="pose"):
+        s2l2.resample([img], dst)
+    dst.pose[0, 0] = 1.0
+    view.pose[...] = np.diag([1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="pose"):
+        s2l2.resample([img], dst)
+
+
+def test_resample_plan_cache_under_threads():
+    # three destinations over a two-plan cache, so that lookups, inserts and
+    # evictions interleave across threads
+    img = s2l2.render_image(pipeline.two_lobe_field_fn, s2l2.ViewSpec("equirect", 6, 12))
+    dsts = [s2l2.ViewSpec("perspective", 5, 5, geom.rotation_zyz(0.4 * i, 0.3, 0.0), 60.0)
+            for i in range(3)]
+    want = [s2l2.resample([img], d).data for d in dsts]
+    errors = []
+
+    def work(i):
+        try:
+            for k in range(30):
+                d = (i + k) % 3
+                if not np.array_equal(s2l2.resample([img], dsts[d]).data, want[d]):
+                    errors.append(d)
+        except Exception as e:      # reported by the assertion below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+def test_resample_retains_no_plan_over_the_memory_bound():
+    # a narrow source keeps the build small, but the destination's plan
+    # holds all of its 440 x 880 pixels: over the 32 MB the cache keeps
+    src = s2l2.render_image(pipeline.two_lobe_field_fn,
+                            s2l2.ViewSpec("perspective", 4, 4, np.eye(3), 10.0))
+    dst = s2l2.ViewSpec("equirect", 440, 880)
+    assert s2l2._ResamplePlan([src.view], dst).nbytes > s2l2._PLAN_BYTES
+    s2l2.resample([src], s2l2.ViewSpec("equirect", 4, 8))
+    kept = list(s2l2._plans)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = s2l2.resample([src], dst)
+        del out
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(retained) < 2 ** 20
+    assert list(s2l2._plans) == kept
 
 
 def test_s2l2_next_to_the_poles(rng):
