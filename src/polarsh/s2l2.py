@@ -24,8 +24,6 @@ interpolates through this scalar.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -458,6 +456,12 @@ def _transport(u, m):
             mz - um * uz + 1j * (ux * my - uy * mx)]
 
 
+def _touched_frames(view: ViewSpec, touched):
+    """Directions and native frames of a view's flat pixels touched."""
+    t_dirs = view.pixel_dirs().reshape(-1, 3)[touched]
+    return t_dirs, view.frames(t_dirs)
+
+
 class _ResamplePlan:
     """The geometry of a resample from source views into a destination view,
     independent of pixel values and validity masks; every array is
@@ -465,17 +469,21 @@ class _ResamplePlan:
 
     The source pixels that footprints touch are slots 0 .. n_slots - 1:
     touched[k] holds source k's flat pixels, ascending, from slot
-    offsets[k] on.  Slot n_slots is blank (zero and valid), and the
-    footprints of pixels that no source covers (covered false) rest on it.
-    Per destination pixel, nb (H * W, 4) holds each footprint neighbour's
-    slot, (fr, fc) the fractional offsets of its bilinear weights w
-    (_weights) and coef each neighbour's s2l2 coefficient
-    w_k (conj(m_k) . v_j)^2 / 16; per slot, (c, sn) is the twist from its
-    frame to the destination frame field at its direction.  The pixels copy
-    snap onto the single slot copy_from with their own frame.
+    offsets[k] on, and sel[k] the destination pixels it covers.  Slot
+    n_slots is blank (zero and valid), and the footprints of pixels that no
+    source covers (covered false) rest on it.  Per destination pixel, nb
+    (H * W, 4) holds each footprint neighbour's slot and (fr, fc) the
+    fractional offsets of its bilinear weights w (_weights).  The pixels
+    copy snap onto the single slot copy_from with their own frame.
+
+    Each method's own arrays are built on its first call (method_arrays):
+    for 's2l2', coef, each footprint neighbour's w_k (conj(m_k) . v_j)^2 / 16;
+    for 'component-bilinear', (c, sn) per slot, the twist from its frame to
+    the destination frame field at its direction.
     """
 
-    def __init__(self, src_views, dst: ViewSpec):
+    def __init__(self, src_views, dst: ViewSpec, method: str):
+        self.src_views, self.dst = tuple(src_views), dst
         dirs = dst.pixel_dirs().reshape(-1, 3)
         dst_frames = dst.frames(dirs)
         chosen = np.full(dirs.shape[0], -1)
@@ -485,19 +493,64 @@ class _ResamplePlan:
         self.nb = np.empty((dirs.shape[0], 4), dtype=np.int32)
         self.fr = np.zeros(dirs.shape[0])
         self.fc = np.zeros(dirs.shape[0])
-        self.coef = np.zeros((dirs.shape[0], 4), dtype=complex)
-        touched, offsets, twists, copies = [], [0], [], []
+        sels, touched, offsets, geometry, copies = [], [], [0], [], []
         for k, view in enumerate(src_views):
             sel = np.flatnonzero(chosen == k)
-            if sel.size == 0:
-                touched.append(np.empty(0, dtype=np.int32))
-                offsets.append(offsets[-1])
-                continue
             rows, cols, w, fr, fc = _footprints(view, dirs[sel])
             t, nb = _touched(view, rows, cols)
-            t_dirs = view.pixel_dirs().reshape(-1, 3)[t]
-            t_frames = view.frames(t_dirs)
-            twists.append(frame_twist(t_frames, dst.frames(t_dirs)))
+            t_dirs, t_frames = _touched_frames(view, t)
+            geometry.append((sel, nb, w, fc, t_dirs, t_frames))
+            one = np.flatnonzero((fr == 0.0) & (fc == 0.0))
+            copies.append(sel[one[np.all(t_frames[nb[one, 0]] == dst_frames[sel[one]],
+                                         axis=(-2, -1))]])
+            self.nb[sel] = nb + offsets[-1]
+            self.fr[sel], self.fc[sel] = fr, fc
+            sels.append(sel.astype(np.int32))
+            touched.append(t.astype(np.int32))
+            offsets.append(offsets[-1] + t.size)
+        self.n_slots = offsets[-1]
+        self.nb[~self.covered] = self.n_slots
+        self.copy = np.concatenate([np.empty(0, dtype=np.intp)] + copies)
+        self.copy_from = self.nb[self.copy, 0]
+        self.sel, self.touched, self.offsets = tuple(sels), tuple(touched), tuple(offsets)
+        self.shape = (dst.height, dst.width)
+        self.src_shapes = tuple((view.height, view.width) for view in src_views)
+        self.arrays = (self.covered, self.nb, self.fr, self.fc, self.copy, self.copy_from,
+                       *self.sel, *self.touched)
+        for x in self.arrays:
+            x.setflags(write=False)
+        self._methods = {}
+        self.method_arrays(method, dst_frames, geometry)
+
+    @property
+    def nbytes(self):
+        return sum(x.nbytes for x in self.arrays) + sum(
+            x.nbytes for arrays in self._methods.values() for x in arrays)
+
+    def method_arrays(self, method, dst_frames=None, geometry=None):
+        """The arrays of one method, built on first use: (coef,) for 's2l2',
+        (c, sn) for 'component-bilinear'.  The destination frames and the
+        per-source geometry (sel, nb, w, fc, t_dirs, t_frames) of the
+        footprint pass are rebuilt from the plan if not given."""
+        arrays = self._methods.get(method)
+        if arrays is None:
+            if geometry is None:
+                dst_frames = self.dst.frames(self.dst.pixel_dirs().reshape(-1, 3))
+                geometry = [(sel, self.nb[sel] - lo, _weights(self.fr[sel], self.fc[sel]),
+                             self.fc[sel], *_touched_frames(view, t))
+                            for view, sel, t, lo in zip(self.src_views, self.sel, self.touched,
+                                                        self.offsets)]
+            build = self._coef if method == "s2l2" else self._twists
+            arrays = build(dst_frames, geometry)
+            for x in arrays:
+                x.setflags(write=False)
+            self._methods[method] = arrays
+        return arrays
+
+    @staticmethod
+    def _coef(dst_frames, geometry):
+        coef = np.zeros((dst_frames.shape[0], 4), dtype=complex)
+        for sel, nb, w, fc, t_dirs, t_frames in geometry:
             # per footprint row j, its blended direction u_j and v_j (see
             # _transport); the vectors are lists of their three components
             mbar = t_frames[:, :, 0] - 1j * t_frames[:, :, 1]                # (t, 3)
@@ -508,35 +561,20 @@ class _ResamplePlan:
             m_d = dst_frames[sel, :, 0:1] + 1j * dst_frames[sel, :, 1:2]       # (n, 3, 1)
             v = _transport([x / norm for x in u], [m_d[:, x] for x in range(3)])
             a = sum(mbar[:, x][nb2] * v[x][..., None] for x in range(3))      # (n, 2, 2)
-            self.coef[sel] = w * (a * a).reshape(-1, 4) / 16
-            one = np.flatnonzero((fr == 0.0) & (fc == 0.0))
-            copies.append(sel[one[np.all(t_frames[nb[one, 0]] == dst_frames[sel[one]],
-                                         axis=(-2, -1))]])
-            self.nb[sel] = nb + offsets[-1]
-            self.fr[sel], self.fc[sel] = fr, fc
-            touched.append(t.astype(np.int32))
-            offsets.append(offsets[-1] + t.size)
-        self.n_slots = offsets[-1]
-        self.nb[~self.covered] = self.n_slots
-        self.c, self.sn = (np.concatenate([x[i] for x in twists] + [np.zeros(1)]) for i in (0, 1))
-        self.copy = np.concatenate([np.empty(0, dtype=np.intp)] + copies)
-        self.copy_from = self.nb[self.copy, 0]
-        self.touched, self.offsets = tuple(touched), tuple(offsets)
-        self.shape = (dst.height, dst.width)
-        self.src_shapes = tuple((view.height, view.width) for view in src_views)
-        self.arrays = (self.covered, self.nb, self.fr, self.fc, self.coef, self.c, self.sn,
-                       self.copy, self.copy_from, *self.touched)
-        for x in self.arrays:
-            x.setflags(write=False)
-        self.nbytes = sum(x.nbytes for x in self.arrays)
+            # w / 16 is exact, so this is w (a a) / 16 bit for bit
+            coef[sel] = (w / 16) * (a * a).reshape(-1, 4)
+        return (coef,)
+
+    def _twists(self, dst_frames, geometry):
+        twists = [frame_twist(t_frames, self.dst.frames(t_dirs))
+                  for *_, t_dirs, t_frames in geometry if len(t_dirs)]
+        return tuple(np.concatenate([x[i] for x in twists] + [np.zeros(1)]) for i in (0, 1))
 
 
-# resample keeps at most _PLAN_COUNT plans of at most _PLAN_BYTES in all,
-# most recently used last; a larger plan serves its own call only
-_PLAN_COUNT = 2
+# resample keeps the plan of its last call, if the plan holds at most
+# _PLAN_BYTES; a larger plan serves its own call only
 _PLAN_BYTES = 32 << 20
-_plans: OrderedDict = OrderedDict()
-_plans_lock = threading.Lock()
+_last_plan = (None, None)
 
 
 def _view_key(view: ViewSpec):
@@ -544,23 +582,20 @@ def _view_key(view: ViewSpec):
     return view.kind, view.height, view.width, view.fov_deg, pose.shape, pose.tobytes()
 
 
-def _resample_plan(src_views, dst: ViewSpec) -> _ResamplePlan:
-    """The plan of (src_views, dst), cached by the views' values: ViewSpec is
-    mutable, so a view changed in place since it was built misses, and the
-    rebuild validates it again."""
+def _resample_plan(src_views, dst: ViewSpec, method: str) -> _ResamplePlan:
+    """The plan of (src_views, dst) with method's arrays, cached by the
+    views' values: ViewSpec is mutable, so a view changed in place since it
+    was built misses, and the rebuild validates it again.  The plan keeps
+    copies of the views, which later method arrays are built from."""
+    global _last_plan
     key = tuple(_view_key(view) for view in (*src_views, dst))
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            return plan
-    fresh = [ViewSpec(v.kind, v.height, v.width, v.pose, v.fov_deg) for v in (*src_views, dst)]
-    plan = _ResamplePlan(fresh[:-1], fresh[-1])
-    if plan.nbytes <= _PLAN_BYTES:
-        with _plans_lock:
-            _plans[key] = plan
-            while len(_plans) > _PLAN_COUNT or sum(p.nbytes for p in _plans.values()) > _PLAN_BYTES:
-                _plans.popitem(last=False)
+    last_key, plan = _last_plan
+    if last_key != key:
+        fresh = [ViewSpec(v.kind, v.height, v.width, np.array(v.pose, dtype=float), v.fov_deg)
+                 for v in (*src_views, dst)]
+        plan = _ResamplePlan(fresh[:-1], fresh[-1], method)
+    plan.method_arrays(method)
+    _last_plan = (key, plan) if plan.nbytes <= _PLAN_BYTES else (None, None)
     return plan
 
 
@@ -585,16 +620,17 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     its bilinear weight: no frame at u_j and no 5-vector forms.
 
     Everything but the pixel values depends only on the views, so it is a
-    plan built once per (source views, destination view) and shared by both
-    methods: the covering source of each pixel, the footprints, the copy
-    list, each footprint neighbour's coefficient w_k (conj(m_k) . v_j)^2 / 16
-    and each touched source pixel's twist to the destination frame field.
-    A call reads each touched source pixel once and gathers: s0, s3 and
-    s1 + i s2 are weighted sums ('s2l2'), or the touched pixels are turned
-    by their twists and lerped ('component-bilinear').  Plans are cached by
-    the views' values (a view changed in place gets a fresh plan); at most
-    two are kept, of at most 32 MB in all, and a larger plan is dropped
-    after its call.
+    plan of (source views, destination view): the covering source of each
+    pixel, the footprints and the copy list, and, built on each method's
+    first call, each footprint neighbour's coefficient
+    w_k (conj(m_k) . v_j)^2 / 16 ('s2l2') or each touched source pixel's
+    twist to the destination frame field ('component-bilinear').  A call
+    reads each touched source pixel once and gathers: s0, s3 and s1 + i s2
+    are weighted sums ('s2l2'), or the touched pixels are turned by their
+    twists and lerped ('component-bilinear').  The plan of the last call is
+    kept, keyed by the views' values (a view changed in place gets a fresh
+    plan), if it holds at most 32 MB; a larger plan is dropped after its
+    call.
 
     Pixels no source covers, and pixels whose footprint gives nonzero
     weight to an invalid source pixel, are flagged invalid and written as
@@ -604,7 +640,7 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     if method not in ("s2l2", "component-bilinear"):
         raise ValueError(f"unknown method {method!r}")
     sources = list(sources)
-    plan = _resample_plan([src.view for src in sources], dst)
+    plan = _resample_plan([src.view for src in sources], dst, method)
     # the touched source pixels, each read once, and the blank slot
     t_data = np.zeros((plan.n_slots + 1, 4))
     bad = np.zeros(plan.n_slots + 1, dtype=bool)
@@ -621,14 +657,15 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         # express each touched pixel in the destination frame field at its
         # own direction, then lerp the raw components (the conventional
         # approach, which collapses near dst frame-field singularities)
-        pix = np.take(stokes_turn(t_data, plan.c, plan.sn), nb, axis=0)
+        pix = np.take(stokes_turn(t_data, *plan.method_arrays(method)), nb, axis=0)
         pix *= w[..., None]
         out = np.sum(pix, axis=1)
     else:
         out = np.empty(w.shape)
         for i in (0, 3):
             out[:, i] = np.einsum("ij,ij->i", w, np.take(t_data[:, i], nb))
-        stilde = np.einsum("ij,ij->i", plan.coef, np.take(t_data[:, 1] + 1j * t_data[:, 2], nb))
+        coef, = plan.method_arrays(method)
+        stilde = np.einsum("ij,ij->i", coef, np.take(t_data[:, 1] + 1j * t_data[:, 2], nb))
         out[:, 1], out[:, 2] = stilde.real, stilde.imag
     out[plan.copy] = t_data[plan.copy_from]
     valid = plan.covered.copy()

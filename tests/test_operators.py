@@ -282,6 +282,12 @@ def test_assemble_and_split_retain_no_memory():
     assert abs(retained) < 2 ** 20
 
 
+def _resample_plan_arrays():
+    view = s2l2.ViewSpec("equirect", 4, 8)
+    plan = s2l2._resample_plan([view], view, "s2l2")
+    return (*plan.arrays, *plan.method_arrays("s2l2"), *plan.method_arrays("component-bilinear"))
+
+
 def test_cached_tables_are_read_only():
     g = geom.gauss_legendre_grid(4)
     op.visibility_project(lambda d: np.ones(np.asarray(d).shape[:-1]), 4, g)
@@ -289,8 +295,7 @@ def test_cached_tables_are_read_only():
               sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3), sh.complex_to_real_block(2),
               sh.complex_to_real_matrix(3),
               *pconv._conv_tables(3), *pconv._residual_labels(3),
-              *s2l2._resample_plan([s2l2.ViewSpec("equirect", 4, 8)],
-                                   s2l2.ViewSpec("equirect", 4, 8)).arrays]
+              *_resample_plan_arrays()]
     for a in tables:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = a[(0,) * a.ndim]

@@ -572,6 +572,26 @@ def test_resample_frames_only_touched_source_pixels():
         assert np.abs(got.data - resample_per_neighbour(cube, dst, method)).max() <= 1e-15 * 2.0
 
 
+def test_resample_s2l2_evaluates_no_destination_frame_at_source_pixels():
+    # the +z face centre of an odd cubemap is exactly the up axis of a
+    # 170-degree z-up camera looking along +x, whose frame field is
+    # undefined there; the top rows' footprints reach that centre pixel.
+    # Only component-bilinear's twists need the destination frame field at
+    # source pixels, so s2l2 neither warns (an error here) nor computes them
+    cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(5)]
+    pose = np.stack([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], axis=-1)
+    dst = s2l2.ViewSpec("perspective", 8, 32, pose, 170.0)
+    s2l2._last_plan = (None, None)
+    got = s2l2.resample(cube, dst, "s2l2")
+    plan = s2l2._last_plan[1]
+    centre = np.flatnonzero(cube[4].view.pixel_dirs().reshape(-1, 3)[:, 2] == 1.0)
+    assert np.isin(centre, plan.touched[4]).all()
+    assert list(plan._methods) == ["s2l2"]
+    assert got.valid.all() and np.isfinite(got.data).all()
+    want = resample_per_neighbour(cube, dst, "s2l2")
+    assert np.abs(got.data - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_resample_invalid_source_pixels_invalidate_footprints():
     # a 60-degree view to an equirect image (uncovered pixels are zeros) and
     # back: footprints that reach an uncovered pixel used to blend its zeros
@@ -627,7 +647,7 @@ def test_resample_rejects_unknown_method():
 def _fresh_resample(sources, dst, method):
     """resample through a plan built for this call from copies of the views."""
     copy = lambda v: s2l2.ViewSpec(v.kind, v.height, v.width, v.pose.copy(), v.fov_deg)
-    s2l2._plans.clear()
+    s2l2._last_plan = (None, None)
     return s2l2.resample([s2l2.StokesImage(copy(s.view), s.data, s.valid) for s in sources],
                          copy(dst), method)
 
@@ -656,6 +676,21 @@ def test_resample_plan_follows_views_changed_in_place():
         dst.pose[...], dst.height, src.view.pose[...] = np.eye(3), 8, np.eye(3)
 
 
+def test_resample_plan_keeps_its_own_copies_of_the_views():
+    # the second method's arrays are built later, from the views the plan
+    # was built with, not from the caller's view objects as they are now
+    src = s2l2.render_image(pipeline.two_lobe_field_fn,
+                            s2l2.ViewSpec("perspective", 16, 16, np.eye(3), 150.0))
+    dst = s2l2.ViewSpec("perspective", 8, 10, geom.rotation_zyz(0.3, 0.5, -0.2), 70.0)
+    same = s2l2.ViewSpec("perspective", 8, 10, dst.pose.copy(), 70.0)
+    want = _fresh_resample([src], same, "component-bilinear")
+    s2l2._last_plan = (None, None)
+    s2l2.resample([src], dst, "s2l2")
+    dst.pose[...] = np.eye(3)
+    got = s2l2.resample([src], same, "component-bilinear")
+    assert np.array_equal(got.data, want.data) and np.array_equal(got.valid, want.valid)
+
+
 def test_resample_revalidates_views_changed_in_place():
     view = s2l2.ViewSpec("perspective", 6, 6, np.eye(3), 60.0)
     img = s2l2.render_image(pipeline.two_lobe_field_fn, view)
@@ -671,20 +706,22 @@ def test_resample_revalidates_views_changed_in_place():
 
 
 def test_resample_plan_cache_under_threads():
-    # three destinations over a two-plan cache, so that lookups, inserts and
-    # evictions interleave across threads
+    # threads alternate three destinations and both methods over the one
+    # cached plan, so that lookups, rebuilds and first builds of a method's
+    # arrays interleave
     img = s2l2.render_image(pipeline.two_lobe_field_fn, s2l2.ViewSpec("equirect", 6, 12))
     dsts = [s2l2.ViewSpec("perspective", 5, 5, geom.rotation_zyz(0.4 * i, 0.3, 0.0), 60.0)
             for i in range(3)]
-    want = [s2l2.resample([img], d).data for d in dsts]
+    methods = ("s2l2", "component-bilinear")
+    want = [[s2l2.resample([img], d, m).data for m in methods] for d in dsts]
     errors = []
 
     def work(i):
         try:
             for k in range(30):
-                d = (i + k) % 3
-                if not np.array_equal(s2l2.resample([img], dsts[d]).data, want[d]):
-                    errors.append(d)
+                d, m = (i + k) % 3, (i + k // 3) % 2
+                if not np.array_equal(s2l2.resample([img], dsts[d], methods[m]).data, want[d][m]):
+                    errors.append((d, m))
         except Exception as e:      # reported by the assertion below
             errors.append(e)
 
@@ -708,9 +745,9 @@ def test_resample_retains_no_plan_over_the_memory_bound():
     src = s2l2.render_image(pipeline.two_lobe_field_fn,
                             s2l2.ViewSpec("perspective", 4, 4, np.eye(3), 10.0))
     dst = s2l2.ViewSpec("equirect", 440, 880)
-    assert s2l2._ResamplePlan([src.view], dst).nbytes > s2l2._PLAN_BYTES
+    assert s2l2._ResamplePlan([src.view], dst, "s2l2").nbytes > s2l2._PLAN_BYTES
     s2l2.resample([src], s2l2.ViewSpec("equirect", 4, 8))
-    kept = list(s2l2._plans)
+    assert s2l2._last_plan[0] is not None
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -720,7 +757,7 @@ def test_resample_retains_no_plan_over_the_memory_bound():
     finally:
         tracemalloc.stop()
     assert abs(retained) < 2 ** 20
-    assert list(s2l2._plans) == kept
+    assert s2l2._last_plan == (None, None)
 
 
 def test_s2l2_next_to_the_poles(rng):
