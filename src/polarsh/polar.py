@@ -8,9 +8,9 @@ rotates the (s1, s2) pair by twice the frame angle t = frame_angle(frm, to)
 in `to`, while s0 and s3 are unchanged.  frame_twist computes
 (cos 2t, sin 2t) and is the one place that computes the twist between two
 given frames; stokes_turn (Stokes vectors, (..., 4), behind
-stokes_reframe and the resample plan's stored twists) and mueller_reframe
-(both sides of Mueller matrices, (..., 4, 4)) are the only places it is
-applied to real components; pconv's angular oracle pconv_angular
+stokes_reframe and the twists of the component-bilinear resample plan) and
+mueller_reframe (both sides of Mueller matrices, (..., 4, 4)) are the only
+places it is applied to real components; pconv's angular oracle pconv_angular
 multiplies the complex pair by c - i s.  The pBRDF gets its s-p to
 theta-phi twist as z^2, z = (n x w).(e_theta + i e_phi), as S2L2 gets its
 own from any tangent frame a to any frame b as (conj(m_a) . m_b)^2 / 4,

@@ -24,6 +24,7 @@ interpolates through this scalar.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,8 +251,9 @@ class ViewSpec:
     field is anchored to the camera up axis; 'cubeface' is a 90-degree
     perspective view.  pose maps camera coordinates (x right, y up,
     z forward) to world.  height and width must be integers >= 1, fov_deg
-    an angle in (0, 180) degrees and pose a rotation to 1e-6, as in S4EM
-    headers; otherwise a ValueError names the field.
+    a real number (not a bool) in (0, 180) degrees, stored as a float, and
+    pose a rotation to 1e-6, as in S4EM headers; otherwise a ValueError
+    names the field.
     """
     kind: str
     height: int
@@ -271,8 +273,10 @@ class ViewSpec:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"view {name} must be an integer >= 1, got {value!r}")
             setattr(self, name, int(value))
-        if not 0.0 < self.fov_deg < 180.0:      # also false for NaN
-            raise ValueError(f"view fov_deg must be an angle in (0, 180) degrees, got {self.fov_deg!r}")
+        fov = self.fov_deg
+        if isinstance(fov, bool) or not isinstance(fov, numbers.Real) or not 0.0 < fov < 180.0:
+            raise ValueError(f"view fov_deg must be an angle in (0, 180) degrees, got {fov!r}")
+        self.fov_deg = float(fov)
         if self.pose.shape != (3, 3) or not is_rotation(self.pose, 1e-6):
             raise ValueError(f"view pose must be a 3x3 rotation, got {self.pose.tolist()}")
 
@@ -418,12 +422,8 @@ def _footprints(view: ViewSpec, dirs):
         cols = np.mod(cols, view.width)
     else:
         cols = np.clip(cols, 0, view.width - 1)
-    return rows, cols, _weights(fr, fc), fr, fc
-
-
-def _weights(fr, fc):
-    """The four bilinear weights (..., 4) of fractional offsets fr and fc."""
-    return np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc], axis=-1)
+    w = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc, fr * (1 - fc), fr * fc], axis=-1)
+    return rows, cols, w, fr, fc
 
 
 def _touched(view: ViewSpec, rows, cols):
@@ -456,34 +456,43 @@ def _transport(u, m):
             mz - um * uz + 1j * (ux * my - uy * mx)]
 
 
-def _touched_frames(view: ViewSpec, touched):
-    """Directions and native frames of a view's flat pixels touched."""
-    t_dirs = view.pixel_dirs().reshape(-1, 3)[touched]
-    return t_dirs, view.frames(t_dirs)
+def _coef(nb, w, fc, t_dirs, t_frames, dst_frames):
+    """Each footprint neighbour's w_k (conj(m_k) . v_j)^2 / 16 (n, 4) for
+    footprints nb over touched pixels with directions t_dirs and frames
+    t_frames, into destination frames dst_frames (n, 3, 3) (see resample)."""
+    # per footprint row j, its blended direction u_j and v_j (see
+    # _transport); the vectors are lists of their three components
+    mbar = t_frames[:, :, 0] - 1j * t_frames[:, :, 1]                    # (t, 3)
+    nb2 = nb.reshape(-1, 2, 2)                                             # (n, j, k)
+    fcn = fc[:, None]
+    u = [(1 - fcn) * x[nb2[..., 0]] + fcn * x[nb2[..., 1]] for x in t_dirs.T]
+    norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])               # (n, 2)
+    m_d = dst_frames[:, :, 0:1] + 1j * dst_frames[:, :, 1:2]               # (n, 3, 1)
+    v = _transport([x / norm for x in u], [m_d[:, x] for x in range(3)])
+    a = sum(mbar[:, x][nb2] * v[x][..., None] for x in range(3))          # (n, 2, 2)
+    # w / 16 is exact, so this is w (a a) / 16 bit for bit
+    return (w / 16) * (a * a).reshape(-1, 4)
 
 
 class _ResamplePlan:
-    """The geometry of a resample from source views into a destination view,
-    independent of pixel values and validity masks; every array is
-    read-only.
+    """The geometry of a resample by method from source views into a
+    destination view, independent of pixel values and validity masks; every
+    array is read-only.
 
     The source pixels that footprints touch are slots 0 .. n_slots - 1:
     touched[k] holds source k's flat pixels, ascending, from slot
-    offsets[k] on, and sel[k] the destination pixels it covers.  Slot
-    n_slots is blank (zero and valid), and the footprints of pixels that no
-    source covers (covered false) rest on it.  Per destination pixel, nb
-    (H * W, 4) holds each footprint neighbour's slot and (fr, fc) the
-    fractional offsets of its bilinear weights w (_weights).  The pixels
-    copy snap onto the single slot copy_from with their own frame.
-
-    Each method's own arrays are built on its first call (method_arrays):
-    for 's2l2', coef, each footprint neighbour's w_k (conj(m_k) . v_j)^2 / 16;
-    for 'component-bilinear', (c, sn) per slot, the twist from its frame to
-    the destination frame field at its direction.
+    offsets[k] on.  Slot n_slots is blank (zero and valid), and the
+    footprints of pixels that no source covers (covered false) rest on it
+    with zero weights.  Per destination pixel, nb (H * W, 4) holds each
+    footprint neighbour's slot and w its bilinear weight.  The pixels copy
+    snap onto the single slot copy_from with their own frame.  For 's2l2',
+    coef (H * W, 4) holds each neighbour's w_k (conj(m_k) . v_j)^2 / 16; for
+    'component-bilinear', coef (2, n_slots + 1) holds each slot's twist
+    (c, sn) from its frame to the destination frame field at its direction.
+    One loop over the sources builds it all.
     """
 
     def __init__(self, src_views, dst: ViewSpec, method: str):
-        self.src_views, self.dst = tuple(src_views), dst
         dirs = dst.pixel_dirs().reshape(-1, 3)
         dst_frames = dst.frames(dirs)
         chosen = np.full(dirs.shape[0], -1)
@@ -491,90 +500,47 @@ class _ResamplePlan:
             chosen[view.contains(dirs) & (chosen < 0)] = k
         self.covered = chosen >= 0
         self.nb = np.empty((dirs.shape[0], 4), dtype=np.int32)
-        self.fr = np.zeros(dirs.shape[0])
-        self.fc = np.zeros(dirs.shape[0])
-        sels, touched, offsets, geometry, copies = [], [], [0], [], []
+        self.w = np.zeros((dirs.shape[0], 4))
+        coef = np.zeros((dirs.shape[0], 4), dtype=complex) if method == "s2l2" else []
+        touched, offsets, copies = [], [0], []
         for k, view in enumerate(src_views):
             sel = np.flatnonzero(chosen == k)
             rows, cols, w, fr, fc = _footprints(view, dirs[sel])
             t, nb = _touched(view, rows, cols)
-            t_dirs, t_frames = _touched_frames(view, t)
-            geometry.append((sel, nb, w, fc, t_dirs, t_frames))
+            t_dirs = view.pixel_dirs().reshape(-1, 3)[t]
+            t_frames = view.frames(t_dirs)
             one = np.flatnonzero((fr == 0.0) & (fc == 0.0))
             copies.append(sel[one[np.all(t_frames[nb[one, 0]] == dst_frames[sel[one]],
                                          axis=(-2, -1))]])
-            self.nb[sel] = nb + offsets[-1]
-            self.fr[sel], self.fc[sel] = fr, fc
-            sels.append(sel.astype(np.int32))
+            if method == "s2l2":
+                coef[sel] = _coef(nb, w, fc, t_dirs, t_frames, dst_frames[sel])
+            elif t.size:
+                coef.append(frame_twist(t_frames, dst.frames(t_dirs)))
+            self.nb[sel], self.w[sel] = nb + offsets[-1], w
             touched.append(t.astype(np.int32))
             offsets.append(offsets[-1] + t.size)
         self.n_slots = offsets[-1]
         self.nb[~self.covered] = self.n_slots
         self.copy = np.concatenate([np.empty(0, dtype=np.intp)] + copies)
         self.copy_from = self.nb[self.copy, 0]
-        self.sel, self.touched, self.offsets = tuple(sels), tuple(touched), tuple(offsets)
+        self.touched, self.offsets = tuple(touched), tuple(offsets)
         self.shape = (dst.height, dst.width)
         self.src_shapes = tuple((view.height, view.width) for view in src_views)
-        self.arrays = (self.covered, self.nb, self.fr, self.fc, self.copy, self.copy_from,
-                       *self.sel, *self.touched)
+        self.coef = coef if method == "s2l2" else np.concatenate(coef + [np.zeros((2, 1))], axis=1)
+        self.arrays = (self.covered, self.nb, self.w, self.copy, self.copy_from, self.coef,
+                       *self.touched)
         for x in self.arrays:
             x.setflags(write=False)
-        self._methods = {}
-        self.method_arrays(method, dst_frames, geometry)
 
     @property
     def nbytes(self):
-        return sum(x.nbytes for x in self.arrays) + sum(
-            x.nbytes for arrays in self._methods.values() for x in arrays)
-
-    def method_arrays(self, method, dst_frames=None, geometry=None):
-        """The arrays of one method, built on first use: (coef,) for 's2l2',
-        (c, sn) for 'component-bilinear'.  The destination frames and the
-        per-source geometry (sel, nb, w, fc, t_dirs, t_frames) of the
-        footprint pass are rebuilt from the plan if not given."""
-        arrays = self._methods.get(method)
-        if arrays is None:
-            if geometry is None:
-                dst_frames = self.dst.frames(self.dst.pixel_dirs().reshape(-1, 3))
-                geometry = [(sel, self.nb[sel] - lo, _weights(self.fr[sel], self.fc[sel]),
-                             self.fc[sel], *_touched_frames(view, t))
-                            for view, sel, t, lo in zip(self.src_views, self.sel, self.touched,
-                                                        self.offsets)]
-            build = self._coef if method == "s2l2" else self._twists
-            arrays = build(dst_frames, geometry)
-            for x in arrays:
-                x.setflags(write=False)
-            self._methods[method] = arrays
-        return arrays
-
-    @staticmethod
-    def _coef(dst_frames, geometry):
-        coef = np.zeros((dst_frames.shape[0], 4), dtype=complex)
-        for sel, nb, w, fc, t_dirs, t_frames in geometry:
-            # per footprint row j, its blended direction u_j and v_j (see
-            # _transport); the vectors are lists of their three components
-            mbar = t_frames[:, :, 0] - 1j * t_frames[:, :, 1]                # (t, 3)
-            nb2 = nb.reshape(-1, 2, 2)                                         # (n, j, k)
-            fcn = fc[:, None]
-            u = [(1 - fcn) * x[nb2[..., 0]] + fcn * x[nb2[..., 1]] for x in t_dirs.T]
-            norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])           # (n, 2)
-            m_d = dst_frames[sel, :, 0:1] + 1j * dst_frames[sel, :, 1:2]       # (n, 3, 1)
-            v = _transport([x / norm for x in u], [m_d[:, x] for x in range(3)])
-            a = sum(mbar[:, x][nb2] * v[x][..., None] for x in range(3))      # (n, 2, 2)
-            # w / 16 is exact, so this is w (a a) / 16 bit for bit
-            coef[sel] = (w / 16) * (a * a).reshape(-1, 4)
-        return (coef,)
-
-    def _twists(self, dst_frames, geometry):
-        twists = [frame_twist(t_frames, self.dst.frames(t_dirs))
-                  for *_, t_dirs, t_frames in geometry if len(t_dirs)]
-        return tuple(np.concatenate([x[i] for x in twists] + [np.zeros(1)]) for i in (0, 1))
+        return sum(x.nbytes for x in self.arrays)
 
 
-# resample keeps the plan of its last call, if the plan holds at most
-# _PLAN_BYTES; a larger plan serves its own call only
+# resample keeps, per method, the plan of its last call with that method, if
+# the plan holds at most _PLAN_BYTES; a larger plan serves its own call only
 _PLAN_BYTES = 32 << 20
-_last_plan = (None, None)
+_last_plans = {}
 
 
 def _view_key(view: ViewSpec):
@@ -583,19 +549,19 @@ def _view_key(view: ViewSpec):
 
 
 def _resample_plan(src_views, dst: ViewSpec, method: str) -> _ResamplePlan:
-    """The plan of (src_views, dst) with method's arrays, cached by the
-    views' values: ViewSpec is mutable, so a view changed in place since it
-    was built misses, and the rebuild validates it again.  The plan keeps
-    copies of the views, which later method arrays are built from."""
-    global _last_plan
+    """The plan of (src_views, dst, method), cached per method by the views'
+    values: ViewSpec is mutable, so a view changed in place since it was
+    built misses, and the rebuild validates it again."""
     key = tuple(_view_key(view) for view in (*src_views, dst))
-    last_key, plan = _last_plan
+    last_key, plan = _last_plans.get(method, (None, None))
     if last_key != key:
         fresh = [ViewSpec(v.kind, v.height, v.width, np.array(v.pose, dtype=float), v.fov_deg)
                  for v in (*src_views, dst)]
         plan = _ResamplePlan(fresh[:-1], fresh[-1], method)
-    plan.method_arrays(method)
-    _last_plan = (key, plan) if plan.nbytes <= _PLAN_BYTES else (None, None)
+        if plan.nbytes <= _PLAN_BYTES:
+            _last_plans[method] = (key, plan)
+        else:
+            _last_plans.pop(method, None)
     return plan
 
 
@@ -619,21 +585,20 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     with z_k = s1 + i s2 of neighbour k in its own frame (vector m_k) and w_k
     its bilinear weight: no frame at u_j and no 5-vector forms.
 
-    Everything but the pixel values depends only on the views, so it is a
-    plan of (source views, destination view): the covering source of each
-    pixel, the footprints and the copy list, and, built on each method's
-    first call, each footprint neighbour's coefficient
-    w_k (conj(m_k) . v_j)^2 / 16 ('s2l2') or each touched source pixel's
-    twist to the destination frame field ('component-bilinear').  A call
-    reads each touched source pixel once and gathers: s0, s3 and s1 + i s2
-    are weighted sums ('s2l2'), or the touched pixels are turned by their
-    twists and lerped ('component-bilinear').  The plan of the last call is
-    kept, keyed by the views' values (a view changed in place gets a fresh
-    plan), if it holds at most 32 MB; a larger plan is dropped after its
-    call.
+    Everything but the pixel values depends only on the views and the
+    method, so it is a plan of (source views, destination view, method):
+    the covering source of each pixel, the footprints, the copy list and
+    each footprint neighbour's coefficient w_k (conj(m_k) . v_j)^2 / 16
+    ('s2l2') or each touched source pixel's twist to the destination frame
+    field ('component-bilinear').  A call reads each touched source pixel
+    once and gathers: s0, s3 and s1 + i s2 are weighted sums ('s2l2'), or
+    the touched pixels are turned by their twists and lerped
+    ('component-bilinear').  Each method keeps the plan of its last call,
+    keyed by the views' values (a view changed in place gets a fresh plan),
+    if it holds at most 32 MB; a larger plan is dropped after its call.
 
     Pixels no source covers, and pixels whose footprint gives nonzero
-    weight to an invalid source pixel, are flagged invalid and written as
+    weight to an invalid or non-finite source pixel, are flagged invalid and written as
     zeros.  In both methods, footprints that snap onto a single source pixel
     with an identical frame are copied bit-exactly.
     """
@@ -652,20 +617,22 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         lo, hi = plan.offsets[k], plan.offsets[k + 1]
         t_data[lo:hi] = src.data.reshape(-1, 4)[plan.touched[k]]
         bad[lo:hi] = ~src.valid.reshape(-1)[plan.touched[k]]
-    nb, w = plan.nb, _weights(plan.fr, plan.fc)
+    # a zero weight on a non-finite pixel would still give 0 * nan = nan
+    bad |= ~np.isfinite(t_data).all(axis=-1)
+    t_data[bad] = 0.0
+    nb, w = plan.nb, plan.w
     if method == "component-bilinear":
         # express each touched pixel in the destination frame field at its
         # own direction, then lerp the raw components (the conventional
         # approach, which collapses near dst frame-field singularities)
-        pix = np.take(stokes_turn(t_data, *plan.method_arrays(method)), nb, axis=0)
+        pix = np.take(stokes_turn(t_data, *plan.coef), nb, axis=0)
         pix *= w[..., None]
         out = np.sum(pix, axis=1)
     else:
         out = np.empty(w.shape)
         for i in (0, 3):
             out[:, i] = np.einsum("ij,ij->i", w, np.take(t_data[:, i], nb))
-        coef, = plan.method_arrays(method)
-        stilde = np.einsum("ij,ij->i", coef, np.take(t_data[:, 1] + 1j * t_data[:, 2], nb))
+        stilde = np.einsum("ij,ij->i", plan.coef, np.take(t_data[:, 1] + 1j * t_data[:, 2], nb))
         out[:, 1], out[:, 2] = stilde.real, stilde.imag
     out[plan.copy] = t_data[plan.copy_from]
     valid = plan.covered.copy()

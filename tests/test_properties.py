@@ -292,7 +292,7 @@ def test_resample_warm_plan_equals_fresh_plan(size, equirect, height, width, fov
         s2l2.resample(images(), dst, method)
         sources = images()
         warm = s2l2.resample(sources, dst, method)
-        s2l2._last_plan = (None, None)
+        s2l2._last_plans.clear()
         cold = s2l2.resample(sources, dst, method)
         assert np.array_equal(warm.data, cold.data)
         assert np.array_equal(warm.valid, cold.valid)

@@ -397,6 +397,20 @@ def test_views(rng):
     assert np.abs(F[:, 2] - d).max() < 1e-12
 
 
+@pytest.mark.parametrize("fov", ["60", 60 + 0j, True, np.True_])
+def test_view_spec_rejects_bad_fov(fov):
+    # a string or a complex number used to raise a bare TypeError from the
+    # range check, and True used to give a 1-degree view
+    with pytest.raises(ValueError, match=r"view fov_deg must be an angle in \(0, 180\) degrees"):
+        s2l2.ViewSpec("perspective", 4, 4, np.eye(3), fov)
+
+
+def test_view_spec_takes_real_fovs_as_floats():
+    for fov in (60, np.int64(60), np.float32(60.0), 60.0):
+        view = s2l2.ViewSpec("perspective", 4, 4, np.eye(3), fov)
+        assert type(view.fov_deg) is float and view.fov_deg == 60.0
+
+
 def test_cubemap_covers_sphere(rng):
     views = s2l2.cubemap_views(16)
     d = geom.normalize(rng.normal(size=(500, 3)))
@@ -572,7 +586,7 @@ def test_resample_frames_only_touched_source_pixels():
         assert np.abs(got.data - resample_per_neighbour(cube, dst, method)).max() <= 1e-15 * 2.0
 
 
-def test_resample_s2l2_evaluates_no_destination_frame_at_source_pixels():
+def test_resample_s2l2_evaluates_no_destination_frame_at_source_pixels(monkeypatch):
     # the +z face centre of an odd cubemap is exactly the up axis of a
     # 170-degree z-up camera looking along +x, whose frame field is
     # undefined there; the top rows' footprints reach that centre pixel.
@@ -581,12 +595,17 @@ def test_resample_s2l2_evaluates_no_destination_frame_at_source_pixels():
     cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(5)]
     pose = np.stack([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], axis=-1)
     dst = s2l2.ViewSpec("perspective", 8, 32, pose, 170.0)
-    s2l2._last_plan = (None, None)
+    s2l2._last_plans.clear()
+
+    def no_twists(*args):
+        raise AssertionError("an s2l2 resample computed frame twists")
+
+    monkeypatch.setattr(s2l2, "frame_twist", no_twists)
     got = s2l2.resample(cube, dst, "s2l2")
-    plan = s2l2._last_plan[1]
+    plan = s2l2._last_plans["s2l2"][1]
     centre = np.flatnonzero(cube[4].view.pixel_dirs().reshape(-1, 3)[:, 2] == 1.0)
     assert np.isin(centre, plan.touched[4]).all()
-    assert list(plan._methods) == ["s2l2"]
+    assert list(s2l2._last_plans) == ["s2l2"]
     assert got.valid.all() and np.isfinite(got.data).all()
     want = resample_per_neighbour(cube, dst, "s2l2")
     assert np.abs(got.data - want).max() <= 1e-15 * np.abs(want).max()
@@ -610,6 +629,28 @@ def test_resample_invalid_source_pixels_invalidate_footprints():
         rows, cols, w, _, _ = s2l2._footprints(eq.view, pv.pixel_dirs().reshape(-1, 3))
         reach = np.any(~eq.valid[rows, cols] & (w != 0.0), axis=-1)
         assert np.array_equal(back.valid.ravel(), ~reach)
+
+
+def test_resample_non_finite_source_pixels_are_invalid():
+    # one NaN pixel used to give 16 NaN pixels flagged valid in the
+    # upsampled image (a zero weight still gives 0 * nan = nan), and the
+    # identity resample copied it as a NaN pixel flagged valid
+    img = s2l2.render_image(pipeline.two_lobe_field_fn, s2l2.ViewSpec("equirect", 8, 16))
+    img.data[3, 5, 2] = np.nan
+    up = s2l2.ViewSpec("equirect", 16, 32)
+    rows, cols, w, _, _ = s2l2._footprints(img.view, up.pixel_dirs().reshape(-1, 3))
+    reach = np.any((rows == 3) & (cols == 5) & (w != 0.0), axis=-1)
+    assert reach.sum() == 16
+    clean = img.data.copy()
+    clean[3, 5] = 0.0
+    for method in ("s2l2", "component-bilinear"):
+        for dst, want_invalid in ((up, reach), (img.view, (np.arange(128) == 3 * 16 + 5))):
+            got = s2l2.resample([img], dst, method)
+            assert np.isfinite(got.data).all()
+            assert np.array_equal(~got.valid.ravel(), want_invalid)
+            assert np.abs(got.data[~got.valid]).max() == 0.0
+            want = s2l2.resample([s2l2.StokesImage(img.view, clean)], dst, method)
+            assert np.array_equal(got.data[got.valid], want.data[got.valid])
 
 
 def test_resample_uncovered_flagged():
@@ -647,7 +688,7 @@ def test_resample_rejects_unknown_method():
 def _fresh_resample(sources, dst, method):
     """resample through a plan built for this call from copies of the views."""
     copy = lambda v: s2l2.ViewSpec(v.kind, v.height, v.width, v.pose.copy(), v.fov_deg)
-    s2l2._last_plan = (None, None)
+    s2l2._last_plans.clear()
     return s2l2.resample([s2l2.StokesImage(copy(s.view), s.data, s.valid) for s in sources],
                          copy(dst), method)
 
@@ -677,14 +718,14 @@ def test_resample_plan_follows_views_changed_in_place():
 
 
 def test_resample_plan_keeps_its_own_copies_of_the_views():
-    # the second method's arrays are built later, from the views the plan
-    # was built with, not from the caller's view objects as they are now
+    # a view changed in place after one method's call does not reach the
+    # other method's plan, which is built from the views of its own call
     src = s2l2.render_image(pipeline.two_lobe_field_fn,
                             s2l2.ViewSpec("perspective", 16, 16, np.eye(3), 150.0))
     dst = s2l2.ViewSpec("perspective", 8, 10, geom.rotation_zyz(0.3, 0.5, -0.2), 70.0)
     same = s2l2.ViewSpec("perspective", 8, 10, dst.pose.copy(), 70.0)
     want = _fresh_resample([src], same, "component-bilinear")
-    s2l2._last_plan = (None, None)
+    s2l2._last_plans.clear()
     s2l2.resample([src], dst, "s2l2")
     dst.pose[...] = np.eye(3)
     got = s2l2.resample([src], same, "component-bilinear")
@@ -739,6 +780,26 @@ def test_resample_plan_cache_under_threads():
     assert errors == []
 
 
+def test_resample_builds_each_method_plan_once(monkeypatch):
+    # alternating the two methods on the same views, as the cubemap to
+    # equirect benchmark does, reuses each method's own plan
+    cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(4)]
+    dst = s2l2.ViewSpec("equirect", 8, 16)
+    built = []
+    init = s2l2._ResamplePlan.__init__
+
+    def counted(self, src_views, dst, method):
+        built.append(method)
+        init(self, src_views, dst, method)
+
+    monkeypatch.setattr(s2l2._ResamplePlan, "__init__", counted)
+    s2l2._last_plans.clear()
+    for _ in range(4):
+        for method in ("s2l2", "component-bilinear"):
+            s2l2.resample(cube, dst, method)
+    assert built == ["s2l2", "component-bilinear"]
+
+
 def test_resample_retains_no_plan_over_the_memory_bound():
     # a narrow source keeps the build small, but the destination's plan
     # holds all of its 440 x 880 pixels: over the 32 MB the cache keeps
@@ -747,7 +808,7 @@ def test_resample_retains_no_plan_over_the_memory_bound():
     dst = s2l2.ViewSpec("equirect", 440, 880)
     assert s2l2._ResamplePlan([src.view], dst, "s2l2").nbytes > s2l2._PLAN_BYTES
     s2l2.resample([src], s2l2.ViewSpec("equirect", 4, 8))
-    assert s2l2._last_plan[0] is not None
+    assert "s2l2" in s2l2._last_plans
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -757,7 +818,7 @@ def test_resample_retains_no_plan_over_the_memory_bound():
     finally:
         tracemalloc.stop()
     assert abs(retained) < 2 ** 20
-    assert s2l2._last_plan == (None, None)
+    assert "s2l2" not in s2l2._last_plans
 
 
 def test_s2l2_next_to_the_poles(rng):
