@@ -182,9 +182,12 @@ def random_rotation(rng):
 
 
 def is_rotation(R, tol=1e-12):
-    R = np.asarray(R)
-    return (np.allclose(R.T @ R, np.eye(3), atol=tol)
-            and abs(np.linalg.det(R) - 1.0) < max(tol, 1e-10))
+    """Per matrix of R (..., 3, 3): every entry of R^T R - I and det R - 1 within
+    tol (det to at least 1e-10); false where R is not finite."""
+    R = np.asarray(R, dtype=float)
+    with np.errstate(all="ignore"):
+        return ((np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3)).max(axis=(-2, -1)) <= tol)
+                & (np.abs(np.linalg.det(R) - 1.0) < max(tol, 1e-10)))
 
 
 # ---------------------------------------------------------------------------

@@ -54,34 +54,17 @@ def _runs(l_max):
     return min(sh.sh_size(l_max), 4), P.spin2_size(l_max)
 
 
-def _assemble(l_max, blocks) -> np.ndarray:
-    """The dense canonical matrix of spin blocks {(group, key): value}."""
+def assemble_psh_matrix(l_max, blocks) -> np.ndarray:
+    """The dense canonical matrix of spin blocks {(group, key): value} keyed
+    as polar.SPIN_BLOCKS: ('scalar', (a, b)) real over scalar SH indices for
+    a, b in {0, 3}; complex ('to_spin2', b), ('from_spin2', a), ('iso', None)
+    and ('conj', None).  Absent blocks are zero; an unknown key raises."""
     return write_spin_blocks(np.zeros((P.psh_size(l_max),) * 2), _runs(l_max), blocks)
 
 
-def assemble_psh_matrix(l_max, blocks) -> np.ndarray:
-    """Assemble the dense canonical matrix from spin blocks.
-
-    blocks is a dict: 'scalar' maps (a, b), a, b in {0, 3}, to a real matrix
-    over scalar SH indices; 'to_spin2' maps b to the complex matrix from
-    slot b to the spin-2 pair and 'from_spin2' maps a to the one from the
-    pair to slot a; 'iso' and 'conj' hold the spin 2-to-2 pair.  Absent
-    blocks are zero; polar.SPIN_BLOCKS places each one.
-    """
-    return _assemble(l_max, {(blk.group, blk.key): blocks.get(blk.group) if blk.key is None
-                             else blocks.get(blk.group, {}).get(blk.key)
-                             for blk in SPIN_BLOCKS})
-
-
 def split_psh_matrix(M: PshCoeffMatrix):
-    """Inverse of assemble_psh_matrix: extract the spin blocks."""
-    blocks = {"scalar": {}, "to_spin2": {}, "from_spin2": {}}
-    for (group, key), value in read_spin_blocks(M.matrix, _runs(M.l_max)).items():
-        if key is None:
-            blocks[group] = value
-        else:
-            blocks[group][key] = value
-    return blocks
+    """Inverse of assemble_psh_matrix: every spin block, in the same dict form."""
+    return read_spin_blocks(M.matrix, _runs(M.l_max))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +119,8 @@ def _ring_blocks(mueller_field, l_max, grid):
     the double grid leaves n_phi where mu = m_o (mod n_phi), and zero
     elsewhere, times F_mu[r_o, r_i] = sum_k K0[r_o, r_i, k] e^{i mu phi_k}
     at mu = +-m_i, which meets the weighted ring tables on both sides.
-    Complex-basis scalar sides go to the real basis by complex_to_real_matrix.
+    Complex-basis scalar sides go to the real basis by c2r_values along
+    their axis (conj(U) blk on the output side, blk U^T on the input side).
     """
     n = grid.n_phi
     w_o = sph_to_dir(grid.theta_nodes, 0.0)
@@ -145,7 +129,6 @@ def _ring_blocks(mueller_field, l_max, grid):
     m = {0: m0, 2: m0[4:]}                           # spin-2 columns start at l = 2
     wT = {s: grid.theta_weights[:, None] * sh.ring_table(l_max, s, grid)[:, s * s:]
           for s in (0, 2)}
-    U = sh.complex_to_real_matrix(l_max)
     flat = {}
     for group, key, g, s_o, s_i, sign in _spin_parts(K0):
         mu = sign * m[s_i]
@@ -153,9 +136,9 @@ def _ring_blocks(mueller_field, l_max, grid):
         blk = (n * n) * (wT[s_o].T @ np.einsum("oib,ib->ob", F[..., mu % n], wT[s_i]))
         blk[(mu[None, :] - m[s_o][:, None]) % n != 0] = 0.0
         if s_o == 0:
-            blk = U.conj() @ blk
+            blk = sh.c2r_values(blk.T).T
         if s_i == 0:
-            blk = blk @ U.T
+            blk = np.conj(sh.c2r_values(np.conj(blk)))
         flat[group, key] = blk.real if s_o == s_i == 0 else blk
     return flat
 
@@ -174,7 +157,7 @@ def operator_project(mueller_field, l_max: int, grid: SphereGrid) -> PshCoeffMat
     if grid.band < l_max:
         raise ValueError(f"grid band {grid.band} insufficient for l_max {l_max}")
     project = _ring_blocks if getattr(mueller_field, "azimuthal", False) else _dense_blocks
-    return PshCoeffMatrix(l_max, _assemble(l_max, project(mueller_field, l_max, grid)))
+    return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, project(mueller_field, l_max, grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +194,8 @@ def isotropic_compact(M: PshCoeffMatrix) -> IsotropicCompact:
                for i, j in zip(*np.nonzero(same))}
     blocks = split_psh_matrix(M)
     mo, mi, same = lay.m[4:, None], lay.m[None, 4:], same[4:, 4:]
-    viol_pair = max(np.max(np.abs(blocks["iso"][same & (mi != mo)]), initial=0.0),
-                    np.max(np.abs(blocks["conj"][same & (mi != -mo)]), initial=0.0))
+    viol_pair = max(np.max(np.abs(blocks["iso", None][same & (mi != mo)]), initial=0.0),
+                    np.max(np.abs(blocks["conj", None][same & (mi != -mo)]), initial=0.0))
     return IsotropicCompact(M.l_max, entries, viol_m, float(viol_pair))
 
 
@@ -279,7 +262,7 @@ def _pointwise_product(l_max, bases, wv):
     only); the 0<->2 and conj blocks vanish identically."""
     br, b2, brT, b2H = bases
     G = brT @ (wv[:, None] * br)
-    return PshCoeffMatrix(l_max, _assemble(l_max, {
+    return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, {
         ("scalar", (0, 0)): G, ("scalar", (3, 3)): G, ("iso", None): b2H @ (wv[:, None] * b2)}))
 
 

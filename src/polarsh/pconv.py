@@ -339,7 +339,7 @@ def pconv_angular(kernel_fn, coeffs: P.PshCoeffs, out_theta, out_phi,
 
 def _u_to(mo, mi):
     """U^{p0}(m_o, m_i) over arrays: the C->R entry U[m_i, m_o] of
-    shscalar.complex_to_real_block, zero unless |m_o| = |m_i|.
+    shscalar._c2r_rows' row rule, zero unless |m_o| = |m_i|.
 
     The one phase function of the theorem: U^{0p}(m_o, m_i) is
     conj(U^{p0}(m_i, m_o)).  _u_to_spin2 and _u_from_spin2 are its scalar

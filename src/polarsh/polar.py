@@ -235,6 +235,7 @@ SPIN_BLOCKS = (
         SpinBlock("scalar", (a, 0), a, 0, 1), SpinBlock("scalar", (a, 3), a, 3, 1),
         SpinBlock("to_spin2", a, 1, a, 1), SpinBlock("from_spin2", a, a, 1, 1))),
     SpinBlock("iso", None, 1, 1, 1), SpinBlock("conj", None, 1, 1, -1))
+_BLOCK_KEYS = frozenset((blk.group, blk.key) for blk in SPIN_BLOCKS)
 
 
 def slot_pairs(blk: SpinBlock):
@@ -262,7 +263,11 @@ def write_spin_blocks(out, runs, blocks):
     """Write blocks {(group, key): value} into the real matrices out
     (..., n, n) of a layout of runs (n2, n4) and return out; iso and conj
     share their entries and add.  A value has the block's (rows, cols) as
-    its last two axes."""
+    its last two axes; a key that names no block raises ValueError."""
+    unknown = sorted(map(repr, blocks.keys() - _BLOCK_KEYS))
+    if unknown:
+        raise ValueError(f"unknown spin block keys {', '.join(unknown)}"
+                         " (not a (group, key) of polar.SPIN_BLOCKS)")
     written = set()
     for blk in SPIN_BLOCKS:
         value = blocks.get((blk.group, blk.key))

@@ -11,9 +11,9 @@ factor comes from the one generator shscalar.spin_theta_table and is regular
 at the poles.  The basis matrix s2sh_basis calls the generator;
 psh_reconstruct at scattered points sums one Fourier-in-theta table per spin
 (shscalar._fourier_table, from the cached d(pi/2) factors); grid transforms
-(psh_project, psh_reconstruct_field) are ring transforms.  The scalar-SH
-combination formula s2sh_eval_direct is kept as a cross-check away from the
-poles.
+(psh_project, psh_reconstruct_field) are ring transforms.  s0/s3 change basis
+only by c2r/r2c_values; rotation works on s0 + i s3 in the complex basis.
+The scalar-SH formula s2sh_eval_direct is a cross-check away from the poles.
 """
 
 from __future__ import annotations
@@ -104,6 +104,11 @@ def psh_index(l: int, m: int, p: int, l_max: int) -> int:
     return base + off + order[p]
 
 
+def _check_l_max(l_max):
+    if isinstance(l_max, bool) or not isinstance(l_max, (int, np.integer)) or l_max < 0:
+        raise ValueError(f"l_max must be an integer >= 0, got {l_max!r}")
+
+
 def _real_array(name, a):
     """a as a float array; a complex array raises ValueError rather than
     losing its imaginary part."""
@@ -127,6 +132,7 @@ class PshCoeffs:
     s3: np.ndarray
 
     def __post_init__(self):
+        _check_l_max(self.l_max)
         self.s0 = _real_array("s0", self.s0)
         self.s3 = _real_array("s3", self.s3)
         self.spin2 = np.asarray(self.spin2, dtype=complex)
@@ -230,6 +236,7 @@ def psh_basis_eval(l: int, m: int, p: int, theta, phi) -> np.ndarray:
 
 def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
     """Quadrature projection f_lmp = <Y_lmp, f> of a Stokes field (ring transforms)."""
+    _check_l_max(l_max)
     if field.grid.band < l_max:
         raise ValueError(f"grid band {field.grid.band} insufficient for l_max {l_max}")
     scalar = np.moveaxis(field.data[..., [0, 3]], -1, 0)
@@ -275,44 +282,33 @@ def psh_rotation_block(l: int, R, dc=None) -> np.ndarray:
     if dc is None:
         dc = sh.wigner_d_complex(l, R)
     dr = sh.wigner_d_real_from_complex(dc)
-    n = 2 * l + 1
-    blocks = {("scalar", (0, 0)): dr, ("scalar", (3, 3)): dr}
-    if l >= 2:
-        blocks["iso", None] = dc
+    # below l = 2 the runs hold no spin-2 slot, so the iso block writes nothing
     return write_spin_blocks(np.zeros(dc.shape[:-2] + (psh_size(l) - psh_size(l - 1),) * 2),
-                             (n, 0) if l < 2 else (0, n), blocks)
+                             (2 * l + 1, 0) if l < 2 else (0, 2 * l + 1),
+                             {("scalar", (0, 0)): dr, ("scalar", (3, 3)): dr, ("iso", None): dc})
 
 
 def psh_rotation_matrix(l_max: int, R) -> np.ndarray:
     """Block-diagonal rotation matrix over the full canonical PSH index."""
     out = np.zeros((psh_size(l_max),) * 2)
-    base = 0
     for l, dc in enumerate(sh.wigner_d_stack(l_max, R)):
-        blk = psh_rotation_block(l, R, dc=dc)
-        out[base:base + blk.shape[0], base:base + blk.shape[0]] = blk
-        base += blk.shape[0]
+        sl = slice(psh_size(l - 1), psh_size(l))
+        out[sl, sl] = psh_rotation_block(l, R, dc=dc)
     return out
 
 
 def psh_rotate_coeffs(coeffs: PshCoeffs, R) -> PshCoeffs:
-    """Per-l block application; no cross-l mixing.
-
-    R is one rotation (3, 3) or a batch (N, 3, 3); a batch gives the parts a
-    leading N axis, the coefficients broadcasting against it.
-    """
-    stack = sh.wigner_d_stack(coeffs.l_max, R)
-    lead = np.broadcast_shapes(stack[0].shape[:-2], coeffs.s0.shape[:-1])
-    s0, spin2, s3 = (np.empty(lead + a.shape[-1:], dtype=a.dtype)
-                     for a in (coeffs.s0, coeffs.spin2, coeffs.s3))
-    for l in range(coeffs.l_max + 1):
-        sl = slice(sh_index(l, -l), sh_index(l, l) + 1)
-        dr = sh.wigner_d_real_from_complex(stack[l])
-        s0[..., sl] = (dr @ coeffs.s0[..., sl, None])[..., 0]
-        s3[..., sl] = (dr @ coeffs.s3[..., sl, None])[..., 0]
-        if l >= 2:
-            s2 = slice(spin2_index(l, -l), spin2_index(l, l) + 1)
-            spin2[..., s2] = (stack[l] @ coeffs.spin2[..., s2, None])[..., 0]
-    return PshCoeffs(coeffs.l_max, s0, spin2, s3)
+    """Per-l block application: s0 + i s3 in the complex basis and the
+    spin-2 pair (zero below l = 2) turn as two columns by one complex D^l
+    per band (shscalar.rotate_bands), with no real Wigner block.  A batch of
+    R (N, 3, 3) gives the parts a leading N axis, the coefficients
+    broadcasting against it."""
+    x = np.zeros(coeffs.s0.shape[:-1] + (sh_size(coeffs.l_max), 2), dtype=complex)
+    x[..., 0] = sh.r2c_values(coeffs.s0 + 1j * coeffs.s3)
+    x[..., 4:, 1] = coeffs.spin2
+    out = sh.rotate_bands(x, R)
+    scalar = sh.c2r_values(out[..., 0])
+    return PshCoeffs(coeffs.l_max, scalar.real, out[..., 4:, 1], scalar.imag)
 
 
 # ---------------------------------------------------------------------------

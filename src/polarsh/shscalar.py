@@ -1,8 +1,10 @@
 """Scalar (spin-0) spherical harmonics and the one spin-weighted generator.
 
-Evaluation, projection, Wigner-D rotation (complex and real bases), the zonal
-convolution theorem, Wigner 3-j triple products, and the z-flip reflection
-operator.
+Evaluation, projection, Wigner-D rotation, the zonal convolution theorem,
+Wigner 3-j triple products, and the z-flip reflection operator.  Real and
+complex coefficients cross bases only by the row rule _c2r_rows (c2r_values,
+r2c_values, wigner_d_real_from_complex); no dense change of basis is formed,
+and rotation works in the complex basis.
 
 Both parts of the PSH basis follow one identity,
   sY_lm(theta, phi) = sqrt((2l+1)/(4 pi)) d^l_{m,-s}(theta) e^{i m phi},
@@ -39,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom import SphereGrid, zyz_from_rotation
+from .geom import SphereGrid, is_rotation, zyz_from_rotation
 
 FOUR_PI = 4.0 * np.pi
 _CHUNK = 2048      # scattered points per pass of a basis evaluation: small temporaries
@@ -317,8 +319,16 @@ def wigner_d_stack(l_max: int, R):
     d(pi/2) factors: the sum over k = -l..l, folded onto k >= 0 by
     Delta_{-k,m} = (-1)^(l+m) Delta_{km}, is d = Re(u^H diag(eps_k e^{-ik beta}) u)
     with eps_0 = 1, else 2.  beta = 0 and pi give the exact identity and flip blocks.
+    Any other shape, or a matrix that is not a finite rotation to 1e-6 (the
+    pose tolerance of s2l2.ViewSpec), raises a ValueError naming the first.
     """
     R = np.asarray(R, dtype=float)
+    if R.ndim not in (2, 3) or R.shape[-2:] != (3, 3):
+        raise ValueError(f"R must have shape (3, 3) or (N, 3, 3), got {R.shape}")
+    bad = np.flatnonzero(~np.atleast_1d(is_rotation(R, 1e-6)))
+    if bad.size:
+        name, bad_R = ("R", R) if R.ndim == 2 else (f"R[{bad[0]}]", R[bad[0]])
+        raise ValueError(f"{name} is not a finite rotation to 1e-6: {bad_R.tolist()}")
     alpha, beta, gamma = (np.atleast_1d(a) for a in zyz_from_rotation(R))
     k = np.arange(l_max + 1)
     w = np.where(k > 0, 2.0, 1.0) * np.exp(-1j * k * beta[:, None])
@@ -340,43 +350,18 @@ def wigner_d_complex(l: int, R) -> np.ndarray:
 
 
 def _c2r_rows(m):
-    """Row m of the C->R change of basis U, vectorized over m: U[m, m] = diag
-    and U[m, -m] += off (off = 0 at m = 0)."""
+    """Row m of the unitary C->R change of basis U, Y^R_lm = sum_m' U_{mm'} Y_lm',
+    vectorized over m: U[m, m] = diag and U[m, -m] += off (off = 0 at m = 0),
+    its only nonzeros; no dense U is formed."""
     sign = 1.0 - 2.0 * (m % 2)
     diag = np.where(m > 0, 1.0, np.where(m < 0, 1j * sign, math.sqrt(2.0))) / math.sqrt(2.0)
     off = np.where(m > 0, sign, np.where(m < 0, -1j, 0.0)) / math.sqrt(2.0)
     return diag, off
 
 
-def _c2r_dense(m):
-    """The C->R matrix over the sh_index positions holding these m (-m sits at k - 2m)."""
-    k = np.arange(m.size)
-    diag, off = _c2r_rows(m)
-    U = np.zeros((k.size, k.size), dtype=complex)
-    U[k, k] = diag
-    U[k, k - 2 * m] += off
-    return U
-
-
-@lru_cache(maxsize=64)
-def complex_to_real_block(l: int) -> np.ndarray:
-    """Unitary (2l+1)x(2l+1) matrix U with Y^R_lm = sum_m' U_{mm'} Y^C_{lm'} (read-only)."""
-    U = _c2r_dense(np.arange(-l, l + 1))
-    U.setflags(write=False)
-    return U
-
-
-@lru_cache(maxsize=8)
-def complex_to_real_matrix(l_max: int) -> np.ndarray:
-    """Block-diagonal (read-only) complex_to_real_block over l = 0..l_max."""
-    U = _c2r_dense(sh_lm_arrays(l_max)[1])
-    U.setflags(write=False)
-    return U
-
-
 def c2r_values(c):
     """Real-basis coefficients conj(U) c from complex-basis ones, along the
-    last axis in sh_index order (U as in complex_to_real_matrix)."""
+    last axis in sh_index order (U as in _c2r_rows)."""
     m = sh_lm_arrays(math.isqrt(np.shape(c)[-1]) - 1)[1]
     diag, off = _c2r_rows(m)
     return diag.conj() * c + off.conj() * c[..., np.arange(m.size) - 2 * m]
@@ -391,20 +376,28 @@ def r2c_values(r):
 
 
 def wigner_d_real_from_complex(D: np.ndarray) -> np.ndarray:
-    """Convert complex Wigner blocks (..., 2l+1, 2l+1) to the real-SH basis."""
-    U = complex_to_real_block((D.shape[-1] - 1) // 2)
-    return (U.conj() @ D @ U.T).real
+    """Real-SH Wigner blocks conj(U) D U^T from complex ones (..., 2l+1, 2l+1):
+    _c2r_rows' two nonzeros per row on each side, -m at the reversed index."""
+    diag, off = _c2r_rows(np.arange(D.shape[-1]) - (D.shape[-1] - 1) // 2)
+    X = diag.conj()[:, None] * D + off.conj()[:, None] * D[..., ::-1, :]
+    return (X * diag + X[..., ::-1] * off).real
+
+
+def rotate_bands(x, R):
+    """D^l(R) x_l for every band l of complex-basis columns x (..., (l_max+1)^2, k)
+    in sh_index order, one product per band; a batch of R (N, 3, 3) gives a
+    leading N axis that the leading axes of x broadcast against."""
+    return np.concatenate([D @ x[..., l * l:(l + 1) ** 2, :] for l, D in
+                           enumerate(wigner_d_stack(math.isqrt(x.shape[-2]) - 1, R))], axis=-2)
 
 
 def sh_rotate_coeffs(coeffs: ShCoeffs, R) -> ShCoeffs:
-    """Rotate coefficients: f'_{lm} = sum_m' D^l_{mm'}(R) f_{lm'}."""
-    out = np.zeros_like(coeffs.values,
-                        dtype=complex if coeffs.kind == "complex" else float)
-    stack = wigner_d_stack(coeffs.l_max, R)
-    for l in range(coeffs.l_max + 1):
-        sl = slice(sh_index(l, -l), sh_index(l, l) + 1)
-        block = stack[l] if coeffs.kind == "complex" else wigner_d_real_from_complex(stack[l])
-        out[sl] = block @ coeffs.values[sl]
+    """Rotate coefficients: f'_{lm} = sum_m' D^l_{mm'}(R) f_{lm'}, in the
+    complex basis (real ones cross it by r2c_values and c2r_values)."""
+    real = coeffs.kind == "real"
+    out = rotate_bands((r2c_values(coeffs.values) if real else coeffs.values)[:, None], R)[:, 0]
+    if real:
+        out = c2r_values(out) if np.iscomplexobj(coeffs.values) else c2r_values(out).real
     return ShCoeffs(coeffs.l_max, coeffs.kind, out)
 
 

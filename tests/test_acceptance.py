@@ -79,9 +79,9 @@ def _psh_rotation_matrix_quadrature(l_max, R, grid):
     phase = np.exp(-2j * ang)
     Dr = br.T @ (w[:, None] * br_s)
     C2 = b2.conj().T @ ((w * phase)[:, None] * b2_s)
-    blocks = {"scalar": {(0, 0): Dr, (3, 3): Dr.copy(),
-                         (0, 3): np.zeros_like(Dr), (3, 0): np.zeros_like(Dr)},
-              "iso": C2}
+    blocks = {("scalar", (0, 0)): Dr, ("scalar", (3, 3)): Dr.copy(),
+              ("scalar", (0, 3)): np.zeros_like(Dr), ("scalar", (3, 0)): np.zeros_like(Dr),
+              ("iso", None): C2}
     return op.assemble_psh_matrix(l_max, blocks)
 
 

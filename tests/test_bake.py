@@ -31,7 +31,7 @@ def dense_shadow_expand(v, l_max):
     wv = grid.weights().ravel() * vals.ravel()
     Sr = br.T @ (wv[:, None] * br)
     C2 = b2.conj().T @ (wv[:, None] * b2)
-    blocks = {"scalar": {(0, 0): Sr, (3, 3): Sr}, "iso": C2}
+    blocks = {("scalar", (0, 0)): Sr, ("scalar", (3, 3)): Sr, ("iso", None): C2}
     return op.PshCoeffMatrix(l_max, op.assemble_psh_matrix(l_max, blocks))
 
 

@@ -186,3 +186,16 @@ def test_malformed_input_exits_nonzero(tmp_path, capsys):
     bad.write_bytes(b"garbage")
     assert run("reconstruct", bad, tmp_path / "o.s4em") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_lmax_exits_one_and_writes_nothing(tmp_path, capsys):
+    # synth used to write a nonzero map from a one-coefficient vector and exit
+    # 0, and project to die inside numpy on an empty reduction
+    env = tmp_path / "env.s4em"
+    assert run("synth", "band-limited-random", "--lmax", 4, env) == 0
+    neg_map, neg_coeffs = tmp_path / "neg.s4em", tmp_path / "neg.psh4"
+    assert run("synth", "band-limited-random", "--lmax", -2, neg_map) == 1
+    assert "l_max must be an integer >= 0, got -2" in capsys.readouterr().err
+    assert run("project", "--lmax", -1, env, neg_coeffs) == 1
+    assert "l_max must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not neg_map.exists() and not neg_coeffs.exists()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -79,14 +80,14 @@ def test_depolarizer_field_block_separation():
 
     M = op.operator_project(depol, 3, geom.gauss_legendre_grid(10))
     blocks = op.split_psh_matrix(M)
-    assert np.abs(blocks["scalar"][(0, 0)]).max() > 1e-3
+    assert np.abs(blocks["scalar", (0, 0)]).max() > 1e-3
     for key in ((0, 3), (3, 0), (3, 3)):
-        assert np.abs(blocks["scalar"][key]).max() < 1e-12
+        assert np.abs(blocks["scalar", key]).max() < 1e-12
     for a in (0, 3):
-        assert np.abs(blocks["to_spin2"][a]).max() < 1e-12
-        assert np.abs(blocks["from_spin2"][a]).max() < 1e-12
-    assert np.abs(blocks["iso"]).max() < 1e-12
-    assert np.abs(blocks["conj"]).max() < 1e-12
+        assert np.abs(blocks["to_spin2", a]).max() < 1e-12
+        assert np.abs(blocks["from_spin2", a]).max() < 1e-12
+    assert np.abs(blocks["iso", None]).max() < 1e-12
+    assert np.abs(blocks["conj", None]).max() < 1e-12
 
 
 def test_operator_project_band_check():
@@ -176,17 +177,15 @@ def test_assemble_split_roundtrip(rng):
         n, S, S2 = psh.psh_size(L), sh.sh_size(L), psh.spin2_size(L)
         M = op.PshCoeffMatrix(L, rng.normal(size=(n, n)))
         assert _within_4_ulps(op.assemble_psh_matrix(L, op.split_psh_matrix(M)), M.matrix)
-        B = {"scalar": {(a, b): rng.normal(size=(S, S)) for a in (0, 3) for b in (0, 3)},
-             "to_spin2": {a: c(S2, S) for a in (0, 3)},
-             "from_spin2": {a: c(S, S2) for a in (0, 3)}, "iso": c(S2, S2), "conj": c(S2, S2)}
+        B = {**{("scalar", (a, b)): rng.normal(size=(S, S)) for a in (0, 3) for b in (0, 3)},
+             **{("to_spin2", a): c(S2, S) for a in (0, 3)},
+             **{("from_spin2", a): c(S, S2) for a in (0, 3)},
+             ("iso", None): c(S2, S2), ("conj", None): c(S2, S2)}
         back = op.split_psh_matrix(op.PshCoeffMatrix(L, op.assemble_psh_matrix(L, B)))
-        for group in ("iso", "conj"):
-            assert back[group].shape == B[group].shape
-            assert _within_4_ulps(back[group], B[group])
-        for group in ("scalar", "to_spin2", "from_spin2"):
-            for key, value in B[group].items():
-                assert back[group][key].shape == value.shape
-                assert _within_4_ulps(back[group][key], value)
+        assert back.keys() == B.keys()
+        for key, value in B.items():
+            assert back[key].shape == value.shape
+            assert _within_4_ulps(back[key], value)
     K = rng.normal(size=(3, 5, 4, 4))
     back = polar.write_spin_blocks(np.zeros(K.shape), (0, 1), polar.read_spin_blocks(K, (0, 1)))
     assert _within_4_ulps(back, K)
@@ -265,12 +264,25 @@ def test_visibility_basis_cache_keyed_on_grid_nodes():
     assert np.abs(outs[2] - 2.0 * outs[0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("key", [("scalar", (0, 1)), ("scalr", (0, 0)), ("iso", 0),
+                                 ("to_spin2", 1), "iso"])
+def test_assemble_rejects_misspelt_block_keys(key):
+    # each used to become a silent zero block
+    S = sh.sh_size(2)
+    blocks = {("scalar", (0, 0)): np.eye(S), key: np.eye(S)}
+    with pytest.raises(ValueError, match="unknown spin block keys " + re.escape(repr(key))):
+        op.assemble_psh_matrix(2, blocks)
+    # the nested form of the previous API is refused too
+    with pytest.raises(ValueError, match="unknown spin block keys"):
+        op.assemble_psh_matrix(2, {"scalar": {(0, 0): np.eye(S)}})
+
+
 def test_assemble_and_split_retain_no_memory():
     # nothing sized by the matrix outlives a call: at L = 16 a table of the
     # blocks' entries would hold about 12 MB
     L = 16
     S = sh.sh_size(L)
-    blocks = {"scalar": {(0, 0): np.eye(S)}, "iso": np.eye(psh.spin2_size(L), dtype=complex)}
+    blocks = {("scalar", (0, 0)): np.eye(S), ("iso", None): np.eye(psh.spin2_size(L), dtype=complex)}
     psh.psh_layout(L)
     tracemalloc.start()
     try:
@@ -292,8 +304,7 @@ def test_cached_tables_are_read_only():
     g = geom.gauss_legendre_grid(4)
     op.visibility_project(lambda d: np.ones(np.asarray(d).shape[:-1]), 4, g)
     tables = [*op._product_bases(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
-              sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3), sh.complex_to_real_block(2),
-              sh.complex_to_real_matrix(3),
+              sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3),
               *pconv._conv_tables(3), *pconv._residual_labels(3),
               *_resample_plan_arrays()]
     for a in tables:
@@ -310,10 +321,10 @@ def test_shadow_expand_identity_and_zero_blocks():
     Vh = op.shadow_expand(vh, LMAX)
     blocks = op.split_psh_matrix(Vh)
     for a in (0, 3):
-        assert np.abs(blocks["to_spin2"][a]).max() == 0.0
-        assert np.abs(blocks["from_spin2"][a]).max() == 0.0
-    assert np.abs(blocks["conj"]).max() == 0.0
-    assert np.abs(blocks["scalar"][(0, 0)] - blocks["scalar"][(3, 3)]).max() == 0.0
+        assert np.abs(blocks["to_spin2", a]).max() == 0.0
+        assert np.abs(blocks["from_spin2", a]).max() == 0.0
+    assert np.abs(blocks["conj", None]).max() == 0.0
+    assert np.abs(blocks["scalar", (0, 0)] - blocks["scalar", (3, 3)]).max() == 0.0
 
 
 def test_shadow_expand_matches_direct():
@@ -355,9 +366,16 @@ def _gaunt_shadow(v, L):
                 if lo >= 2 and li >= 2:
                     S2[psh.spin2_index(lo, mo), psh.spin2_index(li, mi)] += (
                         psh.triple_product_022(lo, mo, lv, mv, li, mi) * c)
-    U = sh.complex_to_real_matrix(L)
+    # the C->R change of basis as a dense matrix: U[k, k] = diag, U[k, k - 2m] += off
+    m = sh.sh_lm_arrays(L)[1]
+    k = np.arange(m.size)
+    U = np.zeros((k.size, k.size), dtype=complex)
+    diag, off = sh._c2r_rows(m)
+    U[k, k] = diag
+    U[k, k - 2 * m] += off
     Sr = (U.conj() @ S0 @ U.T).real
-    return op.assemble_psh_matrix(L, {"scalar": {(0, 0): Sr, (3, 3): Sr}, "iso": S2})
+    return op.assemble_psh_matrix(L, {("scalar", (0, 0)): Sr, ("scalar", (3, 3)): Sr,
+                                      ("iso", None): S2})
 
 
 @pytest.mark.parametrize("L, Lv", [(4, 8), (5, 10), (4, 7)])
@@ -457,8 +475,8 @@ def test_block_separation_theorem():
     M = op.operator_project(spin22_only, 3, geom.gauss_legendre_grid(10))
     blocks = op.split_psh_matrix(M)
     for key in ((0, 0), (0, 3), (3, 0), (3, 3)):
-        assert np.abs(blocks["scalar"][key]).max() < 1e-9
+        assert np.abs(blocks["scalar", key]).max() < 1e-9
     for a in (0, 3):
-        assert np.abs(blocks["to_spin2"][a]).max() < 1e-9
-        assert np.abs(blocks["from_spin2"][a]).max() < 1e-9
-    assert np.abs(blocks["iso"]).max() > 1e-4
+        assert np.abs(blocks["to_spin2", a]).max() < 1e-9
+        assert np.abs(blocks["from_spin2", a]).max() < 1e-9
+    assert np.abs(blocks["iso", None]).max() > 1e-4

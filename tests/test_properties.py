@@ -74,6 +74,54 @@ def test_batched_psh_rotate_equals_per_rotation(l_max, n, poles, seed):
         assert np.abs(batch[i] - psh.psh_rotate_coeffs(c, R).flat()).max() < 1e-14
 
 
+# a Haar-random pose, or one tilted at most 1e-9 from either pole
+POSE = st.sampled_from([None, 0.0, 1e-12, 1e-9, np.pi - 1e-9, np.pi])
+
+
+def _pose(rng, beta):
+    if beta is None:
+        return geom.random_rotation(rng)
+    return geom.rotation_zyz(rng.uniform(-np.pi, np.pi), beta, rng.uniform(-np.pi, np.pi))
+
+
+def _band_norms(c):
+    l = sh.sh_lm_arrays(c.l_max)[0]
+    spin2 = np.pad(c.spin2, (l.size - c.spin2.size, 0))
+    return np.sqrt(np.bincount(l, c.s0 ** 2 + c.s3 ** 2 + np.abs(spin2) ** 2))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(l_max=st.integers(0, 64), beta=POSE, seed=st.integers(0, 2 ** 32 - 1))
+def test_psh_rotate_keeps_every_band_norm(l_max, beta, seed):
+    rng = np.random.default_rng(seed)
+    c = pipeline.random_psh_coeffs(l_max, seed=int(rng.integers(2 ** 31)))
+    before, after = _band_norms(c), _band_norms(psh.psh_rotate_coeffs(c, _pose(rng, beta)))
+    assert np.all(np.abs(after - before) <= 1e-14 * before)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(l_max=st.integers(0, 64), beta1=POSE, beta2=POSE, seed=st.integers(0, 2 ** 32 - 1))
+def test_psh_rotate_composes(l_max, beta1, beta2, seed):
+    # unit-variance coefficients: rotating by R2 then R1 is rotating by R1 R2
+    rng = np.random.default_rng(seed)
+    R1, R2 = _pose(rng, beta1), _pose(rng, beta2)
+    c = pipeline.random_psh_coeffs(l_max, seed=int(rng.integers(2 ** 31)))
+    twice = psh.psh_rotate_coeffs(psh.psh_rotate_coeffs(c, R2), R1).flat()
+    assert np.abs(twice - psh.psh_rotate_coeffs(c, R1 @ R2).flat()).max() <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(l_max=st.integers(0, 16), beta=POSE, seed=st.integers(0, 2 ** 32 - 1))
+def test_psh_rotate_equals_real_block_rotation_matrix(l_max, beta, seed):
+    # psh_rotation_matrix turns s0 and s3 by real Wigner blocks, an
+    # independent route from the complex-basis rotation
+    rng = np.random.default_rng(seed)
+    R = _pose(rng, beta)
+    c = pipeline.random_psh_coeffs(l_max, seed=int(rng.integers(2 ** 31)))
+    want = psh.psh_rotation_matrix(l_max, R) @ c.flat()
+    assert np.abs(psh.psh_rotate_coeffs(c, R).flat() - want).max() <= 1e-14
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(L=st.integers(0, 8), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_operators_equal_per_item(L, n, seed):

@@ -161,6 +161,16 @@ def test_psh_project_requires_band():
         psh.psh_project(StokesField(data, g), 5)
 
 
+@pytest.mark.parametrize("l_max", [-1, -2, 2.0, True, "3", None])
+def test_psh_coeffs_and_project_reject_a_bad_l_max(l_max):
+    # a negative l_max used to pass as a one-coefficient vector
+    with pytest.raises(ValueError, match="l_max must be an integer >= 0"):
+        psh.PshCoeffs(l_max, np.zeros(1), np.zeros(0, dtype=complex), np.zeros(1))
+    field = psh.psh_reconstruct_field(psh.PshCoeffs.zeros(2), geom.gauss_legendre_grid(4))
+    with pytest.raises(ValueError, match="l_max must be an integer >= 0"):
+        psh.psh_project(field, l_max)
+
+
 def test_psh_reconstruct_trivial():
     assert np.abs(psh.psh_reconstruct(psh.PshCoeffs.zeros(3), 0.3, 0.2)).max() == 0.0
     # below l = 2 there are no spin-2 columns; l_max = 0 is the constant s0, s3

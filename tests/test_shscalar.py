@@ -324,6 +324,41 @@ def test_wigner_d_stack_batch_equals_single_calls(rng):
     assert np.array_equal(sh.wigner_d_complex(4, Rs[0]), sh.wigner_d_stack(4, Rs[0])[4])
 
 
+_NOT_ROTATIONS = {"nan": np.full((3, 3), np.nan), "scaled": 2.0 * np.eye(3),
+                  "reflection": np.diag([1.0, 1.0, -1.0]),
+                  # det 1 to 3e-11, but R^T R off the identity by 1e-5
+                  "stretched": np.diag([1.0 + 5e-6, 1.0 - 5e-6, 1.0])}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_ROTATIONS))
+def test_rotations_reject_a_matrix_that_is_not_a_rotation(rng, name):
+    # each used to rotate: NaN coefficients, or finite norm-preserving
+    # meaningless ones
+    bad = _NOT_ROTATIONS[name]
+    c = pipeline.random_psh_coeffs(4, seed=1)
+    with pytest.raises(ValueError, match=r"^R is not a finite rotation to 1e-6"):
+        sh.wigner_d_stack(4, bad)
+    with pytest.raises(ValueError, match=r"^R is not a finite rotation to 1e-6"):
+        psh.psh_rotate_coeffs(c, bad)
+    Rs = np.stack([geom.random_rotation(rng), np.eye(3), bad, bad])
+    with pytest.raises(ValueError, match=r"^R\[2\] is not a finite rotation to 1e-6"):
+        psh.psh_rotate_coeffs(c, Rs)
+    with pytest.raises(ValueError, match=r"^R\[2\] is not a finite rotation to 1e-6"):
+        sh.sh_rotate_coeffs(sh.ShCoeffs(4, "real", c.s0), Rs)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 4), (2, 2, 3, 3)])
+def test_wigner_d_stack_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"R must have shape \(3, 3\) or \(N, 3, 3\)"):
+        sh.wigner_d_stack(2, np.ones(shape))
+
+
+def test_wigner_d_stack_accepts_rotations_to_the_pose_tolerance(rng):
+    # rounding well inside 1e-6 is still a rotation
+    R = geom.random_rotation(rng) + 1e-8 * rng.normal(size=(3, 3))
+    assert len(sh.wigner_d_stack(3, R)) == 4
+
+
 def test_wigner_d_real(rng):
     R = geom.random_rotation(rng)
     for l in (2, 4):

@@ -220,12 +220,13 @@ def test_split_and_shadow_expand_match_hand_written_bodies(rng):
     # L = 0 and 1 have no run of four slots, L = 16 has many runs
     for L in (0, 1, 2, 5, 16):
         n, S, S2 = psh.psh_size(L), sh.sh_size(L), psh.spin2_size(L)
-        B = {"scalar": {(a, b): rng.normal(size=(S, S)) for a in (0, 3) for b in (0, 3)},
-             "to_spin2": {a: c(S2, S) for a in (0, 3)},
-             "from_spin2": {a: c(S, S2) for a in (0, 3)}, "iso": c(S2, S2), "conj": c(S2, S2)}
-        assert np.array_equal(op.assemble_psh_matrix(L, B), _assemble_oracle(L, B))
+        B = {**{("scalar", (a, b)): rng.normal(size=(S, S)) for a in (0, 3) for b in (0, 3)},
+             **{("to_spin2", a): c(S2, S) for a in (0, 3)},
+             **{("from_spin2", a): c(S, S2) for a in (0, 3)},
+             ("iso", None): c(S2, S2), ("conj", None): c(S2, S2)}
+        assert np.array_equal(op.assemble_psh_matrix(L, B), _assemble_oracle(L, _nest_oracle(B)))
         M = op.PshCoeffMatrix(L, rng.normal(size=(n, n)))
-        got, want = op.split_psh_matrix(M), _split_oracle(M)
+        got, want = _nest_oracle(op.split_psh_matrix(M)), _split_oracle(M)
         for group in ("scalar", "to_spin2", "from_spin2"):
             assert got[group].keys() == want[group].keys()
             for key in want[group]:
