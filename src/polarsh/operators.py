@@ -2,8 +2,9 @@
 
 Double-sphere projection of Mueller transform fields (pBRDF / radiance
 transfer; ring by ring for azimuthally symmetric fields), isotropy sparsity
-checks and compact storage, shadow matrices by exact single-sphere
-quadrature, the reflection operator, and analytic sphere-cap visibility.
+checks and compact storage, shadow matrices by exact ring quadrature of
+the visibility's spectra, the reflection operator, and analytic sphere-cap
+visibility.
 """
 
 from __future__ import annotations
@@ -244,17 +245,6 @@ def _gram_bases(l_max, th, ph):
     return br, b2, np.ascontiguousarray(br.T), np.ascontiguousarray(b2.conj().T)
 
 
-@lru_cache(maxsize=4)
-def _product_bases(l_max: int, band: int):
-    """Read-only _gram_bases at the points of gauss_legendre_grid(band),
-    cached as the ring tables are."""
-    th, ph = (a.ravel() for a in gauss_legendre_grid(band).angles())
-    bases = _gram_bases(l_max, th, ph)
-    for b in bases:
-        b.setflags(write=False)
-    return bases
-
-
 def _pointwise_product(l_max, bases, wv):
     """The operator of multiplication by v from the weighted Grams of the
     bases (br, b2, br^T, b2^H) at the quadrature points: br^T diag(w v) br on
@@ -266,22 +256,58 @@ def _pointwise_product(l_max, bases, wv):
         ("scalar", (0, 0)): G, ("scalar", (3, 3)): G, ("iso", None): b2H @ (wv[:, None] * b2)}))
 
 
+@lru_cache(maxsize=4)
+def _ring_gram_tables(l_max: int, l_vis: int):
+    """Read-only tables of shadow_expand: l_vis's positions with 0 <= m <= 2 l_max,
+    m-major, and each m's first; n_phi w_r T_i(r) T_j(r), scalar then spin-2,
+    of each pair with k = m_i - m_j >= 0, sorted by k, and each k's first; and
+    each Gram entry's index into [g, conj(g)] (k < 0: transposed, conjugate)."""
+    grid = gauss_legendre_grid(l_max + l_vis // 2)
+    w, n_k = grid.n_phi * grid.theta_weights, min(2 * l_max, l_vis) + 1
+    pick = np.array([l * l + l + m for m in range(n_k) for l in range(m, l_vis + 1)])
+    ks, prods, tr = [], [], []
+    for s in (0, 2):
+        T, m = sh.ring_table(l_max, s, grid)[:, s * s:], sh.sh_lm_arrays(l_max)[1][s * s:]
+        tr.append(sum(map(len, ks)) + np.arange(m.size ** 2).reshape(m.size, m.size).T.ravel())
+        ks.append((m[:, None] - m[None, :]).ravel())
+        prods.append(((w[:, None] * T)[:, :, None] * T[:, None, :]).reshape(len(T), -1))
+    k = np.concatenate(ks)
+    full = np.argsort(np.where(k < 0, 2 * l_max + 1, k), kind="stable")
+    order, rank = full[:np.count_nonzero(k >= 0)], np.argsort(full)
+    tables = (pick, np.searchsorted(sh.sh_lm_arrays(l_vis)[1][pick], np.arange(n_k)),
+              np.concatenate(prods, axis=1).T[order],
+              np.searchsorted(k[order], np.arange(2 * l_max + 2)),
+              np.where(k < 0, rank[np.concatenate(tr)] + order.size, rank))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
     """Expand visibility SH coefficients into the pointwise-product operator.
 
-    conj(Y_out) v Y_in has degree at most 2 l_max + L_v (the same for the
-    spin-2 pair), and a Gauss-Legendre grid of band B integrates degree
-    2B + 1 exactly, so on B = l_max + L_v // 2 the quadrature equals the
-    Gaunt (triple-product) result; one band less does not.  The bases at the
-    grid points and their transposes are cached per (l_max, B), so a call
-    costs the two weighted Grams and their strided writes.
+    With F_r[k] = sum_l v_lk T_lk(r) (complex v, ring table T) on the rings of
+    band B = l_max + L_v // 2, which integrate conj(Y_i) v Y_j (degree 2 l_max
+    + L_v <= 2B + 1) exactly, G[i, j] = sum_r n_phi w_r T_i(r) T_j(r) F_r[m_i - m_j]
+    is the Gaunt result: one product per k = 0..2 l_max, k < 0 by Hermitian
+    symmetry.  The scalar Gram goes to the real basis by c2r_values on both sides.
     """
+    sh._check_l_max(l_max)
     if v.kind != "real":
         raise ValueError("expected real-SH visibility coefficients")
-    grid = gauss_legendre_grid(l_max + v.l_max // 2)
-    vals = sh.ring_synthesis(sh.r2c_values(v.values), grid, 0).real
-    return _pointwise_product(l_max, _product_bases(l_max, grid.band),
-                              grid.weights().ravel() * vals.ravel())
+    if not np.isfinite(v.values).all():
+        raise ValueError(f"visibility coefficient {np.argmin(np.isfinite(v.values))} is not finite")
+    pick, runs, pairs, starts, src = _ring_gram_tables(l_max, v.l_max)
+    ring = sh.ring_table(v.l_max, 0, gauss_legendre_grid(l_max + v.l_max // 2))
+    F = np.zeros((2 * l_max + 1, len(ring), 2))            # (k, ring, [Re, Im]), zero above L_v
+    F.view(complex)[:runs.size, :, 0] = np.add.reduceat(
+        ring[:, pick] * sh.r2c_values(v.values)[pick], runs, axis=1).T
+    g = np.concatenate([pairs[a:b] @ F[k] for k, (a, b) in enumerate(zip(starts, starts[1:]))])
+    G = np.concatenate([g.view(complex)[:, 0], g.view(complex)[:, 0].conj()])[src]
+    S, S2 = sh.sh_size(l_max), P.spin2_size(l_max)
+    Gr = sh.c2r_values(sh.c2r_values(G[:S * S].reshape(S, S).T).T.conj()).real
+    return PshCoeffMatrix(l_max, assemble_psh_matrix(l_max, {
+        ("scalar", (0, 0)): Gr, ("scalar", (3, 3)): Gr, ("iso", None): G[S * S:].reshape(S2, S2)}))
 
 
 def shadow_matrix_direct(vis_fn, l_max: int, grid: SphereGrid) -> PshCoeffMatrix:

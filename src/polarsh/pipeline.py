@@ -94,6 +94,8 @@ def synth_envmap(kind: str, l_max: int = 9, seed: int = 0, band: int | None = No
     """Deterministic synthetic Stokes environment maps on a quadrature grid."""
     grid = gauss_legendre_grid(band if band is not None else max(l_max, 9))
     if kind == "band-limited-random":
+        if grid.band < l_max:
+            raise ValueError(f"grid band {grid.band} cannot hold coefficients of l_max {l_max}")
         c = random_psh_coeffs(l_max, seed)
         return P.psh_reconstruct_field(c, grid)
     if kind == "sky-analytic":

@@ -104,11 +104,6 @@ def psh_index(l: int, m: int, p: int, l_max: int) -> int:
     return base + off + order[p]
 
 
-def _check_l_max(l_max):
-    if isinstance(l_max, bool) or not isinstance(l_max, (int, np.integer)) or l_max < 0:
-        raise ValueError(f"l_max must be an integer >= 0, got {l_max!r}")
-
-
 def _real_array(name, a):
     """a as a float array; a complex array raises ValueError rather than
     losing its imaginary part."""
@@ -132,7 +127,7 @@ class PshCoeffs:
     s3: np.ndarray
 
     def __post_init__(self):
-        _check_l_max(self.l_max)
+        sh._check_l_max(self.l_max)
         self.s0 = _real_array("s0", self.s0)
         self.s3 = _real_array("s3", self.s3)
         self.spin2 = np.asarray(self.spin2, dtype=complex)
@@ -236,7 +231,7 @@ def psh_basis_eval(l: int, m: int, p: int, theta, phi) -> np.ndarray:
 
 def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
     """Quadrature projection f_lmp = <Y_lmp, f> of a Stokes field (ring transforms)."""
-    _check_l_max(l_max)
+    sh._check_l_max(l_max)
     if field.grid.band < l_max:
         raise ValueError(f"grid band {field.grid.band} insufficient for l_max {l_max}")
     scalar = np.moveaxis(field.data[..., [0, 3]], -1, 0)

@@ -72,6 +72,11 @@ def sh_lm_arrays(l_max: int):
     return l, m
 
 
+def _check_l_max(l_max):
+    if isinstance(l_max, bool) or not isinstance(l_max, (int, np.integer)) or l_max < 0:
+        raise ValueError(f"l_max must be an integer >= 0, got {l_max!r}")
+
+
 @dataclass
 class ShCoeffs:
     """Coefficient vector over (l, m); kind is 'complex' or 'real'."""
@@ -80,6 +85,7 @@ class ShCoeffs:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_l_max(self.l_max)
         self.values = np.asarray(self.values)
         if self.values.shape[-1] != sh_size(self.l_max):
             raise ValueError("coefficient length does not match l_max")
@@ -526,6 +532,7 @@ def sh_project(field: np.ndarray, grid: SphereGrid, l_max: int, kind="complex") 
 
     `field` has shape (n_theta, n_phi); the grid band must be at least l_max.
     """
+    _check_l_max(l_max)
     if grid.band < l_max:
         raise ValueError(f"grid band {grid.band} insufficient for l_max {l_max}")
     vals = np.reshape(field, (np.size(grid.theta_nodes), grid.n_phi))

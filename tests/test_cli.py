@@ -199,3 +199,11 @@ def test_negative_lmax_exits_one_and_writes_nothing(tmp_path, capsys):
     assert run("project", "--lmax", -1, env, neg_coeffs) == 1
     assert "l_max must be an integer >= 0, got -1" in capsys.readouterr().err
     assert not neg_map.exists() and not neg_coeffs.exists()
+
+
+def test_synth_on_a_grid_below_lmax_exits_one_and_writes_nothing(tmp_path, capsys):
+    # a band-2 map of band-4 coefficients used to be written with exit 0
+    small = tmp_path / "small.s4em"
+    assert run("synth", "band-limited-random", "--lmax", 4, "--grid", 2, small) == 1
+    assert "grid band 2 cannot hold coefficients of l_max 4" in capsys.readouterr().err
+    assert not small.exists()

@@ -303,7 +303,7 @@ def _resample_plan_arrays():
 def test_cached_tables_are_read_only():
     g = geom.gauss_legendre_grid(4)
     op.visibility_project(lambda d: np.ones(np.asarray(d).shape[:-1]), 4, g)
-    tables = [*op._product_bases(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
+    tables = [*op._ring_gram_tables(2, 4), *psh.psh_layout(3), sh.ring_table(4, 0, g),
               sh.ring_table(4, 2, g), *sh.sh_lm_arrays(3),
               *pconv._conv_tables(3), *pconv._residual_labels(3),
               *_resample_plan_arrays()]
@@ -378,10 +378,24 @@ def _gaunt_shadow(v, L):
                                       ("iso", None): S2})
 
 
-@pytest.mark.parametrize("L, Lv", [(4, 8), (5, 10), (4, 7)])
+@pytest.mark.parametrize("L, Lv", [(4, 8), (5, 10), (4, 7), (6, 20), (2, 3)])
 def test_shadow_expand_equals_gaunt_contraction(rng, L, Lv):
     v = sh.ShCoeffs(Lv, "real", rng.normal(size=sh.sh_size(Lv)))
     assert np.abs(op.shadow_expand(v, L).matrix - _gaunt_shadow(v, L)).max() < 1e-13
+
+
+def test_shadow_expand_rejects_a_non_finite_visibility_and_a_bad_l_max():
+    # a NaN band-4 visibility at l_max = 2 used to give 262 NaN entries
+    values = np.ones(sh.sh_size(4))
+    values[7] = np.nan
+    with pytest.raises(ValueError, match="visibility coefficient 7 is not finite"):
+        op.shadow_expand(sh.ShCoeffs(4, "real", values), 2)
+    values[7], values[11] = 0.5, -np.inf
+    with pytest.raises(ValueError, match="visibility coefficient 11 is not finite"):
+        op.shadow_expand(sh.ShCoeffs(4, "real", values), 2)
+    for l_max in (-1, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="l_max must be an integer >= 0"):
+            op.shadow_expand(sh.ShCoeffs(4, "real", np.ones(sh.sh_size(4))), l_max)
 
 
 @pytest.mark.parametrize("L, Lv", [(4, 8), (4, 7)])

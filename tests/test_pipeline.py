@@ -28,6 +28,12 @@ def test_synth_envmaps(tmp_path):
         pl.synth_envmap("nope")
 
 
+def test_synth_band_limited_random_needs_a_grid_band_of_at_least_l_max():
+    with pytest.raises(ValueError, match="grid band 2 cannot hold coefficients of l_max 4"):
+        pl.synth_envmap("band-limited-random", l_max=4, band=2)
+    assert pl.synth_envmap("band-limited-random", l_max=4, band=4).grid.band == 4
+
+
 def test_two_lobe_pole_continuity():
     f = pl.two_lobe_field_fn
     base = f(np.pi, 0.0)

@@ -4,7 +4,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarsh import geom, operators, pconv, pipeline, polar, psh, s2l2
 from polarsh import shscalar as sh
@@ -82,6 +82,21 @@ def _pose(rng, beta):
     if beta is None:
         return geom.random_rotation(rng)
     return geom.rotation_zyz(rng.uniform(-np.pi, np.pi), beta, rng.uniform(-np.pi, np.pi))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(L=st.integers(0, 6), Lv=st.integers(0, 12), beta=POSE, seed=st.integers(0, 2 ** 32 - 1))
+@example(L=3, Lv=9, beta=1e-9, seed=1)             # odd L_v above 2 L, next to a pole
+@example(L=6, Lv=11, beta=np.pi - 1e-9, seed=2)
+def test_shadow_expand_commutes_with_rotation(L, Lv, beta, seed):
+    # multiplying by a rotated visibility is the rotated multiplication:
+    # S(R v) = D S(v) D^T with D the PSH rotation matrix of R
+    rng = np.random.default_rng(seed)
+    R = _pose(rng, beta)
+    v = sh.ShCoeffs(Lv, "real", rng.normal(size=sh.sh_size(Lv)))
+    S, D = operators.shadow_expand(v, L).matrix, psh.psh_rotation_matrix(L, R)
+    got = operators.shadow_expand(sh.sh_rotate_coeffs(v, R), L).matrix
+    assert np.abs(got - D @ S @ D.T).max() <= 1e-12
 
 
 def _band_norms(c):

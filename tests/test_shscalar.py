@@ -96,6 +96,16 @@ def test_project_reconstruct(rng):
     assert abs(sh.sh_reconstruct(sh.ShCoeffs(2, "real", const), 0.9, 0.1) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("l_max", [-1, -2, 2.0, True, "3", None])
+def test_sh_coeffs_and_project_reject_a_bad_l_max(l_max):
+    # ShCoeffs(-2, "real", [1.0]) used to build a one-coefficient vector, and
+    # sh_project to die in numpy's empty reduction
+    with pytest.raises(ValueError, match="l_max must be an integer >= 0"):
+        sh.ShCoeffs(l_max, "real", [1.0])
+    with pytest.raises(ValueError, match="l_max must be an integer >= 0"):
+        sh.sh_project(np.ones((3, 6)), geom.gauss_legendre_grid(2), l_max)
+
+
 def test_project_band_check():
     g = geom.gauss_legendre_grid(3)
     with pytest.raises(ValueError):

@@ -238,9 +238,12 @@ def test_split_and_shadow_expand_match_hand_written_bodies(rng):
                               geom.gauss_legendre_grid(18))
     grid = geom.gauss_legendre_grid(9 + v.l_max // 2)
     vals = sh.ring_synthesis(sh.r2c_values(v.values), grid, 0).real
-    want = _pointwise_product_oracle(9, op._product_bases(9, grid.band),
+    th, ph = (a.ravel() for a in grid.angles())
+    br, b2 = sh.sh_basis_real(9, th, ph), psh.s2sh_basis(9, th, ph)
+    want = _pointwise_product_oracle(9, (br, b2, br.T, b2.conj().T),
                                      grid.weights().ravel() * vals.ravel())
-    assert np.array_equal(op.shadow_expand(v, 9).matrix, want)
+    # the ring form sums in another order than this point quadrature
+    assert np.abs(op.shadow_expand(v, 9).matrix - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 9, 32])
