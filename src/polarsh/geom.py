@@ -236,15 +236,26 @@ def gauss_legendre(n: int):
     return x, w
 
 
-@lru_cache(maxsize=16)
+def check_l_max(l_max, who=None):
+    """Raise a ValueError, naming who needs it if given, unless the band
+    l_max is an integer >= 0 (a bool is not)."""
+    if isinstance(l_max, bool) or not isinstance(l_max, (int, np.integer)) or l_max < 0:
+        need = f"{who} needs an integer l_max >= 0" if who else "l_max must be an integer >= 0"
+        raise ValueError(f"{need}, got {l_max!r}")
+
+
 def gauss_legendre_grid(l_max: int) -> SphereGrid:
     """Grid with l_max+1 Gauss-Legendre theta nodes and 2*l_max+2 phi samples.
 
     Cached, as the ring tables are: callers share one grid per l_max, whose
     theta_nodes and theta_weights are read-only.
     """
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
+    check_l_max(l_max)      # before the cache, where True and 1 share a key
+    return _gauss_legendre_grid(int(l_max))
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre_grid(l_max):
     x, w = gauss_legendre(l_max + 1)
     theta = np.arccos(x[::-1])
     n_phi = 2 * l_max + 2

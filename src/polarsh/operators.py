@@ -17,7 +17,7 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import SphereGrid, gauss_legendre_grid, sph_to_dir
+from .geom import SphereGrid, check_l_max, gauss_legendre_grid, sph_to_dir
 from .polar import SPIN_BLOCKS, read_spin_blocks, write_spin_blocks
 from .shscalar import ShCoeffs
 
@@ -292,7 +292,7 @@ def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
     is the Gaunt result: one product per k = 0..2 l_max, k < 0 by Hermitian
     symmetry.  The scalar Gram goes to the real basis by c2r_values on both sides.
     """
-    sh._check_l_max(l_max)
+    check_l_max(l_max)
     if v.kind != "real":
         raise ValueError("expected real-SH visibility coefficients")
     if not np.isfinite(v.values).all():

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import (fibonacci_directions, frame_for_dir, frame_theta_phi, gauss_legendre,
-                   normalize, rotation_about_axis, rotation_align, rotation_zyz, sph_to_dir,
-                   dir_to_sph)
+from .geom import (check_l_max, fibonacci_directions, frame_for_dir, frame_theta_phi,
+                   gauss_legendre, normalize, rotation_about_axis, rotation_align,
+                   rotation_zyz, sph_to_dir, dir_to_sph)
 from .operators import PshCoeffMatrix, _spin_parts
 from .polar import SPIN_BLOCKS, MuellerMatrix, slot_pairs, frame_twist, mueller_reframe
 from .shscalar import FOUR_PI
@@ -105,11 +105,11 @@ def kernel_coeffs(kernel_fn, l_max: int, n_nodes=None) -> PolarConvKernelCoeffs:
     _KERNEL_ROWS, and the rows sY_lm(theta_j, 0) are their Fourier series in
     theta (shscalar._theta_fourier_rows, cached per l_max) times cos(k theta_j):
     one product, no l-recurrence and no Gauss-Legendre solve per call.  Raises
-    ValueError for l_max < 0, an n_nodes that is not an integer >= 1 and a
-    kernel sample that is not finite.
+    ValueError for an l_max that is not an integer >= 0 (geom.check_l_max),
+    an n_nodes that is not an integer >= 1 and a kernel sample that is not
+    finite.
     """
-    if not isinstance(l_max, (int, np.integer)) or l_max < 0:
-        raise ValueError(f"kernel_coeffs needs an integer l_max >= 0, got {l_max!r}")
+    check_l_max(l_max, "kernel_coeffs")
     if n_nodes is None:
         n_nodes = 4 * l_max + 16
     if isinstance(n_nodes, bool) or not isinstance(n_nodes, (int, np.integer)) or n_nodes < 1:
@@ -302,8 +302,7 @@ def pconv_angular(kernel_fn, coeffs: P.PshCoeffs, out_theta, out_phi,
     kmat = _kernel_samples(kernel_fn, tq)              # (n_theta, 4, 4)
     kmat_full = np.repeat(kmat, n_phi, axis=0)         # (M, 4, 4)
     # kernel output frame at the pole (theta-phi frame at phi') -> phi = 0
-    c2, s2 = frame_twist(frame_theta_phi(0.0, pg.reshape(-1)), frame_theta_phi(0.0, 0.0))
-    e_out = c2 - 1j * s2
+    e_out = frame_twist(frame_theta_phi(0.0, pg.reshape(-1)), frame_theta_phi(0.0, 0.0))
 
     out_theta = np.asarray(out_theta, dtype=float)
     shape = np.broadcast(out_theta, np.asarray(out_phi)).shape
@@ -317,8 +316,7 @@ def pconv_angular(kernel_fn, coeffs: P.PshCoeffs, out_theta, out_phi,
         comps = P.psh_reconstruct(coeffs, th_s, ph_s)
         # reframe field components into the rotated-system theta-phi frames
         G = np.einsum("ij,...jk->...ik", Rw, frame_theta_phi(tg.reshape(-1), pg.reshape(-1)))
-        c2, s2 = frame_twist(frame_theta_phi(th_s, ph_s), G)
-        ctil = (comps[:, 1] + 1j * comps[:, 2]) * (c2 - 1j * s2)
+        ctil = (comps[:, 1] + 1j * comps[:, 2]) * frame_twist(frame_theta_phi(th_s, ph_s), G)
         vec = np.stack([comps[:, 0], ctil.real, ctil.imag, comps[:, 3]], axis=-1)
         contrib = np.einsum("mab,mb->ma", kmat_full, vec)
         ctil_o = (contrib[:, 1] + 1j * contrib[:, 2]) * e_out
@@ -327,8 +325,7 @@ def pconv_angular(kernel_fn, coeffs: P.PshCoeffs, out_theta, out_phi,
         c = np.sum(wgt * ctil_o)
         # rotated pole frame (the columns of Rw) -> theta-phi frame at the
         # output direction
-        c2, s2 = frame_twist(Rw, frame_theta_phi(to, po))
-        c = c * (c2 - 1j * s2)
+        c = c * frame_twist(Rw, frame_theta_phi(to, po))
         result[i] = [s0, c.real, c.imag, s3]
     return result.reshape(shape + (4,))
 

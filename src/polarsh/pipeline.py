@@ -22,7 +22,7 @@ from .operators import (PshCoeffMatrix, operator_apply, operator_project,
                         reflection_permutation_psh, shadow_expand,
                         visibility_from_spheres, visibility_project)
 from .pconv import KC_FAMILIES, PolarConvKernelCoeffs, conv_project_operator, pconv_apply
-from .polar import (StokesField, SyntheticPbrdf, stokes_field_from_function,
+from .polar import (StokesField, SyntheticPbrdf, spin_dot, stokes_field_from_function,
                     stokes_reframe)
 
 
@@ -43,28 +43,21 @@ def random_psh_coeffs(l_max: int, seed: int = 0, unpolarized=False) -> P.PshCoef
     return c
 
 
-def _tangent_complex(anchor, th, ph):
-    """Complex theta-phi components of the tangent projection of a fixed axis."""
-    w = sph_to_dir(th, ph)
-    t = anchor - np.einsum("...i,i->...", w, anchor)[..., None] * w
-    F = frame_theta_phi(th, ph)
-    return (np.einsum("...i,...i->...", t, F[..., :, 0])
-            + 1j * np.einsum("...i,...i->...", t, F[..., :, 1]))
-
-
 def two_lobe_field_fn(th, ph):
     """Closed-form polarized field with two anchored lobes.
 
-    The linear pair is a sum of squared tangent projections of fixed axes, so
-    it is a genuine smooth spin-2 field satisfying the pole double-rotation
-    condition; s0 dominates the polarization magnitude everywhere.
+    The linear pair is a sum of squared spin_dot's of fixed axes (which read
+    their tangent projections), so it is a genuine smooth spin-2 field
+    satisfying the pole double-rotation condition; s0 dominates the
+    polarization magnitude everywhere.
     """
     th = np.asarray(th, dtype=float)
     ph = np.asarray(ph, dtype=float)
     a = np.array([1.0, 0.0, 0.0])
     b = normalize(np.array([0.0, 1.0, 1.0]))
     w = sph_to_dir(th, ph)
-    st = _tangent_complex(a, th, ph) ** 2 + 0.5 * _tangent_complex(b, th, ph) ** 2
+    F = frame_theta_phi(th, ph)
+    st = spin_dot(a, F) ** 2 + 0.5 * spin_dot(b, F) ** 2
     s0 = 1.0 + (w @ a) ** 2 + 0.5 * (w @ b) ** 2
     zero = np.zeros_like(s0)
     return np.stack([s0, st.real, st.imag, zero], axis=-1)
@@ -82,10 +75,7 @@ def sky_field_fn(th, ph, sun_dir=(0.6, 0.3, 0.74), turbidity=0.35, dop_max=0.6):
     u = np.cross(np.broadcast_to(s, w.shape), w)
     nrm = np.linalg.norm(u, axis=-1, keepdims=True)
     u = u / np.where(nrm > 1e-12, nrm, 1.0)
-    F = frame_theta_phi(th, ph)
-    ut = (np.einsum("...i,...i->...", u, F[..., :, 0])
-          + 1j * np.einsum("...i,...i->...", u, F[..., :, 1]))
-    stl = dop * s0 * ut ** 2
+    stl = dop * s0 * spin_dot(u, frame_theta_phi(th, ph)) ** 2
     zero = np.zeros_like(s0)
     return np.stack([s0, stl.real, stl.imag, zero], axis=-1)
 

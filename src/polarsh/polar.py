@@ -2,20 +2,20 @@
 and the synthetic analytic pBRDF.
 
 A Stokes component vector is numeric and only meaningful together with a
-measurement frame whose z axis is the propagation direction.  Reframing
-rotates the (s1, s2) pair by twice the frame angle t = frame_angle(frm, to)
-(to = frm @ Rz(t)): the pair a + ib measured in `frm` reads e^{-2it}(a + ib)
-in `to`, while s0 and s3 are unchanged.  frame_twist computes
-(cos 2t, sin 2t) and is the one place that computes the twist between two
-given frames; stokes_turn (Stokes vectors, (..., 4), behind
-stokes_reframe and the twists of the component-bilinear resample plan) and
-mueller_reframe (both sides of Mueller matrices, (..., 4, 4)) are the only
-places it is applied to real components; pconv's angular oracle pconv_angular
-multiplies the complex pair by c - i s.  The pBRDF gets its s-p to
-theta-phi twist as z^2, z = (n x w).(e_theta + i e_phi), as S2L2 gets its
-own from any tangent frame a to any frame b as (conj(m_a) . m_b)^2 / 4,
-m = x + iy, and the perturbation protocol's theta-phi baseline its twist to
-the theta-phi frame as (conj(m_z) / |m_z|)^2 (see the s2l2 module).
+measurement frame whose z axis is the propagation direction.  Its linear
+pair s1 + i s2 is spin 2: turning the frame by t (to = frm @ Rz(t)) turns
+m = x + iy by e^{-it} and the pair by e^{-2it}, while s0 and s3 stay (Thorne
+1980, Rev. Mod. Phys. 52, 299).  One product reads every twist and line
+polarization, spin_dot(v, frames) = v . m.  frame_twist(frm, to) is the
+twist w = z^2 / |z|^2 = e^{-2it}, z = spin_dot(x_frm, to) = e^{-it}, and
+refuses frames that are not orthonormal or do not share their z axis;
+stokes_turn multiplies the pair by w (behind stokes_reframe, mueller_reframe
+and the component-bilinear resample plan), as pconv_angular does.  A line
+across a tangent vector u at w reads spin_dot(u, F)^2 in the frame F at w:
+the pBRDF's s-p to theta-phi twist (u = n x w) and pipeline's environment
+maps.  S2L2 gets its twist between any tangent frames a, b as
+(conj(m_a) . m_b)^2 / 4 and the perturbation protocol's baseline as
+(conj(m_z) / |m_z|)^2 (see the s2l2 module).
 Stokes fields hold components at the nodes of a quadrature grid under the
 theta-phi frame field (no frames are stored).
 
@@ -44,22 +44,29 @@ from .geom import SphereGrid, frame_for_dir, normalize
 # frame conversion of Stokes components
 # ---------------------------------------------------------------------------
 
-def frame_angle(frm, to):
-    """Angle t with to = frm @ Rz(t); both frames must share their z axis."""
+def spin_dot(v, frames):
+    """v . x + i v . y for vectors v (..., 3) and frames (..., 3, 3) whose
+    columns are (x, y, z), broadcast together."""
+    return (np.einsum("...i,...i->...", v, frames[..., :, 0])
+            + 1j * np.einsum("...i,...i->...", v, frames[..., :, 1]))
+
+
+def frame_twist(frm, to):
+    """The twist w = z^2 / |z|^2 = e^{-2it} from frames frm to to = frm @ Rz(t)
+    (..., 3, 3), z = spin_dot(x_frm, to) = e^{-it}.  A ValueError names the
+    first pair whose |z|^2 is not 1 to 1e-6 (a zero, NaN or skew frame)."""
     frm = np.asarray(frm, dtype=float)
     to = np.asarray(to, dtype=float)
     if np.max(np.abs(frm[..., :, 2] - to[..., :, 2])) > 1e-9:
         raise ValueError("frames have different propagation directions")
-    x_new = to[..., :, 0]
-    c = np.einsum("...i,...i->...", x_new, frm[..., :, 0])
-    s = np.einsum("...i,...i->...", x_new, frm[..., :, 1])
-    return np.arctan2(s, c)
-
-
-def frame_twist(frm, to):
-    """(cos 2t, sin 2t) for t = frame_angle(frm, to); frames (..., 3, 3)."""
-    t = frame_angle(frm, to)
-    return np.cos(2.0 * t), np.sin(2.0 * t)
+    z = spin_dot(frm[..., :, 0], to)
+    size = z.real * z.real + z.imag * z.imag
+    bad = ~(np.abs(size - 1.0) <= 1e-6)
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"frame pair {tuple(map(int, i))} has |z|^2 = {float(size[i])!r}, not 1: "
+                         "the frames must be orthonormal and finite")
+    return z * z / size
 
 
 def stokes_reframe(s, frm, to):
@@ -67,18 +74,17 @@ def stokes_reframe(s, frm, to):
 
     The twist's shape broadcasts against s.shape[:-1].
     """
-    return stokes_turn(s, *frame_twist(frm, to))
+    return stokes_turn(s, frame_twist(frm, to))
 
 
-def stokes_turn(s, c, sn):
-    """Stokes components (..., 4) turned by a twist (c, sn) = (cos 2t, sin 2t)
-    from frame_twist; (c, sn) broadcast against s.shape[:-1]."""
+def stokes_turn(s, w):
+    """Stokes components (..., 4) with s1 + i s2 turned by a complex twist w
+    from frame_twist, w (s1 + i s2); w broadcasts against s.shape[:-1]."""
     s = np.asarray(s, dtype=float)
-    a, b = s[..., 1], s[..., 2]
-    out = np.empty(np.broadcast_shapes(np.shape(c), s.shape[:-1]) + (4,))
+    z = (s[..., 1] + 1j * s[..., 2]) * w
+    out = np.empty(z.shape + (4,))
     out[...] = s
-    out[..., 1] = c * a + sn * b
-    out[..., 2] = -sn * a + c * b
+    out[..., 1], out[..., 2] = z.real, z.imag
     return out
 
 
@@ -197,18 +203,18 @@ def stokes_field_from_function(fn, grid: SphereGrid) -> StokesField:
 # ---------------------------------------------------------------------------
 
 def clamp_valid_range(s):
-    """Scale (s1, s2, s3) uniformly so that s0 >= |(s1, s2, s3)|.
+    """Clip s0 at 0 and scale (s1, s2, s3) uniformly so that s0 >= |(s1, s2, s3)|.
 
-    Preserves the polarization direction (AoLP); the zero-intensity case maps
-    to a fully unpolarized zero vector.
+    Preserves the polarization direction (AoLP); the zero-intensity case,
+    negative s0 included, maps to a fully unpolarized zero vector.
     """
     s = np.asarray(s, dtype=float)
     pol = np.linalg.norm(s[..., 1:], axis=-1)
     s0 = np.clip(s[..., 0], 0.0, None)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(pol > s0, np.where(pol > 0.0, s0 / np.where(pol > 0, pol, 1.0), 0.0), 1.0)
-    out = s.copy()
-    out[..., 0] = s[..., 0]
+    out = np.empty(s.shape)
+    out[..., 0] = s0
     out[..., 1:] = s[..., 1:] * scale[..., None]
     return out
 
@@ -370,19 +376,16 @@ class SyntheticPbrdf:
         return bool(self.normal[0] == 0.0 and self.normal[1] == 0.0)
 
     def _side(self, w):
-        """n.w and z^2 at w's own shape, z = (n x w).(e_theta + i e_phi).
+        """n.w and z^2 at w's own shape, z = spin_dot(n x w, frame_for_dir(w)).
 
         n x w is tangent at w with |n x w|^2 = 1 - (n.w)^2, so
-        z^2 = (1 - (n.w)^2) e^{-2it}, t the frame angle from the ray's s-p
-        frame (s along n x w) to its theta-phi frame: the twist times the
+        z^2 = (1 - (n.w)^2) e^{-2it}, e^{-2it} the frame_twist from the ray's
+        s-p frame (s along n x w) to its theta-phi frame: the twist times the
         sin^2 factor that keeps the polarizing couplings continuous where
         w || +-n.  There the cross product is exactly 0 and so is z, so no
         s-p frame and no fallback frame is needed.
         """
-        F = frame_for_dir(w)
-        u = np.cross(self.normal, w)
-        z = (np.einsum("...i,...i->...", u, F[..., 0])
-             + 1j * np.einsum("...i,...i->...", u, F[..., 1]))
+        z = spin_dot(np.cross(self.normal, w), frame_for_dir(w))
         # einsum, not w @ n: matmul rounds broadcast views differently
         return np.einsum("...i,i->...", w, self.normal), z * z
 

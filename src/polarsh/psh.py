@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import shscalar as sh
-from .geom import SphereGrid, frame_theta_phi, sph_to_dir, dir_to_sph
+from .geom import SphereGrid, check_l_max, frame_theta_phi, sph_to_dir, dir_to_sph
 from .polar import StokesField, stokes_reframe, write_spin_blocks
 from .shscalar import FOUR_PI, sh_index, sh_size
 
@@ -127,7 +127,7 @@ class PshCoeffs:
     s3: np.ndarray
 
     def __post_init__(self):
-        sh._check_l_max(self.l_max)
+        check_l_max(self.l_max)
         self.s0 = _real_array("s0", self.s0)
         self.s3 = _real_array("s3", self.s3)
         self.spin2 = np.asarray(self.spin2, dtype=complex)
@@ -231,7 +231,7 @@ def psh_basis_eval(l: int, m: int, p: int, theta, phi) -> np.ndarray:
 
 def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
     """Quadrature projection f_lmp = <Y_lmp, f> of a Stokes field (ring transforms)."""
-    sh._check_l_max(l_max)
+    check_l_max(l_max)
     if field.grid.band < l_max:
         raise ValueError(f"grid band {field.grid.band} insufficient for l_max {l_max}")
     scalar = np.moveaxis(field.data[..., [0, 3]], -1, 0)

@@ -398,23 +398,21 @@ def cubemap_views(size: int):
 _SNAP = 1e-9
 
 
+def _snap(x):
+    """Lower grid line and fraction of pixel coordinates x; a fraction
+    within _SNAP of 0 or 1 snaps to 0 on the nearer line."""
+    x0 = np.floor(x).astype(int)
+    f = x - x0
+    f = np.where(f < _SNAP, 0.0, f)
+    hi = f > 1.0 - _SNAP
+    return x0 + hi.astype(int), np.where(hi, 0.0, f)
+
+
 def _footprints(view: ViewSpec, dirs):
     """Bilinear neighbor indices and weights, snapped at grid lines."""
     row, col = view.pixel_coords(dirs)
-    r0 = np.floor(row).astype(int)
-    c0 = np.floor(col).astype(int)
-    fr = row - r0
-    fc = col - c0
-    snap_lo = fr < _SNAP
-    fr = np.where(snap_lo, 0.0, fr)
-    snap_hi = fr > 1.0 - _SNAP
-    fr = np.where(snap_hi, 0.0, fr)
-    r0 = r0 + snap_hi.astype(int)
-    snap_lo = fc < _SNAP
-    fc = np.where(snap_lo, 0.0, fc)
-    snap_hi = fc > 1.0 - _SNAP
-    fc = np.where(snap_hi, 0.0, fc)
-    c0 = c0 + snap_hi.astype(int)
+    r0, fr = _snap(row)
+    c0, fc = _snap(col)
     rows = np.stack([r0, r0, r0 + 1, r0 + 1], axis=-1)
     cols = np.stack([c0, c0 + 1, c0, c0 + 1], axis=-1)
     rows = np.clip(rows, 0, view.height - 1)
@@ -487,8 +485,9 @@ class _ResamplePlan:
     footprint neighbour's slot and w its bilinear weight.  The pixels copy
     snap onto the single slot copy_from with their own frame.  For 's2l2',
     coef (H * W, 4) holds each neighbour's w_k (conj(m_k) . v_j)^2 / 16; for
-    'component-bilinear', coef (2, n_slots + 1) holds each slot's twist
-    (c, sn) from its frame to the destination frame field at its direction.
+    'component-bilinear', coef (n_slots + 1,) holds each slot's complex
+    twist (polar.frame_twist) from its frame to the destination frame field
+    at its direction, 0 for the blank slot.
     One loop over the sources builds it all.
     """
 
@@ -526,7 +525,7 @@ class _ResamplePlan:
         self.touched, self.offsets = tuple(touched), tuple(offsets)
         self.shape = (dst.height, dst.width)
         self.src_shapes = tuple((view.height, view.width) for view in src_views)
-        self.coef = coef if method == "s2l2" else np.concatenate(coef + [np.zeros((2, 1))], axis=1)
+        self.coef = coef if method == "s2l2" else np.concatenate(coef + [np.zeros(1, complex)])
         self.arrays = (self.covered, self.nb, self.w, self.copy, self.copy_from, self.coef,
                        *self.touched)
         for x in self.arrays:
@@ -625,7 +624,7 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         # express each touched pixel in the destination frame field at its
         # own direction, then lerp the raw components (the conventional
         # approach, which collapses near dst frame-field singularities)
-        pix = np.take(stokes_turn(t_data, *plan.coef), nb, axis=0)
+        pix = np.take(stokes_turn(t_data, plan.coef), nb, axis=0)
         pix *= w[..., None]
         out = np.sum(pix, axis=1)
     else:

@@ -72,11 +72,10 @@ def _psh_rotation_matrix_quadrature(l_max, R, grid):
     b2 = psh.s2sh_basis(l_max, th.ravel(), ph.ravel())
     br_s = sh.sh_basis_real(l_max, th_s, ph_s)
     b2_s = psh.s2sh_basis(l_max, th_s, ph_s)
-    from polarsh.polar import frame_angle
+    from polarsh.polar import frame_twist
     from polarsh.geom import frame_theta_phi
     G = np.einsum("ij,njk->nik", R, frame_theta_phi(th_s, ph_s))
-    ang = frame_angle(G, frame_theta_phi(th.ravel(), ph.ravel()))
-    phase = np.exp(-2j * ang)
+    phase = frame_twist(G, frame_theta_phi(th.ravel(), ph.ravel()))
     Dr = br.T @ (w[:, None] * br_s)
     C2 = b2.conj().T @ ((w * phase)[:, None] * b2_s)
     blocks = {("scalar", (0, 0)): Dr, ("scalar", (3, 3)): Dr.copy(),
@@ -94,11 +93,10 @@ def _naive_spin2_matrix_quadrature(l_max, R, grid):
     th_s, ph_s = geom.dir_to_sph(src)
     br = sh.sh_basis_real(l_max, th.ravel(), ph.ravel())
     br_s = sh.sh_basis_real(l_max, th_s, ph_s)
-    from polarsh.polar import frame_angle
+    from polarsh.polar import frame_twist
     from polarsh.geom import frame_theta_phi
     G = np.einsum("ij,njk->nik", R, frame_theta_phi(th_s, ph_s))
-    ang = frame_angle(G, frame_theta_phi(th.ravel(), ph.ravel()))
-    phase = np.exp(-2j * ang)
+    phase = frame_twist(G, frame_theta_phi(th.ravel(), ph.ravel()))
     Q = br.T @ ((w * phase)[:, None] * br_s)
     S = sh.sh_size(l_max)
     out = np.zeros((2 * S, 2 * S))

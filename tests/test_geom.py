@@ -159,6 +159,12 @@ def test_gauss_legendre_grid():
     assert abs(g.weights().sum() - 4 * np.pi) < 1e-14
     with pytest.raises(ValueError):
         geom.gauss_legendre_grid(-1)
+    # a bool or a non-integer band is refused by name, also after band 1,
+    # which shares True's cache key, is cached
+    geom.gauss_legendre_grid(1)
+    for band in (True, 2.5):
+        with pytest.raises(ValueError, match="l_max must be an integer >= 0"):
+            geom.gauss_legendre_grid(band)
 
 
 def test_gauss_legendre_grid_is_cached_read_only():

@@ -488,8 +488,9 @@ def test_kernel_coeffs_rejects_bad_input():
         calls.append(th)
         return pi_minus_theta(th)
 
-    with pytest.raises(ValueError, match="l_max >= 0"):
-        pconv.kernel_coeffs(counted, -1)
+    for l_max in (-1, True, 2.5):
+        with pytest.raises(ValueError, match="l_max >= 0"):
+            pconv.kernel_coeffs(counted, l_max)
     for n in (0, -3, 2.5, True):
         with pytest.raises(ValueError, match="n_nodes >= 1"):
             pconv.kernel_coeffs(counted, 4, n_nodes=n)

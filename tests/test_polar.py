@@ -61,6 +61,23 @@ def test_stokes_inner_direction_mismatch():
         polar.stokes_inner(s, t)
 
 
+def test_reframe_refuses_a_bad_frame_by_its_pair():
+    # a zero x axis used to give the twist 1 (atan2(0, 0) = 0), a scaled one
+    # a twist of the wrong size and a NaN one a NaN
+    F = frame_at(0.9, 0.4) @ np.stack([geom.rotation_z(a) for a in (0.0, 0.7, -2.1)])
+    s = np.array([1.0, 0.3, -0.2, 0.1])
+    for broken in (0.0, 1.1, np.nan):
+        G = F.copy()
+        G[1, :, 0] *= broken
+        with pytest.raises(ValueError, match=r"frame pair \(1,\) has \|z\|\^2"):
+            polar.stokes_reframe(s, F, G)
+        with pytest.raises(ValueError, match=r"frame pair \(\) has \|z\|\^2"):
+            polar.GeometricStokes(s, G[1]).in_frame(F[1])
+    # the shared z axis is checked as before
+    with pytest.raises(ValueError, match="different propagation directions"):
+        polar.stokes_reframe(s, F[0], frame_at(1.0, 0.4))
+
+
 def test_mueller_reframe(rng):
     Fi, Fo = frame_at(0.5, 1.0), frame_at(2.0, 0.2)
     M = polar.MuellerMatrix(rng.normal(size=(4, 4)), Fi, Fo)
@@ -103,6 +120,9 @@ def test_clamp_valid_range():
     assert np.abs(out - [1, 1, 0, 0]).max() < 1e-14
     out = polar.clamp_valid_range(np.array([0.0, 1.0, 0.0, 0.0]))
     assert np.abs(out - [0, 0, 0, 0]).max() == 0.0
+    # a negative s0 clips to 0 too, so that s0 >= |(s1, s2, s3)| holds
+    out = polar.clamp_valid_range(np.array([[-1.0, 0.5, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]))
+    assert np.array_equal(out, np.zeros((2, 4)))
     # AoLP preserved
     out = polar.clamp_valid_range(np.array([1.0, 3.0, 4.0, 0.0]))
     assert abs(out[1] / out[2] - 3.0 / 4.0) < 1e-14
@@ -148,10 +168,11 @@ def sp_frame_pbrdf(pb, w_i, w_o):
                       np.stack([z, z, z, cc], axis=-1)], axis=-2) * lobe[..., None, None]
 
     def sp_frame(w):
-        # s = unit n x w, with a fixed fallback where w || +-n
+        # s = unit n x w, with a fallback where w || +-n: the cross with the
+        # world axis least aligned with w, which is never parallel to it
         s_dir = np.cross(np.broadcast_to(n, w.shape), w)
         nrm = np.linalg.norm(s_dir, axis=-1, keepdims=True)
-        fallback = np.cross(np.broadcast_to([1.0, 0.0, 0.0], w.shape), w)
+        fallback = np.cross(np.eye(3)[np.argmin(np.abs(w), axis=-1)], w)
         fb_n = np.linalg.norm(fallback, axis=-1, keepdims=True)
         s_dir = np.where(nrm > 1e-9, s_dir / np.where(nrm > 0, nrm, 1.0),
                          fallback / np.where(fb_n > 0, fb_n, 1.0))

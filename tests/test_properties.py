@@ -185,6 +185,13 @@ def test_zyz_round_trip_next_to_the_poles(seed):
                 assert np.abs(back - M).max() <= 2e-15
 
 
+def _rz(a):
+    """Rotations about z by angles a, a.shape + (3, 3)."""
+    c, s, z = np.cos(a), np.sin(a), np.zeros_like(a)
+    return np.stack([np.stack([c, -s, z], -1), np.stack([s, c, z], -1),
+                     np.stack([z, z, z + 1.0], -1)], -2)
+
+
 def _twisted_frames(rng, shape, pole_eps, count=3):
     """count stacks of frames (shape + (3, 3)) sharing their z axes: the
     theta-phi frame at random directions, each twisted about that direction
@@ -194,16 +201,21 @@ def _twisted_frames(rng, shape, pole_eps, count=3):
         d[..., :2] *= pole_eps / np.linalg.norm(d[..., :2], axis=-1, keepdims=True)
         d[..., 2] = np.where(d[..., 2] < 0, -1.0, 1.0)
     F = geom.frame_for_dir(geom.normalize(d))
-    out = []
-    for a in rng.uniform(-np.pi, np.pi, size=(count,) + shape):
-        c, s, z = np.cos(a), np.sin(a), np.zeros_like(a)
-        Rz = np.stack([np.stack([c, -s, z], -1), np.stack([s, c, z], -1),
-                       np.stack([z, z, z + 1.0], -1)], -2)
-        out.append(F @ Rz)
-    return out
+    return [F @ _rz(a) for a in rng.uniform(-np.pi, np.pi, size=(count,) + shape)]
 
 
 POLE_EPS = st.sampled_from([None, 1e-3, 1e-8, 1e-12])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), pole_eps=POLE_EPS)
+def test_frame_twist_is_the_known_angle(seed, pole_eps):
+    # the twist from F to F Rz(t) is e^{-2it}: Haar frames (pole_eps None)
+    # and frames next to either pole, against an angle known by construction
+    rng = np.random.default_rng(seed)
+    F, = _twisted_frames(rng, (16,), pole_eps, count=1)
+    t = rng.uniform(-np.pi, np.pi, size=16)
+    assert np.abs(polar.frame_twist(F, F @ _rz(t)) - np.exp(-2j * t)).max() <= 1e-15
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)

@@ -48,9 +48,8 @@ def test_forms_inner_product_is_the_transport_scalar(seed):
     dot = np.sum(np.conj(_m(a)) * _m(b), axis=-1)
     assert np.abs(inner - dot ** 2 / 4).max() < 1e-15
     twisted = a @ np.stack([geom.rotation_z(t) for t in rng.uniform(-np.pi, np.pi, 16)])
-    c2, s2 = polar.frame_twist(a, twisted)
     inner = np.sum(np.conj(forms_table(a)) * forms_table(twisted), axis=-1)
-    assert np.abs(inner - (c2 - 1j * s2)).max() < 1e-15
+    assert np.abs(inner - polar.frame_twist(a, twisted)).max() < 1e-15
     # through a third direction u: (conj(m_a) . m_u)(conj(m_u) . m_b), of
     # modulus up to 4, is conj(m_a) . v with v = (I - u u^T + i [u]x) m_b,
     # in any frame at u
@@ -250,8 +249,7 @@ def _blocked_protocol_oracle(n, eps):
         blk = dirs[lo:lo + block]
         G = s2l2._rotated_frames(blk, rots)
         r = np.conj(s2l2._forms(G))                                       # u = 1
-        c2, s2 = polar.frame_twist(G, geom.frame_for_dir(G[..., 2]))
-        c = c2 - 1j * s2                                                  # (b, n + 1)
+        c = polar.frame_twist(G, geom.frame_for_dir(G[..., 2]))           # (b, n + 1)
         ds = np.linalg.norm((r[:, 1:] - r[:, :1]).view(float), axis=-1)   # (b, n)
         df = np.abs(c[:, 1:] - c[:, :1])
         max_s[lo:lo + len(blk)] = ds.max(axis=1)
@@ -278,8 +276,7 @@ def test_perturbation_protocol_matches_rotated_frame_oracle(eps):
 
 
 def _twist_oracle(G):
-    c, s = polar.frame_twist(G, geom.frame_for_dir(G[..., 2]))
-    return c - 1j * s
+    return polar.frame_twist(G, geom.frame_for_dir(G[..., 2]))
 
 
 def _m_first(G):
