@@ -7,6 +7,7 @@ synth.  File formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -189,7 +190,11 @@ def cmd_s2l2_validate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: building it costs about a millisecond
+    (every add_argument makes a HelpFormatter, which reads the terminal size),
+    and parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(prog="polarsh",
                                 description="Polarized spherical harmonics toolkit")
     sub = p.add_subparsers(dest="command", required=True)

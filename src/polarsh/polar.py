@@ -54,17 +54,20 @@ def spin_dot(v, frames):
 def frame_twist(frm, to):
     """The twist w = z^2 / |z|^2 = e^{-2it} from frames frm to to = frm @ Rz(t)
     (..., 3, 3), z = spin_dot(x_frm, to) = e^{-it}.  A ValueError names the
-    first pair whose |z|^2 is not 1 to 1e-6 (a zero, NaN or skew frame)."""
+    first pair whose |z|^2 is not 1, or whose spin_dot(y_frm, to) is not i z,
+    to 1e-6 (a zero, NaN, scaled or skew frame)."""
     frm = np.asarray(frm, dtype=float)
     to = np.asarray(to, dtype=float)
     if np.max(np.abs(frm[..., :, 2] - to[..., :, 2])) > 1e-9:
         raise ValueError("frames have different propagation directions")
     z = spin_dot(frm[..., :, 0], to)
     size = z.real * z.real + z.imag * z.imag
-    bad = ~(np.abs(size - 1.0) <= 1e-6)
+    skew = np.abs(spin_dot(frm[..., :, 1], to) - 1j * z)
+    bad = ~((np.abs(size - 1.0) <= 1e-6) & (skew <= 1e-6))
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"frame pair {tuple(map(int, i))} has |z|^2 = {float(size[i])!r}, not 1: "
+        raise ValueError(f"frame pair {tuple(map(int, i))} has |z|^2 = {float(size[i])!r}, not 1, "
+                         f"or |y . to - i z| = {float(skew[i])!r}, not 0: "
                          "the frames must be orthonormal and finite")
     return z * z / size
 

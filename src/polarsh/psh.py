@@ -293,9 +293,9 @@ def psh_rotation_matrix(l_max: int, R) -> np.ndarray:
 
 
 def psh_rotate_coeffs(coeffs: PshCoeffs, R) -> PshCoeffs:
-    """Per-l block application: s0 + i s3 in the complex basis and the
-    spin-2 pair (zero below l = 2) turn as two columns by one complex D^l
-    per band (shscalar.rotate_bands), with no real Wigner block.  A batch of
+    """s0 + i s3 in the complex basis and the spin-2 pair (zero below l = 2)
+    turn as two columns of one array through the d(pi/2) factors
+    (shscalar.rotate_bands), with no Wigner block formed.  A batch of
     R (N, 3, 3) gives the parts a leading N axis, the coefficients
     broadcasting against it."""
     x = np.zeros(coeffs.s0.shape[:-1] + (sh_size(coeffs.l_max), 2), dtype=complex)

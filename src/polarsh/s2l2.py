@@ -487,7 +487,9 @@ class _ResamplePlan:
     coef (H * W, 4) holds each neighbour's w_k (conj(m_k) . v_j)^2 / 16; for
     'component-bilinear', coef (n_slots + 1,) holds each slot's complex
     twist (polar.frame_twist) from its frame to the destination frame field
-    at its direction, 0 for the blank slot.
+    at its direction, 0 for the blank slot, and frameless (n_slots + 1,)
+    flags the slots where that field is undefined (a perspective
+    destination's up axis), whose twist is 0; for 's2l2' no slot is flagged.
     One loop over the sources builds it all.
     """
 
@@ -501,7 +503,7 @@ class _ResamplePlan:
         self.nb = np.empty((dirs.shape[0], 4), dtype=np.int32)
         self.w = np.zeros((dirs.shape[0], 4))
         coef = np.zeros((dirs.shape[0], 4), dtype=complex) if method == "s2l2" else []
-        touched, offsets, copies = [], [0], []
+        touched, offsets, copies, frameless = [], [0], [], []
         for k, view in enumerate(src_views):
             sel = np.flatnonzero(chosen == k)
             rows, cols, w, fr, fc = _footprints(view, dirs[sel])
@@ -511,10 +513,16 @@ class _ResamplePlan:
             one = np.flatnonzero((fr == 0.0) & (fc == 0.0))
             copies.append(sel[one[np.all(t_frames[nb[one, 0]] == dst_frames[sel[one]],
                                          axis=(-2, -1))]])
+            ok = np.ones(t.size, dtype=bool)
             if method == "s2l2":
                 coef[sel] = _coef(nb, w, fc, t_dirs, t_frames, dst_frames[sel])
             elif t.size:
-                coef.append(frame_twist(t_frames, dst.frames(t_dirs)))
+                with np.errstate(invalid="ignore"):
+                    to = dst.frames(t_dirs)
+                ok = np.isfinite(to).all(axis=(-2, -1))
+                coef.append(np.zeros(t.size, dtype=complex))
+                coef[-1][ok] = frame_twist(t_frames[ok], to[ok])
+            frameless.append(~ok)
             self.nb[sel], self.w[sel] = nb + offsets[-1], w
             touched.append(t.astype(np.int32))
             offsets.append(offsets[-1] + t.size)
@@ -526,8 +534,9 @@ class _ResamplePlan:
         self.shape = (dst.height, dst.width)
         self.src_shapes = tuple((view.height, view.width) for view in src_views)
         self.coef = coef if method == "s2l2" else np.concatenate(coef + [np.zeros(1, complex)])
+        self.frameless = np.concatenate(frameless + [np.zeros(1, dtype=bool)])
         self.arrays = (self.covered, self.nb, self.w, self.copy, self.copy_from, self.coef,
-                       *self.touched)
+                       self.frameless, *self.touched)
         for x in self.arrays:
             x.setflags(write=False)
 
@@ -597,9 +606,11 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     if it holds at most 32 MB; a larger plan is dropped after its call.
 
     Pixels no source covers, and pixels whose footprint gives nonzero
-    weight to an invalid or non-finite source pixel, are flagged invalid and written as
-    zeros.  In both methods, footprints that snap onto a single source pixel
-    with an identical frame are copied bit-exactly.
+    weight to an invalid or non-finite source pixel, are flagged invalid and
+    written as zeros; so, for 'component-bilinear', are those that weigh a
+    source pixel where the destination frame field is undefined.  In both
+    methods, footprints that snap onto a single source pixel with an
+    identical frame are copied bit-exactly.
     """
     if method not in ("s2l2", "component-bilinear"):
         raise ValueError(f"unknown method {method!r}")
@@ -617,7 +628,7 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         t_data[lo:hi] = src.data.reshape(-1, 4)[plan.touched[k]]
         bad[lo:hi] = ~src.valid.reshape(-1)[plan.touched[k]]
     # a zero weight on a non-finite pixel would still give 0 * nan = nan
-    bad |= ~np.isfinite(t_data).all(axis=-1)
+    bad |= ~np.isfinite(t_data).all(axis=-1) | plan.frameless
     t_data[bad] = 0.0
     nb, w = plan.nb, plan.w
     if method == "component-bilinear":

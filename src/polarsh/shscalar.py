@@ -29,7 +29,9 @@ a log-factorial table, so no factorial is formed and there is no band
 ceiling.  Rotation factorizes through Delta = d(pi/2) (Risbo 1996):
   d^l_{mm'}(b) = i^{m-m'} sum_k Delta^l_{km} e^{-ikb} Delta^l_{km'},
 with Delta built once per l_max by that recurrence in long double, so every
-tilt rounds alike; the poles b = 0, pi are exact.
+tilt rounds alike; the poles b = 0, pi are exact.  rotate_bands applies these
+factors to coefficient vectors, O(l_max^3); wigner_d_stack forms the blocks,
+O(l_max^4), for the dense matrices and as the rotation's oracle.
 """
 
 from __future__ import annotations
@@ -312,6 +314,21 @@ def _cis_powers(n_max: int, x) -> np.ndarray:
     return (cis(b * n)[:, :, None] * cis(n)[:, None, :]).reshape(x.size, -1)[:, :n_max + 1]
 
 
+def _rotation_angles(R):
+    """ZYZ angles (alpha, beta, gamma) of R (3, 3), as scalars, or of a batch
+    (N, 3, 3), as (N,) arrays.  Any other shape, or a matrix that is not a
+    finite rotation to 1e-6 (the pose tolerance of s2l2.ViewSpec), raises a
+    ValueError naming the first."""
+    R = np.asarray(R, dtype=float)
+    if R.ndim not in (2, 3) or R.shape[-2:] != (3, 3):
+        raise ValueError(f"R must have shape (3, 3) or (N, 3, 3), got {R.shape}")
+    bad = np.flatnonzero(~np.atleast_1d(is_rotation(R, 1e-6)))
+    if bad.size:
+        name, bad_R = ("R", R) if R.ndim == 2 else (f"R[{bad[0]}]", R[bad[0]])
+        raise ValueError(f"{name} is not a finite rotation to 1e-6: {bad_R.tolist()}")
+    return zyz_from_rotation(R)
+
+
 def wigner_d_stack(l_max: int, R):
     """Complex Wigner blocks D^l(R), shape (2l+1, 2l+1), for all l <= l_max.
 
@@ -320,17 +337,11 @@ def wigner_d_stack(l_max: int, R):
     d(pi/2) factors: the sum over k = -l..l, folded onto k >= 0 by
     Delta_{-k,m} = (-1)^(l+m) Delta_{km}, is d = Re(u^H diag(eps_k e^{-ik beta}) u)
     with eps_0 = 1, else 2.  beta = 0 and pi give the exact identity and flip blocks.
-    Any other shape, or a matrix that is not a finite rotation to 1e-6 (the
-    pose tolerance of s2l2.ViewSpec), raises a ValueError naming the first.
+    R is checked as in _rotation_angles.  The rotation itself (rotate_bands)
+    never forms these blocks; they serve the dense PSH rotation matrix, the
+    rotation average and, as its independent oracle, the tests.
     """
-    R = np.asarray(R, dtype=float)
-    if R.ndim not in (2, 3) or R.shape[-2:] != (3, 3):
-        raise ValueError(f"R must have shape (3, 3) or (N, 3, 3), got {R.shape}")
-    bad = np.flatnonzero(~np.atleast_1d(is_rotation(R, 1e-6)))
-    if bad.size:
-        name, bad_R = ("R", R) if R.ndim == 2 else (f"R[{bad[0]}]", R[bad[0]])
-        raise ValueError(f"{name} is not a finite rotation to 1e-6: {bad_R.tolist()}")
-    alpha, beta, gamma = (np.atleast_1d(a) for a in zyz_from_rotation(R))
+    alpha, beta, gamma = (np.atleast_1d(a) for a in _rotation_angles(R))
     k = np.arange(l_max + 1)
     w = np.where(k > 0, 2.0, 1.0) * np.exp(-1j * k * beta[:, None])
     out = []
@@ -341,7 +352,7 @@ def wigner_d_stack(l_max: int, R):
         d[beta == np.pi] = np.eye(2 * l + 1)[::-1] * (-1.0) ** (l - m)
         ea, eg = (np.exp(-1j * m * angle[:, None]) for angle in (alpha, gamma))
         D = ea[:, :, None] * d * eg[:, None, :]
-        out.append(D if R.ndim == 3 else D[0])
+        out.append(D if np.ndim(R) == 3 else D[0])
     return out
 
 
@@ -386,10 +397,35 @@ def wigner_d_real_from_complex(D: np.ndarray) -> np.ndarray:
 
 def rotate_bands(x, R):
     """D^l(R) x_l for every band l of complex-basis columns x (..., (l_max+1)^2, k)
-    in sh_index order, one product per band; a batch of R (N, 3, 3) gives a
-    leading N axis that the leading axes of x broadcast against."""
-    return np.concatenate([D @ x[..., l * l:(l + 1) ** 2, :] for l, D in
-                           enumerate(wigner_d_stack(math.isqrt(x.shape[-2]) - 1, R))], axis=-2)
+    in sh_index order; a batch of R (N, 3, 3) gives a leading N axis that the
+    leading axes of x broadcast against.
+
+    No block is formed: per band, y = e^{-im'g} x_l, then d(b) y through the
+    cached d(pi/2) factors u as Re(u^H W u) y with W = diag(eps_k e^{-ikb}),
+    the mean of the path and its conjugate path (s = u^H W u [y, conj y],
+    d y = (s_y + conj s_conj) / 2), then e^{-ima}: O(l^2) per column and
+    band, against O(l^3) to build D^l.  b = 0 and pi give y and its exact
+    flip (-1)^(l+m) y_{-m}, as wigner_d_stack's blocks do.
+    """
+    alpha, beta, gamma = (np.asarray(a)[..., None, None] for a in _rotation_angles(R))
+    l_max = math.isqrt(x.shape[-2]) - 1
+    l, m = (a[:, None] for a in sh_lm_arrays(l_max))
+    k = np.arange(l_max + 1)[:, None]
+    w = np.where(k > 0, 2.0, 1.0) * np.exp(-1j * k * beta)          # (N,) l_max+1, 1
+    y = np.exp(-1j * m * gamma) * x
+    z = np.concatenate([y, y.conj()], axis=-1)
+    cols = x.shape[-1]
+    out = np.empty_like(y)
+    for n, u in enumerate(_half_pi_factors(l_max)):
+        band = slice(n * n, (n + 1) ** 2)
+        # u^H t = conj(u^T conj t): no conjugate copy of u
+        s = u.T @ (w[..., :n + 1, :] * (u @ z[..., band, :])).conj()
+        out[..., band, :] = s[..., :cols].conj() + s[..., cols:]
+    out *= 0.5
+    if np.any(beta == 0.0) or np.any(beta == np.pi):
+        flip = (-1.0) ** (l + m) * y[..., np.arange(m.size) - 2 * m[:, 0], :]
+        out = np.where(beta == 0.0, y, np.where(beta == np.pi, flip, out))
+    return np.exp(-1j * m * alpha) * out
 
 
 def sh_rotate_coeffs(coeffs: ShCoeffs, R) -> ShCoeffs:

@@ -207,3 +207,21 @@ def test_synth_on_a_grid_below_lmax_exits_one_and_writes_nothing(tmp_path, capsy
     assert run("synth", "band-limited-random", "--lmax", 4, "--grid", 2, small) == 1
     assert "grid band 2 cannot hold coefficients of l_max 4" in capsys.readouterr().err
     assert not small.exists()
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys):
+    # the parser is built once per process; a call that argparse rejects
+    # (exit 2) leaves it working for the next one
+    coeff, rot = tmp_path / "c.psh4", tmp_path / "r.psh4"
+    pio.save_psh_coeffs(coeff, pipeline.random_psh_coeffs(3, seed=2))
+    cli.build_parser.cache_clear()
+    assert run("rotate", "--rotation", "0.3,1.1,-0.4", coeff, rot) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("rotate", coeff, rot)
+    assert exc.value.code == 2
+    assert "--rotation" in capsys.readouterr().err
+    assert run("rotate", "--rotation", "0.4,-1.1,-0.3", rot, tmp_path / "b.psh4") == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    back, want = pio.load_psh_coeffs(tmp_path / "b.psh4"), pio.load_psh_coeffs(coeff)
+    assert np.abs(back.flat() - want.flat()).max() < 1e-12

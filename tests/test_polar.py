@@ -73,6 +73,14 @@ def test_reframe_refuses_a_bad_frame_by_its_pair():
             polar.stokes_reframe(s, F, G)
         with pytest.raises(ValueError, match=r"frame pair \(\) has \|z\|\^2"):
             polar.GeometricStokes(s, G[1]).in_frame(F[1])
+    # a y axis scaled by 1.5, or skewed towards z, with x and z kept: the x
+    # axes alone read z = 1 and gave the twist 1 + 1.1e-16j
+    for y in (1.5 * F[1, :, 1], np.cos(0.1) * F[1, :, 1] + np.sin(0.1) * F[1, :, 2]):
+        G = F.copy()
+        G[1, :, 1] = y
+        with pytest.raises(ValueError, match=r"frame pair \(1,\) has \|z\|\^2 = .*, not 1, "
+                                             r"or \|y \. to - i z\| = 0\.[0-9]"):
+            polar.stokes_reframe(s, F, G)
     # the shared z axis is checked as before
     with pytest.raises(ValueError, match="different propagation directions"):
         polar.stokes_reframe(s, F[0], frame_at(1.0, 0.4))

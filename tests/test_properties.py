@@ -137,6 +137,60 @@ def test_psh_rotate_equals_real_block_rotation_matrix(l_max, beta, seed):
     assert np.abs(psh.psh_rotate_coeffs(c, R).flat() - want).max() <= 1e-14
 
 
+def _unit_columns(rng, l_max, lead=()):
+    """Two columns of unit-variance complex coefficients over sh_index order."""
+    shape = lead + (sh.sh_size(l_max), 2)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+
+
+def _block_rotate(x, R):
+    """rotate_bands through wigner_d_stack's blocks: D^l x_l per band."""
+    stack = sh.wigner_d_stack(round(x.shape[-2] ** 0.5) - 1, R)
+    return np.concatenate([D @ x[..., l * l:(l + 1) ** 2, :] for l, D in enumerate(stack)], axis=-2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(l_max=st.integers(0, 128), beta=POSE, seed=st.integers(0, 2 ** 32 - 1))
+@example(l_max=128, beta=None, seed=3)
+def test_rotate_bands_equals_wigner_blocks(l_max, beta, seed):
+    # the vector path through the d(pi/2) factors against wigner_d_stack's
+    # blocks, its independent oracle
+    rng = np.random.default_rng(seed)
+    R = _pose(rng, beta)
+    x = _unit_columns(rng, l_max)
+    assert np.abs(sh.rotate_bands(x, R) - _block_rotate(x, R)).max() <= 1e-14
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(l_max=st.integers(0, 16), n=st.integers(1, 5), shared=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_rotate_bands_equals_wigner_blocks(l_max, n, shared, seed):
+    # a batch of 1-5 poses with beta = 0 and pi inside it, against one set of
+    # coefficients (shared) or one per pose
+    rng = np.random.default_rng(seed)
+    Rs = [geom.random_rotation(rng) for _ in range(n)]
+    for beta in (0.0, np.pi):
+        Rs.insert(int(rng.integers(len(Rs) + 1)), _pose(rng, beta))
+    Rs = np.stack(Rs)
+    x = _unit_columns(rng, l_max, () if shared else (len(Rs),))
+    got = sh.rotate_bands(x, Rs)
+    assert got.shape == (len(Rs), sh.sh_size(l_max), 2)
+    assert np.abs(got - _block_rotate(x, Rs)).max() <= 1e-14
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(l_max=st.integers(0, 32), seed=st.integers(0, 2 ** 32 - 1))
+def test_rotate_bands_at_the_poles_is_the_identity_and_the_flip(l_max, seed):
+    # beta = 0 and pi take the exact identity and flip, (d y)_m = y_m and
+    # (-1)^(l+m) y_{-m}, as wigner_d_stack's blocks do
+    rng = np.random.default_rng(seed)
+    x = _unit_columns(rng, l_max)
+    for beta in (0.0, np.pi):
+        R = _pose(rng, beta)
+        assert geom.zyz_from_rotation(R)[1] == beta
+        assert np.abs(sh.rotate_bands(x, R) - _block_rotate(x, R)).max() <= 1e-15
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(L=st.integers(0, 8), n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_batched_operators_equal_per_item(L, n, seed):

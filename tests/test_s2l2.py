@@ -487,8 +487,14 @@ def resample_per_neighbour(sources, dst, method):
         nb_dirs = src.view.pixel_dirs()[rows, cols]
         nb_frames = src.view.frames(nb_dirs)
         if method == "component-bilinear":
-            nb = stokes_reframe(pix, nb_frames, dst.frames(nb_dirs))
-            out[sel] = np.sum(w[..., None] * nb, axis=1)
+            # a neighbour where the destination frame field is undefined has
+            # no reframed value: NaN wherever its weight is nonzero
+            with np.errstate(invalid="ignore"):
+                to = dst.frames(nb_dirs)
+            ok = np.isfinite(to).all(axis=(-2, -1))
+            nb = np.full(pix.shape, np.nan)
+            nb[ok] = stokes_reframe(pix[ok], nb_frames[ok], to[ok])
+            out[sel] = np.sum(np.where((w == 0.0)[..., None], 0.0, w[..., None] * nb), axis=1)
         else:
             r_nb = np.conj(forms_table(nb_frames)) * (pix[..., 1] + 1j * pix[..., 2])[..., None]
             fcn = fc[:, None, None]
@@ -606,6 +612,32 @@ def test_resample_s2l2_evaluates_no_destination_frame_at_source_pixels(monkeypat
     assert got.valid.all() and np.isfinite(got.data).all()
     want = resample_per_neighbour(cube, dst, "s2l2")
     assert np.abs(got.data - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_resample_component_bilinear_invalidates_footprints_on_an_undefined_frame():
+    # the same cubemap and camera: component-bilinear's twist of the +z face
+    # centre to the destination frame field, undefined on its up axis, used
+    # to raise "frame pair (6,) has |z|^2 = nan"; now that slot is flagged
+    # bad, as a non-finite source pixel is, and only the footprints that
+    # weigh it become invalid
+    cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(5)]
+    pose = np.stack([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], axis=-1)
+    dst = s2l2.ViewSpec("perspective", 8, 32, pose, 170.0)
+    s2l2._last_plans.clear()
+    got = s2l2.resample(cube, dst, "component-bilinear")
+    # the flagged slots are the touched pixels on the up axis's line: +-z
+    plan = s2l2._last_plans["component-bilinear"][1]
+    dirs = np.concatenate([img.view.pixel_dirs().reshape(-1, 3)[t]
+                           for img, t in zip(cube, plan.touched)])
+    assert plan.frameless.any() and not plan.frameless[-1]
+    assert np.array_equal(plan.frameless[:-1], np.abs(dirs[:, 2]) == 1.0)
+    want = resample_per_neighbour(cube, dst, "component-bilinear").reshape(-1, 4)
+    affected = ~np.isfinite(want).all(axis=-1)
+    data = got.data.reshape(-1, 4)
+    assert affected.any() and np.isfinite(data).all()
+    assert np.array_equal(~got.valid.reshape(-1), affected)
+    assert np.abs(data[affected]).max() == 0.0
+    assert np.array_equal(data[~affected], want[~affected])
 
 
 def test_resample_invalid_source_pixels_invalidate_footprints():
