@@ -481,10 +481,12 @@ class _ResamplePlan:
     touched[k] holds source k's flat pixels, ascending, from slot
     offsets[k] on.  Slot n_slots is blank (zero and valid), and the
     footprints of pixels that no source covers (covered false) rest on it
-    with zero weights.  Per destination pixel, nb (H * W, 4) holds each
-    footprint neighbour's slot and w its bilinear weight.  The pixels copy
-    snap onto the single slot copy_from with their own frame.  For 's2l2',
-    coef (H * W, 4) holds each neighbour's w_k (conj(m_k) . v_j)^2 / 16; for
+    with zero weights.  The footprints are stored neighbour-major: nb
+    (4, H * W), np.intp so that a gather pays no index cast, holds in row k
+    each destination pixel's neighbour k's slot and w (4, H * W) its
+    bilinear weight.  The pixels copy snap onto the single slot copy_from
+    (nb[0, copy]) with their own frame.  For 's2l2', coef (4, H * W) holds
+    each neighbour's w_k (conj(m_k) . v_j)^2 / 16; for
     'component-bilinear', coef (n_slots + 1,) holds each slot's complex
     twist (polar.frame_twist) from its frame to the destination frame field
     at its direction, 0 for the blank slot, and frameless (n_slots + 1,)
@@ -500,9 +502,9 @@ class _ResamplePlan:
         for k, view in enumerate(src_views):
             chosen[view.contains(dirs) & (chosen < 0)] = k
         self.covered = chosen >= 0
-        self.nb = np.empty((dirs.shape[0], 4), dtype=np.int32)
-        self.w = np.zeros((dirs.shape[0], 4))
-        coef = np.zeros((dirs.shape[0], 4), dtype=complex) if method == "s2l2" else []
+        self.nb = np.empty((4, dirs.shape[0]), dtype=np.intp)
+        self.w = np.zeros((4, dirs.shape[0]))
+        coef = np.zeros((4, dirs.shape[0]), dtype=complex) if method == "s2l2" else []
         touched, offsets, copies, frameless = [], [0], [], []
         for k, view in enumerate(src_views):
             sel = np.flatnonzero(chosen == k)
@@ -515,7 +517,7 @@ class _ResamplePlan:
                                          axis=(-2, -1))]])
             ok = np.ones(t.size, dtype=bool)
             if method == "s2l2":
-                coef[sel] = _coef(nb, w, fc, t_dirs, t_frames, dst_frames[sel])
+                coef[:, sel] = _coef(nb, w, fc, t_dirs, t_frames, dst_frames[sel]).T
             elif t.size:
                 with np.errstate(invalid="ignore"):
                     to = dst.frames(t_dirs)
@@ -523,13 +525,13 @@ class _ResamplePlan:
                 coef.append(np.zeros(t.size, dtype=complex))
                 coef[-1][ok] = frame_twist(t_frames[ok], to[ok])
             frameless.append(~ok)
-            self.nb[sel], self.w[sel] = nb + offsets[-1], w
+            self.nb[:, sel], self.w[:, sel] = (nb + offsets[-1]).T, w.T
             touched.append(t.astype(np.int32))
             offsets.append(offsets[-1] + t.size)
         self.n_slots = offsets[-1]
-        self.nb[~self.covered] = self.n_slots
+        self.nb[:, ~self.covered] = self.n_slots
         self.copy = np.concatenate([np.empty(0, dtype=np.intp)] + copies)
-        self.copy_from = self.nb[self.copy, 0]
+        self.copy_from = self.nb[0, self.copy]
         self.touched, self.offsets = tuple(touched), tuple(offsets)
         self.shape = (dst.height, dst.width)
         self.src_shapes = tuple((view.height, view.width) for view in src_views)
@@ -599,11 +601,16 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
     each footprint neighbour's coefficient w_k (conj(m_k) . v_j)^2 / 16
     ('s2l2') or each touched source pixel's twist to the destination frame
     field ('component-bilinear').  A call reads each touched source pixel
-    once and gathers: s0, s3 and s1 + i s2 are weighted sums ('s2l2'), or
-    the touched pixels are turned by their twists and lerped
-    ('component-bilinear').  Each method keeps the plan of its last call,
-    keyed by the views' values (a view changed in place gets a fresh plan),
-    if it holds at most 32 MB; a larger plan is dropped after its call.
+    once, into four component columns, and both methods run one weighted
+    sum per column, acc = W[0] col[nb[0]], then acc += W[k] col[nb[k]] for
+    k = 1, 2, 3: 'component-bilinear' turns the touched pixels by their
+    twists and takes W = w for all four components; 's2l2' takes W = w for
+    s0 and s3, and W = coef for s1 + i s2.  The sum runs in the order in
+    which np.sum adds a footprint's four terms, so 'component-bilinear' is
+    the per-neighbour lerp bit for bit.  Each method keeps the plan of its
+    last call, keyed by the views' values (a view changed in place gets a
+    fresh plan), if it holds at most 32 MB; a larger plan is dropped after
+    its call.
 
     Pixels no source covers, and pixels whose footprint gives nonzero
     weight to an invalid or non-finite source pixel, are flagged invalid and
@@ -616,8 +623,9 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
         raise ValueError(f"unknown method {method!r}")
     sources = list(sources)
     plan = _resample_plan([src.view for src in sources], dst, method)
-    # the touched source pixels, each read once, and the blank slot
-    t_data = np.zeros((plan.n_slots + 1, 4))
+    # the touched source pixels, each read once, component-major, and the
+    # blank slot
+    t_data = np.zeros((4, plan.n_slots + 1))
     bad = np.zeros(plan.n_slots + 1, dtype=bool)
     for k, src in enumerate(sources):
         hw = plan.src_shapes[k]
@@ -625,29 +633,36 @@ def resample(sources, dst: ViewSpec, method: str = "s2l2") -> StokesImage:
             raise ValueError(f"source {k} has data {src.data.shape} and mask {src.valid.shape}; "
                              f"its view needs {hw + (4,)} and {hw}")
         lo, hi = plan.offsets[k], plan.offsets[k + 1]
-        t_data[lo:hi] = src.data.reshape(-1, 4)[plan.touched[k]]
+        t_data[:, lo:hi] = src.data.reshape(-1, 4)[plan.touched[k]].T
         bad[lo:hi] = ~src.valid.reshape(-1)[plan.touched[k]]
     # a zero weight on a non-finite pixel would still give 0 * nan = nan
-    bad |= ~np.isfinite(t_data).all(axis=-1) | plan.frameless
-    t_data[bad] = 0.0
+    bad |= ~np.isfinite(t_data).all(axis=0) | plan.frameless
+    t_data[:, bad] = 0.0
     nb, w = plan.nb, plan.w
+
+    def lerp(weights, col):
+        acc = weights[0] * col[nb[0]]
+        for k in (1, 2, 3):
+            acc += weights[k] * col[nb[k]]
+        return acc
+
+    out = np.empty((nb.shape[1], 4))
     if method == "component-bilinear":
         # express each touched pixel in the destination frame field at its
         # own direction, then lerp the raw components (the conventional
         # approach, which collapses near dst frame-field singularities)
-        pix = np.take(stokes_turn(t_data, plan.coef), nb, axis=0)
-        pix *= w[..., None]
-        out = np.sum(pix, axis=1)
+        turned = stokes_turn(t_data.T, plan.coef).T.copy()
+        for i in range(4):
+            out[:, i] = lerp(w, turned[i])
     else:
-        out = np.empty(w.shape)
         for i in (0, 3):
-            out[:, i] = np.einsum("ij,ij->i", w, np.take(t_data[:, i], nb))
-        stilde = np.einsum("ij,ij->i", plan.coef, np.take(t_data[:, 1] + 1j * t_data[:, 2], nb))
+            out[:, i] = lerp(w, t_data[i])
+        stilde = lerp(plan.coef, t_data[1] + 1j * t_data[2])
         out[:, 1], out[:, 2] = stilde.real, stilde.imag
-    out[plan.copy] = t_data[plan.copy_from]
+    out[plan.copy] = t_data[:, plan.copy_from].T
     valid = plan.covered.copy()
     if bad.any():
         # drop the footprints that give nonzero weight to an invalid pixel
-        valid &= ~np.any(np.take(bad, nb) & (w != 0.0), axis=-1)
+        valid &= ~np.any(bad[nb] & (w != 0.0), axis=0)
         out[~valid] = 0.0
     return StokesImage(dst, out.reshape(plan.shape + (4,)), valid.reshape(plan.shape))

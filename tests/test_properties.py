@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polarsh import geom, operators, pconv, pipeline, polar, psh, s2l2
 from polarsh import shscalar as sh
+from test_s2l2 import resample_per_neighbour
 
 REAL_FAMILIES = ("k00", "k03", "k30", "k33")
 COMPLEX_FAMILIES = ("k0p", "k3p", "kp0", "kp3", "kiso", "kconj")
@@ -425,3 +426,62 @@ def test_resample_warm_plan_equals_fresh_plan(size, equirect, height, width, fov
         cold = s2l2.resample(sources, dst, method)
         assert np.array_equal(warm.data, cold.data)
         assert np.array_equal(warm.valid, cold.valid)
+
+
+def _expected_invalid(sources, dst, method):
+    """Uncovered destination pixels, and those whose footprint gives nonzero
+    weight to an invalid or non-finite source pixel or, for
+    component-bilinear, to one where the destination frame field is
+    undefined."""
+    dirs = dst.pixel_dirs().reshape(-1, 3)
+    chosen = np.full(dirs.shape[0], -1)
+    for k, src in enumerate(sources):
+        chosen[src.view.contains(dirs) & (chosen < 0)] = k
+    invalid = chosen < 0
+    for k, src in enumerate(sources):
+        sel = np.flatnonzero(chosen == k)
+        rows, cols, w, _, _ = s2l2._footprints(src.view, dirs[sel])
+        bad = ~src.valid[rows, cols] | ~np.isfinite(src.data[rows, cols]).all(axis=-1)
+        if method == "component-bilinear":
+            with np.errstate(invalid="ignore", divide="ignore"):
+                to = dst.frames(src.view.pixel_dirs()[rows, cols])
+            bad |= ~np.isfinite(to).all(axis=(-2, -1))
+        invalid[sel] = np.any(bad & (w != 0.0), axis=-1)
+    return invalid.reshape(dst.height, dst.width)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(cube=st.booleans(), size=st.integers(3, 9), equirect=st.booleans(),
+       height=st.integers(1, 12), width=st.integers(1, 24), fov=st.floats(1.0, 170.0),
+       beta=POSE, seed=st.integers(0, 2 ** 32 - 1))
+def test_resample_matches_the_per_neighbour_oracle_on_masked_sources(
+        cube, size, equirect, height, width, fov, beta, seed):
+    # valid pixels are the oracle's on the sources with their non-finite
+    # pixels zeroed (it reads masked pixels too, at zero weight); invalid
+    # ones are exactly the expected set, written as zeros
+    rng = np.random.default_rng(seed)
+    views = (s2l2.cubemap_views(size) if cube
+             else [s2l2.ViewSpec("equirect", size, 2 * size)])
+    if equirect:
+        dst = s2l2.ViewSpec("equirect", height, width)
+    else:
+        dst = s2l2.ViewSpec("perspective", height, width, _pose(rng, beta), fov)
+    sources, finite = [], []
+    for v in views:
+        data = rng.normal(size=(v.height, v.width, 4))
+        for _ in range(int(rng.integers(0, 3))):
+            r, c, i = (int(rng.integers(n)) for n in (v.height, v.width, 4))
+            data[r, c, i] = rng.choice([np.inf, -np.inf, np.nan])
+        sources.append(s2l2.StokesImage(v, data, rng.random((v.height, v.width)) > 0.15))
+        finite.append(s2l2.StokesImage(v, np.where(np.isfinite(data).all(axis=-1, keepdims=True),
+                                                   data, 0.0)))
+    for method in ("s2l2", "component-bilinear"):
+        got = s2l2.resample(sources, dst, method)
+        assert np.array_equal(~got.valid, _expected_invalid(sources, dst, method))
+        assert np.abs(got.data[~got.valid]).max(initial=0.0) == 0.0
+        want = resample_per_neighbour(finite, dst, method)[got.valid]
+        if method == "s2l2":
+            assert np.abs(got.data[got.valid] - want).max(initial=0.0) <= \
+                1e-15 * np.abs(want).max(initial=0.0)
+        else:
+            assert np.array_equal(got.data[got.valid], want)

@@ -850,6 +850,23 @@ def test_resample_retains_no_plan_over_the_memory_bound():
     assert "s2l2" not in s2l2._last_plans
 
 
+def test_resample_warm_peak_is_a_few_outputs():
+    # the benchmark's cubemap to equirect case: a warm call holds the
+    # touched pixels, the output and one component's gathers, but no
+    # (H * W, 4, 4) array of neighbour values
+    cube = [s2l2.render_image(pipeline.two_lobe_field_fn, v) for v in s2l2.cubemap_views(64)]
+    dst = s2l2.ViewSpec("equirect", 128, 256)
+    for method in ("s2l2", "component-bilinear"):
+        out = s2l2.resample(cube, dst, method)
+        tracemalloc.start()
+        try:
+            s2l2.resample(cube, dst, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.data.nbytes, (method, peak)
+
+
 def test_s2l2_next_to_the_poles(rng):
     # a camera frame 5e-8 from +z used to fail the direction check against
     # the theta-phi frame built from the same direction
