@@ -7,9 +7,10 @@ radians, all matrices are row-major float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+
+from ._tables import table_cache
 
 TWO_PI = 2.0 * np.pi
 
@@ -225,15 +226,12 @@ class SphereGrid:
         return sph_to_dir(th, ph)
 
 
-@lru_cache(maxsize=16)
+@table_cache(maxsize=16)
 def gauss_legendre(n: int):
     """The n-point Gauss-Legendre rule on [-1, 1]: read-only nodes x (ascending)
     and weights w, cached per n, which gauss_legendre_grid and
     pconv.kernel_coeffs read."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    for a in (x, w):
-        a.setflags(write=False)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def check_l_max(l_max, who=None):
@@ -254,15 +252,11 @@ def gauss_legendre_grid(l_max: int) -> SphereGrid:
     return _gauss_legendre_grid(int(l_max))
 
 
-@lru_cache(maxsize=16)
+@table_cache(maxsize=16)
 def _gauss_legendre_grid(l_max):
     x, w = gauss_legendre(l_max + 1)
-    theta = np.arccos(x[::-1])
     n_phi = 2 * l_max + 2
-    weights = w[::-1] * (TWO_PI / n_phi)
-    for a in (theta, weights):
-        a.setflags(write=False)
-    return SphereGrid(l_max, theta, weights, n_phi)
+    return SphereGrid(l_max, np.arccos(x[::-1]), w[::-1] * (TWO_PI / n_phi), n_phi)
 
 
 def fibonacci_directions(n: int) -> np.ndarray:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
+from ._tables import table_cache
 from .geom import SphereGrid, check_l_max, gauss_legendre_grid, sph_to_dir
 from .polar import SPIN_BLOCKS, read_spin_blocks, write_spin_blocks
 from .shscalar import ShCoeffs
@@ -31,6 +31,7 @@ class PshCoeffMatrix:
     sparsity: str = "general"   # or "isotropic"
 
     def __post_init__(self):
+        check_l_max(self.l_max)
         self.matrix = P._real_array("matrix", self.matrix)
         n = P.psh_size(self.l_max)
         if self.matrix.shape[-2:] != (n, n):
@@ -256,7 +257,7 @@ def _pointwise_product(l_max, bases, wv):
         ("scalar", (0, 0)): G, ("scalar", (3, 3)): G, ("iso", None): b2H @ (wv[:, None] * b2)}))
 
 
-@lru_cache(maxsize=4)
+@table_cache(maxsize=4)
 def _ring_gram_tables(l_max: int, l_vis: int):
     """Read-only tables of shadow_expand: l_vis's positions with 0 <= m <= 2 l_max,
     m-major, and each m's first; n_phi w_r T_i(r) T_j(r), scalar then spin-2,
@@ -274,13 +275,10 @@ def _ring_gram_tables(l_max: int, l_vis: int):
     k = np.concatenate(ks)
     full = np.argsort(np.where(k < 0, 2 * l_max + 1, k), kind="stable")
     order, rank = full[:np.count_nonzero(k >= 0)], np.argsort(full)
-    tables = (pick, np.searchsorted(sh.sh_lm_arrays(l_vis)[1][pick], np.arange(n_k)),
-              np.concatenate(prods, axis=1).T[order],
-              np.searchsorted(k[order], np.arange(2 * l_max + 2)),
-              np.where(k < 0, rank[np.concatenate(tr)] + order.size, rank))
-    for t in tables:
-        t.setflags(write=False)
-    return tables
+    return (pick, np.searchsorted(sh.sh_lm_arrays(l_vis)[1][pick], np.arange(n_k)),
+            np.concatenate(prods, axis=1).T[order],
+            np.searchsorted(k[order], np.arange(2 * l_max + 2)),
+            np.where(k < 0, rank[np.concatenate(tr)] + order.size, rank))
 
 
 def shadow_expand(v: ShCoeffs, l_max: int) -> PshCoeffMatrix:
@@ -322,7 +320,7 @@ def shadow_matrix_direct(vis_fn, l_max: int, grid: SphereGrid) -> PshCoeffMatrix
 # reflection operator
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def reflection_permutation_psh(l_max: int):
     """z-flip R as read-only (rows, signs) with R @ X = signs[:, None] * X[rows].
 
@@ -333,10 +331,7 @@ def reflection_permutation_psh(l_max: int):
     # (l, -m, p) sits 2m runs of four positions before (l, m, p)
     rows = np.arange(l.size) - np.where(spin, 8 * m, 0)
     parity = 1.0 - 2.0 * (l % 2)
-    signs = parity * np.where(spin, 3.0 - 2.0 * p, 1.0 - 2.0 * (m % 2))
-    rows.setflags(write=False)
-    signs.setflags(write=False)
-    return rows, signs
+    return rows, parity * np.where(spin, 3.0 - 2.0 * p, 1.0 - 2.0 * (m % 2))
 
 
 def reflection_matrix_psh(l_max: int) -> PshCoeffMatrix:

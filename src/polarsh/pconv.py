@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
+from ._tables import table_cache
 from .geom import (check_l_max, fibonacci_directions, frame_for_dir, frame_theta_phi,
                    gauss_legendre, normalize, rotation_about_axis, rotation_align,
                    rotation_zyz, sph_to_dir, dir_to_sph)
@@ -361,7 +361,7 @@ class _ConvTable(NamedTuple):
     w: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _conv_tables(l_max: int) -> _ConvTable:
     lay = P.psh_layout(l_max)
     blocks = {_family(blk.group, blk.key): blk for blk in SPIN_BLOCKS}
@@ -388,10 +388,7 @@ def _conv_tables(l_max: int) -> _ConvTable:
     add(7, lay.pos1[jo], p3[ji + 4], l2, _u_to(mo, mi))
     add(8, lay.pos1, lay.pos1, lay.l[4:], np.ones(j.size))
     add(9, lay.pos1, lay.pos1[j - 2 * m2], lay.l[4:], np.where(m2 % 2, -1.0, 1.0))
-    t = _ConvTable(*(np.concatenate(a) for a in zip(*parts)))
-    for a in t:
-        a.setflags(write=False)
-    return t
+    return _ConvTable(*(np.concatenate(a) for a in zip(*parts)))
 
 
 class _ResidualLabels(NamedTuple):
@@ -415,7 +412,7 @@ class _ResidualLabels(NamedTuple):
     count: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _residual_labels(l_max: int) -> _ResidualLabels:
     l, m, p = P.psh_layout(l_max).lmp.T
     n, n_l = l.size, l_max + 1
@@ -431,10 +428,7 @@ def _residual_labels(l_max: int) -> _ResidualLabels:
     col_spin = np.stack([~spin, spin], axis=-1).astype(float)
     row_label = 2 * ((spin[:, None] + 2 * np.arange(2)) * n_l + l[:, None]) + 1
     row_label[:, 1][~spin & (l < 2)] = 8 * n_l
-    out = _ResidualLabels(matched, label.ravel()[matched], table, row_label, col_spin, count)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return _ResidualLabels(matched, label.ravel()[matched], table, row_label, col_spin, count)
 
 
 def conv_project_operator(M: PshCoeffMatrix):

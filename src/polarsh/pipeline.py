@@ -15,7 +15,7 @@ import numpy as np
 
 from . import psh as P
 from . import shscalar as sh
-from .geom import (gauss_legendre_grid, normalize, rotation_align, sph_to_dir,
+from .geom import (check_l_max, gauss_legendre_grid, normalize, rotation_align, sph_to_dir,
                    dir_to_sph, fibonacci_directions, frame_for_dir, frame_theta_phi)
 from .io import _payload
 from .operators import (PshCoeffMatrix, operator_apply, operator_project,
@@ -351,6 +351,11 @@ def pprt_precompute(mesh: Mesh, material: SyntheticPbrdf | PshCoeffMatrix,
     (see _reflected_blocks).  Nothing is dropped: a dense material takes
     full row sets and gets the dense product, summed by class.
     """
+    for name, band in (("l_low", l_low), ("l_high", l_high)):
+        try:
+            check_l_max(band)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer >= 0, got {band!r}") from None
     if l_low > l_high:
         raise ValueError("l_low must not exceed l_high")
     if isinstance(material, PshCoeffMatrix):

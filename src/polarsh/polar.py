@@ -363,11 +363,18 @@ class SyntheticPbrdf:
 
     def __init__(self, normal=(0.0, 0.0, 1.0), roughness=0.5, ior=1.5,
                  horizon_sharpness=None):
-        if roughness <= 0.0:
-            raise ValueError("roughness must be positive")
-        if ior <= 1.0:
-            raise ValueError("ior must exceed 1")
-        self.normal = normalize(np.asarray(normal, dtype=float))
+        # written so that NaN fails each test
+        if not 0.0 < roughness < np.inf:
+            raise ValueError(f"roughness must be finite and > 0, got {roughness!r}")
+        if not 1.0 < ior < np.inf:
+            raise ValueError(f"ior must be finite and > 1, got {ior!r}")
+        if horizon_sharpness is not None and not 0.0 < horizon_sharpness < np.inf:
+            raise ValueError("horizon_sharpness must be None or finite and > 0, "
+                             f"got {horizon_sharpness!r}")
+        normal = np.asarray(normal, dtype=float)
+        if normal.shape != (3,) or not (np.isfinite(normal).all() and normal.any()):
+            raise ValueError(f"normal must be a finite nonzero 3-vector, got {normal.tolist()}")
+        self.normal = normalize(normal)
         self.roughness = float(roughness)
         self.ior = float(ior)
         # None disables the lower-hemisphere falloff (fully smooth variant)

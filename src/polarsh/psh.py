@@ -11,8 +11,9 @@ factor comes from the one generator shscalar.spin_theta_table and is regular
 at the poles.  The basis matrix s2sh_basis calls the generator;
 psh_reconstruct at scattered points sums one Fourier-in-theta table per spin
 (shscalar._fourier_table, from the cached d(pi/2) factors); grid transforms
-(psh_project, psh_reconstruct_field) are ring transforms.  s0/s3 change basis
-only by c2r/r2c_values; rotation works on s0 + i s3 in the complex basis.
+(psh_project, psh_reconstruct_field) are ring transforms.  Projection,
+reconstruction and rotation all carry s0 and s3 as one complex column
+s0 + i s3 in the complex basis; c2r/r2c_values change its basis.
 The scalar-SH formula s2sh_eval_direct is a cross-check away from the poles.
 """
 
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import shscalar as sh
+from ._tables import table_cache
 from .geom import SphereGrid, check_l_max, frame_theta_phi, sph_to_dir, dir_to_sph
 from .polar import StokesField, stokes_reframe, write_spin_blocks
 from .shscalar import FOUR_PI, sh_index, sh_size
@@ -66,7 +67,7 @@ class PshLayout(NamedTuple):
     lmp: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@table_cache(maxsize=None)
 def psh_layout(l_max: int) -> PshLayout:
     """The one place the (l, m, p) order is decided, in closed form:
     pos(l, m, p) = psh_size(l - 1) + (m + l) n_p(l) + rank(p), with n_p = 2
@@ -81,8 +82,6 @@ def psh_layout(l_max: int) -> PshLayout:
     for pos, p, sl in ((pos0, 0, slice(None)), (pos3, 3, slice(None)),
                        (pos1, 1, slice(4, None)), (pos1 + 1, 2, slice(4, None))):
         lmp[pos] = np.stack([l[sl], m[sl], np.full(pos.size, p)], axis=-1)
-    for a in (l, m, pos0, pos3, pos1, lmp):
-        a.setflags(write=False)
     return PshLayout(l, m, pos0, pos3, pos1, lmp)
 
 
@@ -234,10 +233,10 @@ def psh_project(field: StokesField, l_max: int) -> PshCoeffs:
     check_l_max(l_max)
     if field.grid.band < l_max:
         raise ValueError(f"grid band {field.grid.band} insufficient for l_max {l_max}")
-    scalar = np.moveaxis(field.data[..., [0, 3]], -1, 0)
-    s0, s3 = sh.c2r_values(sh.ring_analysis(scalar, field.grid, l_max, 0)).real
+    scalar = sh.c2r_values(sh.ring_analysis(field.data[..., 0] + 1j * field.data[..., 3],
+                                            field.grid, l_max, 0))
     spin2 = sh.ring_analysis(field.spin2_complex(), field.grid, l_max, 2)[4:]
-    return PshCoeffs(l_max, s0, spin2, s3)
+    return PshCoeffs(l_max, scalar.real, spin2, scalar.imag)
 
 
 def psh_reconstruct(coeffs: PshCoeffs, theta, phi) -> np.ndarray:
@@ -257,10 +256,10 @@ def psh_reconstruct(coeffs: PshCoeffs, theta, phi) -> np.ndarray:
 
 def psh_reconstruct_field(coeffs: PshCoeffs, grid: SphereGrid) -> StokesField:
     """The Stokes field on a quadrature grid, by ring transforms."""
-    s0, s3 = sh.ring_synthesis(sh.r2c_values(np.stack([coeffs.s0, coeffs.s3])), grid, 0).real
+    scalar = sh.ring_synthesis(sh.r2c_values(coeffs.s0 + 1j * coeffs.s3), grid, 0)
     spin2 = np.pad(coeffs.spin2, (sh_size(coeffs.l_max) - coeffs.spin2.size, 0))   # from l = 0
     lin = sh.ring_synthesis(spin2, grid, 2)
-    return StokesField(np.stack([s0, lin.real, lin.imag, s3], axis=-1), grid)
+    return StokesField(np.stack([scalar.real, lin.real, lin.imag, scalar.imag], axis=-1), grid)
 
 
 # ---------------------------------------------------------------------------

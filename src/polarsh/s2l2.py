@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._tables import read_only
 from .geom import (normalize, sph_to_dir, dir_to_sph, fibonacci_directions,
                    frame_for_dir, frame_theta_phi, frame_perspective,
                    is_rotation, rotation_about_axis)
@@ -537,10 +538,8 @@ class _ResamplePlan:
         self.src_shapes = tuple((view.height, view.width) for view in src_views)
         self.coef = coef if method == "s2l2" else np.concatenate(coef + [np.zeros(1, complex)])
         self.frameless = np.concatenate(frameless + [np.zeros(1, dtype=bool)])
-        self.arrays = (self.covered, self.nb, self.w, self.copy, self.copy_from, self.coef,
-                       self.frameless, *self.touched)
-        for x in self.arrays:
-            x.setflags(write=False)
+        self.arrays = read_only((self.covered, self.nb, self.w, self.copy, self.copy_from,
+                                 self.coef, self.frameless, *self.touched))
 
     @property
     def nbytes(self):

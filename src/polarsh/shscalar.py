@@ -39,10 +39,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
+from ._tables import table_cache
 from .geom import SphereGrid, check_l_max, is_rotation, zyz_from_rotation
 
 FOUR_PI = 4.0 * np.pi
@@ -64,14 +64,11 @@ def sh_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-@lru_cache(maxsize=None)
+@table_cache(maxsize=None)
 def sh_lm_arrays(l_max: int):
     """Read-only (l, m) of every position in sh_index order."""
     l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    m = np.arange(l.size) - l * l - l
-    for a in (l, m):
-        a.setflags(write=False)
-    return l, m
+    return l, np.arange(l.size) - l * l - l
 
 
 @dataclass
@@ -150,12 +147,10 @@ def wigner_small_d_racah(l, m, mp, beta):
     return d
 
 
-@lru_cache(maxsize=4)
+@table_cache(maxsize=4)
 def _log_factorials(n: int) -> np.ndarray:
     """Read-only log(k!) for k = 0..n, as cumulative sums of log k in long double."""
-    table = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=np.longdouble)))))
-    table.setflags(write=False)
-    return table
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=np.longdouble)))))
 
 
 def _wigner_d_seed(m, mp, beta):
@@ -197,7 +192,7 @@ def _half_pi_column(l_max: int, s: int):
         yield l, (block[0, l:] / math.sqrt((2 * l + 1) / FOUR_PI)).astype(float)
 
 
-@lru_cache(maxsize=4)
+@table_cache(maxsize=4)
 def _half_pi_factors(l_max: int):
     """Read-only u^l = Delta^l_{km} i^(-m) for k = 0..l, m = -l..l and every
     l <= l_max, with Delta^l = d^l(pi/2): the factors of wigner_d_stack,
@@ -208,8 +203,6 @@ def _half_pi_factors(l_max: int):
         for l, col in _half_pi_column(l_max, s):
             u[l][:, l - s] = i_pow[-s % 4] * col
             u[l][:, l + s] = i_pow[s % 4] * (-1.0) ** (l + np.arange(l + 1)) * col
-    for table in u:
-        table.setflags(write=False)
     return tuple(u)
 
 
@@ -227,7 +220,7 @@ def _theta_fourier(l, k, s: int, m, delta_m, delta_s):
             * np.where((m + s) % 4 < 2, 1.0, -1.0) * delta_m * delta_s)
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _theta_fourier_rows(l_max: int, pairs: tuple) -> np.ndarray:
     """Read-only _theta_fourier coefficients a^l_k of each (s, m) in pairs,
     shape (len(pairs), l_max + 1, l_max + 1) over (pair, l, k), zero where
@@ -241,10 +234,8 @@ def _theta_fourier_rows(l_max: int, pairs: tuple) -> np.ndarray:
             cols[r][l, :l + 1] = col
     l, k = np.ogrid[:l_max + 1, :l_max + 1]
     # Delta_{k,|m|} = (-1)^(l+k) Delta_{k,-|m|}
-    out = np.stack([_theta_fourier(l, k, s, m, cols[abs(m)] * (-1.0) ** ((m > 0) * (l + k)), cols[s])
-                    for s, m in pairs])
-    out.setflags(write=False)
-    return out
+    return np.stack([_theta_fourier(l, k, s, m, cols[abs(m)] * (-1.0) ** ((m > 0) * (l + k)), cols[s])
+                     for s, m in pairs])
 
 
 def _fourier_table(coeffs, s: int) -> np.ndarray:
@@ -526,11 +517,9 @@ def sh_real(l: int, m: int, theta, phi):
 # ring transforms on quadrature grids
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
+@table_cache(maxsize=16)
 def _ring_table(l_max: int, s: int, theta_nodes: bytes) -> np.ndarray:
-    table = spin_theta_table(l_max, s, np.frombuffer(theta_nodes))
-    table.setflags(write=False)
-    return table
+    return spin_theta_table(l_max, s, np.frombuffer(theta_nodes))
 
 
 def ring_table(l_max: int, s: int, grid: SphereGrid) -> np.ndarray:
@@ -603,7 +592,7 @@ def sh_convolve(kernel_zonal: ShCoeffs, coeffs: ShCoeffs) -> ShCoeffs:
 # Wigner 3-j and triple products
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=200000)
+@table_cache(maxsize=200000)
 def wigner3j(l1, l2, l3, m1, m2, m3) -> float:
     """Wigner 3-j symbol; zero when the selection rules fail."""
     if m1 + m2 + m3 != 0:

@@ -398,6 +398,14 @@ def test_shadow_expand_rejects_a_non_finite_visibility_and_a_bad_l_max():
             op.shadow_expand(sh.ShCoeffs(4, "real", np.ones(sh.sh_size(4))), l_max)
 
 
+@pytest.mark.parametrize("l_max", [-1, -3, 2.0, True, None])
+def test_psh_coeff_matrix_checks_l_max(l_max):
+    # PshCoeffMatrix(-1, zeros((0, 0))) used to be accepted: psh_size(-1) is 0
+    with pytest.raises(ValueError, match="l_max must be an integer >= 0"):
+        op.PshCoeffMatrix(l_max, np.zeros((0, 0)))
+    assert op.PshCoeffMatrix(np.int64(0), np.eye(2)).matrix.shape == (2, 2)
+
+
 @pytest.mark.parametrize("L, Lv", [(4, 8), (4, 7)])
 def test_shadow_quadrature_band_rule(rng, L, Lv):
     # degree 2L + Lv is exact on band B = L + Lv // 2 (degree 2B + 1), and

@@ -436,6 +436,19 @@ def test_pprt_band_validation(small_setup):
         pl.pprt_shade(recs, pl.random_psh_coeffs(4, seed=0), mesh.normals)
 
 
+@pytest.mark.parametrize("l_low, l_high, name", [
+    (-1, 6, "l_low"), (2.5, 6, "l_low"), (True, 6, "l_low"), (np.float64(2), 6, "l_low"),
+    (2, -1, "l_high"), (2, 6.0, "l_high"), (2, None, "l_high"),
+])
+def test_pprt_precompute_rejects_a_band_that_is_no_integer_at_least_zero(
+        small_setup, l_low, l_high, name):
+    # l_low = -1 used to build records with an empty low band, and 2.5 to die
+    # inside numpy on an index cast
+    mesh, _, bm, _ = small_setup
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
+        pl.pprt_precompute(mesh, bm, (), l_low, l_high)
+
+
 def test_pprt_material_matrix_checks(small_setup):
     mesh, _, bm, _ = small_setup
     stacked = op.PshCoeffMatrix(6, np.stack([bm.matrix, bm.matrix]))

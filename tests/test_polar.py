@@ -220,6 +220,17 @@ def test_synthetic_pbrdf_validation():
         polar.synthetic_pbrdf(roughness=0.0)
     with pytest.raises(ValueError):
         polar.synthetic_pbrdf(ior=0.9)
+    # NaN or infinite parameters used to give NaN Mueller matrices, or none at all
+    bad = [("roughness", v) for v in (np.nan, np.inf, -1.0)]
+    bad += [("ior", v) for v in (np.nan, np.inf, 1.0)]
+    bad += [("horizon_sharpness", v) for v in (np.nan, np.inf, 0.0, -0.1)]
+    bad += [("normal", v) for v in ((0, 0, 0), (0, np.nan, 1), (0, np.inf, 1), (0, 1))]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            polar.synthetic_pbrdf(**{name: value})
+    pb = polar.synthetic_pbrdf(normal=(0, 0, 2), roughness=np.float64(0.3), ior=1.2,
+                               horizon_sharpness=0.15)
+    assert np.isfinite(pb(np.array([0.0, 0.6, 0.8]), np.array([0.0, 0.0, 1.0]))).all()
 
 
 def test_stokes_field_pole_continuity(rng):
